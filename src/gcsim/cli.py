@@ -62,6 +62,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             prefix = "compare"
         summaries = [r.summary() for r in results]
         paths = emit_report(summaries, args.out, prefix=prefix)
+    except ConfigError as exc:  # an invalid --seed, --deadline-s or --mode
+        print(f"gcsim: invalid config: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"gcsim: run failed: {exc}", file=sys.stderr)
         return 1

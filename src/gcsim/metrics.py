@@ -12,9 +12,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .runtime import PauseInterval
 
@@ -116,7 +114,7 @@ def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
 # -- statistics ---------------------------------------------------------------
 
 
-def nearest_rank(sorted_values: np.ndarray, level: float) -> int:
+def nearest_rank(sorted_values: Sequence[int], level: float) -> int:
     """Nearest-rank quantile: the ceil(level/100 * n)-th smallest value."""
     n = len(sorted_values)
     rank = math.ceil(level / 100.0 * n)
@@ -125,17 +123,23 @@ def nearest_rank(sorted_values: np.ndarray, level: float) -> int:
 
 
 def percentiles(latencies_us: Iterable[int]) -> PercentileReport:
-    """Aggregate a latency sample set; raises on an empty input."""
-    values = np.asarray(list(latencies_us), dtype=np.int64)
-    if values.size == 0:
+    """Aggregate a latency sample set; raises on an empty input.
+
+    The mean and the variance come from exact integer sums, each rounded to
+    a float once.
+    """
+    values = sorted(latencies_us)
+    n = len(values)
+    if n == 0:
         raise ValueError("cannot summarise an empty sample set")
-    values.sort()
+    total = sum(values)
+    squares = sum(v * v for v in values)
     return PercentileReport(
-        count=int(values.size),
-        mean_us=float(values.mean()),
+        count=n,
+        mean_us=total / n,
         median_us=nearest_rank(values, 50.0),
-        stddev_us=float(values.std()),
-        max_us=int(values[-1]),
+        stddev_us=math.sqrt((n * squares - total * total) / (n * n)),
+        max_us=values[-1],
         quantiles_us={q: nearest_rank(values, q) for q in QUANTILE_LEVELS},
     )
 
@@ -167,7 +171,7 @@ class RunSummary:
 
     label: str
     report: Optional[PercentileReport]
-    latencies_us: list[int]
+    latencies_us: list[int]  # ascending
     in_flight: int
     collections: int
     overlap: OverlapStat
@@ -178,12 +182,13 @@ class RunSummary:
 
 def summarize_run(label: str, latencies_us: list[int], in_flight: int,
                   pauses: list[PauseInterval]) -> RunSummary:
-    report = percentiles(latencies_us) if latencies_us else None
+    ordered = sorted(latencies_us)
+    report = percentiles(ordered) if ordered else None
     durations = [p.end_us - p.start_us for p in pauses]
     return RunSummary(
         label=label,
         report=report,
-        latencies_us=latencies_us,
+        latencies_us=ordered,
         in_flight=in_flight,
         collections=len(pauses),
         overlap=overlap_count(pauses),

@@ -775,9 +775,14 @@ class RaftClient:
 
     The belief updates from replies, redirects, and leadership notices; an
     unanswered request is retried against the current belief after the
-    configured timeout (duplicate applies of a retried set are harmless for
-    a key-value store).  Latency is measured from first submission to first
-    reply.
+    configured timeout, and again every timeout after that (duplicate
+    applies of a retried set are harmless for a key-value store).  Latency
+    is measured from first submission to first reply.
+
+    ``outstanding`` maps each unanswered request id to ``(op, issued,
+    deadline)`` in deadline order: a new or retried request always has the
+    latest deadline, so it goes to the end.  One timer, armed at the
+    earliest deadline, serves them all.
     """
 
     def __init__(self, sim: Simulation, client_id: NodeId, initial_leader: NodeId,
@@ -788,23 +793,38 @@ class RaftClient:
         self.belief = initial_leader
         self.timeout_us = timeout_us
         self.on_sample = on_sample
-        self.outstanding: dict[int, tuple[tuple, int]] = {}
+        self.outstanding: dict[int, tuple[tuple, int, int]] = {}
         self.retries = 0
+        self._timer_armed = False
         sim.add_node(client_id, self.deliver)
 
     def submit(self, rid: int, op: tuple) -> None:
-        self.outstanding[rid] = (op, self.sim.now)
+        now = self.sim.now
+        self.outstanding[rid] = (op, now, now + self.timeout_us)
         self.sim.send(self.id, self.belief, ClientRequest(self.id, rid, op))
-        self.sim.schedule_after(self.timeout_us, self._retry_check, rid)
+        if not self._timer_armed:
+            self._timer_armed = True
+            self.sim.schedule_at(now + self.timeout_us, self._retry_check, rid)
 
     def _retry_check(self, rid: int) -> None:
-        entry = self.outstanding.get(rid)
-        if entry is None:
-            return
-        op, _issued = entry
-        self.retries += 1
-        self.sim.send(self.id, self.belief, ClientRequest(self.id, rid, op))
-        self.sim.schedule_after(self.timeout_us, self._retry_check, rid)
+        """Resend every request whose deadline has come, then re-arm.
+
+        ``rid`` is the request the timer was armed for; it may have been
+        answered since, which leaves nothing due at this firing.
+        """
+        now = self.sim.now
+        outstanding = self.outstanding
+        while outstanding:
+            first = next(iter(outstanding))
+            op, issued, deadline = outstanding[first]
+            if deadline > now:
+                self.sim.schedule_at(deadline, self._retry_check, first)
+                return
+            del outstanding[first]
+            outstanding[first] = (op, issued, now + self.timeout_us)
+            self.retries += 1
+            self.sim.send(self.id, self.belief, ClientRequest(self.id, first, op))
+        self._timer_armed = False
 
     def deliver(self, src: NodeId, msg: Any) -> None:
         if isinstance(msg, LeaderNotice):
@@ -822,7 +842,7 @@ class RaftClient:
         entry = self.outstanding.pop(msg.rid, None)
         if entry is None:
             return  # duplicate answer to a retried request
-        op, issued = entry
+        op, issued, _deadline = entry
         if msg.leader_hint:
             self.belief = msg.leader_hint
         self.on_sample(msg.rid, issued, self.sim.now, src, op[0])

@@ -18,11 +18,20 @@ live set, and a three-call coordination surface:
 If allocation exhausts the hard heap limit while a collection is deferred,
 the collector runs immediately and the ticket is marked force-completed so a
 late ``start_gc`` stays a no-op.
+
+A runtime may also allocate in the background at a constant rate, in ticks on
+a fixed grid that a pause suspends: a tick due during a pause moves to the
+pause's end and the grid restarts there.  Those ticks are accounted lazily.
+Before each ``allocate`` and ``start_gc`` the runtime adds in the ticks due
+by then (ticks at the current microsecond come first), and it schedules one
+event only, at the tick where the next threshold is crossed: the trigger
+while no cycle is open, or the hard limit while the open cycle is deferred.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -155,11 +164,14 @@ class ManagedRuntime:
     crossing allocation, so they must not block; deferral is expressed by
     returning ``False``.  The owning node learns about stop-the-world pauses
     through ``on_pause`` and must process no work before ``paused_until``.
+    With ``background_bytes_per_s`` set, the node also allocates that rate in
+    ticks every ``background_interval_us``, suspended while it is paused.
     """
 
     def __init__(self, sim: Simulation, node_id: str, heap: HeapModel,
                  cost: CollectorCostModel, estimator: Optional[PauseEstimator] = None,
-                 mode: GcMode = GcMode.ON):
+                 mode: GcMode = GcMode.ON, background_bytes_per_s: int = 0,
+                 background_interval_us: int = 10_000):
         self.sim = sim
         self.node_id = node_id
         self.heap = heap
@@ -174,7 +186,16 @@ class ManagedRuntime:
         self.paused_until: int = 0
         self.pauses: list[PauseInterval] = []
         self.forced_collections = 0
-        self.peak_allocated_bytes = heap.allocated_bytes
+        self._peak_allocated_bytes = heap.allocated_bytes
+        # Background ticks: bytes per tick, grid spacing, the next tick not
+        # yet added in (inf when there is no background allocation), and the
+        # handle of the one event scheduled at a threshold crossing.
+        self._tick_bytes = round(background_bytes_per_s * background_interval_us / 1_000_000)
+        self._tick_interval_us = background_interval_us
+        self._next_tick: float = (sim.now + background_interval_us
+                                  if self._tick_bytes else math.inf)
+        self._crossing: Optional[list] = None
+        self._arm_crossing()
 
     # -- coordination API ---------------------------------------------------
 
@@ -184,9 +205,12 @@ class ManagedRuntime:
 
     def start_gc(self, ticket_id: int) -> None:
         """Start a deferred collection; all other calls are silent no-ops."""
+        if self._next_tick <= self.sim.now:
+            self._add_background_ticks()
         ticket = self.tickets.get(ticket_id)
         if ticket is not None and ticket.state is TicketState.DEFERRED:
             self._collect(ticket)
+            self._arm_crossing()
 
     # -- allocation and triggers ---------------------------------------------
 
@@ -199,21 +223,71 @@ class ManagedRuntime:
         """
         if n_bytes < 0:
             raise ValueError("allocation size must be non-negative")
+        if self._next_tick <= self.sim.now:
+            self._add_background_ticks()
+        self._grow(n_bytes)
+        if self._tick_bytes:
+            self._arm_crossing()
+
+    def _grow(self, n_bytes: int) -> None:
         heap = self.heap
         if self.mode is GcMode.OFF:
             heap.allocated_bytes += n_bytes
-            if heap.allocated_bytes > self.peak_allocated_bytes:
-                self.peak_allocated_bytes = heap.allocated_bytes
+            if heap.allocated_bytes > self._peak_allocated_bytes:
+                self._peak_allocated_bytes = heap.allocated_bytes
             return
         heap.allocated_bytes = min(heap.allocated_bytes + n_bytes, heap.hard_limit_bytes)
-        if heap.allocated_bytes > self.peak_allocated_bytes:
-            self.peak_allocated_bytes = heap.allocated_bytes
+        if heap.allocated_bytes > self._peak_allocated_bytes:
+            self._peak_allocated_bytes = heap.allocated_bytes
         if self.active_ticket is None and heap.allocated_bytes >= heap.trigger_bytes:
             self._open_cycle()
         if (self.active_ticket is not None
                 and self.active_ticket.state is TicketState.DEFERRED
                 and heap.allocated_bytes >= heap.hard_limit_bytes):
             self._collect(self.active_ticket, forced=True)
+
+    # -- background ticks ------------------------------------------------------
+
+    def _add_background_ticks(self) -> None:
+        """Add in every background tick due at or before the current time.
+
+        Only the last of them can cross a threshold (an earlier crossing
+        would have fired the crossing event already), so they go in at once.
+        """
+        now = self.sim.now
+        t = self._next_tick
+        if t < self.paused_until:  # the tick due at t found the node paused
+            t = self.paused_until
+            if t > now:
+                self._next_tick = t
+                return
+        due = (now - t) // self._tick_interval_us + 1
+        self._next_tick = t + due * self._tick_interval_us
+        self._grow(due * self._tick_bytes)
+
+    def _arm_crossing(self) -> None:
+        """Schedule the crossing event at the tick that reaches the next threshold.
+
+        An event already scheduled no later than that tick is kept: when it
+        fires it adds in the ticks due and arms again.
+        """
+        if not self._tick_bytes or self.mode is GcMode.OFF:
+            return
+        heap = self.heap
+        limit = heap.trigger_bytes if self.active_ticket is None else heap.hard_limit_bytes
+        ticks = max(1, -((heap.allocated_bytes - limit) // self._tick_bytes))
+        at = max(self._next_tick, self.paused_until) + (ticks - 1) * self._tick_interval_us
+        if self._crossing is not None:
+            if self._crossing[0] <= at:
+                return
+            self.sim.cancel(self._crossing)
+        self._crossing = self.sim.schedule_at(at, self._on_crossing)
+
+    def _on_crossing(self, _arg=None) -> None:
+        self._crossing = None
+        if self._next_tick <= self.sim.now:
+            self._add_background_ticks()
+        self._arm_crossing()
 
     def _open_cycle(self) -> None:
         ticket = CollectionTicket(
@@ -257,6 +331,13 @@ class ManagedRuntime:
         return pause
 
     # -- introspection ---------------------------------------------------------
+
+    @property
+    def peak_allocated_bytes(self) -> int:
+        """Highest heap occupancy so far, background ticks due by now included."""
+        if self._next_tick <= self.sim.now:
+            self._add_background_ticks()
+        return self._peak_allocated_bytes
 
     @property
     def is_paused(self) -> bool:

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, validate
 from .httpcluster import Backend, LoadBalancer
 from .metrics import (LatencySample, RunSummary, WorkloadConfig,
                       generate_workload, summarize_run)
@@ -90,25 +90,6 @@ class _WorkloadDriver:
         self._prime()
 
 
-class _BackgroundAllocator:
-    """Constant-rate allocation ticks, suspended while the node is paused."""
-
-    def __init__(self, sim: Simulation, runtime: ManagedRuntime,
-                 bytes_per_s: int, interval_us: int):
-        self.sim = sim
-        self.runtime = runtime
-        self.interval_us = interval_us
-        self.bytes_per_tick = round(bytes_per_s * interval_us / 1_000_000)
-        sim.schedule_at(interval_us, self._tick)
-
-    def _tick(self, _arg=None) -> None:
-        if self.runtime.is_paused:
-            self.sim.schedule_at(self.runtime.paused_until, self._tick)
-            return
-        self.runtime.allocate(self.bytes_per_tick)
-        self.sim.schedule_after(self.interval_us, self._tick)
-
-
 def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,
                   mode: GcMode) -> ManagedRuntime:
     heap = HeapModel(
@@ -120,7 +101,9 @@ def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,
     cost = CollectorCostModel(pause_per_gib_us=cfg.pause_per_gib_us,
                               fixed_overhead_us=cfg.pause_overhead_us)
     est = PauseEstimator(default_pause_us=cfg.default_pause_estimate_us)
-    return ManagedRuntime(sim, node_id, heap, cost, est, mode=mode)
+    return ManagedRuntime(sim, node_id, heap, cost, est, mode=mode,
+                          background_bytes_per_s=cfg.background_alloc_bytes_per_s,
+                          background_interval_us=cfg.background_alloc_interval_us)
 
 
 def _apply_overrides(cfg: ScenarioConfig, mode: Optional[str], seed: Optional[int],
@@ -132,12 +115,17 @@ def _apply_overrides(cfg: ScenarioConfig, mode: Optional[str], seed: Optional[in
         changes["seed"] = seed
     if duration_s is not None:
         changes["duration_s"] = duration_s
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+    if not changes:
+        return cfg
+    cfg = dataclasses.replace(cfg, **changes)
+    validate(cfg)
+    return cfg
 
 
 def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
                  seed: Optional[int] = None,
                  duration_s: Optional[int] = None) -> RunResult:
+    """Run one scenario; overrides are validated like the same config keys."""
     cfg = _apply_overrides(cfg, mode, seed, duration_s)
     if cfg.system == "http":
         return _run_http(cfg)
@@ -168,9 +156,6 @@ def _run_http(cfg: ScenarioConfig) -> RunResult:
             defer_threshold_us=cfg.defer_threshold_us,
             coordinated=mode is GcMode.BLADE,
         ))
-        if cfg.background_alloc_bytes_per_s:
-            _BackgroundAllocator(sim, runtime, cfg.background_alloc_bytes_per_s,
-                                 cfg.background_alloc_interval_us)
 
     stream = generate_workload(WorkloadConfig(
         rate_rps=cfg.rate_rps, duration_s=cfg.duration_s, arrivals=cfg.arrivals,
@@ -219,10 +204,6 @@ def _run_raft(cfg: ScenarioConfig) -> RunResult:
             client_ids=client_ids,
             timer_seed=cfg.seed * 1_000 + i,
         ))
-        if cfg.background_alloc_bytes_per_s:
-            _BackgroundAllocator(sim, nodes[-1].runtime,
-                                 cfg.background_alloc_bytes_per_s,
-                                 cfg.background_alloc_interval_us)
 
     bootstrap = nodes[0]
     bootstrap.term = 1

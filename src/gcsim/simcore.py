@@ -23,8 +23,8 @@ SEC = 1_000_000
 SimTime = int
 NodeId = str
 
-# Heap entries are mutable lists [fire_at, seq, action, arg, label];
-# cancelling an event nulls out its action so the main loop skips it cheaply.
+# Heap entries are mutable lists [fire_at, seq, action, arg]; cancelling an
+# event nulls out its action so the main loop skips it cheaply.
 EventHandle = list
 
 
@@ -38,7 +38,8 @@ class NetworkModel:
 
     With jitter disabled (the default) delivery time is exactly
     ``send_time + one_way_delay_us``, which keeps every per-link message
-    stream FIFO.
+    stream FIFO.  Jitter is drawn uniformly from ``[0, jitter_us]`` with the
+    simulation's RNG.
     """
 
     one_way_delay_us: int = 24
@@ -47,11 +48,6 @@ class NetworkModel:
     @classmethod
     def from_rtt(cls, rtt_us: int, jitter_us: int = 0) -> "NetworkModel":
         return cls(one_way_delay_us=rtt_us // 2, jitter_us=jitter_us)
-
-    def delay(self, rng: random.Random) -> int:
-        if self.jitter_us:
-            return self.one_way_delay_us + rng.randrange(self.jitter_us + 1)
-        return self.one_way_delay_us
 
 
 @dataclass
@@ -89,8 +85,9 @@ class Simulation:
         self.rng = random.Random(seed)
         self.network = network or NetworkModel()
         self._heap: list[list] = []
-        self._seq = 0
+        self._seq = 0  # events ever scheduled; also the tie-break sequence
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
+        self._links: dict[tuple[NodeId, NodeId], _Delivery] = {}
         self.events_fired = 0
         self.messages_sent = 0
         self.trace: Optional[list[tuple[int, int, str]]] = [] if record_trace else None
@@ -100,6 +97,7 @@ class Simulation:
     def add_node(self, node_id: NodeId, deliver: Callable[[NodeId, Any], None]) -> None:
         """Register a message sink; ``deliver(src, msg)`` runs on delivery."""
         self._nodes[node_id] = deliver
+        self._links.clear()  # a cached link may hold a replaced sink
 
     def node_ids(self) -> list[NodeId]:
         return list(self._nodes)
@@ -107,7 +105,7 @@ class Simulation:
     # -- scheduling -------------------------------------------------------
 
     def schedule_at(self, fire_at: SimTime, action: Callable[[Any], None],
-                    arg: Any = None, label: str = "") -> EventHandle:
+                    arg: Any = None) -> EventHandle:
         """Queue ``action(arg)`` to run at absolute time ``fire_at``.
 
         Rejects times earlier than the current clock.  Returns a handle
@@ -117,15 +115,18 @@ class Simulation:
             raise SchedulingError(
                 f"cannot schedule at t={fire_at}us: clock is already at {self.now}us")
         self._seq += 1
-        entry = [fire_at, self._seq, action, arg, label]
+        entry = [fire_at, self._seq, action, arg]
         heapq.heappush(self._heap, entry)
         return entry
 
     def schedule_after(self, delay: SimTime, action: Callable[[Any], None],
-                       arg: Any = None, label: str = "") -> EventHandle:
+                       arg: Any = None) -> EventHandle:
         if delay < 0:
             raise SchedulingError(f"negative delay {delay}us")
-        return self.schedule_at(self.now + delay, action, arg, label)
+        self._seq += 1
+        entry = [self.now + delay, self._seq, action, arg]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event; no-op if it already fired."""
@@ -141,14 +142,28 @@ class Simulation:
 
     def send(self, src: NodeId, dst: NodeId, msg: Any) -> EventHandle:
         """Deliver ``msg`` to ``dst`` after the network's one-way delay."""
+        delivery = self._links.get((src, dst))
+        if delivery is None:
+            delivery = self._link(src, dst)
+        network = self.network
+        delay = network.one_way_delay_us
+        if network.jitter_us:
+            delay += self.rng.randrange(network.jitter_us + 1)
+        self.messages_sent += 1
+        self._seq += 1
+        entry = [self.now + delay, self._seq, delivery, msg]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def _link(self, src: NodeId, dst: NodeId) -> "_Delivery":
+        """Validate a (src, dst) link on first use and cache its delivery."""
         deliver = self._nodes.get(dst)
         if deliver is None:
             raise SchedulingError(f"unknown node id {dst!r}")
         if src not in self._nodes:
             raise SchedulingError(f"unknown node id {src!r}")
-        self.messages_sent += 1
-        return self.schedule_after(self.network.delay(self.rng),
-                                   _Delivery(deliver, src), msg)
+        delivery = self._links[(src, dst)] = _Delivery(deliver, src)
+        return delivery
 
     # -- main loop --------------------------------------------------------
 
@@ -170,7 +185,7 @@ class Simulation:
             self.now = entry[0]
             fired += 1
             if trace is not None:
-                trace.append((entry[0], entry[1], entry[4] or _describe(action)))
+                trace.append((entry[0], entry[1], _describe(action)))
             action(entry[3])
         self.now = deadline
         self.events_fired += fired

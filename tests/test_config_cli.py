@@ -152,6 +152,21 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
     assert "rate_rps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags,field", [
+    ("run", ["--seed", "-5"], "seed"),
+    ("compare", ["--seed", "0"], "seed"),
+    ("run", ["--deadline-s", "0"], "duration_s"),
+    ("compare", ["--deadline-s", "-1"], "duration_s"),
+])
+def test_cli_overrides_are_validated_like_file_values(tmp_path, capsys, command, flags,
+                                                      field):
+    out = tmp_path / "out"
+    rc = main([command, tiny_raft_cfg(tmp_path), "--out", str(out)] + flags)
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_missing_config(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.cfg")])
     assert rc == 2

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsim.raft import (AllowGC, AskGC, ClientRequest, FollowerGcModel, GcLedger,
+from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, FollowerGcModel, GcLedger,
                         LeaderGcModel, RaftClient, RaftNode, RaftTrace, Role,
                         raft_model_eval)
 from gcsim.raftcheck import check_history
@@ -169,6 +169,71 @@ def test_no_commit_without_majority_until_a_follower_returns():
     assert samples == []  # both followers buffered, no quorum
     sim.run_until(500_000)
     assert len(samples) == 1  # acked right after wake
+
+
+# -- client retries ---------------------------------------------------------------------
+
+TIMEOUT = 10_000
+
+
+def make_client(replies):
+    """A client whose servers record each request and answer through ``replies``.
+
+    ``replies(dst, msg)`` returns the reply to send back, or None to stay
+    silent.  Returns the client, the received log as (time, server, rid) and
+    the samples.
+    """
+    sim = Simulation(seed=1, network=NetworkModel.from_rtt(RTT))
+    received, samples = [], []
+
+    def server(name):
+        def deliver(src, msg):
+            received.append((sim.now, name, msg.rid))
+            reply = replies(name, msg)
+            if reply is not None:
+                sim.send(name, src, reply)
+        return deliver
+    for name in ("s0", "s1"):
+        sim.add_node(name, server(name))
+    client = RaftClient(sim, "c0", "s0", TIMEOUT,
+                        lambda rid, iss, done, srv, kind: samples.append((rid, iss, done)))
+    return sim, client, received, samples
+
+
+def test_unanswered_requests_resent_every_timeout_from_issue():
+    sim, client, received, _ = make_client(lambda dst, msg: None)
+    sim.schedule_at(1_000, lambda _: client.submit(1, ("get", "k")))
+    sim.schedule_at(1_500, lambda _: client.submit(2, ("set", "k", 2)))
+    sim.run_until(45_000)
+    sends = {rid: [t - HALF for t, _, r in received if r == rid] for rid in (1, 2)}
+    assert sends[1] == [1_000, 11_000, 21_000, 31_000, 41_000]
+    assert sends[2] == [1_500, 11_500, 21_500, 31_500, 41_500]
+    assert client.retries == 8
+    assert list(client.outstanding) == [1, 2]
+
+
+def test_answered_request_is_never_resent():
+    def answer_first(dst, msg):
+        return ClientReply(msg.rid, "ok", dst) if msg.rid == 1 else None
+    sim, client, received, samples = make_client(answer_first)
+    sim.schedule_at(1_000, lambda _: client.submit(1, ("get", "k")))
+    sim.schedule_at(2_000, lambda _: client.submit(2, ("get", "k")))
+    sim.run_until(35_000)
+    assert [t for t, _, rid in received if rid == 1] == [1_000 + HALF]
+    assert [t - HALF for t, _, rid in received if rid == 2] == [2_000, 12_000, 22_000, 32_000]
+    assert samples == [(1, 1_000, 1_000 + RTT)]
+    assert client.retries == 3
+
+
+def test_redirect_resends_at_once_and_keeps_the_deadline():
+    def redirect_from_s0(dst, msg):
+        return ClientReply(msg.rid, None, "s1", redirect=True) if dst == "s0" else None
+    sim, client, received, _ = make_client(redirect_from_s0)
+    sim.schedule_at(1_000, lambda _: client.submit(1, ("set", "k", 1)))
+    sim.run_until(25_000)
+    assert received == [(1_000 + HALF, "s0", 1), (1_000 + RTT + HALF, "s1", 1),
+                        (11_000 + HALF, "s1", 1), (21_000 + HALF, "s1", 1)]
+    assert client.retries == 3
 
 
 # -- fast leadership handoff ---------------------------------------------------------

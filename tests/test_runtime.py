@@ -278,3 +278,110 @@ def test_gc_off_mode_never_collects_and_tracks_peak():
     rt.allocate(10_000)
     assert rt.collection_count() == 0
     assert rt.peak_allocated_bytes == 10_100
+
+
+# -- lazy background allocation against the tick-per-event reference ----------------------
+
+
+class _ReferenceTicker:
+    """Background allocation as one event per tick, suspended while paused.
+
+    The lazy accounting in ``ManagedRuntime`` must reproduce this exactly.
+    """
+
+    def __init__(self, sim, runtime, bytes_per_s, interval_us):
+        self.sim = sim
+        self.runtime = runtime
+        self.interval_us = interval_us
+        self.bytes_per_tick = round(bytes_per_s * interval_us / 1_000_000)
+        sim.schedule_at(interval_us, self._tick)
+
+    def _tick(self, _arg=None):
+        if self.runtime.is_paused:
+            self.sim.schedule_at(self.runtime.paused_until, self._tick)
+            return
+        self.runtime.allocate(self.bytes_per_tick)
+        self.sim.schedule_after(self.interval_us, self._tick)
+
+
+def _background_run(lazy, mode, *, rate=10_000, interval=10_000, overhead=4_000,
+                    request_gap=3_001, request_bytes=37, requests=0, start_delay=5_001,
+                    live=1_000, trigger=2_000, hard=5_000, until=2_000_000):
+    """One runtime with background allocation, lazy or by the reference ticker.
+
+    Requests are chained, each scheduled by the one before, ``request_gap``
+    apart; with the gap shorter than the interval and the pause, a tick due
+    at a request's microsecond fires first in the reference too.  In blade
+    mode every ticket is deferred and started ``start_delay`` later, or
+    never when ``start_delay`` is None; a delay shorter than the interval
+    orders ticks before ``start_gc`` the same way.
+    """
+    sim = Simulation()
+    heap = HeapModel(live_bytes=live, trigger_bytes=trigger, hard_limit_bytes=hard,
+                     low_water_bytes=0)
+    cost = CollectorCostModel(pause_per_gib_us=0, fixed_overhead_us=overhead)
+    background = {"background_bytes_per_s": rate, "background_interval_us": interval}
+    rt = ManagedRuntime(sim, "n", heap, cost, mode=mode, **(background if lazy else {}))
+    if not lazy:
+        _ReferenceTicker(sim, rt, rate, interval)
+    if mode is GcMode.BLADE:
+        def defer(ticket):
+            if start_delay is not None:
+                sim.schedule_after(start_delay, lambda _: rt.start_gc(ticket.id))
+            return False
+        rt.reg_gc_hand(defer)
+
+    def request(left):
+        rt.allocate(request_bytes)
+        if left > 1:
+            sim.schedule_after(request_gap, request, left - 1)
+    if requests:
+        sim.schedule_at(request_gap, request, requests)
+    sim.run_until(until)
+    return sim, rt
+
+
+def _observed(rt):
+    peak = rt.peak_allocated_bytes
+    return ([(p.node, p.start_us, p.end_us, p.ticket_id, p.forced) for p in rt.pauses],
+            [(t.id, t.allocated_bytes, t.state) for t in rt.tickets.values()],
+            rt.collection_count(), rt.forced_collections, peak, rt.heap.allocated_bytes)
+
+
+BACKGROUND_CASES = {
+    "requests_between_ticks": dict(requests=500),
+    "pause_longer_than_interval": dict(requests=300, overhead=25_000, start_delay=1_001),
+    "forced_by_background_alone": dict(start_delay=None),
+    "background_alone": dict(start_delay=12_001),
+}
+
+
+@pytest.mark.parametrize("mode", [GcMode.ON, GcMode.BLADE, GcMode.OFF], ids=str)
+@pytest.mark.parametrize("case", sorted(BACKGROUND_CASES))
+def test_lazy_background_matches_tick_reference(case, mode):
+    ref_sim, ref = _background_run(False, mode, **BACKGROUND_CASES[case])
+    lazy_sim, lazy = _background_run(True, mode, **BACKGROUND_CASES[case])
+    assert _observed(lazy) == _observed(ref)
+    assert lazy_sim.events_fired < ref_sim.events_fired
+    if mode is not GcMode.OFF:
+        assert ref.collection_count() >= 3
+    if case == "forced_by_background_alone" and mode is GcMode.BLADE:
+        assert lazy.forced_collections == lazy.collection_count()
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from([GcMode.ON, GcMode.BLADE, GcMode.OFF]),
+       rate=st.integers(1_000, 60_000),
+       request_gap=st.integers(1, 3_999),
+       request_bytes=st.integers(0, 300),
+       requests=st.integers(0, 400),
+       overhead=st.integers(4_000, 40_000),
+       start_delay=st.one_of(st.none(), st.integers(0, 9_999)))
+def test_lazy_background_matches_tick_reference_on_random_schedules(
+        mode, rate, request_gap, request_bytes, requests, overhead, start_delay):
+    kwargs = dict(rate=rate, request_gap=request_gap, request_bytes=request_bytes,
+                  requests=requests, overhead=overhead, start_delay=start_delay,
+                  until=1_500_000)
+    _, ref = _background_run(False, mode, **kwargs)
+    _, lazy = _background_run(True, mode, **kwargs)
+    assert _observed(lazy) == _observed(ref)

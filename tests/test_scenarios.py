@@ -1,4 +1,6 @@
-from gcsim.config import default_config
+import pytest
+
+from gcsim.config import ConfigError, default_config
 from gcsim.metrics import percentiles
 from gcsim.raftcheck import check_history
 from gcsim.runtime import MIB
@@ -15,6 +17,12 @@ def test_compare_runs_all_three_modes_on_one_seed():
     runs = run_compare(small_raft(), duration_s=30)
     assert [r.mode for r in runs] == ["off", "blade", "on"]
     assert len({r.issued for r in runs}) == 1
+
+
+@pytest.mark.parametrize("override", [{"seed": 0}, {"duration_s": -1}, {"mode": "never"}])
+def test_run_overrides_are_validated(override):
+    with pytest.raises(ConfigError):
+        run_scenario(small_raft(), **override)
 
 
 def test_raft_compare_blade_tail_within_one_rtt_of_baseline():

@@ -14,7 +14,7 @@ from gcsim import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
 
 sim = Simulation()
 heap = HeapModel(live_bytes=150 * MIB, trigger_bytes=300 * MIB,
-                 hard_limit_bytes=1 * GIB, low_water_bytes=200 * MIB)
+                 hard_limit_bytes=1 * GIB)
 # Stop-the-world cost: 25 ms per GiB of live data plus fixed overhead;
 # at a 150 MiB live set this lands on the observed 12.423 ms average.
 cost = CollectorCostModel(pause_per_gib_us=25_000, fixed_overhead_us=8_761)

@@ -18,7 +18,7 @@ from gcsim.simcore import NetworkModel, Simulation
 sim = Simulation(network=NetworkModel.from_rtt(48))
 lb = LoadBalancer(sim, "lb", ["b0"])
 heap = HeapModel(live_bytes=150 * MIB, trigger_bytes=300 * MIB,
-                 hard_limit_bytes=GIB, low_water_bytes=200 * MIB)
+                 hard_limit_bytes=GIB)
 rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 8_761),
                     PauseEstimator(), mode=GcMode.BLADE)
 backend = Backend(sim, "b0", "lb", rt, service_time_us=2_000, parallelism=16,

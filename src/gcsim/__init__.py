@@ -13,22 +13,22 @@ The package has three layers:
 from .config import ConfigError, ScenarioConfig, default_config, parse_config, serialize
 from .httpcluster import (Backend, BackendStatus, HttpEventModel, HttpModelResult,
                           LoadBalancer, http_model_eval)
-from .metrics import (LatencySample, OverlapStat, PercentileReport, WorkloadConfig,
-                      emit_report, generate_workload, overlap_count, percentiles)
-from .raft import (FollowerGcModel, GcLedger, LeaderGcModel, RaftClient, RaftNode,
-                   RaftTrace, Role, raft_model_eval)
+from .metrics import (OverlapStat, PercentileReport, WorkloadConfig, emit_report,
+                      generate_workload, overlap_count, percentiles)
+from .raft import (FollowerGcModel, LeaderGcModel, RaftClient, RaftNode, RaftTrace, Role,
+                   raft_model_eval)
 from .raftcheck import check_history
-from .runtime import (CollectionTicket, CollectorCostModel, GcMode, HeapModel,
+from .runtime import (CollectionTicket, CollectorCostModel, GcLedger, GcMode, HeapModel,
                       ManagedRuntime, PauseEstimator, PauseInterval, TicketState,
                       GIB, KIB, MIB)
 from .scenarios import RunResult, run_compare, run_scenario
-from .simcore import (Event, NetworkModel, SchedulingError, SimStats, SimTime,
+from .simcore import (NetworkModel, SchedulingError, SimStats, SimTime,
                       Simulation, MS, SEC, US)
 
 __all__ = [
     "Backend", "BackendStatus", "CollectionTicket", "CollectorCostModel",
-    "ConfigError", "Event", "FollowerGcModel", "GcLedger", "GcMode", "GIB",
-    "HeapModel", "HttpEventModel", "HttpModelResult", "KIB", "LatencySample",
+    "ConfigError", "FollowerGcModel", "GcLedger", "GcMode", "GIB",
+    "HeapModel", "HttpEventModel", "HttpModelResult", "KIB",
     "LeaderGcModel", "LoadBalancer", "ManagedRuntime", "MIB", "MS",
     "NetworkModel", "OverlapStat", "PauseEstimator", "PauseInterval",
     "PercentileReport", "RaftClient", "RaftNode", "RaftTrace", "Role",

@@ -33,7 +33,6 @@ class ScenarioConfig:
     live_bytes: int = 200 * MIB
     trigger_bytes: int = 0          # 0 -> twice the live set
     hard_limit_bytes: int = 1 * GIB
-    low_water_bytes: int = 0        # 0 -> 20% of the hard limit
     pause_per_gib_us: int = 25_000
     pause_overhead_us: int = 8_761
     default_pause_estimate_us: int = 10_000
@@ -66,9 +65,6 @@ class ScenarioConfig:
 
     def effective_trigger_bytes(self) -> int:
         return self.trigger_bytes if self.trigger_bytes else 2 * self.live_bytes
-
-    def effective_low_water_bytes(self) -> int:
-        return self.low_water_bytes if self.low_water_bytes else self.hard_limit_bytes // 5
 
     def duration_us(self) -> int:
         return self.duration_s * 1_000_000
@@ -108,21 +104,26 @@ _POSITIVE = {
     "collection_timeout_factor", "background_alloc_interval_us",
 }
 _NON_NEGATIVE = {
-    "jitter_us", "trigger_bytes", "low_water_bytes", "pause_overhead_us",
+    "jitter_us", "trigger_bytes", "pause_overhead_us",
     "default_pause_estimate_us", "defer_threshold_us", "mix_get", "mix_set",
     "bytes_per_request", "background_alloc_bytes_per_s",
 }
 
 
-def default_config(system: str = "raft", **overrides) -> ScenarioConfig:
-    """Reference configuration for a system, with keyword overrides applied."""
-    cfg = ScenarioConfig()
+def _defaults(system: str) -> ScenarioConfig:
+    """The default block for ``system``; an unknown system is left to ``validate``."""
+    cfg = ScenarioConfig(system=system)
     if system == "http":
-        cfg.system = "http"
         for key, value in _HTTP_DEFAULTS.items():
             setattr(cfg, key, value)
-    elif system != "raft":
+    return cfg
+
+
+def default_config(system: str = "raft", **overrides) -> ScenarioConfig:
+    """Reference configuration for a system, with keyword overrides applied."""
+    if system not in _CHOICES["system"]:
         raise ConfigError(f"field 'system': must be one of raft, http")
+    cfg = _defaults(system)
     for key, value in overrides.items():
         if not hasattr(cfg, key):
             raise ConfigError(f"unknown key {key!r}")
@@ -149,11 +150,7 @@ def parse_lines(lines: list[str]) -> dict[str, str]:
 
 
 def config_from_pairs(pairs: dict[str, str]) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    if pairs.get("system", "raft") == "http":
-        cfg.system = "http"
-        for key, value in _HTTP_DEFAULTS.items():
-            setattr(cfg, key, value)
+    cfg = _defaults(pairs.get("system", "raft"))
     known = _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS
     for key, value in pairs.items():
         if key not in known:
@@ -193,9 +190,11 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("field 'mix_get'/'mix_set': the request mix is empty")
     if cfg.live_bytes >= cfg.effective_trigger_bytes():
         raise ConfigError("field 'trigger_bytes': must exceed the live set")
-    if cfg.effective_trigger_bytes() + cfg.effective_low_water_bytes() > cfg.hard_limit_bytes:
+    # A deferred collection needs room to wait: keep 20% of the hard limit
+    # between the trigger and the limit.
+    if cfg.effective_trigger_bytes() + cfg.hard_limit_bytes // 5 > cfg.hard_limit_bytes:
         raise ConfigError(
-            "field 'trigger_bytes': trigger plus low-water headroom exceeds the hard limit")
+            "field 'trigger_bytes': trigger plus 20% headroom exceeds the hard limit")
     if cfg.election_timeout_min_ms > cfg.election_timeout_max_ms:
         raise ConfigError("field 'election_timeout_min_ms': exceeds the maximum")
     if cfg.system == "raft" and cfg.nodes < 3:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .runtime import CollectionTicket, ManagedRuntime, TicketState
+from .runtime import CollectionTicket, GcLedger, ManagedRuntime
 from .simcore import NodeId, Simulation
 
 
@@ -207,25 +207,23 @@ class LoadBalancer:
     """Round-robin front end with the co-located collection coordinator.
 
     Requests arriving while no backend is routable queue FIFO and drain as
-    soon as a backend rejoins.  The coordinator grants at most
-    ``max_concurrent`` collections at a time and queues further askers.
+    soon as a backend rejoins.  The coordinator is a :class:`GcLedger` of
+    capacity ``max_concurrent``; a backend leaves the rotation while it holds
+    a grant.
     """
 
     def __init__(self, sim: Simulation, balancer_id: NodeId,
-                 backend_ids: list[NodeId], max_concurrent: int = 1,
-                 on_sample: Optional[Callable[[int, int, int, NodeId], None]] = None):
+                 backend_ids: list[NodeId], max_concurrent: int = 1):
         self.sim = sim
         self.id = balancer_id
         self.order = list(backend_ids)
         self.routing_ok = {b: True for b in backend_ids}
         self.rr_pos = 0
         self.pending: deque = deque()
-        self.max_concurrent = max_concurrent
-        self.collecting: set[NodeId] = set()
-        self.wait_queue: deque = deque()
-        self._waiting: set[NodeId] = set()
+        self.ledger = GcLedger(max_concurrent)
+        # Alias kept for the benchmark's tracer, which reads ``lb.wait_queue``.
+        self.wait_queue = self.ledger.pending
         self.samples: list[tuple[int, int, int, NodeId]] = []
-        self.on_sample = on_sample
         self.routed = 0
         sim.add_node(balancer_id, self.deliver)
 
@@ -255,36 +253,23 @@ class LoadBalancer:
         if tag == "rep":
             _, rid, issued = msg
             self.samples.append((rid, issued, self.sim.now, src))
-            if self.on_sample is not None:
-                self.on_sample(rid, issued, self.sim.now, src)
         elif tag == "ask":
-            self._decide(src, msg[1])
+            if self.ledger.ask(src) == "grant":
+                self._grant(src)
         elif tag == "done":
             self._on_done(src)
         else:
             raise ValueError(f"balancer got unknown message {msg!r}")
 
-    def _decide(self, asker: NodeId, ticket_id: int) -> None:
-        if asker in self.collecting or asker in self._waiting:
-            return  # duplicate ask
-        if len(self.collecting) < self.max_concurrent:
-            self._grant(asker)
-        else:
-            self.wait_queue.append(asker)
-            self._waiting.add(asker)
-
     def _grant(self, backend: NodeId) -> None:
-        self.collecting.add(backend)
         self.routing_ok[backend] = False
         self.sim.send(self.id, backend, ("allow",))
 
     def _on_done(self, backend: NodeId) -> None:
-        self.collecting.discard(backend)
+        nxt = self.ledger.finish(backend)
         self.routing_ok[backend] = True
         while self.pending and any(self.routing_ok.values()):
             rid, issued = self.pending.popleft()
             self.route(rid, issued)
-        if self.wait_queue and len(self.collecting) < self.max_concurrent:
-            nxt = self.wait_queue.popleft()
-            self._waiting.discard(nxt)
+        if nxt is not None:
             self._grant(nxt)

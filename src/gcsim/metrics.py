@@ -20,19 +20,6 @@ QUANTILE_LEVELS = (95.0, 99.0, 99.9, 99.99, 99.999, 99.9999)
 
 
 @dataclass
-class LatencySample:
-    request_id: int
-    issued_at: int
-    completed_at: int
-    server: str
-    kind: str  # get | set | http
-
-    @property
-    def latency_us(self) -> int:
-        return self.completed_at - self.issued_at
-
-
-@dataclass
 class PercentileReport:
     count: int
     mean_us: float

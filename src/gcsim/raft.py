@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .runtime import CollectionTicket, GcMode, ManagedRuntime
+from .runtime import CollectionTicket, GcLedger, GcMode, ManagedRuntime
 from .simcore import NodeId, Simulation
 
 
@@ -119,62 +119,6 @@ class AllowGC:
 @dataclass(slots=True)
 class DoneGC:
     ticket_id: int
-
-
-# -- leader-side admission ledger ----------------------------------------------
-
-
-class GcLedger:
-    """Tracks which servers the leader has allowed to collect.
-
-    A grant is issued only while the count of collecting servers stays below
-    ``cluster_size - quorum + 1``, i.e. admitting one more must still leave a
-    live majority.  Further askers queue FIFO and are granted as collections
-    finish.  The ledger resets when leadership changes; a finish from a node
-    this ledger never granted (possible right after such a reset) is ignored
-    rather than driving the usage count negative.
-    """
-
-    def __init__(self, cluster_size: int):
-        self.cluster_size = cluster_size
-        self.quorum = cluster_size // 2 + 1
-        self.granted: set[NodeId] = set()
-        self.pending: deque[NodeId] = deque()
-        self._pending_set: set[NodeId] = set()
-        self.last_finished: Optional[NodeId] = None
-
-    @property
-    def used(self) -> int:
-        return len(self.granted)
-
-    def ask(self, node: NodeId) -> str:
-        """Returns "grant", "queued", or "duplicate"."""
-        if node in self.granted or node in self._pending_set:
-            return "duplicate"
-        if self.used + 1 >= self.quorum:
-            self.pending.append(node)
-            self._pending_set.add(node)
-            return "queued"
-        self.granted.add(node)
-        return "grant"
-
-    def finish(self, node: NodeId) -> Optional[NodeId]:
-        """Record a finished collection; returns the next node to grant."""
-        self.last_finished = node
-        if node not in self.granted:
-            return None
-        self.granted.discard(node)
-        if self.pending:
-            nxt = self.pending.popleft()
-            self._pending_set.discard(nxt)
-            self.granted.add(nxt)
-            return nxt
-        return None
-
-    def leader_change(self) -> None:
-        self.granted.clear()
-        self.pending.clear()
-        self._pending_set.clear()
 
 
 # -- impact model ----------------------------------------------------------------
@@ -299,7 +243,7 @@ class RaftNode:
         self._votes: set[NodeId] = set()
 
         # collection coordination
-        self.ledger = GcLedger(self.cluster_size)
+        self.ledger = GcLedger(self.cluster_size - self.majority)
         self.req_in_flight = 0
         self._ask_info: dict[NodeId, tuple[int, int]] = {}  # node -> (ticket, est)
         self._grant_token: dict[NodeId, int] = {}
@@ -447,7 +391,7 @@ class RaftNode:
             self.trace.record_role(self.id, self.sim.now, self.term, Role.FOLLOWER)
             self.last_contact = self.sim.now
             self._arm_election_timer()
-        self.ledger.leader_change()
+        self.ledger.reset()
         self.switch_target = None
 
     def _become_leader(self) -> None:
@@ -457,7 +401,7 @@ class RaftNode:
         self.trace.leaderships.append((self.sim.now, self.term, self.id))
         self.next_index = {p: self.last_index + 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
-        self.ledger.leader_change()
+        self.ledger.reset()
         self.switch_target = None
         # A fresh entry in the new term is what lets the commit rule advance
         # over entries inherited from previous leaders.
@@ -653,7 +597,7 @@ class RaftNode:
         self.role = Role.FOLLOWER
         self.voted_for = successor
         self.leader_hint = None
-        self.ledger.leader_change()
+        self.ledger.reset()
         self.trace.record_role(self.id, self.sim.now, new_term, Role.FOLLOWER)
         self.last_contact = self.sim.now
         self._arm_election_timer()
@@ -668,7 +612,7 @@ class RaftNode:
         self.term = m.new_term
         self.voted_for = m.successor
         self.last_contact = self.sim.now
-        self.ledger.leader_change()
+        self.ledger.reset()
         self.switch_target = None
         if self.id == m.successor:
             self._become_leader()

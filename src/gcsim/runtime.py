@@ -19,6 +19,9 @@ If allocation exhausts the hard heap limit while a collection is deferred,
 the collector runs immediately and the ticket is marked force-completed so a
 late ``start_gc`` stays a no-op.
 
+On the coordinator's side, a :class:`GcLedger` decides which deferred
+collections may start: the HTTP balancer and the Raft leader each hold one.
+
 A runtime may also allocate in the background at a constant rate, in ticks on
 a fixed grid that a pause suspends: a tick due during a pause moves to the
 pause's end and the grid restarts there.  Those ticks are accounted lazily.
@@ -32,10 +35,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .simcore import SimTime, Simulation
+from .simcore import NodeId, Simulation
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -54,7 +58,6 @@ class GcMode(str, enum.Enum):
 class TicketState(enum.Enum):
     OFFERED = "offered"
     DEFERRED = "deferred"
-    RUNNING = "running"
     COMPLETED = "completed"
     FORCED_COMPLETED = "forced_completed"
 
@@ -120,15 +123,13 @@ class PauseEstimator:
 class HeapModel:
     """Per-node heap state driving trigger and exhaustion behaviour.
 
-    ``trigger_bytes`` is the occupancy at which a collection cycle opens;
-    ``low_water_bytes`` is the headroom that must remain between the trigger
-    and the hard limit so a deferred collection has room to wait.
+    ``trigger_bytes`` is the occupancy at which a collection cycle opens; it
+    must not exceed ``hard_limit_bytes``, where a deferred cycle is forced.
     """
 
     live_bytes: int
     trigger_bytes: int
     hard_limit_bytes: int
-    low_water_bytes: int
     allocated_bytes: int = field(default=0)
 
     def __post_init__(self) -> None:
@@ -136,10 +137,10 @@ class HeapModel:
             self.allocated_bytes = self.live_bytes
         if not (0 <= self.live_bytes <= self.allocated_bytes <= self.hard_limit_bytes):
             raise ValueError("heap must satisfy 0 <= live <= allocated <= hard limit")
-        if self.trigger_bytes + self.low_water_bytes > self.hard_limit_bytes:
+        if self.trigger_bytes > self.hard_limit_bytes:
             raise ValueError(
-                f"trigger ({self.trigger_bytes}) + low water ({self.low_water_bytes}) "
-                f"must not exceed the hard limit ({self.hard_limit_bytes})")
+                f"trigger ({self.trigger_bytes}) must not exceed the hard limit "
+                f"({self.hard_limit_bytes})")
         if self.trigger_bytes <= self.live_bytes:
             raise ValueError("trigger must exceed the live set or no garbage ever accrues")
 
@@ -151,6 +152,62 @@ class PauseInterval:
     end_us: int
     ticket_id: int
     forced: bool
+
+
+class GcLedger:
+    """Coordinator-side admission: at most ``capacity`` collections at once.
+
+    A coordinator asks the ledger before it lets a node collect.  ``ask``
+    grants while fewer than ``capacity`` nodes hold a grant and otherwise
+    queues the asker FIFO; ``finish`` frees the slot and grants it to the
+    next queued asker.  An ask from a node already granted or queued is a
+    duplicate and changes nothing.  The HTTP balancer's capacity is its
+    ``max_concurrent``; a Raft leader's is ``cluster_size - quorum``, the most
+    servers that may pause while a quorum stays live.  ``reset`` forgets every
+    grant and queued ask (a new Raft leader starts afresh); a finish from a
+    node this ledger never granted (possible right after a reset) is ignored
+    rather than freeing a slot.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.granted: set[NodeId] = set()
+        self.pending: deque[NodeId] = deque()
+        self._pending_set: set[NodeId] = set()
+        self.last_finished: Optional[NodeId] = None
+
+    @property
+    def used(self) -> int:
+        return len(self.granted)
+
+    def ask(self, node: NodeId) -> str:
+        """Returns "grant", "queued", or "duplicate"."""
+        if node in self.granted or node in self._pending_set:
+            return "duplicate"
+        if self.used >= self.capacity:
+            self.pending.append(node)
+            self._pending_set.add(node)
+            return "queued"
+        self.granted.add(node)
+        return "grant"
+
+    def finish(self, node: NodeId) -> Optional[NodeId]:
+        """Record a finished collection; returns the next node to grant."""
+        self.last_finished = node
+        if node not in self.granted:
+            return None
+        self.granted.discard(node)
+        if self.pending:
+            nxt = self.pending.popleft()
+            self._pending_set.discard(nxt)
+            self.granted.add(nxt)
+            return nxt
+        return None
+
+    def reset(self) -> None:
+        self.granted.clear()
+        self.pending.clear()
+        self._pending_set.clear()
 
 
 UpcallHandler = Callable[[CollectionTicket], bool]
@@ -318,14 +375,12 @@ class ManagedRuntime:
             ticket.state = TicketState.FORCED_COMPLETED
             self.forced_collections += 1
         else:
-            ticket.state = TicketState.RUNNING
+            ticket.state = TicketState.COMPLETED
         self.estimator.observe(heap.live_bytes, pause)
         heap.allocated_bytes = heap.live_bytes
         self.paused_until = end
         self.pauses.append(PauseInterval(self.node_id, start, end, ticket.id, forced))
         self.active_ticket = None
-        if not forced:
-            ticket.state = TicketState.COMPLETED
         if self.on_pause is not None:
             self.on_pause(start, end)
         return pause

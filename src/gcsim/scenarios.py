@@ -15,8 +15,7 @@ from typing import Callable, Iterator, Optional
 
 from .config import ScenarioConfig, validate
 from .httpcluster import Backend, LoadBalancer
-from .metrics import (LatencySample, RunSummary, WorkloadConfig,
-                      generate_workload, summarize_run)
+from .metrics import RunSummary, WorkloadConfig, generate_workload, summarize_run
 from .raft import RaftClient, RaftNode, RaftTrace
 from .runtime import (CollectorCostModel, GcMode, HeapModel, ManagedRuntime,
                       PauseEstimator, PauseInterval)
@@ -51,11 +50,6 @@ class RunResult:
 
     def latency_by_rid(self) -> dict[int, int]:
         return {s[0]: s[2] - s[1] for s in self.samples}
-
-    def latency_samples(self) -> list[LatencySample]:
-        return [LatencySample(request_id=rid, issued_at=iss, completed_at=done,
-                              server=server, kind=kind)
-                for rid, iss, done, server, kind in self.samples]
 
     def summary(self) -> RunSummary:
         return summarize_run(self.label, self.latencies_us(), self.in_flight, self.pauses)
@@ -96,7 +90,6 @@ def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,
         live_bytes=cfg.live_bytes,
         trigger_bytes=cfg.effective_trigger_bytes(),
         hard_limit_bytes=cfg.hard_limit_bytes,
-        low_water_bytes=cfg.effective_low_water_bytes(),
     )
     cost = CollectorCostModel(pause_per_gib_us=cfg.pause_per_gib_us,
                               fixed_overhead_us=cfg.pause_overhead_us)
@@ -127,18 +120,37 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
                  duration_s: Optional[int] = None) -> RunResult:
     """Run one scenario; overrides are validated like the same config keys."""
     cfg = _apply_overrides(cfg, mode, seed, duration_s)
-    if cfg.system == "http":
-        return _run_http(cfg)
-    return _run_raft(cfg)
+    sim = Simulation(seed=cfg.seed,
+                     network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
+    build = _build_http if cfg.system == "http" else _build_raft
+    servers, dispatch, finish = build(sim, cfg, GcMode(cfg.gc_mode))
+
+    stream = generate_workload(WorkloadConfig(
+        rate_rps=cfg.rate_rps, duration_s=cfg.duration_s,
+        mix_get=cfg.mix_get, mix_set=cfg.mix_set, arrivals=cfg.arrivals,
+        seed=cfg.seed, kind="http" if cfg.system == "http" else "rw"))
+    driver = _WorkloadDriver(sim, stream, dispatch)
+
+    stats = sim.run_until(cfg.duration_us())
+
+    fields = finish()
+    pauses = [p for node in servers for p in node.runtime.pauses]
+    return RunResult(
+        config=cfg, mode=cfg.gc_mode, issued=driver.issued, pauses=pauses, stats=stats,
+        peak_allocated={node.id: node.runtime.peak_allocated_bytes for node in servers},
+        **fields)
+
+
+# A builder wires one system into ``sim`` and returns its servers (each with
+# ``id`` and ``runtime``), the workload dispatch function, and a function
+# that returns the system's own ``RunResult`` fields once the run is over.
+_Built = tuple[list, Callable[[int, str], None], Callable[[], dict]]
 
 
 # -- HTTP cluster ----------------------------------------------------------------
 
 
-def _run_http(cfg: ScenarioConfig) -> RunResult:
-    sim = Simulation(seed=cfg.seed,
-                     network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
-    mode = GcMode(cfg.gc_mode)
+def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
     service_us = cfg.service_time_us
     if mode is GcMode.OFF and cfg.gcoff_slowdown > 1.0:
         service_us = round(service_us * cfg.gcoff_slowdown)
@@ -157,30 +169,17 @@ def _run_http(cfg: ScenarioConfig) -> RunResult:
             coordinated=mode is GcMode.BLADE,
         ))
 
-    stream = generate_workload(WorkloadConfig(
-        rate_rps=cfg.rate_rps, duration_s=cfg.duration_s, arrivals=cfg.arrivals,
-        seed=cfg.seed, kind="http"))
-    driver = _WorkloadDriver(sim, stream, lambda rid, kind: lb.on_request(rid))
+    def finish() -> dict:
+        return {"samples": [(rid, issued, done, server, "http")
+                            for rid, issued, done, server in lb.samples]}
 
-    stats = sim.run_until(cfg.duration_us())
-
-    pauses = [p for b in backends for p in b.runtime.pauses]
-    return RunResult(
-        config=cfg, mode=cfg.gc_mode,
-        samples=[(rid, issued, done, server, "http")
-                 for rid, issued, done, server in lb.samples],
-        issued=driver.issued, pauses=pauses, stats=stats,
-        peak_allocated={b.id: b.runtime.peak_allocated_bytes for b in backends},
-    )
+    return backends, lambda rid, kind: lb.on_request(rid), finish
 
 
 # -- replicated key-value cluster ---------------------------------------------------
 
 
-def _run_raft(cfg: ScenarioConfig) -> RunResult:
-    sim = Simulation(seed=cfg.seed,
-                     network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
-    mode = GcMode(cfg.gc_mode)
+def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
     trace = RaftTrace()
 
     node_ids = [f"n{i}" for i in range(cfg.nodes)]
@@ -221,23 +220,13 @@ def _run_raft(cfg: ScenarioConfig) -> RunResult:
         op = ("get", key) if kind == "get" else ("set", key, rid)
         clients[rid % len(clients)].submit(rid, op)
 
-    stream = generate_workload(WorkloadConfig(
-        rate_rps=cfg.rate_rps, duration_s=cfg.duration_s,
-        mix_get=cfg.mix_get, mix_set=cfg.mix_set,
-        arrivals=cfg.arrivals, seed=cfg.seed, kind="rw"))
-    driver = _WorkloadDriver(sim, stream, dispatch)
+    def finish() -> dict:
+        for node in nodes:
+            trace.final_logs[node.id] = list(node.log)
+        return {"samples": samples, "trace": trace,
+                "retries": sum(c.retries for c in clients)}
 
-    stats = sim.run_until(cfg.duration_us())
-
-    for node in nodes:
-        trace.final_logs[node.id] = list(node.log)
-    pauses = [p for n in nodes for p in n.runtime.pauses]
-    return RunResult(
-        config=cfg, mode=cfg.gc_mode,
-        samples=samples, issued=driver.issued, pauses=pauses, stats=stats,
-        trace=trace, retries=sum(c.retries for c in clients),
-        peak_allocated={n.id: n.runtime.peak_allocated_bytes for n in nodes},
-    )
+    return nodes, dispatch, finish
 
 
 def run_compare(cfg: ScenarioConfig, seed: Optional[int] = None,

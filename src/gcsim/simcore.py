@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 # Readability helpers for microsecond quantities.
@@ -55,20 +55,6 @@ class SimStats:
     events_fired: int
     now: SimTime
     messages_sent: int
-
-
-@dataclass
-class Event:
-    """Descriptor for one queue entry, used by introspection and tests.
-
-    The hot path keeps events as plain lists; this view exists so callers can
-    reason about the queue contents without poking at list indices.
-    """
-
-    fire_at: SimTime
-    seq: int
-    target: Optional[NodeId] = None
-    payload: Any = None
 
 
 class Simulation:
@@ -131,12 +117,6 @@ class Simulation:
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event; no-op if it already fired."""
         handle[2] = None
-
-    def pending(self) -> list[Event]:
-        """Snapshot of not-yet-fired events in firing order (test helper)."""
-        live = [e for e in self._heap if e[2] is not None]
-        return [Event(fire_at=e[0], seq=e[1], payload=e[3])
-                for e in sorted(live, key=lambda e: (e[0], e[1]))]
 
     # -- messaging --------------------------------------------------------
 

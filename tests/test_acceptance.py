@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from gcsim.config import default_config
 from gcsim.metrics import emit_report, overlap_count, percentiles
-from gcsim.raft import GcLedger, Role
+from gcsim.raft import Role
 from gcsim.raftcheck import check_history
-from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
+from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
 from gcsim.scenarios import run_scenario
 from gcsim.simcore import Simulation
@@ -192,15 +192,15 @@ def test_criterion_5_raft_leader_bounded_impact(raft_leader_scale):
        st.lists(st.tuples(st.sampled_from(["ask", "finish", "change"]),
                           st.sampled_from(list("abcdefg"))), max_size=120))
 def test_criterion_6_quorum_guard(size, ops):
-    ledger = GcLedger(size)
-    capacity = size - ledger.quorum
+    capacity = size - (size // 2 + 1)
+    ledger = GcLedger(capacity)
     for op, node in ops:
         if op == "ask":
             ledger.ask(node)
         elif op == "finish":
             ledger.finish(node)
         else:
-            ledger.leader_change()
+            ledger.reset()
             assert ledger.used == 0 and not ledger.pending
         assert ledger.used <= capacity, "a grant would break quorum"
         assert not (ledger.granted & set(ledger.pending))
@@ -214,10 +214,10 @@ def test_criterion_6_report():
 # -- criterion 7: collection API semantics ---------------------------------------------
 
 
-def _fresh_runtime(live=0, trigger=100, hard=400, low_water=0):
+def _fresh_runtime(live=0, trigger=100, hard=400):
     sim = Simulation()
     heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
-                     hard_limit_bytes=hard, low_water_bytes=low_water)
+                     hard_limit_bytes=hard)
     rt = ManagedRuntime(sim, "n", heap, CollectorCostModel(25_000, 1_000),
                         PauseEstimator(), mode=GcMode.BLADE)
     return rt
@@ -255,7 +255,7 @@ def test_criterion_7_start_idempotent_under_duplication(ops, copies):
 
 
 def test_criterion_7_exhaustion_forces_and_suppresses_late_start():
-    rt = _fresh_runtime(low_water=100, hard=400)
+    rt = _fresh_runtime(hard=400)
     rt.reg_gc_hand(lambda t: False)
     rt.allocate(150)   # deferred
     rt.allocate(300)   # exhaustion: forced collection at the crossing
@@ -310,7 +310,7 @@ def _chaos_run(seed):
     nodes = []
     for i, nid in enumerate(ids):
         heap = HeapModel(live_bytes=live, trigger_bytes=live + 64 * MIB,
-                         hard_limit_bytes=live + GIB, low_water_bytes=128 * MIB)
+                         hard_limit_bytes=live + GIB)
         rt = ManagedRuntime(sim, nid, heap, CollectorCostModel(25_000, 8_761),
                             PauseEstimator(), mode=mode)
         nodes.append(RaftNode(

@@ -45,7 +45,6 @@ def test_fig_scale_http_setup(tmp_path):
     assert cfg.hard_limit_bytes == GIB
     assert cfg.live_bytes == 150 * MIB
     assert cfg.effective_trigger_bytes() == 300 * MIB
-    assert cfg.effective_low_water_bytes() == GIB // 5
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -84,9 +83,8 @@ def test_bad_mode_choice_rejected():
 
 
 def test_trigger_low_water_budget_enforced():
-    with pytest.raises(ConfigError, match="low-water"):
+    with pytest.raises(ConfigError, match="headroom"):
         config_from_pairs({"trigger_bytes": str(900 * MIB),
-                           "low_water_bytes": str(300 * MIB),
                            "hard_limit_bytes": str(GIB)})
 
 

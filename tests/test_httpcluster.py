@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcsim.httpcluster import (Backend, BackendStatus, HttpEventModel,
                                LoadBalancer, http_model_eval)
@@ -10,7 +11,7 @@ RTT = 48
 
 
 def make_cluster(n=3, mode=GcMode.BLADE, service_us=2_000, parallelism=16,
-                 live=150 * MIB, trigger=300 * MIB, hard=GIB, low_water=0,
+                 live=150 * MIB, trigger=300 * MIB, hard=GIB,
                  bytes_per_request=0, max_concurrent=1, overhead=8_761):
     sim = Simulation(network=NetworkModel.from_rtt(RTT))
     ids = [f"b{i}" for i in range(n)]
@@ -18,7 +19,7 @@ def make_cluster(n=3, mode=GcMode.BLADE, service_us=2_000, parallelism=16,
     backends = []
     for bid in ids:
         heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
-                         hard_limit_bytes=hard, low_water_bytes=low_water)
+                         hard_limit_bytes=hard)
         rt = ManagedRuntime(sim, bid, heap,
                             CollectorCostModel(25_000, overhead), PauseEstimator(),
                             mode=mode)
@@ -75,7 +76,7 @@ def test_requests_queue_when_no_backend_available_and_drain_on_done():
     sim, lb, backends = make_cluster(n=3, max_concurrent=3)
     for b in lb.routing_ok:
         lb.routing_ok[b] = False
-    lb.collecting = {"b0", "b1", "b2"}
+    lb.ledger.granted = {"b0", "b1", "b2"}
     assert [lb.route(i, 0) for i in range(4)] == [None] * 4
     assert len(lb.pending) == 4
     lb.deliver("b1", ("done", 1))
@@ -91,7 +92,7 @@ def test_requests_queue_when_no_backend_available_and_drain_on_done():
 def test_coordinator_grants_immediately_when_idle():
     sim, lb, _ = make_cluster()
     lb.deliver("b0", ("ask", 1))
-    assert lb.collecting == {"b0"}
+    assert lb.ledger.granted == {"b0"}
     assert lb.routing_ok["b0"] is False
 
 
@@ -99,9 +100,9 @@ def test_coordinator_queues_second_asker_until_done():
     sim, lb, _ = make_cluster()
     lb.deliver("b0", ("ask", 1))
     lb.deliver("b1", ("ask", 1))
-    assert lb.collecting == {"b0"} and list(lb.wait_queue) == ["b1"]
+    assert lb.ledger.granted == {"b0"} and list(lb.ledger.pending) == ["b1"]
     lb.deliver("b0", ("done", 1))
-    assert lb.collecting == {"b1"}
+    assert lb.ledger.granted == {"b1"}
     assert lb.routing_ok["b0"] is True and lb.routing_ok["b1"] is False
 
 
@@ -109,10 +110,10 @@ def test_simultaneous_asks_grant_in_arrival_order():
     sim, lb, _ = make_cluster()
     for b in ("b2", "b0", "b1"):
         lb.deliver(b, ("ask", 1))
-    order = [next(iter(lb.collecting))]
+    order = [next(iter(lb.ledger.granted))]
     for _ in range(2):
         lb.deliver(order[-1], ("done", 1))
-        order.append(next(iter(lb.collecting)))
+        order.append(next(iter(lb.ledger.granted)))
     assert order == ["b2", "b0", "b1"]
 
 
@@ -122,7 +123,19 @@ def test_duplicate_ask_is_ignored():
     lb.deliver("b0", ("ask", 1))
     lb.deliver("b1", ("ask", 1))
     lb.deliver("b1", ("ask", 1))
-    assert lb.collecting == {"b0"} and list(lb.wait_queue) == ["b1"]
+    assert lb.ledger.granted == {"b0"} and list(lb.ledger.pending) == ["b1"]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.sampled_from(["ask", "done"]),
+                          st.sampled_from(["b0", "b1", "b2", "b3"])), max_size=60))
+def test_coordinator_never_exceeds_max_concurrent(max_concurrent, msgs):
+    sim, lb, _ = make_cluster(n=4, max_concurrent=max_concurrent)
+    for tag, backend in msgs:
+        lb.deliver(backend, (tag, 1))
+        assert lb.ledger.used <= max_concurrent
+        assert {b for b, ok in lb.routing_ok.items() if not ok} == lb.ledger.granted
 
 
 # -- drain-then-collect flow --------------------------------------------------------
@@ -142,7 +155,7 @@ def test_idle_backend_event_time_is_rtt_plus_gc_plus_notify():
     assert pause.start_us == 1_000 + RTT
     done_at_lb = 1_000 + RTT + (pause.end_us - pause.start_us) + RTT // 2
     assert lb.routing_ok["b0"] is True
-    assert lb.collecting == set()
+    assert lb.ledger.granted == set()
     # the balancer resumed routing exactly when the done notification landed
     assert sim.now >= done_at_lb
 
@@ -211,7 +224,7 @@ def test_short_estimated_pause_collects_without_coordination():
     sim.schedule_at(100, lambda _: trigger_gc(b))
     sim.run_until(100)
     assert b.runtime.collection_count() == 1  # paused on the spot
-    assert lb.collecting == set()
+    assert lb.ledger.granted == set()
 
 
 def test_conservation_requests_in_equals_completed_plus_queued():
@@ -233,8 +246,7 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     # allocation during the drain exhausts the heap; the forced collection
     # runs with a request in flight and the granted start becomes a no-op
     sim, lb, backends = make_cluster(n=1, live=100, trigger=200, hard=400,
-                                     low_water=100, service_us=2_000,
-                                     overhead=1_000)
+                                     service_us=2_000, overhead=1_000)
     b = backends[0]
     sim.schedule_at(10, lambda _: lb.route(1, 10))          # drains until ~2034
     sim.schedule_at(20, lambda _: b.runtime.allocate(150))  # defers, asks
@@ -242,7 +254,7 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     sim.run_until(1_000_000)
     assert b.runtime.forced_collections == 1
     assert b.runtime.collection_count() == 1  # the granted start was a no-op
-    assert lb.collecting == set()             # done still sent
+    assert lb.ledger.granted == set()             # done still sent
     assert lb.routing_ok["b0"] is True
     # the in-flight request was shifted right by the forced pause
     assert lb.samples[0][2] - lb.samples[0][1] == RTT + 2_000 + 1_000

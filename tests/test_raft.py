@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, FollowerGcModel, GcLedger,
+from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, FollowerGcModel,
                         LeaderGcModel, RaftClient, RaftNode, RaftTrace, Role,
                         raft_model_eval)
 from gcsim.raftcheck import check_history
-from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
+from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
 from gcsim.simcore import NetworkModel, Simulation
 
@@ -14,7 +14,7 @@ HALF = RTT // 2
 
 
 def make_cluster(n=3, mode=GcMode.BLADE, live=100 * MIB, trigger=200 * MIB,
-                 hard=GIB, low_water=0, service_us=400, bytes_per_request=0,
+                 hard=GIB, service_us=400, bytes_per_request=0,
                  overhead=1_000, clients=2, seed=1):
     sim = Simulation(seed=seed, network=NetworkModel.from_rtt(RTT))
     trace = RaftTrace()
@@ -23,7 +23,7 @@ def make_cluster(n=3, mode=GcMode.BLADE, live=100 * MIB, trigger=200 * MIB,
     nodes = []
     for i, nid in enumerate(ids):
         heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
-                         hard_limit_bytes=hard, low_water_bytes=low_water)
+                         hard_limit_bytes=hard)
         rt = ManagedRuntime(sim, nid, heap, CollectorCostModel(25_000, overhead),
                             PauseEstimator(), mode=mode)
         nodes.append(RaftNode(sim, nid, ids, rt, trace,
@@ -45,7 +45,7 @@ def make_cluster(n=3, mode=GcMode.BLADE, live=100 * MIB, trigger=200 * MIB,
 
 
 def test_ledger_grants_below_quorum_and_queues_at_it():
-    led = GcLedger(3)  # quorum 2: at most one collector at a time
+    led = GcLedger(1)  # 3 servers, quorum 2: at most one collector at a time
     assert led.ask("a") == "grant"
     assert led.ask("b") == "queued"
     assert led.ask("c") == "queued"
@@ -53,7 +53,7 @@ def test_ledger_grants_below_quorum_and_queues_at_it():
 
 
 def test_ledger_finish_pulls_pending_fifo():
-    led = GcLedger(3)
+    led = GcLedger(1)
     led.ask("a"); led.ask("b"); led.ask("c")
     assert led.finish("a") == "b"
     assert led.finish("b") == "c"
@@ -63,7 +63,7 @@ def test_ledger_finish_pulls_pending_fifo():
 
 
 def test_ledger_duplicate_ask_ignored():
-    led = GcLedger(3)
+    led = GcLedger(1)
     assert led.ask("a") == "grant"
     assert led.ask("a") == "duplicate"
     led.ask("b")
@@ -71,9 +71,9 @@ def test_ledger_duplicate_ask_ignored():
 
 
 def test_ledger_reset_on_leader_change():
-    led = GcLedger(5)
+    led = GcLedger(2)
     led.ask("a"); led.ask("b"); led.ask("c")
-    led.leader_change()
+    led.reset()
     assert led.used == 0 and not led.pending
     # a finish from the pre-reset grant must not drive usage negative
     assert led.finish("a") is None
@@ -84,19 +84,20 @@ def test_ledger_reset_on_leader_change():
 
 
 @settings(max_examples=200)
-@given(st.lists(st.tuples(st.sampled_from(["ask", "finish", "change"]),
+@given(st.lists(st.tuples(st.sampled_from(["ask", "finish", "reset"]),
                           st.sampled_from(list("abcde"))), max_size=80),
-       st.sampled_from([3, 5, 7]))
+       st.integers(3, 7))
 def test_ledger_never_breaks_quorum(ops, size):
-    led = GcLedger(size)
-    capacity = size - led.quorum
+    # Even sizes too: a RaftNode built directly may have one.
+    led = make_cluster(n=size)[1][0].ledger
+    capacity = size - (size // 2 + 1)
     for op, node in ops:
         if op == "ask":
             led.ask(node)
         elif op == "finish":
             led.finish(node)
         else:
-            led.leader_change()
+            led.reset()
             assert led.used == 0 and not led.pending
         assert led.used <= capacity
         assert not (led.granted & set(led.pending))
@@ -317,8 +318,7 @@ def test_forced_collection_then_late_allow_causes_no_second_pause():
     # 100 ms pauses keep n2's collection holding the only slot while n1,
     # parked in the pending queue, runs out of heap and is forced
     sim, nodes, clients, samples, _ = make_cluster(live=100, trigger=200,
-                                                   hard=400, low_water=100,
-                                                   overhead=100_000)
+                                                   hard=400, overhead=100_000)
     f = nodes[1]
     sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250))
     sim.schedule_at(2_000, lambda _: f.runtime.allocate(150))

@@ -7,12 +7,12 @@ from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
 from gcsim.simcore import Simulation
 
 
-def make_runtime(sim=None, live=100, trigger=200, hard=1000, low_water=100,
+def make_runtime(sim=None, live=100, trigger=200, hard=1000,
                  pause_per_gib=25_000, overhead=0, mode=GcMode.BLADE,
                  default_pause=10_000):
     sim = sim or Simulation()
     heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
-                     hard_limit_bytes=hard, low_water_bytes=low_water)
+                     hard_limit_bytes=hard)
     cost = CollectorCostModel(pause_per_gib_us=pause_per_gib, fixed_overhead_us=overhead)
     rt = ManagedRuntime(sim, "n", heap, cost,
                         PauseEstimator(default_pause_us=default_pause), mode=mode)
@@ -51,7 +51,7 @@ def test_reregistration_replaces_previous_handler():
 
 def test_handler_true_runs_collection_now_for_cost_model_duration():
     sim, rt = make_runtime(live=512 * MIB, trigger=1024 * MIB, hard=4 * GIB,
-                           low_water=0, overhead=1_000)
+                           overhead=1_000)
     rt.reg_gc_hand(lambda t: True)
     sim.schedule_at(50, lambda _: rt.allocate(600 * MIB))
     sim.run_until(50)
@@ -72,7 +72,7 @@ def test_handler_false_defers_until_start_gc():
 
 
 def test_exhaustion_forces_collection_and_start_gc_noops():
-    sim, rt = make_runtime(live=100, trigger=200, hard=400, low_water=100)
+    sim, rt = make_runtime(live=100, trigger=200, hard=400)
     rt.reg_gc_hand(lambda t: False)
     rt.allocate(150)  # crosses trigger, deferred
     assert rt.tickets[1].state is TicketState.DEFERRED
@@ -86,7 +86,7 @@ def test_exhaustion_forces_collection_and_start_gc_noops():
 
 
 def test_allocated_never_exceeds_hard_limit():
-    sim, rt = make_runtime(live=100, trigger=200, hard=400, low_water=100)
+    sim, rt = make_runtime(live=100, trigger=200, hard=400)
     rt.reg_gc_hand(lambda t: False)
     rt.allocate(10_000)
     assert rt.peak_allocated_bytes <= rt.heap.hard_limit_bytes
@@ -112,8 +112,7 @@ def test_allocate_zero_changes_nothing():
 
 def test_one_upcall_per_cycle_at_threshold_crossing():
     # crossing 799 -> 801 MB of an 800 MB trigger upcalls exactly once
-    sim, rt = make_runtime(live=400 * MIB, trigger=800 * MIB, hard=2 * GIB,
-                           low_water=100 * MIB)
+    sim, rt = make_runtime(live=400 * MIB, trigger=800 * MIB, hard=2 * GIB)
     calls = []
     rt.reg_gc_hand(lambda t: calls.append(t.allocated_bytes) or False)
     rt.allocate(399 * MIB)  # 799 MB
@@ -126,7 +125,7 @@ def test_one_upcall_per_cycle_at_threshold_crossing():
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=60))
 def test_threshold_crossing_oracle(allocs):
     # oracle over the scalar sequence: first prefix sum reaching the trigger
-    sim, rt = make_runtime(live=0, trigger=100, hard=10_000, low_water=0)
+    sim, rt = make_runtime(live=0, trigger=100, hard=10_000)
     calls = []
     rt.reg_gc_hand(lambda t: calls.append(t.allocated_bytes) or False)
     total, expected = 0, None
@@ -162,7 +161,7 @@ def test_duplicated_start_calls_change_nothing(ops, copies):
     # idempotence as f;f = f: repeating any start call in place (any number
     # of times) leaves the state trace identical to the single-call sequence
     def run(op_list):
-        _, rt = make_runtime(live=0, trigger=100, hard=400, low_water=0)
+        _, rt = make_runtime(live=0, trigger=100, hard=400)
         rt.reg_gc_hand(lambda t: False)
         for op, val in op_list:
             if op == "alloc":
@@ -244,7 +243,7 @@ def test_zero_live_zero_overhead_pause_is_zero():
 
 def test_repeated_collections_with_constant_live_set_pause_equally():
     sim, rt = make_runtime(live=100 * MIB, trigger=200 * MIB, hard=GIB,
-                           low_water=0, overhead=500, mode=GcMode.ON)
+                           overhead=500, mode=GcMode.ON)
     rt.allocate(150 * MIB)
     rt.allocate(150 * MIB)
     durations = {p.end_us - p.start_us for p in rt.pauses}
@@ -260,21 +259,18 @@ def test_cost_model_strictly_increasing_in_live_bytes():
 # -- heap model validation ----------------------------------------------------------------
 
 
-def test_heap_rejects_trigger_plus_low_water_beyond_hard_limit():
+def test_heap_rejects_trigger_beyond_hard_limit():
     with pytest.raises(ValueError):
-        HeapModel(live_bytes=10, trigger_bytes=900, hard_limit_bytes=1000,
-                  low_water_bytes=200)
+        HeapModel(live_bytes=10, trigger_bytes=1001, hard_limit_bytes=1000)
 
 
 def test_heap_rejects_trigger_at_or_below_live():
     with pytest.raises(ValueError):
-        HeapModel(live_bytes=100, trigger_bytes=100, hard_limit_bytes=1000,
-                  low_water_bytes=0)
+        HeapModel(live_bytes=100, trigger_bytes=100, hard_limit_bytes=1000)
 
 
 def test_gc_off_mode_never_collects_and_tracks_peak():
-    sim, rt = make_runtime(mode=GcMode.OFF, live=100, trigger=200, hard=400,
-                           low_water=100)
+    sim, rt = make_runtime(mode=GcMode.OFF, live=100, trigger=200, hard=400)
     rt.allocate(10_000)
     assert rt.collection_count() == 0
     assert rt.peak_allocated_bytes == 10_100
@@ -317,8 +313,7 @@ def _background_run(lazy, mode, *, rate=10_000, interval=10_000, overhead=4_000,
     orders ticks before ``start_gc`` the same way.
     """
     sim = Simulation()
-    heap = HeapModel(live_bytes=live, trigger_bytes=trigger, hard_limit_bytes=hard,
-                     low_water_bytes=0)
+    heap = HeapModel(live_bytes=live, trigger_bytes=trigger, hard_limit_bytes=hard)
     cost = CollectorCostModel(pause_per_gib_us=0, fixed_overhead_us=overhead)
     background = {"background_bytes_per_s": rate, "background_interval_us": interval}
     rt = ManagedRuntime(sim, "n", heap, cost, mode=mode, **(background if lazy else {}))

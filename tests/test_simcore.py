@@ -63,7 +63,6 @@ def test_event_beyond_deadline_stays_queued():
     sim.schedule_at(50, make_recorder(sim, log, "late"))
     sim.run_until(10)
     assert log == []
-    assert len(sim.pending()) == 1
     sim.run_until(50)
     assert [n for n, _, _ in log] == ["late"]
 

@@ -29,15 +29,18 @@ stats = sim.run_until(10 * MS)
 print("\n".join(log))
 print(f"\nfired {stats.events_fired} events, clock ended at {stats.now} us")
 
-# Determinism: replaying the same construction gives the same trace.
+# Determinism: replaying the same construction delivers the same messages
+# at the same times.
 def replay():
-    s = Simulation(seed=1, network=NetworkModel.from_rtt(48), record_trace=True)
-    s.add_node("a", lambda src, msg: None)
-    s.add_node("b", lambda src, msg: s.send("b", "a", "r"))
+    s = Simulation(seed=1, network=NetworkModel.from_rtt(48, jitter_us=5))
+    delivered = []
+    s.add_node("a", lambda src, msg: delivered.append((s.now, src, msg)))
+    s.add_node("b", lambda src, msg: (delivered.append((s.now, src, msg)),
+                                      s.send("b", "a", "r")))
     for i in range(100):
         s.schedule_at(i * 100, lambda _: s.send("a", "b", "m"))
     s.run_until(20 * MS)
-    return s.trace
+    return delivered
 
 assert replay() == replay()
-print("two identical runs produced identical event traces")
+print("two identical runs delivered identical message sequences")

@@ -46,7 +46,7 @@ sim.schedule_at(300_000, lambda _: rt.allocate(700 * MIB))   # forced at the cro
 sim.run_until(400_000)
 t2 = offers[-1]
 print(f"cycle {t2.id} exhausted the heap: state={rt.tickets[t2.id].state.value}, "
-      f"forced collections={rt.forced_collections}")
+      f"forced collections={sum(p.forced for p in rt.pauses)}")
 rt.start_gc(t2.id)
 assert rt.collection_count() == 2  # the late start was ignored
 

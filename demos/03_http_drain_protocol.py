@@ -35,7 +35,7 @@ print(f"  trigger crossed, ask sent      {100:>8} us")
 print(f"  grant received (1 RTT later)   {100 + 48:>8} us")
 print(f"  trailers drained, pause begins {pause.start_us:>8} us")
 print(f"  pause ends, done sent          {pause.end_us:>8} us")
-for rid, issued, done, server in sorted(lb.samples):
+for rid, issued, done, server, _kind in sorted(lb.samples):
     print(f"  request {rid}: {issued} -> {done} us ({(done - issued) / 1000:.3f} ms, "
           f"untouched by the pause)")
 

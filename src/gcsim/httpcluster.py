@@ -217,14 +217,12 @@ class LoadBalancer:
         self.sim = sim
         self.id = balancer_id
         self.order = list(backend_ids)
-        self.routing_ok = {b: True for b in backend_ids}
         self.rr_pos = 0
         self.pending: deque = deque()
         self.ledger = GcLedger(max_concurrent)
         # Alias kept for the benchmark's tracer, which reads ``lb.wait_queue``.
         self.wait_queue = self.ledger.pending
-        self.samples: list[tuple[int, int, int, NodeId]] = []
-        self.routed = 0
+        self.samples: list[tuple[int, int, int, NodeId, str]] = []
         sim.add_node(balancer_id, self.deliver)
 
     # -- routing ------------------------------------------------------------
@@ -235,12 +233,12 @@ class LoadBalancer:
 
     def route(self, rid: int, issued: int) -> Optional[NodeId]:
         n = len(self.order)
+        granted = self.ledger.granted
         for k in range(n):
             idx = (self.rr_pos + k) % n
             backend = self.order[idx]
-            if self.routing_ok[backend]:
+            if backend not in granted:
                 self.rr_pos = (idx + 1) % n
-                self.routed += 1
                 self.sim.send(self.id, backend, ("req", rid, issued))
                 return backend
         self.pending.append((rid, issued))
@@ -252,7 +250,7 @@ class LoadBalancer:
         tag = msg[0]
         if tag == "rep":
             _, rid, issued = msg
-            self.samples.append((rid, issued, self.sim.now, src))
+            self.samples.append((rid, issued, self.sim.now, src, "http"))
         elif tag == "ask":
             if self.ledger.ask(src) == "grant":
                 self._grant(src)
@@ -262,13 +260,11 @@ class LoadBalancer:
             raise ValueError(f"balancer got unknown message {msg!r}")
 
     def _grant(self, backend: NodeId) -> None:
-        self.routing_ok[backend] = False
         self.sim.send(self.id, backend, ("allow",))
 
     def _on_done(self, backend: NodeId) -> None:
         nxt = self.ledger.finish(backend)
-        self.routing_ok[backend] = True
-        while self.pending and any(self.routing_ok.values()):
+        while self.pending and self.ledger.used < len(self.order):
             rid, issued = self.pending.popleft()
             self.route(rid, issued)
         if nxt is not None:

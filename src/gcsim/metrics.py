@@ -206,7 +206,7 @@ def render_summary_table(runs: list[RunSummary]) -> str:
     for run in runs:
         r = run.report
         if r is None:
-            stats = ["0", str(run.in_flight)] + ["-"] * 11
+            stats = ["0", str(run.in_flight)] + ["-"] * (4 + len(QUANTILE_LEVELS))
         else:
             stats = [str(r.count), str(run.in_flight), _ms(r.mean_us), _ms(r.median_us),
                      _ms(r.stddev_us), _ms(r.max_us)]

@@ -171,11 +171,10 @@ class RaftTrace:
     """Observational record consumed by the independent safety checker."""
 
     def __init__(self) -> None:
-        self.leaderships: list[tuple[int, int, NodeId]] = []  # (time, term, node)
         self.role_changes: dict[NodeId, list[tuple[int, int, Role]]] = {}
         self.applied: dict[NodeId, list[tuple[int, int, tuple]]] = {}
         self.switches: list[tuple[int, NodeId, NodeId, int]] = []
-        self.final_logs: dict[NodeId, list[tuple]] = {}
+        self.final_logs: dict[NodeId, list[tuple]] = {}  # each node's own log
 
     def record_role(self, node: NodeId, time: int, term: int, role: Role) -> None:
         self.role_changes.setdefault(node, []).append((time, term, role))
@@ -260,6 +259,7 @@ class RaftNode:
 
         sim.add_node(node_id, self.deliver)
         trace.record_role(node_id, 0, 0, Role.FOLLOWER)
+        trace.final_logs[node_id] = self.log  # changed only in place
         self._arm_election_timer()
 
     # -- small helpers -------------------------------------------------------
@@ -283,11 +283,7 @@ class RaftNode:
             self.sim.send(self.id, dst, msg)
 
     def _deferred_send(self, arg: tuple) -> None:
-        dst, msg = arg
-        if self.runtime.is_paused:  # a fresh pause started at the wake tick
-            self.sim.schedule_at(self.runtime.paused_until, self._deferred_send, arg)
-        else:
-            self.sim.send(self.id, dst, msg)
+        self._send(*arg)  # a fresh pause at the wake tick defers it again
 
     # -- delivery and pause handling --------------------------------------------
 
@@ -398,7 +394,6 @@ class RaftNode:
         self.role = Role.LEADER
         self.leader_hint = self.id
         self.trace.record_role(self.id, self.sim.now, self.term, Role.LEADER)
-        self.trace.leaderships.append((self.sim.now, self.term, self.id))
         self.next_index = {p: self.last_index + 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
         self.ledger.reset()

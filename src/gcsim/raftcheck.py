@@ -1,6 +1,6 @@
 """Independent safety checker for recorded Raft histories.
 
-Works purely on the observational trace (leadership grants, final logs,
+Works purely on the observational trace (role changes, final logs,
 per-node applied sequences) so a bug in the protocol implementation cannot
 hide itself: every check is a brute-force comparison straight from the Raft
 safety definitions.
@@ -14,13 +14,15 @@ safety definitions.
 
 from __future__ import annotations
 
-from .raft import RaftTrace
+from .raft import RaftTrace, Role
 
 
 def check_election_safety(trace: RaftTrace) -> list[str]:
     leaders_by_term: dict[int, set[str]] = {}
-    for _time, term, node in trace.leaderships:
-        leaders_by_term.setdefault(term, set()).add(node)
+    for node, changes in trace.role_changes.items():
+        for _time, term, role in changes:
+            if role is Role.LEADER:
+                leaders_by_term.setdefault(term, set()).add(node)
     return [
         f"term {term} had multiple leaders: {sorted(nodes)}"
         for term, nodes in sorted(leaders_by_term.items()) if len(nodes) > 1

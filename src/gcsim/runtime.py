@@ -242,7 +242,6 @@ class ManagedRuntime:
         self._next_id = 1
         self.paused_until: int = 0
         self.pauses: list[PauseInterval] = []
-        self.forced_collections = 0
         self._peak_allocated_bytes = heap.allocated_bytes
         # Background ticks: bytes per tick, grid spacing, the next tick not
         # yet added in (inf when there is no background allocation), and the
@@ -373,7 +372,6 @@ class ManagedRuntime:
         end = start + pause
         if forced:
             ticket.state = TicketState.FORCED_COMPLETED
-            self.forced_collections += 1
         else:
             ticket.state = TicketState.COMPLETED
         self.estimator.observe(heap.live_bytes, pause)

@@ -170,8 +170,7 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
         ))
 
     def finish() -> dict:
-        return {"samples": [(rid, issued, done, server, "http")
-                            for rid, issued, done, server in lb.samples]}
+        return {"samples": lb.samples}
 
     return backends, lambda rid, kind: lb.on_request(rid), finish
 
@@ -221,8 +220,6 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
         clients[rid % len(clients)].submit(rid, op)
 
     def finish() -> dict:
-        for node in nodes:
-            trace.final_logs[node.id] = list(node.log)
         return {"samples": samples, "trace": trace,
                 "retries": sum(c.retries for c in clients)}
 

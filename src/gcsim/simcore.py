@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 # Readability helpers for microsecond quantities.
@@ -65,18 +66,17 @@ class Simulation:
     must come from ``self.rng`` or RNGs derived from the configured seed.
     """
 
-    def __init__(self, seed: int = 0, network: Optional[NetworkModel] = None,
-                 record_trace: bool = False):
+    def __init__(self, seed: int = 0, network: Optional[NetworkModel] = None):
         self.now: SimTime = 0
         self.rng = random.Random(seed)
         self.network = network or NetworkModel()
         self._heap: list[list] = []
         self._seq = 0  # events ever scheduled; also the tie-break sequence
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
-        self._links: dict[tuple[NodeId, NodeId], _Delivery] = {}
+        # (src, dst) -> partial(deliver, src), cached once the link is validated
+        self._links: dict[tuple[NodeId, NodeId], Callable[[Any], None]] = {}
         self.events_fired = 0
         self.messages_sent = 0
-        self.trace: Optional[list[tuple[int, int, str]]] = [] if record_trace else None
 
     # -- nodes ------------------------------------------------------------
 
@@ -135,14 +135,14 @@ class Simulation:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def _link(self, src: NodeId, dst: NodeId) -> "_Delivery":
+    def _link(self, src: NodeId, dst: NodeId) -> Callable[[Any], None]:
         """Validate a (src, dst) link on first use and cache its delivery."""
         deliver = self._nodes.get(dst)
         if deliver is None:
             raise SchedulingError(f"unknown node id {dst!r}")
         if src not in self._nodes:
             raise SchedulingError(f"unknown node id {src!r}")
-        delivery = self._links[(src, dst)] = _Delivery(deliver, src)
+        delivery = self._links[(src, dst)] = partial(deliver, src)
         return delivery
 
     # -- main loop --------------------------------------------------------
@@ -155,7 +155,6 @@ class Simulation:
         """
         heap = self._heap
         pop = heapq.heappop
-        trace = self.trace
         fired = 0
         while heap and heap[0][0] <= deadline:
             entry = pop(heap)
@@ -164,29 +163,9 @@ class Simulation:
                 continue
             self.now = entry[0]
             fired += 1
-            if trace is not None:
-                trace.append((entry[0], entry[1], _describe(action)))
             action(entry[3])
         self.now = deadline
         self.events_fired += fired
         return SimStats(events_fired=self.events_fired, now=self.now,
                         messages_sent=self.messages_sent)
 
-
-class _Delivery:
-    """Bound delivery callback; kept as a class so traces can describe it."""
-
-    __slots__ = ("deliver", "src")
-
-    def __init__(self, deliver: Callable[[NodeId, Any], None], src: NodeId):
-        self.deliver = deliver
-        self.src = src
-
-    def __call__(self, msg: Any) -> None:
-        self.deliver(self.src, msg)
-
-
-def _describe(action: Any) -> str:
-    if isinstance(action, _Delivery):
-        return f"deliver<-{action.src}"
-    return getattr(action, "__qualname__", repr(action))

@@ -259,7 +259,7 @@ def test_criterion_7_exhaustion_forces_and_suppresses_late_start():
     rt.reg_gc_hand(lambda t: False)
     rt.allocate(150)   # deferred
     rt.allocate(300)   # exhaustion: forced collection at the crossing
-    assert rt.forced_collections == 1
+    assert sum(p.forced for p in rt.pauses) == 1
     before = rt.collection_count()
     rt.start_gc(1)
     assert rt.collection_count() == before
@@ -336,9 +336,8 @@ def _chaos_run(seed):
             at = chaos.randint(200_000, 2_500_000)
             sim.schedule_at(at, lambda _, n=node: n.runtime.allocate(100 * MIB))
     sim.run_until(3_500_000)
-    for node in nodes:
-        trace.final_logs[node.id] = list(node.log)
-    terms = {t for _, t, _ in trace.leaderships}
+    terms = {term for changes in trace.role_changes.values()
+             for _, term, role in changes if role is Role.LEADER}
     return mode, trace, len(terms) > 1, len(samples)
 
 

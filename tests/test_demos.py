@@ -1,0 +1,19 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs_cleanly(name, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 05 writes a temp report
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

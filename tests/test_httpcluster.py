@@ -67,16 +67,14 @@ def test_round_robin_cycles_evenly():
 
 def test_round_robin_skips_unroutable_backend():
     sim, lb, _ = make_cluster()
-    lb.routing_ok["b1"] = False  # draining
+    lb.ledger.granted.add("b1")  # draining
     targets = [lb.route(i, 0) for i in range(4)]
     assert targets == ["b0", "b2", "b0", "b2"]
 
 
 def test_requests_queue_when_no_backend_available_and_drain_on_done():
     sim, lb, backends = make_cluster(n=3, max_concurrent=3)
-    for b in lb.routing_ok:
-        lb.routing_ok[b] = False
-    lb.ledger.granted = {"b0", "b1", "b2"}
+    lb.ledger.granted.update({"b0", "b1", "b2"})
     assert [lb.route(i, 0) for i in range(4)] == [None] * 4
     assert len(lb.pending) == 4
     lb.deliver("b1", ("done", 1))
@@ -93,7 +91,7 @@ def test_coordinator_grants_immediately_when_idle():
     sim, lb, _ = make_cluster()
     lb.deliver("b0", ("ask", 1))
     assert lb.ledger.granted == {"b0"}
-    assert lb.routing_ok["b0"] is False
+    assert lb.route(1, 0) == "b1"  # b0 left the rotation
 
 
 def test_coordinator_queues_second_asker_until_done():
@@ -103,7 +101,7 @@ def test_coordinator_queues_second_asker_until_done():
     assert lb.ledger.granted == {"b0"} and list(lb.ledger.pending) == ["b1"]
     lb.deliver("b0", ("done", 1))
     assert lb.ledger.granted == {"b1"}
-    assert lb.routing_ok["b0"] is True and lb.routing_ok["b1"] is False
+    assert [lb.route(i, 0) for i in range(2)] == ["b0", "b2"]  # b1 is out
 
 
 def test_simultaneous_asks_grant_in_arrival_order():
@@ -127,7 +125,7 @@ def test_duplicate_ask_is_ignored():
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 3),
+@given(st.integers(1, 4),
        st.lists(st.tuples(st.sampled_from(["ask", "done"]),
                           st.sampled_from(["b0", "b1", "b2", "b3"])), max_size=60))
 def test_coordinator_never_exceeds_max_concurrent(max_concurrent, msgs):
@@ -135,7 +133,10 @@ def test_coordinator_never_exceeds_max_concurrent(max_concurrent, msgs):
     for tag, backend in msgs:
         lb.deliver(backend, (tag, 1))
         assert lb.ledger.used <= max_concurrent
-        assert {b for b, ok in lb.routing_ok.items() if not ok} == lb.ledger.granted
+        # a granted backend is out of the rotation; parking needs all four out
+        target = lb.route(0, 0)
+        assert target not in lb.ledger.granted
+        assert (target is None) == (lb.ledger.used == 4)
 
 
 # -- drain-then-collect flow --------------------------------------------------------
@@ -154,8 +155,8 @@ def test_idle_backend_event_time_is_rtt_plus_gc_plus_notify():
     pause = b.runtime.pauses[0]
     assert pause.start_us == 1_000 + RTT
     done_at_lb = 1_000 + RTT + (pause.end_us - pause.start_us) + RTT // 2
-    assert lb.routing_ok["b0"] is True
     assert lb.ledger.granted == set()
+    assert lb.route(1, sim.now) == "b0"  # back in the rotation
     # the balancer resumed routing exactly when the done notification landed
     assert sim.now >= done_at_lb
 
@@ -252,9 +253,9 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     sim.schedule_at(20, lambda _: b.runtime.allocate(150))  # defers, asks
     sim.schedule_at(100, lambda _: b.runtime.allocate(200))  # exhaustion
     sim.run_until(1_000_000)
-    assert b.runtime.forced_collections == 1
+    assert sum(p.forced for p in b.runtime.pauses) == 1
     assert b.runtime.collection_count() == 1  # the granted start was a no-op
     assert lb.ledger.granted == set()             # done still sent
-    assert lb.routing_ok["b0"] is True
+    assert lb.route(2, sim.now) == "b0"  # back in the rotation
     # the in-flight request was shifted right by the forced pause
     assert lb.samples[0][2] - lb.samples[0][1] == RTT + 2_000 + 1_000

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from gcsim.metrics import (OverlapStat, WorkloadConfig, generate_workload,
+from gcsim.metrics import (_COLUMNS, OverlapStat, WorkloadConfig, generate_workload,
                            overlap_count, percentiles, render_cdf,
                            render_summary_table, summarize_run)
 from gcsim.runtime import PauseInterval
@@ -154,3 +154,14 @@ def test_summary_table_has_row_per_run_and_ms_precision():
     assert len([l for l in lines if not l.startswith("#")]) == 3  # header + 2 rows
     assert "blade\t10\t0\t2.048\t2.048" in text
     assert "12.423" in text  # pause duration in ms columns
+
+
+def test_summary_row_without_samples_keeps_the_column_count():
+    runs = [summarize_run("gc-off", [], 3, [_pause("b0", 0, 12_423)]),
+            summarize_run("blade", [2_048] * 10, 0, [])]
+    rows = [l.split("\t") for l in render_summary_table(runs).splitlines()
+            if not l.startswith("#")]
+    assert [len(r) for r in rows] == [len(_COLUMNS)] * 3
+    empty = dict(zip(_COLUMNS, rows[1]))
+    assert (empty["requests"], empty["in_flight"], empty["max"]) == ("0", "3", "-")
+    assert (empty["collections"], empty["overlapping"], empty["forced"]) == ("1", "0", "0")

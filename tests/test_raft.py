@@ -246,8 +246,9 @@ def test_switch_activates_successor_half_rtt_after_broadcast():
     sim.run_until(100_000)
     (t_switch, old, new, term), = trace.switches
     assert (old, new) == ("n0", "n1")
-    leadership = [l for l in trace.leaderships if l[1] == term]
-    assert leadership == [(t_switch + HALF, term, "n1")]
+    leadership = [(t, node) for node, changes in trace.role_changes.items()
+                  for t, tm, role in changes if role is Role.LEADER and tm == term]
+    assert leadership == [(t_switch + HALF, "n1")]
     assert nodes[1].role is Role.LEADER and nodes[0].role is Role.FOLLOWER
 
 
@@ -324,7 +325,7 @@ def test_forced_collection_then_late_allow_causes_no_second_pause():
     sim.schedule_at(2_000, lambda _: f.runtime.allocate(150))
     sim.schedule_at(3_000, lambda _: f.runtime.allocate(300))  # exhaustion
     sim.run_until(3_000_000)
-    assert f.runtime.forced_collections == 1
+    assert sum(p.forced for p in f.runtime.pauses) == 1
     assert f.runtime.collection_count() == 1  # the eventual allow was a no-op
     assert nodes[0].ledger.used == 0          # done sent anyway, slot freed
 
@@ -382,14 +383,16 @@ def test_long_leader_pause_triggers_reelection_and_stays_safe():
         sim.schedule_at(10_000 * (i + 1),
                         lambda _, r=i: clients[r % 2].submit(r, ("set", "x", r)))
     sim.run_until(3_500_000)  # leaves room for the 1 s client retry round
-    assert len(trace.leaderships) >= 2  # someone took over
+    leaderships = [c for cs in trace.role_changes.values() for c in cs
+                   if c[2] is Role.LEADER]
+    assert len(leaderships) >= 2  # someone took over
     assert check_history(trace) == []
     assert len(samples) == 200  # every request answered eventually
 
 
 def test_checker_flags_double_leadership():
     trace = RaftTrace()
-    trace.leaderships = [(0, 1, "a"), (10, 1, "b")]
+    trace.role_changes = {"a": [(0, 1, Role.LEADER)], "b": [(10, 1, Role.LEADER)]}
     assert any("multiple leaders" in v for v in check_history(trace))
 
 
@@ -416,5 +419,5 @@ def test_checker_accepts_prefix_histories():
     log = [(1, ("set", "k", 1), 1), (2, ("noop",), None)]
     trace.final_logs = {"a": log, "b": log[:1]}
     trace.applied = {"a": [(1, 1, ("set", "k", 1))], "b": [(1, 1, ("set", "k", 1))]}
-    trace.leaderships = [(0, 1, "a"), (5, 2, "a")]
+    trace.role_changes = {"a": [(0, 1, Role.LEADER), (5, 2, Role.LEADER)]}
     assert check_history(trace) == []

@@ -78,7 +78,7 @@ def test_exhaustion_forces_collection_and_start_gc_noops():
     assert rt.tickets[1].state is TicketState.DEFERRED
     rt.allocate(200)  # 450 >= hard: forced at the crossing allocation
     assert rt.tickets[1].state is TicketState.FORCED_COMPLETED
-    assert rt.forced_collections == 1
+    assert sum(p.forced for p in rt.pauses) == 1
     assert rt.heap.allocated_bytes == rt.heap.live_bytes
     pauses_before = rt.collection_count()
     rt.start_gc(1)  # late start is ignored
@@ -340,7 +340,8 @@ def _observed(rt):
     peak = rt.peak_allocated_bytes
     return ([(p.node, p.start_us, p.end_us, p.ticket_id, p.forced) for p in rt.pauses],
             [(t.id, t.allocated_bytes, t.state) for t in rt.tickets.values()],
-            rt.collection_count(), rt.forced_collections, peak, rt.heap.allocated_bytes)
+            rt.collection_count(), sum(p.forced for p in rt.pauses), peak,
+            rt.heap.allocated_bytes)
 
 
 BACKGROUND_CASES = {
@@ -361,7 +362,7 @@ def test_lazy_background_matches_tick_reference(case, mode):
     if mode is not GcMode.OFF:
         assert ref.collection_count() >= 3
     if case == "forced_by_background_alone" and mode is GcMode.BLADE:
-        assert lazy.forced_collections == lazy.collection_count()
+        assert sum(p.forced for p in lazy.pauses) == lazy.collection_count()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,10 @@
 import hashlib
 import os
+import pathlib
 
 import pytest
 
-from gcsim.config import ConfigError, default_config
+from gcsim.config import ConfigError, default_config, parse_config
 from gcsim.metrics import emit_report, percentiles
 from gcsim.raftcheck import check_history
 from gcsim.runtime import MIB
@@ -136,3 +137,27 @@ def test_compare_reports_match_pinned_digests(tmp_path, overrides, digests):
     got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
            for p in paths}
     assert got == digests
+
+
+# Digest of each mode's Raft record (role changes, handoffs, applied entries
+# and final logs) for the 5-server churn config at 3 simulated seconds,
+# recorded before the duplicate records were removed.  Report digests do not
+# cover this record; raftcheck and the benchmark's Raft counts read it.
+_RAFT_RECORD_OFF_ON = "705595160d8cdd837be6062b60c246d1762c7565634ba854b07afa15f51dafc1"
+PINNED_RAFT_RECORD = {
+    "off": _RAFT_RECORD_OFF_ON,
+    "blade": "cea565afcea5ddc346e6732ab5917dc4ba8d52d658b4e0ff290e08150e4fd77f",
+    "on": _RAFT_RECORD_OFF_ON,
+}
+
+
+def test_compare_raft_record_matches_pinned_digest():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = parse_config(str(root / "perfbench" / "raft_churn.cfg"))
+    got = {}
+    for run in run_compare(cfg, duration_s=3):
+        t = run.trace
+        record = repr((sorted(t.role_changes.items()), t.switches,
+                       sorted(t.applied.items()), sorted(t.final_logs.items())))
+        got[run.mode] = hashlib.sha256(record.encode()).hexdigest()
+    assert got == PINNED_RAFT_RECORD

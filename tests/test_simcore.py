@@ -170,13 +170,14 @@ def test_causality_chained_events_never_fire_earlier(chains):
 
 def test_identical_runs_produce_identical_traces():
     def run():
-        sim = Simulation(seed=3, network=NetworkModel.from_rtt(48, jitter_us=5),
-                         record_trace=True)
-        sim.add_node("a", lambda src, msg: None)
-        sim.add_node("b", lambda src, msg: sim.send("b", "a", "pong"))
+        sim = Simulation(seed=3, network=NetworkModel.from_rtt(48, jitter_us=5))
+        log = []
+        sim.add_node("a", lambda src, msg: log.append((sim.now, src, msg)))
+        sim.add_node("b", lambda src, msg: (log.append((sim.now, src, msg)),
+                                            sim.send("b", "a", "pong")))
         for i in range(50):
             sim.schedule_at(i * 10, lambda _: sim.send("a", "b", "ping"))
         sim.run_until(5_000)
-        return sim.trace
+        return log
 
     assert run() == run()

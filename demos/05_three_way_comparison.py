@@ -21,13 +21,13 @@ runs = run_compare(cfg)
 summaries = [r.summary() for r in runs]
 print(render_summary_table(summaries))
 
-out_dir = pathlib.Path(tempfile.mkdtemp(prefix="gcsim_demo_"))
-paths = emit_report(summaries, str(out_dir), prefix="raft90")
-print("report files:")
-for p in paths:
-    print(f"  {p}")
+with tempfile.TemporaryDirectory(prefix="gcsim_demo_") as out_dir:
+    paths = emit_report(summaries, out_dir, prefix="raft90")
+    print("report files (removed when the demo ends):")
+    for p in paths:
+        print(f"  {p}")
+    cdf = pathlib.Path(paths[2]).read_text().splitlines()
 
-cdf = pathlib.Path(paths[2]).read_text().splitlines()
 print("\nfirst rows of the blade CDF (latency_ms, cumulative fraction):")
 for line in cdf[:6]:
     print(f"  {line}")

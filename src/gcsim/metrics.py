@@ -223,8 +223,12 @@ def render_cdf(latencies_us: list[int]) -> str:
     """Two-column text CDF: latency_ms and cumulative fraction, one rank per line."""
     out = [_HEADER.rstrip("\n")]
     n = len(latencies_us)
+    last = row = None
+    # Samples repeat a few distinct latencies, so each is formatted once.
     for i, v in enumerate(sorted(latencies_us), start=1):
-        out.append(f"{_ms(v)}\t{i / n:.7f}")
+        if v != last:
+            last, row = v, _ms(v) + "\t%.7f"
+        out.append(row % (i / n))
     return "\n".join(out) + "\n"
 
 

@@ -35,10 +35,11 @@ def check_log_matching(trace: RaftTrace) -> list[str]:
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             log_a, log_b = trace.final_logs[a], trace.final_logs[b]
-            last_match = -1
-            for idx in range(min(len(log_a), len(log_b))):
+            last_match = -1  # the last index whose terms agree
+            for idx in range(min(len(log_a), len(log_b)) - 1, -1, -1):
                 if log_a[idx][0] == log_b[idx][0]:
                     last_match = idx
+                    break
             if last_match >= 0 and log_a[:last_match + 1] != log_b[:last_match + 1]:
                 for idx in range(last_match + 1):
                     if log_a[idx] != log_b[idx]:

@@ -58,9 +58,10 @@ class RunResult:
 class _WorkloadDriver:
     """Feeds a workload stream into the simulation one arrival at a time.
 
-    Scheduling each arrival from its predecessor keeps the event queue small
-    and guarantees arrival events always carry an earlier insertion sequence
-    than any protocol event scheduled for the same tick.
+    Scheduling each arrival from its predecessor keeps the event queue small.
+    Events of one tick fire in insertion order, and an arrival is inserted
+    when its predecessor fires: it fires after the protocol events of its
+    tick that were scheduled before that, and before those scheduled later.
     """
 
     def __init__(self, sim: Simulation, stream: Iterator[tuple[int, int, str]],

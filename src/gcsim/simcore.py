@@ -6,12 +6,21 @@ number, so two simulations built the same way and driven by the same seed
 replay byte-identical event sequences.  Nodes exchange messages through a
 point-to-point network with a configurable one-way delay (half the round-trip
 time) and optional bounded jitter drawn from the simulation's seeded RNG.
+
+Events live in two queues: a binary heap, and a FIFO lane of message
+deliveries.  With a constant delay every delivery is due no earlier than the
+one sent before it, so the lane stays in ``(fire_at, seq)`` order by
+appending alone, and the main loop fires whichever head is smaller.  A
+delivery that would break the lane's order (jitter, or a delay lowered
+mid-run) goes to the heap.  This is a calendar queue (Brown, CACM 1988)
+with one bucket.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
@@ -24,7 +33,7 @@ SEC = 1_000_000
 SimTime = int
 NodeId = str
 
-# Heap entries are mutable lists [fire_at, seq, action, arg]; cancelling an
+# Queue entries are mutable lists [fire_at, seq, action, arg]; cancelling an
 # event nulls out its action so the main loop skips it cheaply.
 EventHandle = list
 
@@ -71,6 +80,7 @@ class Simulation:
         self.rng = random.Random(seed)
         self.network = network or NetworkModel()
         self._heap: list[list] = []
+        self._lane: deque[list] = deque()  # deliveries in (fire_at, seq) order
         self._seq = 0  # events ever scheduled; also the tie-break sequence
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
         # (src, dst) -> partial(deliver, src), cached once the link is validated
@@ -131,8 +141,13 @@ class Simulation:
             delay += self.rng.randrange(network.jitter_us + 1)
         self.messages_sent += 1
         self._seq += 1
-        entry = [self.now + delay, self._seq, delivery, msg]
-        heapq.heappush(self._heap, entry)
+        at = self.now + delay
+        entry = [at, self._seq, delivery, msg]
+        lane = self._lane
+        if lane and lane[-1][0] > at:
+            heapq.heappush(self._heap, entry)
+        else:
+            lane.append(entry)
         return entry
 
     def _link(self, src: NodeId, dst: NodeId) -> Callable[[Any], None]:
@@ -154,10 +169,23 @@ class Simulation:
         early.  Events scheduled beyond the deadline stay queued.
         """
         heap = self._heap
+        lane = self._lane
         pop = heapq.heappop
+        popleft = lane.popleft
         fired = 0
-        while heap and heap[0][0] <= deadline:
-            entry = pop(heap)
+        while True:
+            if lane and not (heap and heap[0] < lane[0]):
+                entry = lane[0]
+                if entry[0] > deadline:
+                    break
+                popleft()
+            elif heap:
+                entry = heap[0]
+                if entry[0] > deadline:
+                    break
+                pop(heap)
+            else:
+                break
             action = entry[2]
             if action is None:
                 continue

@@ -17,3 +17,4 @@ def test_demo_runs_cleanly(name, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("gcsim_demo_*"))  # temp reports are removed

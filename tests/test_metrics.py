@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gcsim.metrics import (_COLUMNS, OverlapStat, WorkloadConfig, generate_workload,
-                           overlap_count, percentiles, render_cdf,
+from gcsim.metrics import (_COLUMNS, _HEADER, OverlapStat, WorkloadConfig, generate_workload,
+                           _ms, overlap_count, percentiles, render_cdf,
                            render_summary_table, summarize_run)
 from gcsim.runtime import PauseInterval
 
@@ -143,6 +144,33 @@ def test_cdf_is_monotone_in_both_columns():
     assert lats == sorted(lats)
     assert fracs == sorted(fracs)
     assert fracs[-1] == 1.0
+
+
+def reference_cdf(latencies_us):
+    """Reference: formats both columns of every line."""
+    out = [_HEADER.rstrip("\n")]
+    n = len(latencies_us)
+    for i, v in enumerate(sorted(latencies_us), start=1):
+        out.append(f"{_ms(v)}\t{i / n:.7f}")
+    return "\n".join(out) + "\n"
+
+
+_rng = random.Random(5)
+
+
+@pytest.mark.parametrize("latencies", [
+    [5_000, 1_000, 48_123, 3_000, 999, 3_000, 0, 1],  # unsorted
+    [2_048] * 1_000,  # all equal
+    [_rng.choice([2_048, 2_049, 2_100, 14_471, 51_007]) for _ in range(3_000)],
+    # sizes where i / n is exact to 7 decimals, e.g. 1 / 3200 = 0.0003125
+    [_rng.randrange(0, 60_000) for _ in range(8)],
+    [_rng.randrange(0, 60_000) for _ in range(16)],
+    [_rng.randrange(2_000, 2_010) for _ in range(3_200)],
+], ids=["unsorted", "all-equal", "few-distinct", "n8", "n16", "n3200"])
+def test_cdf_matches_per_line_reference(latencies):
+    # line lists keep every byte and make a mismatch cheap to report
+    got = render_cdf(latencies).splitlines(keepends=True)
+    assert got == reference_cdf(latencies).splitlines(keepends=True)
 
 
 def test_summary_table_has_row_per_run_and_ms_precision():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, FollowerGcModel,
                         LeaderGcModel, RaftClient, RaftNode, RaftTrace, Role,
                         raft_model_eval)
-from gcsim.raftcheck import check_history
+from gcsim.raftcheck import check_history, check_log_matching
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
 from gcsim.simcore import NetworkModel, Simulation
@@ -421,3 +421,40 @@ def test_checker_accepts_prefix_histories():
     trace.applied = {"a": [(1, 1, ("set", "k", 1))], "b": [(1, 1, ("set", "k", 1))]}
     trace.role_changes = {"a": [(0, 1, Role.LEADER), (5, 2, Role.LEADER)]}
     assert check_history(trace) == []
+
+
+def forward_log_matching(trace):
+    """Reference: walk every index of each pair to find the last term match."""
+    violations = []
+    nodes = sorted(trace.final_logs)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            log_a, log_b = trace.final_logs[a], trace.final_logs[b]
+            last_match = -1
+            for idx in range(min(len(log_a), len(log_b))):
+                if log_a[idx][0] == log_b[idx][0]:
+                    last_match = idx
+            if last_match >= 0 and log_a[:last_match + 1] != log_b[:last_match + 1]:
+                for idx in range(last_match + 1):
+                    if log_a[idx] != log_b[idx]:
+                        violations.append(
+                            f"logs of {a} and {b} agree on term at index {last_match + 1} "
+                            f"but diverge at index {idx + 1}: "
+                            f"{log_a[idx]!r} vs {log_b[idx]!r}")
+                        break
+    return violations
+
+
+# Few terms and few ops, so divergent suffixes often agree on a term by chance.
+_entries = st.tuples(st.integers(1, 3), st.sampled_from(["x", "y"]), st.just(None))
+
+
+@given(st.lists(_entries, max_size=12),
+       st.lists(st.tuples(st.integers(0, 12), st.lists(_entries, max_size=6)),
+                min_size=2, max_size=4))
+def test_log_matching_matches_forward_scan(common, forks):
+    # each node keeps a prefix of one common log and appends its own suffix
+    trace = RaftTrace()
+    trace.final_logs = {f"n{i}": common[:keep] + suffix
+                        for i, (keep, suffix) in enumerate(forks)}
+    assert check_log_matching(trace) == forward_log_matching(trace)

@@ -1,3 +1,6 @@
+import heapq
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,3 +184,95 @@ def test_identical_runs_produce_identical_traces():
         return log
 
     assert run() == run()
+
+
+class HeapOnlySimulation(Simulation):
+    """Reference scheduler: every event goes on the heap, fired by a heap-only loop."""
+
+    def send(self, src, dst, msg):
+        delivery = self._links.get((src, dst)) or self._link(src, dst)
+        delay = self.network.one_way_delay_us
+        if self.network.jitter_us:
+            delay += self.rng.randrange(self.network.jitter_us + 1)
+        self.messages_sent += 1
+        self._seq += 1
+        entry = [self.now + delay, self._seq, delivery, msg]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def run_until(self, deadline):
+        heap = self._heap
+        while heap and heap[0][0] <= deadline:
+            entry = heapq.heappop(heap)
+            action = entry[2]
+            if action is None:
+                continue
+            self.now = entry[0]
+            self.events_fired += 1
+            action(entry[3])
+        self.now = deadline
+
+
+_nodes = st.sampled_from("abc")
+# Few distinct delays, so timers and deliveries often fall due on one tick.
+_delays = st.sampled_from([0, 1, 5, 24, 30])
+_ops = st.one_of(
+    st.tuples(st.just("send"), _nodes, _nodes),
+    st.tuples(st.just("at"), _delays),
+    st.tuples(st.just("after0")),
+    st.tuples(st.just("cancel"), st.integers(0, 100)),
+    st.tuples(st.just("jitter"), st.sampled_from([0, 0, 7])),
+    st.tuples(st.just("delay"), _delays),
+)
+# A step either runs to a later deadline or applies an op whose event, when
+# it fires, applies the listed ops from inside its handler.
+_steps = st.lists(st.one_of(st.tuples(st.just("run"), st.integers(0, 80)),
+                            st.tuples(_ops, st.lists(_ops, max_size=3))),
+                  max_size=40)
+
+
+def replay(sim, steps):
+    fired, handles, reactions = [], [], {}
+    labels = itertools.count()
+
+    def fire(label):
+        fired.append((sim.now, label))
+        for op in reactions.pop(label, ()):
+            apply(op, ())
+
+    def apply(op, then):
+        label = next(labels)
+        reactions[label] = then
+        if op[0] == "send":
+            handles.append(sim.send(op[1], op[2], label))
+        elif op[0] == "at":
+            handles.append(sim.schedule_at(sim.now + op[1], fire, label))
+        elif op[0] == "after0":
+            handles.append(sim.schedule_after(0, fire, label))
+        elif op[0] == "cancel" and handles:
+            sim.cancel(handles[op[1] % len(handles)])
+        elif op[0] == "jitter":
+            sim.network.jitter_us = op[1]
+        elif op[0] == "delay":
+            sim.network.one_way_delay_us = op[1]
+
+    for node in "abc":
+        sim.add_node(node, lambda src, msg: fire(msg))
+    for step in steps:
+        if step[0] == "run":
+            sim.run_until(sim.now + step[1])
+            fired.append((sim.now, "deadline"))
+        else:
+            apply(*step)
+    sim.run_until(sim.now + 1_000)  # everything still queued is due by then
+    return fired, sim.events_fired, sim.messages_sent
+
+
+@given(_steps)
+def test_fired_order_matches_heap_only_reference(steps):
+    got = replay(Simulation(seed=5, network=NetworkModel(24)), steps)
+    want = replay(HeapOnlySimulation(seed=5, network=NetworkModel(24)), steps)
+    assert got == want
+    # an event due after a deadline fires in a later run, never before it
+    times = [t for t, _ in got[0]]
+    assert times == sorted(times)

@@ -10,9 +10,16 @@ two collection-coordination machines:
   new leader.
 * The leader runs a :class:`GcLedger` that grants collections only while a
   majority of servers stays live, queueing further askers FIFO.  When the
-  leader itself needs to collect, it first hands leadership to the last
-  server that finished collecting via a half-RTT authoritative broadcast,
-  then follows the ordinary follower protocol under the new leader.
+  leader itself needs to collect, it grants itself a slot and hands
+  leadership, once every entry is committed, to the last server that
+  finished collecting and holds no grant, via a half-RTT authoritative
+  broadcast.  The successor takes over the old leader's grants, its own
+  included, and grants it the collection; the old leader starts it once
+  every request a client sent it before the handoff has arrived.
+
+Clients follow a handoff through the :class:`LeaderNotice` the old leader
+sends them with the broadcast; requests that still reach the old leader are
+proxied to the successor or redirected there.
 
 A paused node neither processes nor emits messages: deliveries buffer in an
 inbox drained at wake, and outbound sends issued mid-pause depart at wake.
@@ -89,15 +96,18 @@ class ClientReply:
 class FastSwitch:
     """Authoritative leadership handoff: recipients adopt the successor on
     receipt, which makes the transfer effective half a round-trip after the
-    broadcast.  Outstanding client work rides along to the successor: not yet
-    committed requests are re-submitted there, and answers the old leader
-    computed but had not sent yet are delivered by the new leader directly.
+    broadcast.  The old leader hands off only once every entry in its log is
+    committed, so no request has to start over at the successor.  Answers
+    the old leader computed but had not sent yet ride along and are delivered
+    by the new leader directly, naming the new leader as their hint.  So do
+    the collections the old leader admitted: the successor keeps their
+    ledger slots.
     """
 
     new_term: int
     successor: NodeId
-    forwarded: tuple = ()        # of ClientRequest
     pending_replies: tuple = ()  # of (client, ClientReply, due_us)
+    grants: tuple = ()           # of (node, ticket_id, est_pause_us)
 
 
 @dataclass(slots=True)
@@ -250,6 +260,9 @@ class RaftNode:
         self._awaiting_commit: dict[int, tuple[NodeId, int]] = {}  # index -> (client, rid)
         self._pending_replies: dict[int, tuple[NodeId, ClientReply, int, list]] = {}
         self._reply_seq = 0
+        # After a handoff, the time by which every request a client sent here
+        # before it heard of the successor has arrived.
+        self._drained_at = 0
 
         # pause plumbing
         self.inbox: deque[tuple[NodeId, Any]] = deque()
@@ -390,13 +403,17 @@ class RaftNode:
         self.ledger.reset()
         self.switch_target = None
 
-    def _become_leader(self) -> None:
+    def _become_leader(self, grants: tuple = ()) -> None:
+        """Take the lead, holding the ``grants`` a handoff carried over."""
         self.role = Role.LEADER
         self.leader_hint = self.id
         self.trace.record_role(self.id, self.sim.now, self.term, Role.LEADER)
         self.next_index = {p: self.last_index + 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
-        self.ledger.reset()
+        self.ledger.reset(node for node, _ticket, _est in grants)
+        for node, ticket_id, est in grants:
+            self._ask_info[node] = (ticket_id, est)
+            self._arm_grant_timeout(node, est)
         self.switch_target = None
         # A fresh entry in the new term is what lets the commit rule advance
         # over entries inherited from previous leaders.
@@ -519,16 +536,20 @@ class RaftNode:
         # leadership handoff, which must observe the appended entry above.
         self.runtime.allocate(self.bytes_per_request)
 
-    def _schedule_reply(self, client: NodeId, reply: ClientReply) -> None:
-        """Queue a reply to leave after the request's service time.
+    def _schedule_reply(self, client: NodeId, reply: ClientReply,
+                        due: Optional[int] = None) -> None:
+        """Queue a reply to leave at ``due``, by default after the request's
+        service time.
 
         Replies still pending when leadership is handed off travel in the
-        switch message and are sent by the successor at the same due time,
-        so an imminent pause at this node cannot delay them.
+        switch message and are queued here by the successor at the same due
+        time, so an imminent pause at this node cannot delay them, and a
+        further handoff carries them on again.
         """
         self._reply_seq += 1
         token = self._reply_seq
-        due = self.sim.now + self.service_time_us
+        if due is None:
+            due = self.sim.now + self.service_time_us
         handle = self.sim.schedule_at(due, self._fire_reply, token)
         self._pending_replies[token] = (client, reply, due, handle)
 
@@ -537,14 +558,11 @@ class RaftNode:
         if entry is not None:
             self._send(entry[0], entry[1])
 
-    def _send_reply(self, arg: tuple) -> None:
-        client, reply = arg
-        self._send(client, reply)
-
     # -- fast leadership handoff -------------------------------------------------------
 
     def request_leader_switch(self, successor: NodeId) -> None:
-        """Hand leadership to ``successor`` as soon as its log is caught up.
+        """Hand leadership to ``successor`` as soon as its log is caught up
+        and every entry is committed.
 
         The handoff itself always runs as its own event so whatever work the
         current event still has in flight completes under stable leadership.
@@ -559,31 +577,31 @@ class RaftNode:
     def _check_switch(self, _arg=None) -> None:
         if self.role is not Role.LEADER or self.switch_target is None:
             return
-        if self.match_index[self.switch_target] >= self.last_index:
-            self._do_fast_switch()
-        else:
+        if self.switch_target in self.ledger.granted:
+            # granted a collection while its log caught up: it may be paused
+            self.switch_target = self._pick_successor()
+        if self.match_index[self.switch_target] < self.last_index:
             self._send_append(self.switch_target)
+        elif self.commit_index == self.last_index:
+            self._do_fast_switch()
 
     def _do_fast_switch(self) -> None:
         successor = self.switch_target
         self.switch_target = None
         new_term = self.term + 1
-        forwarded = []
-        for idx in sorted(self._awaiting_commit):
-            client, rid = self._awaiting_commit[idx]
-            entry_term, op, _ = self.log[idx - 1]
-            forwarded.append(ClientRequest(client, rid, op))
-        self._awaiting_commit.clear()
         pending = []
         for client, reply, due, handle in self._pending_replies.values():
             self.sim.cancel(handle)
+            reply.leader_hint = successor  # not this node, which is about to pause
             pending.append((client, reply, due))
         self._pending_replies.clear()
+        grants = tuple((node, *self._ask_info[node]) for node in sorted(self.ledger.granted))
+        net = self.sim.network
+        self._drained_at = self.sim.now + 2 * (net.one_way_delay_us + net.jitter_us)
         self.trace.switches.append((self.sim.now, self.id, successor, new_term))
         for peer in self.peers:
             if peer == successor:
-                self._send(peer, FastSwitch(new_term, successor,
-                                            tuple(forwarded), tuple(pending)))
+                self._send(peer, FastSwitch(new_term, successor, tuple(pending), grants))
             else:
                 self._send(peer, FastSwitch(new_term, successor))
         for client in self.client_ids:
@@ -610,12 +628,12 @@ class RaftNode:
         self.ledger.reset()
         self.switch_target = None
         if self.id == m.successor:
-            self._become_leader()
-            for req in m.forwarded:
-                self._on_client(req)
+            self._become_leader(m.grants)
             for client, reply, due in m.pending_replies:
-                self.sim.schedule_at(max(self.sim.now, due), self._send_reply,
-                                     (client, reply))
+                self._schedule_reply(client, reply, max(self.sim.now, due))
+            if src in self.ledger.granted:
+                # the old leader granted itself, then handed off to collect
+                self._send(src, AllowGC(self._ask_info[src][0]))
         else:
             if was_role is not Role.FOLLOWER:
                 self.role = Role.FOLLOWER
@@ -647,6 +665,11 @@ class RaftNode:
                 self._send(leader, AskGC(self.req_in_flight, self._pending_est()))
 
     def _on_allow_gc(self, src: NodeId, m: AllowGC) -> None:
+        if self.sim.now < self._drained_at:
+            # A client may have sent a request here just before it heard of
+            # this node's handoff: collect once every such request is in.
+            self.sim.schedule_at(self._drained_at, self._redeliver, (src, m))
+            return
         if self.role is Role.LEADER:
             # Elected while the grant was in flight: a leader never pauses as
             # leader, so feed the ticket back through the admission flow (the
@@ -656,8 +679,19 @@ class RaftNode:
             return
         self.req_in_flight = 0
         self.runtime.start_gc(m.ticket_id)
-        target = self.leader_hint or src
-        self._send(target, DoneGC(m.ticket_id))
+        self._send_done((m.ticket_id, src))
+
+    def _redeliver(self, arg: tuple) -> None:
+        self.deliver(*arg)
+
+    def _send_done(self, arg: tuple) -> None:
+        """Report a collection done to the leader known when the report
+        departs: a handoff during the pause moves the grant to the successor."""
+        if self.runtime.is_paused:
+            self.sim.schedule_at(self.runtime.paused_until, self._send_done, arg)
+            return
+        ticket_id, grantor = arg
+        self.sim.send(self.id, self.leader_hint or grantor, DoneGC(ticket_id))
 
     # -- collection coordination: leader side ---------------------------------------------
 
@@ -673,9 +707,13 @@ class RaftNode:
         if node == self.id:
             self._begin_own_collection()
             return
+        self._send(node, AllowGC(ticket_id))
+        self._arm_grant_timeout(node, est)
+
+    def _arm_grant_timeout(self, node: NodeId, est: int) -> None:
+        """Reclaim ``node``'s slot if its done never arrives."""
         token = self._grant_token.get(node, 0) + 1
         self._grant_token[node] = token
-        self._send(node, AllowGC(ticket_id))
         budget = max(self.collection_timeout_factor * est, 1_000)
         self.sim.schedule_after(budget, self._grant_timeout, (node, token))
 
@@ -697,26 +735,34 @@ class RaftNode:
             self._issue_grant(nxt)
 
     def _begin_own_collection(self) -> None:
-        """The leader never pauses as leader: transfer first, then collect.
+        """The leader never pauses as leader: transfer first, then collect."""
+        self.request_leader_switch(self._pick_successor())
 
-        The successor defaults to the last server that finished a collection
-        (its heap is the freshest) and falls back to a seeded random pick.
-        """
+    def _pick_successor(self) -> NodeId:
+        """The last server that finished a collection (its heap is the
+        freshest) if it holds no grant, else a seeded random pick among the
+        servers that hold none."""
         successor = self.ledger.last_finished
         if successor in (None, self.id) or successor in self.ledger.granted:
             choices = [p for p in self.peers if p not in self.ledger.granted]
             successor = self.rng.choice(choices) if choices else self.peers[0]
-        self.request_leader_switch(successor)
+        return successor
 
 
 class RaftClient:
     """Issues get/set requests to its current idea of the leader.
 
-    The belief updates from replies, redirects, and leadership notices; an
-    unanswered request is retried against the current belief after the
-    configured timeout, and again every timeout after that (duplicate
-    applies of a retried set are harmless for a key-value store).  Latency
-    is measured from first submission to first reply.
+    The belief updates from leadership notices, redirects and the hints in
+    replies.  A notice outranks the hint of a reply to a request issued
+    before it: with network jitter, an answer the old leader sent just before
+    its handoff can arrive after the notice, and would send the client back
+    to a node about to pause.  A redirect that names a leader is resent there
+    at once.  An unanswered request is retried against the current belief
+    after the configured timeout, and again every timeout after that.  A
+    retried set may be applied twice; when another client's set to the same
+    key lands in between, the repeat overwrites it, which breaks
+    linearizability (client sessions that drop duplicates are ROADMAP item
+    3).  Latency is measured from first submission to first reply.
 
     ``outstanding`` maps each unanswered request id to ``(op, issued,
     deadline)`` in deadline order: a new or retried request always has the
@@ -735,6 +781,7 @@ class RaftClient:
         self.outstanding: dict[int, tuple[tuple, int, int]] = {}
         self.retries = 0
         self._timer_armed = False
+        self._notice_at = 0  # when the last LeaderNotice arrived
         sim.add_node(client_id, self.deliver)
 
     def submit(self, rid: int, op: tuple) -> None:
@@ -768,9 +815,10 @@ class RaftClient:
     def deliver(self, src: NodeId, msg: Any) -> None:
         if isinstance(msg, LeaderNotice):
             self.belief = msg.leader
+            self._notice_at = self.sim.now
             return
         if msg.redirect:
-            if msg.leader_hint and msg.leader_hint != self.belief:
+            if msg.leader_hint:
                 self.belief = msg.leader_hint
                 entry = self.outstanding.get(msg.rid)
                 if entry is not None:
@@ -782,6 +830,6 @@ class RaftClient:
         if entry is None:
             return  # duplicate answer to a retried request
         op, issued, _deadline = entry
-        if msg.leader_hint:
+        if msg.leader_hint and issued >= self._notice_at:
             self.belief = msg.leader_hint
         self.on_sample(msg.rid, issued, self.sim.now, src, op[0])

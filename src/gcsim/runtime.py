@@ -37,7 +37,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .simcore import NodeId, Simulation
 
@@ -163,10 +163,19 @@ class GcLedger:
     next queued asker.  An ask from a node already granted or queued is a
     duplicate and changes nothing.  The HTTP balancer's capacity is its
     ``max_concurrent``; a Raft leader's is ``cluster_size - quorum``, the most
-    servers that may pause while a quorum stays live.  ``reset`` forgets every
-    grant and queued ask (a new Raft leader starts afresh); a finish from a
-    node this ledger never granted (possible right after a reset) is ignored
-    rather than freeing a slot.
+    servers that may pause while a quorum stays live.
+
+    ``reset`` forgets every queued ask and every grant except those it is
+    handed.  A Raft leader that hands leadership off sends its live grants,
+    with their pause estimates, in the ``FastSwitch``, and the successor
+    resets its ledger with them and arms a grant timeout for each, so the
+    collections the old leader admitted keep their slots until they report
+    done or time out.  Among them is the grant the old leader gave itself,
+    which the successor then sends it.  A queued ask is forgotten and is
+    sent again by its asker when it learns of the new leader.  A leader that
+    wins an election starts empty: it does not know what its predecessor
+    granted.  A finish from a node this ledger does not hold a grant for
+    (possible right after a reset) is ignored rather than freeing a slot.
     """
 
     def __init__(self, capacity: int):
@@ -204,8 +213,13 @@ class GcLedger:
             return nxt
         return None
 
-    def reset(self) -> None:
+    def reset(self, granted: Iterable[NodeId] = ()) -> None:
+        """Forget every queued ask and hold exactly the ``granted`` nodes."""
+        granted = set(granted)
+        if len(granted) > self.capacity:
+            raise ValueError(f"{len(granted)} grants exceed capacity {self.capacity}")
         self.granted.clear()
+        self.granted.update(granted)
         self.pending.clear()
         self._pending_set.clear()
 

@@ -184,6 +184,39 @@ def test_criterion_5_raft_leader_bounded_impact(raft_leader_scale):
           f"{on_stats.max_us / 1000:.3f}ms vs modeled pause {pause / 1000:.3f}ms")
 
 
+def churn_config(**overrides):
+    """The shape of the write-heavy churn benchmark: 5 servers, 2,000 Poisson
+    req/s at 1:3 get/set, 64 KiB per request, a collection about every 0.4 s
+    per server, so leader handoffs come every ~0.17 s with replies pending."""
+    return default_config("raft", nodes=5, rate_rps=2_000, mix_get=1, mix_set=3,
+                          arrivals="poisson", live_bytes=100 * MIB,
+                          trigger_bytes=150 * MIB, hard_limit_bytes=GIB,
+                          bytes_per_request=64 * 1024, **overrides)
+
+
+def worst_impact(off, blade):
+    """Largest blade-minus-off latency over the requests both runs answered."""
+    base = off.latency_by_rid()
+    return max(lat - base[rid] for rid, lat in blade.latency_by_rid().items())
+
+
+@pytest.fixture(scope="module", params=["proxy", "retry"])
+def raft_churn_runs(request):
+    cfg = churn_config(duration_s=2, proxy_mode=request.param)
+    return cfg, {mode: run_scenario(cfg, mode=mode) for mode in ("off", "blade")}
+
+
+def test_criterion_5_one_rtt_at_churn_shape(raft_churn_runs):
+    cfg, runs = raft_churn_runs
+    off, blade = runs["off"], runs["blade"]
+    assert len(blade.trace.switches) >= 5, "too few handoffs to test the bound"
+    assert set(blade.latency_by_rid()) == set(off.latency_by_rid())
+    worst = worst_impact(off, blade)
+    assert worst <= cfg.rtt_us, f"worst blade-off delta {worst}us exceeds one RTT"
+    print(f"\nACCEPTANCE 5 PASS ({cfg.proxy_mode}): {len(blade.trace.switches)} "
+          f"handoffs at 2,000 req/s, worst blade-off delta {worst}us <= {cfg.rtt_us}us")
+
+
 # -- criterion 6: the admission ledger never breaks quorum ----------------------------
 
 
@@ -204,6 +237,58 @@ def test_criterion_6_quorum_guard(size, ops):
             assert ledger.used == 0 and not ledger.pending
         assert ledger.used <= capacity, "a grant would break quorum"
         assert not (ledger.granted & set(ledger.pending))
+
+
+def most_paused_at_once(pauses):
+    edges = sorted([(p.start_us, 1) for p in pauses if p.end_us > p.start_us] +
+                   [(p.end_us, -1) for p in pauses if p.end_us > p.start_us])
+    most = now = 0
+    for _t, step in edges:  # at a shared instant an end (-1) sorts first
+        now += step
+        most = max(most, now)
+    return most
+
+
+@pytest.mark.parametrize("proxy_mode", ["proxy", "retry"])
+def test_criterion_6_quorum_and_bound_hold_end_to_end_under_jitter(proxy_mode):
+    jitter = 5
+    cfg = churn_config(duration_s=4, jitter_us=jitter, proxy_mode=proxy_mode)
+    off, blade = (run_scenario(cfg, mode=mode) for mode in ("off", "blade"))
+    assert len(blade.trace.switches) >= 10
+    assert check_history(blade.trace) == []
+
+    quorum = cfg.nodes // 2 + 1
+    most = most_paused_at_once(blade.pauses)
+    assert most <= cfg.nodes - quorum, f"{most} of {cfg.nodes} servers paused at once"
+
+    # Every request is answered, none after waiting out a client timeout,
+    # and a handoff never appends a request a second time.
+    assert set(blade.latency_by_rid()) == set(off.latency_by_rid())
+    assert max(blade.latencies_us()) < cfg.client_timeout_us
+    for log in blade.trace.final_logs.values():
+        rids = [rid for _term, _op, rid in log if rid is not None]
+        assert len(rids) == len(set(rids))
+
+    # The old leader starts its pause only once every request a client sent
+    # it before hearing of the handoff has arrived: two one-way hops, each up
+    # to ``jitter`` late.
+    drain = 2 * (cfg.rtt_us // 2 + jitter)
+    for t_switch, old, _new, _term in blade.trace.switches:
+        start = min((p.start_us for p in blade.pauses
+                     if p.node == old and p.start_us >= t_switch), default=None)
+        assert start is None or start >= t_switch + drain
+
+    # A handoff adds at most two hops to a request: a redirect and the resend
+    # (retry mode), or one forward (proxy mode), one RTT at the nominal delay.
+    # Jitter adds up to ``jitter`` to each hop of the blade path, of which a
+    # redirected set has six (request, redirect, resend, append, ack, reply),
+    # and takes nothing off any hop of the off run.
+    allowance = cfg.rtt_us + 6 * jitter
+    worst = worst_impact(off, blade)
+    assert worst <= allowance, f"worst blade-off delta {worst}us exceeds {allowance}us"
+    print(f"\nACCEPTANCE 6 PASS ({proxy_mode}, jitter {jitter}us): at most {most} of "
+          f"{cfg.nodes} servers paused at once over {len(blade.trace.switches)} "
+          f"handoffs, worst blade-off delta {worst}us <= {allowance}us")
 
 
 def test_criterion_6_report():

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, FollowerGcModel,
-                        LeaderGcModel, RaftClient, RaftNode, RaftTrace, Role,
-                        raft_model_eval)
+                        LeaderGcModel, LeaderNotice, RaftClient, RaftNode, RaftTrace,
+                        Role, raft_model_eval)
 from gcsim.raftcheck import check_history, check_log_matching
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
@@ -81,6 +81,20 @@ def test_ledger_reset_on_leader_change():
     assert led.ask("x") == "grant"
     assert led.ask("y") == "grant"
     assert led.ask("z") == "queued"  # 5-node quorum 3: two may collect
+
+
+def test_ledger_reset_keeps_carried_grants():
+    led = GcLedger(2)
+    led.ask("a"); led.ask("b"); led.ask("c")
+    led.reset(["b"])  # a successor takes over a live grant
+    assert led.granted == {"b"} and not led.pending
+    assert led.ask("b") == "duplicate"
+    assert led.ask("x") == "grant"
+    assert led.ask("y") == "queued"
+    assert led.finish("b") == "y"
+    with pytest.raises(ValueError):
+        led.reset(["p", "q", "r"])
+    assert led.granted == {"x", "y"}  # a refused reset changes nothing
 
 
 @settings(max_examples=200)
@@ -237,6 +251,31 @@ def test_redirect_resends_at_once_and_keeps_the_deadline():
     assert client.retries == 3
 
 
+def test_redirect_naming_the_believed_leader_is_resent():
+    # after a leadership notice, the old leader's redirect names the node the
+    # client already believes in; the request must still go there at once
+    def redirect_from_s0(dst, msg):
+        return ClientReply(msg.rid, None, "s1", redirect=True) if dst == "s0" else None
+    sim, client, received, _ = make_client(redirect_from_s0)
+    sim.schedule_at(1_000, lambda _: client.submit(1, ("set", "k", 1)))
+    sim.schedule_at(1_010, lambda _: client.deliver("s0", LeaderNotice("s1")))
+    sim.run_until(5_000)
+    assert received == [(1_000 + HALF, "s0", 1), (1_000 + RTT + HALF, "s1", 1)]
+    assert client.retries == 1
+
+
+def test_reply_hint_older_than_a_leader_notice_is_ignored():
+    sim, client, received, samples = make_client(lambda dst, msg: None)
+    sim.schedule_at(1_000, lambda _: client.submit(1, ("get", "k")))
+    sim.schedule_at(1_100, lambda _: client.deliver("s0", LeaderNotice("s1")))
+    # the old leader answered before its handoff, but the answer comes late
+    sim.schedule_at(1_110, lambda _: client.deliver("s0", ClientReply(1, "v", "s0")))
+    sim.schedule_at(1_200, lambda _: client.submit(2, ("get", "k")))
+    sim.run_until(2_000)
+    assert samples == [(1, 1_000, 1_110)]
+    assert [(server, rid) for _t, server, rid in received] == [("s0", 1), ("s1", 2)]
+
+
 # -- fast leadership handoff ---------------------------------------------------------
 
 
@@ -277,6 +316,99 @@ def test_requests_in_flight_across_switch_pay_at_most_one_rtt():
     assert len(samples) == 40
     worst = max(s[2] - s[1] - baseline for s in samples)
     assert worst <= RTT
+
+
+def test_reply_pending_across_a_handoff_names_the_successor():
+    sim, nodes, clients, samples, trace = make_cluster()
+    hints = []
+
+    def record(src, msg, client=clients[0]):
+        if type(msg) is ClientReply:
+            hints.append((msg.rid, msg.leader_hint))
+        client.deliver(src, msg)
+    sim.add_node("c0", record)
+    # the get reaches n0 at 1_024 and its answer is due at 1_424, after the
+    # handoff: n1 sends it, and the client's next request goes straight to n1
+    sim.schedule_at(1_000, lambda _: clients[0].submit(1, ("get", "k")))
+    sim.schedule_at(1_100, lambda _: nodes[0].request_leader_switch("n1"))
+    sim.schedule_at(2_000, lambda _: clients[0].submit(2, ("get", "k")))
+    sim.run_until(10_000)
+    assert [(s[0], s[2] - s[1], s[3]) for s in samples] == \
+           [(1, RTT + 400, "n1"), (2, RTT + 400, "n1")]
+    assert hints == [(1, "n1"), (2, "n1")]
+
+
+def test_pending_reply_rides_along_a_second_handoff():
+    sim, nodes, clients, samples, trace = make_cluster()
+    sim.schedule_at(1_000, lambda _: clients[0].submit(1, ("get", "k")))
+    sim.schedule_at(1_100, lambda _: nodes[0].request_leader_switch("n1"))
+    # n1 hands on to n2 before the answer is due, then stalls
+    sim.schedule_at(1_200, lambda _: nodes[1].request_leader_switch("n2"))
+    sim.schedule_at(1_300, lambda _: setattr(nodes[1].runtime, "paused_until", 50_000))
+    sim.run_until(100_000)
+    assert [(n, m) for _t, n, m, _term in trace.switches] == [("n0", "n1"), ("n1", "n2")]
+    assert [(s[0], s[2] - s[1], s[3]) for s in samples] == [(1, RTT + 400, "n2")]
+
+
+def test_handoff_waits_until_every_entry_is_committed():
+    sim, nodes, clients, samples, trace = make_cluster(n=5)
+    for follower in nodes[2:]:
+        follower.runtime.paused_until = 20_000  # no majority until they return
+    sim.schedule_at(1_000, lambda _: clients[0].submit(1, ("set", "k", 1)))
+    # n1 holds the entry at 1_024, but it is not committed
+    sim.schedule_at(2_000, lambda _: nodes[0].request_leader_switch("n1"))
+    sim.run_until(200_000)
+    (t_switch, old, new, _term), = trace.switches
+    assert (old, new) == ("n0", "n1")
+    assert t_switch >= 50_000 + RTT  # the first heartbeat after 20_000 commits it
+    assert [s[0] for s in samples] == [1]
+    for log in trace.final_logs.values():  # appended once, not again by n1
+        assert [rid for _term, _op, rid in log if rid is not None] == [1]
+
+
+def test_handoff_skips_a_successor_granted_while_catching_up():
+    sim, nodes, clients, samples, trace = make_cluster(n=5)
+    n1 = nodes[1]
+    n1.runtime.paused_until = 60_000  # n1 misses the set below
+    sim.schedule_at(2_000, lambda _: clients[0].submit(1, ("set", "k", 1)))
+    sim.schedule_at(3_000, lambda _: nodes[0].request_leader_switch("n1"))
+    # n1 wants to collect but knows no leader until the heartbeat of 100_000
+    # reaches it; its ask then reaches n0 just before the append reply that
+    # makes it eligible, so n0 grants it first
+    sim.schedule_at(99_990, lambda _: n1.runtime.allocate(250 * MIB))
+    sim.run_until(300_000)
+    (t_switch, old, new, _term), = trace.switches
+    assert t_switch == 100_000 + RTT and old == "n0" and new != "n1"
+    assert n1.runtime.pauses[0].start_us == 100_000 + HALF + RTT
+    assert n1.role is Role.FOLLOWER
+
+
+def test_successor_keeps_the_grants_of_the_old_leader():
+    sim, nodes, clients, samples, trace = make_cluster(n=5)
+    n1, n2 = nodes[1], nodes[2]
+    sim.schedule_at(1_000, lambda _: n2.runtime.allocate(250 * MIB))
+    sim.schedule_at(2_000, lambda _: nodes[0].request_leader_switch("n1"))
+    held = []
+    sim.schedule_at(3_000, lambda _: held.append(set(n1.ledger.granted)))
+    sim.run_until(10_000)
+    pause = n2.runtime.pauses[0]
+    assert pause.start_us == 1_000 + RTT and pause.end_us < 10_000 - RTT
+    assert held == [{"n2"}]
+    # n2 learned of the handoff while paused: its done goes to n1
+    assert n1.ledger.used == 0 and n1.ledger.last_finished == "n2"
+
+
+def test_old_leader_is_granted_by_its_successor_without_asking():
+    sim, nodes, clients, samples, trace = make_cluster()
+    # the followers drop every ask: the grant n0 gave itself travels in the
+    # handoff instead
+    for node in nodes[1:]:
+        sim.add_node(node.id, lambda src, msg, node=node:
+                     None if type(msg) is AskGC else node.deliver(src, msg))
+    sim.schedule_at(5_000, lambda _: nodes[0].runtime.allocate(250 * MIB))
+    sim.run_until(1_000_000)
+    (t_switch, _old, _new, _term), = trace.switches
+    assert [p.start_us for p in nodes[0].runtime.pauses] == [t_switch + RTT]
 
 
 # -- collection coordination end to end ------------------------------------------------

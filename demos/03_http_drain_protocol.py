@@ -22,7 +22,7 @@ heap = HeapModel(live_bytes=150 * MIB, trigger_bytes=300 * MIB,
 rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 8_761),
                     PauseEstimator(), mode=GcMode.BLADE)
 backend = Backend(sim, "b0", "lb", rt, service_time_us=2_000, parallelism=16,
-                  bytes_per_request=0, coordinated=True)
+                  bytes_per_request=0)
 
 sim.schedule_at(10, lambda _: lb.route(1, 10))
 sim.schedule_at(20, lambda _: lb.route(2, 20))

@@ -9,24 +9,14 @@ then pauses, as a follower.  In-flight client work rides the handoff message,
 bounding the impact on any request to at most one round-trip.
 """
 
-from gcsim import (FollowerGcModel, LeaderGcModel, MIB, default_config,
-                   raft_model_eval, run_scenario)
+from gcsim import MIB, default_config, run_scenario
 
-# The per-collection impact models.
-follower = raft_model_eval(FollowerGcModel(t_schedule_us=48, t_gc_us=13_644))
-leader = raft_model_eval(LeaderGcModel(rtt_us=48, t_proxy_us=0, t_gc_us=13_644))
-print("impact models for a 13.644 ms pause at 48 us RTT:")
-print(f"  follower: impact {follower.latency_impact_us} us, "
-      f"event time {follower.event_time_us / 1000:.3f} ms")
-print(f"  leader:   impact {leader.latency_impact_us} us (one RTT), "
-      f"event time {leader.event_time_us / 1000:.3f} ms")
-
-# Watch it happen: 60 simulated seconds with every node allocating.
+# 60 simulated seconds with every node allocating.
 cfg = default_config("raft", duration_s=60, background_alloc_bytes_per_s=16 * MIB)
 off = run_scenario(cfg, mode="off")
 blade = run_scenario(cfg, mode="blade")
 
-print(f"\n{len(blade.pauses)} collections, {len(blade.trace.switches)} leadership "
+print(f"{len(blade.pauses)} collections, {len(blade.trace.switches)} leadership "
       f"handoffs in 60 s:")
 for when, old, new, term in blade.trace.switches:
     print(f"  t={when / 1e6:7.3f} s  {old} -> {new} (term {term})")

@@ -15,8 +15,7 @@ from .httpcluster import (Backend, BackendStatus, HttpEventModel, HttpModelResul
                           LoadBalancer, http_model_eval)
 from .metrics import (OverlapStat, PercentileReport, WorkloadConfig, emit_report,
                       generate_workload, overlap_count, percentiles)
-from .raft import (FollowerGcModel, LeaderGcModel, RaftClient, RaftNode, RaftTrace, Role,
-                   raft_model_eval)
+from .raft import RaftClient, RaftNode, RaftTrace, Role
 from .raftcheck import check_history
 from .runtime import (CollectionTicket, CollectorCostModel, GcLedger, GcMode, HeapModel,
                       ManagedRuntime, PauseEstimator, PauseInterval, TicketState,
@@ -27,14 +26,13 @@ from .simcore import (NetworkModel, SchedulingError, SimStats, SimTime,
 
 __all__ = [
     "Backend", "BackendStatus", "CollectionTicket", "CollectorCostModel",
-    "ConfigError", "FollowerGcModel", "GcLedger", "GcMode", "GIB",
-    "HeapModel", "HttpEventModel", "HttpModelResult", "KIB",
-    "LeaderGcModel", "LoadBalancer", "ManagedRuntime", "MIB", "MS",
+    "ConfigError", "GcLedger", "GcMode", "GIB", "HeapModel", "HttpEventModel",
+    "HttpModelResult", "KIB", "LoadBalancer", "ManagedRuntime", "MIB", "MS",
     "NetworkModel", "OverlapStat", "PauseEstimator", "PauseInterval",
     "PercentileReport", "RaftClient", "RaftNode", "RaftTrace", "Role",
     "RunResult", "ScenarioConfig", "SchedulingError", "SEC", "SimStats",
     "SimTime", "Simulation", "TicketState", "US", "WorkloadConfig",
     "check_history", "default_config", "emit_report", "generate_workload", "http_model_eval",
-    "overlap_count", "parse_config", "percentiles", "raft_model_eval",
+    "overlap_count", "parse_config", "percentiles",
     "run_compare", "run_scenario", "serialize",
 ]

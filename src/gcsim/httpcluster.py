@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .runtime import CollectionTicket, GcLedger, ManagedRuntime
+from .runtime import CollectionTicket, GcLedger, GcMode, ManagedRuntime
 from .simcore import NodeId, Simulation
 
 
@@ -87,8 +87,7 @@ class Backend:
 
     def __init__(self, sim: Simulation, backend_id: NodeId, balancer_id: NodeId,
                  runtime: ManagedRuntime, service_time_us: int, parallelism: int,
-                 bytes_per_request: int, defer_threshold_us: int = 1_000,
-                 coordinated: bool = False):
+                 bytes_per_request: int, defer_threshold_us: int = 1_000):
         self.sim = sim
         self.id = backend_id
         self.balancer_id = balancer_id
@@ -103,7 +102,7 @@ class Backend:
         self._completions: dict[int, list] = {}
         self._pending_ticket_id: Optional[int] = None
         runtime.on_pause = self._on_pause
-        if coordinated:
+        if runtime.mode is GcMode.BLADE:
             runtime.reg_gc_hand(self._on_gc_offer)
         sim.add_node(backend_id, self.deliver)
 

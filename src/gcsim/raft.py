@@ -101,7 +101,8 @@ class FastSwitch:
     the old leader computed but had not sent yet ride along and are delivered
     by the new leader directly, naming the new leader as their hint.  So do
     the collections the old leader admitted: the successor keeps their
-    ledger slots.
+    ledger slots.  Every peer gets the same message; only the successor acts
+    on ``pending_replies`` and ``grants``.
     """
 
     new_term: int
@@ -129,49 +130,6 @@ class AllowGC:
 @dataclass(slots=True)
 class DoneGC:
     ticket_id: int
-
-
-# -- impact model ----------------------------------------------------------------
-
-
-@dataclass
-class FollowerGcModel:
-    t_schedule_us: int  # ask + allow, normally one RTT
-    t_gc_us: int
-
-
-@dataclass
-class LeaderGcModel:
-    rtt_us: int
-    t_proxy_us: int
-    t_gc_us: int
-
-
-@dataclass
-class RaftModelResult:
-    latency_impact_us: int
-    capacity_loss_servers: int
-    event_time_us: int
-
-
-def raft_model_eval(model: FollowerGcModel | LeaderGcModel) -> RaftModelResult:
-    """Evaluate the per-collection impact model.
-
-    Follower collections are invisible to clients while a majority stays
-    live; a leader collection costs every in-flight request at most the
-    handoff (half an RTT to transfer plus proxying), one RTT in total.
-    """
-    if isinstance(model, FollowerGcModel):
-        if model.t_schedule_us < 0 or model.t_gc_us < 0:
-            raise ValueError("model inputs must be non-negative")
-        return RaftModelResult(0, 0, model.t_schedule_us + model.t_gc_us)
-    if model.rtt_us < 0 or model.t_proxy_us < 0 or model.t_gc_us < 0:
-        raise ValueError("model inputs must be non-negative")
-    return RaftModelResult(
-        latency_impact_us=model.rtt_us,
-        capacity_loss_servers=0,
-        event_time_us=model.rtt_us // 2 + model.t_proxy_us + model.t_gc_us,
-    )
 
 
 # -- history recording -------------------------------------------------------------
@@ -370,7 +328,7 @@ class RaftNode:
 
     def _on_request_vote(self, src: NodeId, m: RequestVote) -> None:
         if m.term > self.term:
-            self._adopt_term(m.term)
+            self._become_follower(m.term)
         granted = False
         if m.term == self.term and self.voted_for in (None, src):
             mine = (self._term_at(self.last_index), self.last_index)
@@ -383,14 +341,20 @@ class RaftNode:
 
     def _on_vote_reply(self, src: NodeId, m: VoteReply) -> None:
         if m.term > self.term:
-            self._adopt_term(m.term)
+            self._become_follower(m.term)
             return
         if self.role is Role.CANDIDATE and m.term == self.term and m.granted:
             self._votes.add(src)
             if len(self._votes) >= self.majority:
                 self._become_leader()
 
-    def _adopt_term(self, term: int) -> None:
+    def _become_follower(self, term: int, leader: Optional[NodeId] = None) -> None:
+        """Follow in ``term``, under ``leader`` if a message from it says so.
+
+        A newer term forgets the vote and the leader.  A leader or candidate
+        steps down: it drops its admission state (a follower's is always
+        empty) and arms its election timer, before any ask goes out.
+        """
         if term > self.term:
             self.term = term
             self.voted_for = None
@@ -398,10 +362,16 @@ class RaftNode:
         if self.role is not Role.FOLLOWER:
             self.role = Role.FOLLOWER
             self.trace.record_role(self.id, self.sim.now, self.term, Role.FOLLOWER)
+            self.ledger.reset()
+            self.switch_target = None
             self.last_contact = self.sim.now
             self._arm_election_timer()
-        self.ledger.reset()
-        self.switch_target = None
+        if leader is not None:
+            self.last_contact = self.sim.now
+            if leader != self.leader_hint:
+                self.leader_hint = leader
+                if self.req_in_flight:
+                    self._ask_gc()
 
     def _become_leader(self, grants: tuple = ()) -> None:
         """Take the lead, holding the ``grants`` a handoff carried over."""
@@ -422,7 +392,7 @@ class RaftNode:
             self._send_append(peer)
         self.sim.schedule_after(self.heartbeat_us, self._heartbeat)
         if self.req_in_flight:
-            self._on_ask_gc(self.id, AskGC(self.req_in_flight, self._pending_est()))
+            self._ask_gc()
 
     def _heartbeat(self, _arg=None) -> None:
         if self.role is not Role.LEADER:
@@ -447,10 +417,7 @@ class RaftNode:
         if m.term < self.term:
             self._send(src, AppendReply(self.term, False, 0))
             return
-        if m.term > self.term or self.role is not Role.FOLLOWER:
-            self._adopt_term(m.term)
-        self.last_contact = self.sim.now
-        self._set_leader(m.leader)
+        self._become_follower(m.term, m.leader)
         if m.prev_index > self.last_index or \
                 (m.prev_index >= 1 and self._term_at(m.prev_index) != m.prev_term):
             self._send(src, AppendReply(self.term, False, 0))
@@ -471,7 +438,7 @@ class RaftNode:
 
     def _on_append_reply(self, src: NodeId, m: AppendReply) -> None:
         if m.term > self.term:
-            self._adopt_term(m.term)
+            self._become_follower(m.term)
             return
         if self.role is not Role.LEADER or m.term != self.term:
             return
@@ -587,7 +554,6 @@ class RaftNode:
 
     def _do_fast_switch(self) -> None:
         successor = self.switch_target
-        self.switch_target = None
         new_term = self.term + 1
         pending = []
         for client, reply, due, handle in self._pending_replies.values():
@@ -599,48 +565,34 @@ class RaftNode:
         net = self.sim.network
         self._drained_at = self.sim.now + 2 * (net.one_way_delay_us + net.jitter_us)
         self.trace.switches.append((self.sim.now, self.id, successor, new_term))
+        switch = FastSwitch(new_term, successor, tuple(pending), grants)
         for peer in self.peers:
-            if peer == successor:
-                self._send(peer, FastSwitch(new_term, successor, tuple(pending), grants))
-            else:
-                self._send(peer, FastSwitch(new_term, successor))
+            self._send(peer, switch)
         for client in self.client_ids:
             self._send(client, LeaderNotice(successor))
-        self.term = new_term
-        self.role = Role.FOLLOWER
-        self.voted_for = successor
-        self.leader_hint = None
-        self.ledger.reset()
-        self.trace.record_role(self.id, self.sim.now, new_term, Role.FOLLOWER)
-        self.last_contact = self.sim.now
-        self._arm_election_timer()
-        self._set_leader(successor)
+        # The successor sends the grant this node gave itself unasked; an ask
+        # of its own still queued here is sent there again.
+        own_grant = self.id in self.ledger.granted
+        self._become_follower(new_term, None if own_grant else successor)
+        self.voted_for = self.leader_hint = successor
 
     def _on_fast_switch(self, src: NodeId, m: FastSwitch) -> None:
         if m.new_term < self.term:
             return
         if m.new_term == self.term and self.role is Role.LEADER:
             return  # stale duplicate of a handoff this node already won
-        was_role = self.role
+        if self.id != m.successor:
+            self._become_follower(m.new_term, m.successor)
+            self.voted_for = m.successor
+            return
         self.term = m.new_term
-        self.voted_for = m.successor
-        self.last_contact = self.sim.now
-        self.ledger.reset()
-        self.switch_target = None
-        if self.id == m.successor:
-            self._become_leader(m.grants)
-            for client, reply, due in m.pending_replies:
-                self._schedule_reply(client, reply, max(self.sim.now, due))
-            if src in self.ledger.granted:
-                # the old leader granted itself, then handed off to collect
-                self._send(src, AllowGC(self._ask_info[src][0]))
-        else:
-            if was_role is not Role.FOLLOWER:
-                self.role = Role.FOLLOWER
-                self.trace.record_role(self.id, self.sim.now, self.term, Role.FOLLOWER)
-                self._arm_election_timer()
-            self.leader_hint = None
-            self._set_leader(m.successor)
+        self.voted_for = self.id
+        self._become_leader(m.grants)
+        for client, reply, due in m.pending_replies:
+            self._schedule_reply(client, reply, max(self.sim.now, due))
+        if src in self.ledger.granted:
+            # the old leader granted itself, then handed off to collect
+            self._send(src, AllowGC(self._ask_info[src][0]))
 
     # -- collection coordination: follower side ------------------------------------------
 
@@ -652,17 +604,18 @@ class RaftNode:
         if ticket.estimated_pause_us <= self.defer_threshold_us:
             return True
         self.req_in_flight = ticket.id
-        if self.role is Role.LEADER:
-            self._on_ask_gc(self.id, AskGC(ticket.id, ticket.estimated_pause_us))
-        elif self.leader_hint is not None:
-            self._send(self.leader_hint, AskGC(ticket.id, ticket.estimated_pause_us))
+        self._ask_gc()
         return False
 
-    def _set_leader(self, leader: NodeId) -> None:
-        if leader != self.leader_hint:
-            self.leader_hint = leader
-            if self.req_in_flight and leader != self.id:
-                self._send(leader, AskGC(self.req_in_flight, self._pending_est()))
+    def _ask_gc(self) -> None:
+        """Ask the known leader to admit the collection in flight; a leader
+        asks its own ledger, a node that knows no leader asks once it learns
+        of one."""
+        ask = AskGC(self.req_in_flight, self._pending_est())
+        if self.role is Role.LEADER:
+            self._on_ask_gc(self.id, ask)
+        elif self.leader_hint is not None:
+            self._send(self.leader_hint, ask)
 
     def _on_allow_gc(self, src: NodeId, m: AllowGC) -> None:
         if self.sim.now < self._drained_at:
@@ -675,7 +628,7 @@ class RaftNode:
             # leader, so feed the ticket back through the admission flow (the
             # grantor's timeout reclaims its stale slot).
             self.req_in_flight = m.ticket_id
-            self._on_ask_gc(self.id, AskGC(m.ticket_id, self._pending_est()))
+            self._ask_gc()
             return
         self.req_in_flight = 0
         self.runtime.start_gc(m.ticket_id)

@@ -182,7 +182,6 @@ class GcLedger:
         self.capacity = capacity
         self.granted: set[NodeId] = set()
         self.pending: deque[NodeId] = deque()
-        self._pending_set: set[NodeId] = set()
         self.last_finished: Optional[NodeId] = None
 
     @property
@@ -191,11 +190,10 @@ class GcLedger:
 
     def ask(self, node: NodeId) -> str:
         """Returns "grant", "queued", or "duplicate"."""
-        if node in self.granted or node in self._pending_set:
+        if node in self.granted or node in self.pending:
             return "duplicate"
         if self.used >= self.capacity:
             self.pending.append(node)
-            self._pending_set.add(node)
             return "queued"
         self.granted.add(node)
         return "grant"
@@ -208,7 +206,6 @@ class GcLedger:
         self.granted.discard(node)
         if self.pending:
             nxt = self.pending.popleft()
-            self._pending_set.discard(nxt)
             self.granted.add(nxt)
             return nxt
         return None
@@ -221,7 +218,6 @@ class GcLedger:
         self.granted.clear()
         self.granted.update(granted)
         self.pending.clear()
-        self._pending_set.clear()
 
 
 UpcallHandler = Callable[[CollectionTicket], bool]

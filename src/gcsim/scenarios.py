@@ -167,7 +167,6 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
             parallelism=cfg.parallelism,
             bytes_per_request=cfg.bytes_per_request,
             defer_threshold_us=cfg.defer_threshold_us,
-            coordinated=mode is GcMode.BLADE,
         ))
 
     def finish() -> dict:

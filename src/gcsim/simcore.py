@@ -95,9 +95,6 @@ class Simulation:
         self._nodes[node_id] = deliver
         self._links.clear()  # a cached link may hold a replaced sink
 
-    def node_ids(self) -> list[NodeId]:
-        return list(self._nodes)
-
     # -- scheduling -------------------------------------------------------
 
     def schedule_at(self, fire_at: SimTime, action: Callable[[Any], None],

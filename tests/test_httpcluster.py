@@ -24,7 +24,7 @@ def make_cluster(n=3, mode=GcMode.BLADE, service_us=2_000, parallelism=16,
                             CollectorCostModel(25_000, overhead), PauseEstimator(),
                             mode=mode)
         backends.append(Backend(sim, bid, "lb", rt, service_us, parallelism,
-                                bytes_per_request, coordinated=mode is GcMode.BLADE))
+                                bytes_per_request))
     return sim, lb, backends
 
 

@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, FollowerGcModel,
-                        LeaderGcModel, LeaderNotice, RaftClient, RaftNode, RaftTrace,
-                        Role, raft_model_eval)
+from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, LeaderNotice,
+                        RaftClient, RaftNode, RaftTrace, Role)
 from gcsim.raftcheck import check_history, check_log_matching
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
@@ -115,32 +114,6 @@ def test_ledger_never_breaks_quorum(ops, size):
             assert led.used == 0 and not led.pending
         assert led.used <= capacity
         assert not (led.granted & set(led.pending))
-
-
-# -- impact model -----------------------------------------------------------------
-
-
-def test_follower_model_event_time():
-    got = raft_model_eval(FollowerGcModel(t_schedule_us=RTT, t_gc_us=10_000))
-    assert (got.latency_impact_us, got.capacity_loss_servers) == (0, 0)
-    assert got.event_time_us == 10_048
-
-
-def test_leader_model_impact_is_one_rtt():
-    got = raft_model_eval(LeaderGcModel(rtt_us=RTT, t_proxy_us=0, t_gc_us=10_000))
-    assert got.latency_impact_us == RTT
-    assert got.capacity_loss_servers == 0
-    assert got.event_time_us == HALF + 10_000
-
-
-def test_model_zero_gc_time_costs_scheduling_only():
-    assert raft_model_eval(FollowerGcModel(RTT, 0)).event_time_us == RTT
-    assert raft_model_eval(LeaderGcModel(RTT, 0, 0)).event_time_us == HALF
-
-
-def test_model_rejects_negative():
-    with pytest.raises(ValueError):
-        raft_model_eval(FollowerGcModel(-1, 0))
 
 
 # -- replication ------------------------------------------------------------------
@@ -409,6 +382,65 @@ def test_old_leader_is_granted_by_its_successor_without_asking():
     sim.run_until(1_000_000)
     (t_switch, _old, _new, _term), = trace.switches
     assert [p.start_us for p in nodes[0].runtime.pauses] == [t_switch + RTT]
+
+
+def record_deliveries(sim, nodes):
+    """Log every message the ``nodes`` receive as (time, src, dst, type name)."""
+    log = []
+    for node in nodes:
+        def deliver(src, msg, node=node):
+            log.append((sim.now, src, node.id, type(msg).__name__))
+            node.deliver(src, msg)
+        sim.add_node(node.id, deliver)
+    return log
+
+
+def test_handoff_carrying_the_own_grant_sends_no_ask():
+    sim, nodes, clients, samples, trace = make_cluster()
+    log = record_deliveries(sim, nodes)
+    sim.schedule_at(5_000, lambda _: nodes[0].runtime.allocate(250 * MIB))
+    sim.run_until(1_000_000)
+    (t_switch, _old, new, _term), = trace.switches
+    assert [(t, src, dst, kind) for t, src, dst, kind in log
+            if kind in ("AskGC", "AllowGC")] == [(t_switch + RTT, new, "n0", "AllowGC")]
+    assert [p.start_us for p in nodes[0].runtime.pauses] == [t_switch + RTT]
+
+
+def test_handoff_while_the_own_ask_is_queued_asks_the_successor():
+    sim, nodes, clients, samples, trace = make_cluster()
+    log = record_deliveries(sim, nodes)
+    sim.schedule_at(1_000, lambda _: nodes[1].runtime.allocate(250 * MIB))
+    sim.schedule_at(1_100, lambda _: nodes[0].runtime.allocate(250 * MIB))  # queued behind n1
+    sim.schedule_at(1_200, lambda _: nodes[0].request_leader_switch("n2"))
+    sim.run_until(1_000_000)
+    assert trace.switches == [(1_200, "n0", "n2", 2)]
+    assert [(t, src, dst) for t, src, dst, kind in log if kind == "AskGC"] == \
+           [(1_000 + HALF, "n1", "n0"), (1_200 + HALF, "n0", "n2")]
+    n0_pause, n1_pause = nodes[0].runtime.pauses[0], nodes[1].runtime.pauses[0]
+    assert n0_pause.start_us == n1_pause.end_us + RTT  # n2 grants it after n1's done
+
+
+def test_non_successor_ignores_the_carried_replies_and_grants():
+    sim, nodes, clients, samples, trace = make_cluster(n=5)
+    replies = []
+
+    def record(src, msg, client=clients[0]):
+        if type(msg) is ClientReply:
+            replies.append((src, msg.rid))
+        client.deliver(src, msg)
+    sim.add_node("c0", record)
+    # the switch carries n2's grant and the pending answer to the get
+    sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250 * MIB))
+    sim.schedule_at(1_000, lambda _: clients[0].submit(1, ("get", "k")))
+    sim.schedule_at(1_100, lambda _: nodes[0].request_leader_switch("n1"))
+    held = []
+    sim.schedule_at(1_100 + HALF + 1, lambda _: held.append(
+        (dict(nodes[3]._pending_replies), set(nodes[3].ledger.granted),
+         set(nodes[1].ledger.granted))))
+    sim.run_until(100_000)
+    assert held == [({}, set(), {"n2"})]
+    assert nodes[3].leader_hint == "n1" and nodes[3].role is Role.FOLLOWER
+    assert replies == [("n1", 1)]
 
 
 # -- collection coordination end to end ------------------------------------------------

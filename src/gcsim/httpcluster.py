@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .metrics import SampleLog
 from .runtime import CollectionTicket, GcLedger, GcMode, ManagedRuntime
 from .simcore import NodeId, Simulation
 
@@ -221,7 +222,7 @@ class LoadBalancer:
         self.ledger = GcLedger(max_concurrent)
         # Alias kept for the benchmark's tracer, which reads ``lb.wait_queue``.
         self.wait_queue = self.ledger.pending
-        self.samples: list[tuple[int, int, int, NodeId, str]] = []
+        self.samples = SampleLog()
         sim.add_node(balancer_id, self.deliver)
 
     # -- routing ------------------------------------------------------------
@@ -249,7 +250,7 @@ class LoadBalancer:
         tag = msg[0]
         if tag == "rep":
             _, rid, issued = msg
-            self.samples.append((rid, issued, self.sim.now, src, "http"))
+            self.samples.add(rid, issued, self.sim.now, src, "http")
         elif tag == "ask":
             if self.ledger.ask(src) == "grant":
                 self._grant(src)

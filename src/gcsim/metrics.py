@@ -1,9 +1,10 @@
 """Workload generation, latency capture, and tail-latency reporting.
 
-Quantiles use the nearest-rank definition over the sorted sample list (no
-interpolation) and the standard deviation is the population deviation; both
-conventions are stated in every report header.  Report rendering is fully
-deterministic: identical inputs produce byte-identical files.
+Completed requests are kept as integer columns and a run is summarised from
+its ``(latency, count)`` histogram.  Quantiles use the nearest-rank
+definition (exact integer ranks, no interpolation) and the standard deviation
+is the population deviation; both conventions are stated in every report
+header.  Rendering is deterministic: identical inputs give identical files.
 """
 
 from __future__ import annotations
@@ -11,12 +12,17 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .runtime import PauseInterval
 
 QUANTILE_LEVELS = (95.0, 99.0, 99.9, 99.99, 99.999, 99.9999)
+CDF_CHUNK_LINES = 65_536  # lines per write, which bound a CDF's memory
 
 
 @dataclass
@@ -27,6 +33,7 @@ class PercentileReport:
     stddev_us: float
     max_us: int
     quantiles_us: dict[float, int]  # level (e.g. 99.9) -> nearest-rank value
+    histogram: list[tuple[int, int]] = field(repr=False)  # (latency, count), ascending
 
 
 @dataclass
@@ -39,6 +46,38 @@ class OverlapStat:
         if self.total_collections == 0:
             return 0.0
         return self.overlapping_collections / self.total_collections
+
+
+class SampleLog:
+    """Completed requests as columns: integer arrays for rid, issued and
+    completed, lists of references for server and kind.  Iteration and
+    indexing yield ``(rid, issued, completed, server, kind)`` tuples."""
+
+    def __init__(self) -> None:
+        # Unsigned: ids and times are never negative, and the array module
+        # appends "Q" items without the format parsing it does for "q".
+        self.rid, self.issued, self.completed = array("Q"), array("Q"), array("Q")
+        self.server: list[str] = []
+        self.kind: list[str] = []
+
+    def add(self, rid: int, issued: int, completed: int, server: str, kind: str) -> None:
+        self.rid.append(rid)
+        self.issued.append(issued)
+        self.completed.append(completed)
+        self.server.append(server)
+        self.kind.append(kind)
+
+    def __len__(self) -> int:
+        return len(self.rid)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, str, str]]:
+        return zip(self.rid, self.issued, self.completed, self.server, self.kind)
+
+    def __getitem__(self, i: int) -> tuple[int, int, int, str, str]:
+        return self.rid[i], self.issued[i], self.completed[i], self.server[i], self.kind[i]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SampleLog) and vars(self) == vars(other)
 
 
 # -- workload ---------------------------------------------------------------
@@ -101,12 +140,15 @@ def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
 # -- statistics ---------------------------------------------------------------
 
 
-def nearest_rank(sorted_values: Sequence[int], level: float) -> int:
-    """Nearest-rank quantile: the ceil(level/100 * n)-th smallest value."""
-    n = len(sorted_values)
-    rank = math.ceil(level / 100.0 * n)
-    rank = min(max(rank, 1), n)
-    return int(sorted_values[rank - 1])
+def nearest_rank(level: float, n: int) -> int:
+    """The 1-based nearest rank ceil(level/100 * n) of ``level`` percent among
+    ``n`` values, exact in integers for levels given to four decimals."""
+    return max(1, -(-round(level * 10_000) * n // 1_000_000))
+
+
+def histogram(latencies_us: Iterable[int]) -> list[tuple[int, int]]:
+    """Sorted ``(latency, count)`` pairs, one per distinct latency."""
+    return sorted(Counter(latencies_us).items())
 
 
 def percentiles(latencies_us: Iterable[int]) -> PercentileReport:
@@ -115,19 +157,25 @@ def percentiles(latencies_us: Iterable[int]) -> PercentileReport:
     The mean and the variance come from exact integer sums, each rounded to
     a float once.
     """
-    values = sorted(latencies_us)
-    n = len(values)
-    if n == 0:
+    counts = histogram(latencies_us)
+    if not counts:
         raise ValueError("cannot summarise an empty sample set")
-    total = sum(values)
-    squares = sum(v * v for v in values)
+    cumulative = list(accumulate(c for _, c in counts))
+    n = cumulative[-1]
+    total = sum(v * c for v, c in counts)
+    squares = sum(v * v * c for v, c in counts)
+
+    def at(level: float) -> int:
+        return counts[bisect_left(cumulative, nearest_rank(level, n))][0]
+
     return PercentileReport(
         count=n,
         mean_us=total / n,
-        median_us=nearest_rank(values, 50.0),
+        median_us=at(50.0),
         stddev_us=math.sqrt((n * squares - total * total) / (n * n)),
-        max_us=values[-1],
-        quantiles_us={q: nearest_rank(values, q) for q in QUANTILE_LEVELS},
+        max_us=counts[-1][0],
+        quantiles_us={q: at(q) for q in QUANTILE_LEVELS},
+        histogram=counts,
     )
 
 
@@ -157,8 +205,7 @@ class RunSummary:
     """Everything the report renders for one (configuration, mode) run."""
 
     label: str
-    report: Optional[PercentileReport]
-    latencies_us: list[int]  # ascending
+    report: Optional[PercentileReport]  # None when no request completed
     in_flight: int
     collections: int
     overlap: OverlapStat
@@ -167,15 +214,12 @@ class RunSummary:
     max_pause_us: int
 
 
-def summarize_run(label: str, latencies_us: list[int], in_flight: int,
+def summarize_run(label: str, latencies_us: Sequence[int], in_flight: int,
                   pauses: list[PauseInterval]) -> RunSummary:
-    ordered = sorted(latencies_us)
-    report = percentiles(ordered) if ordered else None
     durations = [p.end_us - p.start_us for p in pauses]
     return RunSummary(
         label=label,
-        report=report,
-        latencies_us=ordered,
+        report=percentiles(latencies_us) if len(latencies_us) else None,
         in_flight=in_flight,
         collections=len(pauses),
         overlap=overlap_count(pauses),
@@ -219,17 +263,18 @@ def render_summary_table(runs: list[RunSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_cdf(latencies_us: list[int]) -> str:
-    """Two-column text CDF: latency_ms and cumulative fraction, one rank per line."""
-    out = [_HEADER.rstrip("\n")]
-    n = len(latencies_us)
-    last = row = None
-    # Samples repeat a few distinct latencies, so each is formatted once.
-    for i, v in enumerate(sorted(latencies_us), start=1):
-        if v != last:
-            last, row = v, _ms(v) + "\t%.7f"
-        out.append(row % (i / n))
-    return "\n".join(out) + "\n"
+def render_cdf(counts: list[tuple[int, int]]) -> Iterator[str]:
+    """Two-column text CDF of a histogram: latency_ms and cumulative fraction,
+    one rank per line, in chunks of at most ``CDF_CHUNK_LINES`` lines."""
+    yield _HEADER
+    n = sum(count for _, count in counts)
+    seen = 0
+    for v, count in counts:
+        row = _ms(v) + "\t%.7f\n"  # formatted once per distinct latency
+        for start in range(seen, seen + count, CDF_CHUNK_LINES):
+            stop = min(start + CDF_CHUNK_LINES, seen + count)
+            yield "".join([row % (rank / n) for rank in range(start + 1, stop + 1)])
+        seen += count
 
 
 def emit_report(runs: list[RunSummary], out_dir: str, prefix: str = "run") -> list[str]:
@@ -243,9 +288,6 @@ def emit_report(runs: list[RunSummary], out_dir: str, prefix: str = "run") -> li
     for run in runs:
         cdf_path = os.path.join(out_dir, f"{prefix}_cdf_{run.label}.txt")
         with open(cdf_path, "w") as fh:
-            if run.latencies_us:
-                fh.write(render_cdf(run.latencies_us))
-            else:
-                fh.write(_HEADER)
+            fh.writelines(render_cdf(run.report.histogram if run.report else []))
         paths.append(cdf_path)
     return paths

@@ -10,12 +10,14 @@ and seed under all three collector modes.
 from __future__ import annotations
 
 import dataclasses
+import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .config import ScenarioConfig, validate
 from .httpcluster import Backend, LoadBalancer
-from .metrics import RunSummary, WorkloadConfig, generate_workload, summarize_run
+from .metrics import RunSummary, SampleLog, WorkloadConfig, generate_workload, summarize_run
 from .raft import RaftClient, RaftNode, RaftTrace
 from .runtime import (CollectorCostModel, GcMode, HeapModel, ManagedRuntime,
                       PauseEstimator, PauseInterval)
@@ -29,7 +31,7 @@ COMPARE_ORDER = ("off", "blade", "on")
 class RunResult:
     config: ScenarioConfig
     mode: str
-    samples: list[tuple[int, int, int, str, str]]  # (rid, issued, completed, server, kind)
+    samples: SampleLog
     issued: int
     pauses: list[PauseInterval]
     stats: SimStats
@@ -45,11 +47,11 @@ class RunResult:
     def in_flight(self) -> int:
         return self.issued - len(self.samples)
 
-    def latencies_us(self) -> list[int]:
-        return [s[2] - s[1] for s in self.samples]
+    def latencies_us(self) -> array:
+        return array("q", map(operator.sub, self.samples.completed, self.samples.issued))
 
     def latency_by_rid(self) -> dict[int, int]:
-        return {s[0]: s[2] - s[1] for s in self.samples}
+        return dict(zip(self.samples.rid, self.latencies_us()))
 
     def summary(self) -> RunSummary:
         return summarize_run(self.label, self.latencies_us(), self.in_flight, self.pauses)
@@ -208,10 +210,8 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
     bootstrap.voted_for = bootstrap.id
     bootstrap._become_leader()
 
-    samples: list[tuple[int, int, int, str, str]] = []
-    clients = [RaftClient(sim, cid, bootstrap.id, cfg.client_timeout_us,
-                          lambda rid, iss, done, server, kind:
-                          samples.append((rid, iss, done, server, kind)))
+    samples = SampleLog()
+    clients = [RaftClient(sim, cid, bootstrap.id, cfg.client_timeout_us, samples.add)
                for cid in client_ids]
 
     def dispatch(rid: int, kind: str) -> None:

@@ -1,11 +1,15 @@
 import math
 import random
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gcsim.metrics import (_COLUMNS, _HEADER, OverlapStat, WorkloadConfig, generate_workload,
-                           _ms, overlap_count, percentiles, render_cdf,
+from gcsim.metrics import (_COLUMNS, _HEADER, CDF_CHUNK_LINES, QUANTILE_LEVELS, OverlapStat,
+                           SampleLog, WorkloadConfig, _ms, emit_report, generate_workload,
+                           histogram, overlap_count, percentiles, render_cdf,
                            render_summary_table, summarize_run)
 from gcsim.runtime import PauseInterval
 
@@ -66,9 +70,15 @@ def test_empty_sample_set_rejected():
         percentiles([])
 
 
+def test_nearest_rank_is_exact_at_a_multiple_of_1000():
+    # 99.9 / 100.0 * 1000 is 999.0000000000001 in floating point
+    assert percentiles(range(1, 1_001)).quantiles_us[99.9] == 999
+
+
 def _oracle_nearest_rank(values, level):
-    # independent re-derivation: smallest v with count(<= v) >= ceil(level% * n)
-    need = math.ceil(level / 100 * len(values))
+    # independent re-derivation: smallest v with count(<= v) >= ceil(level% * n),
+    # the rank in exact rationals
+    need = math.ceil(Fraction(str(level)) / 100 * len(values))
     for v in sorted(set(values)):
         if sum(1 for x in values if x <= v) >= need:
             return v
@@ -83,6 +93,20 @@ def test_quantiles_match_counting_oracle(values):
             r.median_us if level == 50.0 else r.quantiles_us.get(level, r.median_us))
     assert r.max_us == max(values)
     assert r.mean_us == pytest.approx(sum(values) / len(values))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 300)), min_size=1, max_size=8),
+       st.integers(0, 10_000))
+def test_histogram_quantiles_match_exact_oracle_at_multiples_of_1000(runs, filler):
+    # a few distinct latencies, padded with one more to a multiple of 1,000 samples
+    values = [v for v, count in runs for _ in range(count)]
+    values += [filler] * (-len(values) % 1_000)
+    r = percentiles(values)
+    assert r.count % 1_000 == 0 and r.histogram == sorted(Counter(values).items())
+    assert r.median_us == _oracle_nearest_rank(values, 50.0)
+    for level in QUANTILE_LEVELS:
+        assert r.quantiles_us[level] == _oracle_nearest_rank(values, level)
 
 
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=400))
@@ -137,7 +161,7 @@ def test_overlap_matches_pairwise_intersection_oracle(raw):
 
 
 def test_cdf_is_monotone_in_both_columns():
-    text = render_cdf([5_000, 1_000, 3_000, 3_000])
+    text = "".join(render_cdf(histogram([5_000, 1_000, 3_000, 3_000])))
     rows = [line.split("\t") for line in text.splitlines() if not line.startswith("#")]
     lats = [float(r[0]) for r in rows]
     fracs = [float(r[1]) for r in rows]
@@ -166,11 +190,19 @@ _rng = random.Random(5)
     [_rng.randrange(0, 60_000) for _ in range(8)],
     [_rng.randrange(0, 60_000) for _ in range(16)],
     [_rng.randrange(2_000, 2_010) for _ in range(3_200)],
-], ids=["unsorted", "all-equal", "few-distinct", "n8", "n16", "n3200"])
-def test_cdf_matches_per_line_reference(latencies):
+    # chunk boundaries fall inside both runs of equal latencies
+    [3_000] * 80_000 + [2_048] * 70_000,
+], ids=["unsorted", "all-equal", "few-distinct", "n8", "n16", "n3200", "n150k-chunked"])
+def test_cdf_matches_per_line_reference(latencies, tmp_path):
+    expected = reference_cdf(latencies)
+    chunks = list(render_cdf(histogram(latencies)))
+    assert max(chunk.count("\n") for chunk in chunks) <= CDF_CHUNK_LINES
     # line lists keep every byte and make a mismatch cheap to report
-    got = render_cdf(latencies).splitlines(keepends=True)
-    assert got == reference_cdf(latencies).splitlines(keepends=True)
+    got = "".join(chunks).splitlines(keepends=True)
+    assert got == expected.splitlines(keepends=True)
+    _, cdf_path = emit_report([summarize_run("x", latencies, 0, [])], str(tmp_path))
+    with open(cdf_path, "rb") as fh:
+        assert fh.read() == expected.encode()
 
 
 def test_summary_table_has_row_per_run_and_ms_precision():
@@ -193,3 +225,37 @@ def test_summary_row_without_samples_keeps_the_column_count():
     empty = dict(zip(_COLUMNS, rows[1]))
     assert (empty["requests"], empty["in_flight"], empty["max"]) == ("0", "3", "-")
     assert (empty["collections"], empty["overlapping"], empty["forced"]) == ("1", "0", "0")
+
+
+# -- memory -----------------------------------------------------------------------
+
+
+def _held_bytes(build):
+    """Bytes still allocated after ``build()`` returns, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_log_holds_at_most_48_bytes_per_sample():
+    def build():
+        log = SampleLog()
+        for rid in range(100_000):
+            log.add(rid, 10 * rid, 10 * rid + 2_048, "b0", "http")
+        return log
+
+    held, log = _held_bytes(build)
+    assert len(log) == 100_000
+    assert log[-1] == list(log)[-1] == (99_999, 999_990, 1_002_038, "b0", "http")
+    assert held / len(log) <= 48  # a list of tuples holds about 176
+
+
+def test_summary_of_equal_latencies_holds_a_one_row_histogram():
+    latencies = [2_048] * 100_000
+    held, summary = _held_bytes(lambda: summarize_run("blade", latencies, 0, []))
+    assert summary.report.histogram == [(2_048, 100_000)]
+    assert held < 16_384  # a sorted copy of the samples holds 800,000

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional
 
 from .runtime import PauseInterval
 
@@ -147,7 +147,10 @@ def nearest_rank(level: float, n: int) -> int:
 
 
 def histogram(latencies_us: Iterable[int]) -> list[tuple[int, int]]:
-    """Sorted ``(latency, count)`` pairs, one per distinct latency."""
+    """Sorted ``(latency, count)`` pairs, one per distinct latency.
+
+    A ``Counter`` stands for the latencies it counts.
+    """
     return sorted(Counter(latencies_us).items())
 
 
@@ -214,7 +217,7 @@ class RunSummary:
     max_pause_us: int
 
 
-def summarize_run(label: str, latencies_us: Sequence[int], in_flight: int,
+def summarize_run(label: str, latencies_us: Collection[int], in_flight: int,
                   pauses: list[PauseInterval]) -> RunSummary:
     durations = [p.end_us - p.start_us for p in pauses]
     return RunSummary(

@@ -2,8 +2,11 @@
 
 Nodes are event-driven state machines over the simulation's message fabric:
 leader election with randomized timeouts, log replication committed on a
-majority round-trip, and leader-local reads.  On top of plain Raft sit the
-two collection-coordination machines:
+majority round-trip, and leader-local reads.  A leader's fan-out builds one
+``AppendEntries`` per distinct next index, shared by the peers at it, and
+commits the largest index a majority has matched once that entry is from the
+current term.  On top of plain Raft sit the two collection-coordination
+machines:
 
 * Followers ask the leader before pausing and collect once allowed; if the
   leadership changes while an ask is outstanding, the ask is re-sent to the
@@ -147,9 +150,6 @@ class RaftTrace:
     def record_role(self, node: NodeId, time: int, term: int, role: Role) -> None:
         self.role_changes.setdefault(node, []).append((time, term, role))
 
-    def record_apply(self, node: NodeId, index: int, term: int, op: tuple) -> None:
-        self.applied.setdefault(node, []).append((index, term, op))
-
     def role_at(self, node: NodeId, time: int) -> Role:
         role = Role.FOLLOWER
         for t, _term, r in self.role_changes.get(node, []):
@@ -224,6 +224,17 @@ class RaftNode:
 
         # pause plumbing
         self.inbox: deque[tuple[NodeId, Any]] = deque()
+        self._handlers: dict[type, Callable[[NodeId, Any], None]] = {
+            AppendEntries: self._on_append,
+            AppendReply: self._on_append_reply,
+            ClientRequest: self._on_client,
+            RequestVote: self._on_request_vote,
+            VoteReply: self._on_vote_reply,
+            FastSwitch: self._on_fast_switch,
+            AskGC: self._on_ask_gc,
+            AllowGC: self._on_allow_gc,
+            DoneGC: self._on_done_gc,
+        }
         runtime.on_pause = self._on_pause
         if runtime.mode is GcMode.BLADE:
             runtime.reg_gc_hand(self._on_gc_offer)
@@ -262,38 +273,16 @@ class RaftNode:
         if self.runtime.is_paused:
             self.inbox.append((src, msg))
             return
-        self._handle(src, msg)
+        self._handlers[type(msg)](src, msg)
 
     def _on_pause(self, start_us: int, end_us: int) -> None:
         self.sim.schedule_at(end_us, self._wake)
 
     def _wake(self, _arg=None) -> None:
-        while self.inbox and not self.runtime.is_paused:
-            src, msg = self.inbox.popleft()
-            self._handle(src, msg)
-
-    def _handle(self, src: NodeId, msg: Any) -> None:
-        kind = type(msg)
-        if kind is AppendEntries:
-            self._on_append(src, msg)
-        elif kind is AppendReply:
-            self._on_append_reply(src, msg)
-        elif kind is ClientRequest:
-            self._on_client(msg)
-        elif kind is RequestVote:
-            self._on_request_vote(src, msg)
-        elif kind is VoteReply:
-            self._on_vote_reply(src, msg)
-        elif kind is FastSwitch:
-            self._on_fast_switch(src, msg)
-        elif kind is AskGC:
-            self._on_ask_gc(src, msg)
-        elif kind is AllowGC:
-            self._on_allow_gc(src, msg)
-        elif kind is DoneGC:
-            self._on_done_gc(src, msg)
-        else:
-            raise ValueError(f"node {self.id} got unknown message {msg!r}")
+        inbox, handlers = self.inbox, self._handlers
+        while inbox and not self.runtime.is_paused:
+            src, msg = inbox.popleft()
+            handlers[type(msg)](src, msg)
 
     # -- elections ----------------------------------------------------------------
 
@@ -388,8 +377,7 @@ class RaftNode:
         # A fresh entry in the new term is what lets the commit rule advance
         # over entries inherited from previous leaders.
         self.log.append((self.term, ("noop",), None))
-        for peer in self.peers:
-            self._send_append(peer)
+        self._replicate()
         self.sim.schedule_after(self.heartbeat_us, self._heartbeat)
         if self.req_in_flight:
             self._ask_gc()
@@ -400,41 +388,70 @@ class RaftNode:
         if self.runtime.is_paused:
             self.sim.schedule_at(self.runtime.paused_until, self._heartbeat)
             return
-        for peer in self.peers:
-            self._send_append(peer)
+        self._replicate()
         self.sim.schedule_after(self.heartbeat_us, self._heartbeat)
 
     # -- log replication -------------------------------------------------------------
 
-    def _send_append(self, peer: NodeId) -> None:
-        nxt = self.next_index[peer]
+    def _append_from(self, nxt: int) -> AppendEntries:
+        """The AppendEntries carrying the log from index ``nxt`` on."""
         prev = nxt - 1
-        entries = tuple(self.log[prev:])
-        self._send(peer, AppendEntries(self.term, self.id, prev, self._term_at(prev),
-                                       entries, self.commit_index))
+        log = self.log
+        return AppendEntries(self.term, self.id, prev, log[prev - 1][0] if prev else 0,
+                             tuple(log[prev:]), self.commit_index)
+
+    def _send_append(self, peer: NodeId) -> None:
+        self._send(peer, self._append_from(self.next_index[peer]))
+
+    def _replicate(self) -> None:
+        """Send every peer the log from its next index on, in peer order.
+
+        Peers at the same next index share one message, which no receiver
+        mutates.
+        """
+        built: dict[int, AppendEntries] = {}
+        next_index = self.next_index
+        for peer in self.peers:
+            nxt = next_index[peer]
+            msg = built.get(nxt)
+            if msg is None:
+                msg = built[nxt] = self._append_from(nxt)
+            self._send(peer, msg)
 
     def _on_append(self, src: NodeId, m: AppendEntries) -> None:
-        if m.term < self.term:
+        if m.term != self.term or m.leader != self.leader_hint:
+            if m.term < self.term:
+                self._send(src, AppendReply(self.term, False, 0))
+                return
+            self._become_follower(m.term, m.leader)
+        else:
+            # The known leader of this term (only a follower's hint names
+            # another node): _become_follower would only note the contact.
+            self.last_contact = self.sim.now
+        log = self.log
+        prev = m.prev_index
+        n = len(log)
+        if prev > n or (prev and log[prev - 1][0] != m.prev_term):
             self._send(src, AppendReply(self.term, False, 0))
             return
-        self._become_follower(m.term, m.leader)
-        if m.prev_index > self.last_index or \
-                (m.prev_index >= 1 and self._term_at(m.prev_index) != m.prev_term):
-            self._send(src, AppendReply(self.term, False, 0))
-            return
-        for k, entry in enumerate(m.entries):
-            idx = m.prev_index + 1 + k
-            if idx <= self.last_index:
-                if self.log[idx - 1][0] != entry[0]:
-                    del self.log[idx - 1:]
-                    self.log.append(entry)
-            else:
-                self.log.append(entry)
-        new_commit = min(m.leader_commit, self.last_index)
+        entries = m.entries
+        if prev == n:
+            log.extend(entries)
+        elif entries:
+            # Keep the entries both logs hold; from the first conflict on,
+            # the leader's entries replace this node's.
+            end = min(prev + len(entries), n)
+            k = prev
+            while k < end and log[k][0] == entries[k - prev][0]:
+                k += 1
+            if k < prev + len(entries):
+                del log[k:]
+                log.extend(entries[k - prev:])
+        new_commit = min(m.leader_commit, len(log))
         if new_commit > self.commit_index:
             self.commit_index = new_commit
             self._apply_committed()
-        self._send(src, AppendReply(self.term, True, m.prev_index + len(m.entries)))
+        self._send(src, AppendReply(self.term, True, prev + len(entries)))
 
     def _on_append_reply(self, src: NodeId, m: AppendReply) -> None:
         if m.term > self.term:
@@ -446,45 +463,59 @@ class RaftNode:
             self.next_index[src] = max(1, self.next_index[src] - 1)
             self._send_append(src)
             return
-        if m.match_index > self.match_index[src]:
-            self.match_index[src] = m.match_index
-        self.next_index[src] = max(self.next_index[src], m.match_index + 1)
-        self._advance_commit()
+        match = m.match_index
+        match_index = self.match_index
+        if match > match_index[src]:
+            match_index[src] = match
+            if match > self.commit_index:
+                self._advance_commit()
+        next_index = self.next_index
+        if next_index[src] <= match:
+            next_index[src] = match + 1
+        last = len(self.log)
         if self.switch_target is not None and \
-                self.match_index.get(self.switch_target, 0) >= self.last_index:
+                match_index.get(self.switch_target, 0) >= last:
             self.sim.schedule_after(0, self._check_switch)
-        elif self.next_index[src] <= self.last_index:
+        elif next_index[src] <= last:
             self._send_append(src)
 
     def _advance_commit(self) -> None:
-        # Commit the highest majority-replicated index whose entry is from the
-        # current term; that implicitly commits everything before it.
-        n = self.last_index
-        while n > self.commit_index:
-            acks = 1 + sum(1 for p in self.peers if self.match_index[p] >= n)
-            if acks >= self.majority and self.log[n - 1][0] == self.term:
-                break
-            n -= 1
-        if n > self.commit_index:
+        """Commit the largest index a majority holds, this node included, if
+        its entry is from the current term; that commits all before it.
+
+        Terms never fall along a leader's log, so no smaller index can pass
+        the term test where that one fails (Ongaro 2014, section 3.6.2).
+        Only a rise in some match index past ``commit_index`` can move it.
+        """
+        others = self.majority - 1  # peers that must hold the entry
+        n = len(self.log)
+        if others:
+            n = min(n, sorted(self.match_index.values(), reverse=True)[others - 1])
+        if n > self.commit_index and self.log[n - 1][0] == self.term:
             self.commit_index = n
             self._apply_committed()
 
     def _apply_committed(self) -> None:
+        # The role is read per entry: an allocation may pause this node or
+        # start a handoff.
+        log, awaiting = self.log, self._awaiting_commit
+        applied = self.trace.applied.setdefault(self.id, [])
+        runtime, nbytes = self.runtime, self.bytes_per_request
         while self.last_applied < self.commit_index:
-            self.last_applied += 1
-            term, op, rid = self.log[self.last_applied - 1]
+            index = self.last_applied = self.last_applied + 1
+            term, op, _rid = log[index - 1]
             if op[0] == "set":
                 self.kv[op[1]] = op[2]
-                self.runtime.allocate(self.bytes_per_request)
-            self.trace.record_apply(self.id, self.last_applied, term, op)
-            pending = self._awaiting_commit.pop(self.last_applied, None)
+                runtime.allocate(nbytes)
+            applied.append((index, term, op))
+            pending = awaiting.pop(index, None)
             if pending is not None and self.role is Role.LEADER:
-                client, rid_ = pending
-                self._schedule_reply(client, ClientReply(rid_, "ok", self.leader_hint))
+                client, rid = pending
+                self._schedule_reply(client, ClientReply(rid, "ok", self.leader_hint))
 
     # -- client requests ------------------------------------------------------------
 
-    def _on_client(self, m: ClientRequest) -> None:
+    def _on_client(self, src: NodeId, m: ClientRequest) -> None:
         if self.role is not Role.LEADER:
             if self.proxy_mode and self.leader_hint and self.leader_hint != self.id:
                 self._send(self.leader_hint, m)
@@ -497,8 +528,7 @@ class RaftNode:
         else:
             self.log.append((self.term, m.op, m.rid))
             self._awaiting_commit[self.last_index] = (m.client, m.rid)
-            for peer in self.peers:
-                self._send_append(peer)
+            self._replicate()
         # Allocation last: a collection offer triggered here may schedule a
         # leadership handoff, which must observe the appended entry above.
         self.runtime.allocate(self.bytes_per_request)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -54,7 +55,8 @@ class RunResult:
         return dict(zip(self.samples.rid, self.latencies_us()))
 
     def summary(self) -> RunSummary:
-        return summarize_run(self.label, self.latencies_us(), self.in_flight, self.pauses)
+        counts = Counter(map(operator.sub, self.samples.completed, self.samples.issued))
+        return summarize_run(self.label, counts, self.in_flight, self.pauses)
 
 
 class _WorkloadDriver:

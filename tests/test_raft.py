@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsim.raft import (AllowGC, AskGC, ClientReply, ClientRequest, LeaderNotice,
-                        RaftClient, RaftNode, RaftTrace, Role)
+from gcsim.raft import (AllowGC, AppendEntries, AppendReply, AskGC, ClientReply,
+                        ClientRequest, LeaderNotice, RaftClient, RaftNode, RaftTrace, Role)
 from gcsim.raftcheck import check_history, check_log_matching
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
@@ -157,6 +157,164 @@ def test_no_commit_without_majority_until_a_follower_returns():
     assert samples == []  # both followers buffered, no quorum
     sim.run_until(500_000)
     assert len(samples) == 1  # acked right after wake
+
+
+def test_fan_out_shares_one_message_per_next_index_in_peer_order():
+    sim, nodes, clients, samples, _ = make_cluster(n=5)
+    sim.run_until(1_000)  # every follower holds the leader's first entry
+    leader = nodes[0]
+    leader.next_index["n2"] = 1  # n2 lags: it is sent the whole log
+    sent = []
+    send = sim.send
+    sim.send = lambda src, dst, msg: sent.append((dst, msg)) or send(src, dst, msg)
+    leader.deliver("c0", ClientRequest("c0", 1, ("set", "k", 7)))
+    appends = [(dst, msg) for dst, msg in sent if type(msg) is AppendEntries]
+    assert [dst for dst, _ in appends] == ["n1", "n2", "n3", "n4"]
+    (_, one), (_, lagging), (_, three), (_, four) = appends
+    assert one is three is four
+    assert (one.prev_index, one.entries) == (1, tuple(leader.log[1:]))
+    assert (lagging.prev_index, lagging.entries) == (0, tuple(leader.log))
+
+
+# -- the replication handlers against the loops they replaced -----------------------
+
+
+class ReferenceRaftNode(RaftNode):
+    """The per-index commit rescan, per-entry append loop and apply loop that
+    the fast paths of :class:`RaftNode` replaced, kept as an oracle."""
+
+    def _on_append(self, src, m):
+        if m.term < self.term:
+            self._send(src, AppendReply(self.term, False, 0))
+            return
+        self._become_follower(m.term, m.leader)
+        if m.prev_index > self.last_index or \
+                (m.prev_index >= 1 and self._term_at(m.prev_index) != m.prev_term):
+            self._send(src, AppendReply(self.term, False, 0))
+            return
+        for k, entry in enumerate(m.entries):
+            idx = m.prev_index + 1 + k
+            if idx <= self.last_index:
+                if self.log[idx - 1][0] != entry[0]:
+                    del self.log[idx - 1:]
+                    self.log.append(entry)
+            else:
+                self.log.append(entry)
+        new_commit = min(m.leader_commit, self.last_index)
+        if new_commit > self.commit_index:
+            self.commit_index = new_commit
+            self._apply_committed()
+        self._send(src, AppendReply(self.term, True, m.prev_index + len(m.entries)))
+
+    def _advance_commit(self):
+        n = self.last_index
+        while n > self.commit_index:
+            acks = 1 + sum(1 for p in self.peers if self.match_index[p] >= n)
+            if acks >= self.majority and self.log[n - 1][0] == self.term:
+                break
+            n -= 1
+        if n > self.commit_index:
+            self.commit_index = n
+            self._apply_committed()
+
+    def _apply_committed(self):
+        while self.last_applied < self.commit_index:
+            self.last_applied += 1
+            term, op, rid = self.log[self.last_applied - 1]
+            if op[0] == "set":
+                self.kv[op[1]] = op[2]
+                self.runtime.allocate(self.bytes_per_request)
+            self.trace.applied.setdefault(self.id, []).append((self.last_applied, term, op))
+            pending = self._awaiting_commit.pop(self.last_applied, None)
+            if pending is not None and self.role is Role.LEADER:
+                client, rid_ = pending
+                self._schedule_reply(client, ClientReply(rid_, "ok", self.leader_hint))
+
+
+def lone_node(cls, size, log_terms, tag):
+    """Node n1 of a ``size``-server cluster whose other members and client c0
+    only record what they receive; its log holds one set per term given."""
+    sim = Simulation(seed=1, network=NetworkModel.from_rtt(RTT))
+    ids = ["n1"] + [f"n{i}" for i in range(size + 1) if i != 1][:size - 1]
+    received = []
+    for other in ids[1:] + ["c0"]:
+        sim.add_node(other, lambda src, msg, dst=other:
+                     received.append((sim.now, src, dst, msg)))
+    runtime = ManagedRuntime(sim, "n1", HeapModel(100 * MIB, 200 * MIB, GIB),
+                             CollectorCostModel(25_000, 1_000), PauseEstimator(),
+                             mode=GcMode.OFF)
+    node = cls(sim, "n1", ids, runtime, RaftTrace(), client_ids=["c0"])
+    node.log[:] = [(t, ("set", f"k{i % 3}", (tag, i)), None)
+                   for i, t in enumerate(log_terms)]
+    sim.run_until(1_000)
+    return sim, node, received
+
+
+def node_state(node, received):
+    return (node.term, node.role, node.voted_for, node.leader_hint, node.last_contact,
+            node.log, node.commit_index, node.last_applied, node.kv,
+            node.trace.applied, node.trace.role_changes, node._awaiting_commit,
+            [(due, reply) for _client, reply, due, _handle
+             in node._pending_replies.values()], received)
+
+
+_terms = st.lists(st.integers(1, 4), max_size=8).map(sorted)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 7), _terms, st.data())
+def test_commit_rule_matches_the_per_index_rescan(size, log_terms, data):
+    term = data.draw(st.integers(max(log_terms, default=1), 5), label="term")
+    matches = data.draw(st.lists(st.integers(0, len(log_terms) + 1),
+                                 min_size=size - 1, max_size=size - 1), label="matches")
+    commit = data.draw(st.integers(0, len(log_terms)), label="commit")
+    waiting = data.draw(st.sets(st.integers(commit + 1, len(log_terms) + 1)),
+                        label="awaiting")
+    states = []
+    for cls in (RaftNode, ReferenceRaftNode):
+        sim, node, received = lone_node(cls, size, log_terms, "l")
+        node.term, node.role, node.leader_hint = term, Role.LEADER, "n1"
+        node.commit_index = node.last_applied = commit
+        node.match_index = dict(zip(node.peers, matches))
+        node._awaiting_commit.update((i, ("c0", i)) for i in waiting)
+        node._advance_commit()
+        sim.run_until(2_000)
+        states.append(node_state(node, received))
+    assert states[0] == states[1]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_terms, st.data())
+def test_follower_append_matches_the_entry_loop(log_terms, data):
+    """Appends that hit or miss ``prev_index``, overlap the log, conflict
+    with it and truncate it, or come from a stale term or an unknown leader."""
+    term = data.draw(st.integers(max(log_terms, default=1), 5), label="term")
+    role = data.draw(st.sampled_from([Role.FOLLOWER, Role.CANDIDATE]), label="role")
+    hint = None if role is Role.CANDIDATE else data.draw(
+        st.sampled_from([None, "n0", "n2"]), label="hint")
+    commit = data.draw(st.integers(0, len(log_terms)), label="commit")
+    prev = data.draw(st.integers(0, len(log_terms) + 1), label="prev_index")
+    if prev and prev <= len(log_terms) and data.draw(st.booleans(), label="hit"):
+        prev_term = log_terms[prev - 1]
+    else:
+        prev_term = data.draw(st.integers(0, 5), label="prev_term")
+    entries = data.draw(st.lists(st.integers(1, 5), max_size=5).map(sorted),
+                        label="entry terms")
+    m_term = data.draw(st.integers(max(term - 1, 0), term + 1), label="m.term")
+    leader_commit = data.draw(st.integers(0, prev + len(entries) + 1),
+                              label="leader_commit")
+    msg = AppendEntries(m_term, "n0", prev, prev_term,
+                        tuple((t, ("set", "k", ("l", k)), None)
+                              for k, t in enumerate(entries)), leader_commit)
+    states = []
+    for cls in (RaftNode, ReferenceRaftNode):
+        sim, node, received = lone_node(cls, 3, log_terms, "f")
+        node.term, node.role, node.leader_hint = term, role, hint
+        node.commit_index = node.last_applied = commit
+        node.deliver("n0", msg)
+        sim.run_until(2_000)
+        states.append(node_state(node, received))
+    assert states[0] == states[1]
 
 
 # -- client retries ---------------------------------------------------------------------

@@ -4,13 +4,25 @@ Lines are ``key = value`` pairs; ``#`` starts a comment and blank lines are
 skipped.  The ``system`` key (``raft`` or ``http``) selects the default
 block, so an empty file yields the reference replicated key-value setup:
 3 nodes, 100 requests/s at a 3:1 get/set mix over a 48 us RTT network.
-Unknown keys and malformed values are rejected with the offending line
-number; every field is validated before a run starts.
+A malformed or duplicate line is rejected with its line number, an unknown
+key or an unparsable value with the key's name.
+
+A :class:`ScenarioConfig` is immutable and valid once it is built.  Its
+constructor checks each field against its declared type (an ``int`` field
+takes an int and not a bool, ``gcoff_slowdown`` an int or a float, a ``str``
+field a str) and then every range and cross-field rule, among them a finite
+``gcoff_slowdown`` of at least 1.0 and an even ``rtt_us``.  A scenario file,
+``default_config(**overrides)`` and the overrides of ``run_scenario`` all
+build through that constructor, so they refuse the same values with a
+:class:`ConfigError` that names the field.  A variant is made with
+``default_config(...)`` or ``dataclasses.replace``, which checks it again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import typing
 from dataclasses import dataclass
 
 from .runtime import GIB, MIB
@@ -20,12 +32,12 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     # topology
     system: str = "raft"            # raft | http
     nodes: int = 3
-    rtt_us: int = 48
+    rtt_us: int = 48                # even: each direction takes half
     jitter_us: int = 0
     seed: int = 1
     gc_mode: str = "blade"          # on | off | blade
@@ -61,6 +73,40 @@ class ScenarioConfig:
     collection_timeout_factor: int = 10
     gc_nodes: str = "all"           # all | followers
 
+    def __post_init__(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise ConfigError(f"field {name!r}: expected {kind.__name__}, got {value!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"field {name!r}: must be one of {', '.join(choices)}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"field {name!r}: must be positive")
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"field {name!r}: must be non-negative")
+        if not 1.0 <= self.gcoff_slowdown < math.inf:  # also refuses nan
+            raise ConfigError("field 'gcoff_slowdown': must be finite and >= 1.0")
+        if self.rtt_us % 2:
+            raise ConfigError("field 'rtt_us': must be even, each direction takes half")
+        if self.mix_get + self.mix_set <= 0:
+            raise ConfigError("field 'mix_get'/'mix_set': the request mix is empty")
+        if self.live_bytes >= self.effective_trigger_bytes():
+            raise ConfigError("field 'trigger_bytes': must exceed the live set")
+        # A deferred collection needs room to wait: keep 20% of the hard limit
+        # between the trigger and the limit.
+        if self.effective_trigger_bytes() + self.hard_limit_bytes // 5 > self.hard_limit_bytes:
+            raise ConfigError(
+                "field 'trigger_bytes': trigger plus 20% headroom exceeds the hard limit")
+        if self.election_timeout_min_ms > self.election_timeout_max_ms:
+            raise ConfigError("field 'election_timeout_min_ms': exceeds the maximum")
+        if self.system == "raft" and self.nodes < 3:
+            raise ConfigError("field 'nodes': a replicated cluster needs at least 3 servers")
+        if self.system == "raft" and self.nodes % 2 == 0:
+            raise ConfigError("field 'nodes': use an odd cluster size")
+
     # -- derived values -----------------------------------------------------
 
     def effective_trigger_bytes(self) -> int:
@@ -70,22 +116,16 @@ class ScenarioConfig:
         return self.duration_s * 1_000_000
 
 
+# Field name -> declared type (int, float or str): the parser and the
+# constructor's type check both read it.
+_FIELD_TYPES: dict[str, type] = typing.get_type_hints(ScenarioConfig)
+
 _HTTP_DEFAULTS = {
     "rate_rps": 6_000,
     "duration_s": 60,
     "live_bytes": 150 * MIB,
     "bytes_per_request": 6_554,   # ~12.5 MiB/s per backend at 2000 req/s
     "service_time_us": 2_000,
-}
-
-_INT_FIELDS = {
-    f.name for f in dataclasses.fields(ScenarioConfig) if f.type in ("int",)
-}
-_FLOAT_FIELDS = {
-    f.name for f in dataclasses.fields(ScenarioConfig) if f.type in ("float",)
-}
-_STR_FIELDS = {
-    f.name for f in dataclasses.fields(ScenarioConfig) if f.type in ("str",)
 }
 
 _CHOICES = {
@@ -110,26 +150,13 @@ _NON_NEGATIVE = {
 }
 
 
-def _defaults(system: str) -> ScenarioConfig:
-    """The default block for ``system``; an unknown system is left to ``validate``."""
-    cfg = ScenarioConfig(system=system)
-    if system == "http":
-        for key, value in _HTTP_DEFAULTS.items():
-            setattr(cfg, key, value)
-    return cfg
-
-
 def default_config(system: str = "raft", **overrides) -> ScenarioConfig:
     """Reference configuration for a system, with keyword overrides applied."""
-    if system not in _CHOICES["system"]:
-        raise ConfigError(f"field 'system': must be one of raft, http")
-    cfg = _defaults(system)
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
+    for key in overrides:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}")
-        setattr(cfg, key, value)
-    validate(cfg)
-    return cfg
+    defaults = _HTTP_DEFAULTS if system == "http" else {}
+    return ScenarioConfig(system=system, **{**defaults, **overrides})
 
 
 def parse_lines(lines: list[str]) -> dict[str, str]:
@@ -150,57 +177,22 @@ def parse_lines(lines: list[str]) -> dict[str, str]:
 
 
 def config_from_pairs(pairs: dict[str, str]) -> ScenarioConfig:
-    cfg = _defaults(pairs.get("system", "raft"))
-    known = _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS
-    for key, value in pairs.items():
-        if key not in known:
+    """Parse each value by its field's type, in file order, then build the config."""
+    values = {}
+    for key, text in pairs.items():
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                setattr(cfg, key, int(value.replace("_", "")))
-            elif key in _FLOAT_FIELDS:
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
+            values[key] = _FIELD_TYPES[key](text)
         except ValueError:
-            raise ConfigError(f"field {key!r}: cannot parse {value!r}") from None
-    validate(cfg)
-    return cfg
+            raise ConfigError(f"field {key!r}: cannot parse {text!r}") from None
+    return default_config(**values)
 
 
 def parse_config(path: str) -> ScenarioConfig:
     """Load and validate a scenario file; defaults fill every omitted key."""
     with open(path) as fh:
         return config_from_pairs(parse_lines(fh.readlines()))
-
-
-def validate(cfg: ScenarioConfig) -> None:
-    for name, choices in _CHOICES.items():
-        if getattr(cfg, name) not in choices:
-            raise ConfigError(f"field {name!r}: must be one of {', '.join(choices)}")
-    for name in _POSITIVE:
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"field {name!r}: must be positive")
-    for name in _NON_NEGATIVE:
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"field {name!r}: must be non-negative")
-    if cfg.gcoff_slowdown < 1.0:
-        raise ConfigError("field 'gcoff_slowdown': must be >= 1.0")
-    if cfg.mix_get + cfg.mix_set <= 0:
-        raise ConfigError("field 'mix_get'/'mix_set': the request mix is empty")
-    if cfg.live_bytes >= cfg.effective_trigger_bytes():
-        raise ConfigError("field 'trigger_bytes': must exceed the live set")
-    # A deferred collection needs room to wait: keep 20% of the hard limit
-    # between the trigger and the limit.
-    if cfg.effective_trigger_bytes() + cfg.hard_limit_bytes // 5 > cfg.hard_limit_bytes:
-        raise ConfigError(
-            "field 'trigger_bytes': trigger plus 20% headroom exceeds the hard limit")
-    if cfg.election_timeout_min_ms > cfg.election_timeout_max_ms:
-        raise ConfigError("field 'election_timeout_min_ms': exceeds the maximum")
-    if cfg.system == "raft" and cfg.nodes < 3:
-        raise ConfigError("field 'nodes': a replicated cluster needs at least 3 servers")
-    if cfg.system == "raft" and cfg.nodes % 2 == 0:
-        raise ConfigError("field 'nodes': use an odd cluster size")
 
 
 def serialize(cfg: ScenarioConfig) -> str:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .config import ScenarioConfig, validate
+from .config import ScenarioConfig
 from .httpcluster import Backend, LoadBalancer
 from .metrics import RunSummary, SampleLog, WorkloadConfig, generate_workload, summarize_run
 from .raft import RaftClient, RaftNode, RaftTrace
@@ -104,27 +104,12 @@ def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,
                           background_interval_us=cfg.background_alloc_interval_us)
 
 
-def _apply_overrides(cfg: ScenarioConfig, mode: Optional[str], seed: Optional[int],
-                     duration_s: Optional[int]) -> ScenarioConfig:
-    changes = {}
-    if mode is not None:
-        changes["gc_mode"] = mode
-    if seed is not None:
-        changes["seed"] = seed
-    if duration_s is not None:
-        changes["duration_s"] = duration_s
-    if not changes:
-        return cfg
-    cfg = dataclasses.replace(cfg, **changes)
-    validate(cfg)
-    return cfg
-
-
 def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
                  seed: Optional[int] = None,
                  duration_s: Optional[int] = None) -> RunResult:
-    """Run one scenario; overrides are validated like the same config keys."""
-    cfg = _apply_overrides(cfg, mode, seed, duration_s)
+    """Run one scenario; overrides are checked like the same config keys."""
+    overrides = {"gc_mode": mode, "seed": seed, "duration_s": duration_s}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     sim = Simulation(seed=cfg.seed,
                      network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
     build = _build_http if cfg.system == "http" else _build_raft

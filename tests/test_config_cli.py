@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import pathlib
 import subprocess
 import sys
 
@@ -7,6 +10,10 @@ from gcsim.cli import main
 from gcsim.config import (ConfigError, ScenarioConfig, config_from_pairs,
                           default_config, parse_config, parse_lines, serialize)
 from gcsim.runtime import MIB, GIB
+from gcsim.scenarios import run_scenario
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED = ["configs/raft_desk.cfg", "configs/http_cluster.cfg", "perfbench/raft_churn.cfg"]
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -40,9 +47,11 @@ def test_fig_scale_http_setup(tmp_path):
         "nodes = 3\n"
         "hard_limit_bytes = 1073741824\n"
         "live_bytes = 157286400\n"
+        "bytes_per_request = 8_192\n"
     )
     cfg = parse_config(write(tmp_path, text))
     assert cfg.hard_limit_bytes == GIB
+    assert cfg.bytes_per_request == 8_192
     assert cfg.live_bytes == 150 * MIB
     assert cfg.effective_trigger_bytes() == 300 * MIB
 
@@ -94,16 +103,65 @@ def test_even_cluster_size_rejected():
 
 
 def test_round_trip_is_idempotent(tmp_path):
-    cfg = default_config("http", seed=9, rate_rps=1234, jitter_us=3)
-    text = serialize(cfg)
-    reparsed = parse_config(write(tmp_path, text))
-    assert reparsed == cfg
-    assert serialize(reparsed) == text
+    configs = [default_config("http", seed=9, rate_rps=1234, jitter_us=3),
+               default_config("raft"), default_config("http")]
+    configs += [parse_config(str(ROOT / name)) for name in SHIPPED]
+    for cfg in configs:
+        text = serialize(cfg)
+        reparsed = parse_config(write(tmp_path, text))
+        assert reparsed == cfg
+        assert serialize(reparsed) == text
 
 
 def test_default_config_rejects_unknown_override():
     with pytest.raises(ConfigError):
         default_config("raft", no_such_field=1)
+
+
+def test_config_is_frozen():
+    cfg = default_config("raft")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 2
+
+
+# (key, value as Python, value as file text); None marks a path that cannot
+# carry the value: "5" is valid file text, and "_5_" has no Python form.
+BAD_INPUTS = [
+    ("nodes", "5", None),
+    ("nodes", True, "True"),
+    ("nodes", 48.5, "48.5"),
+    ("seed", "5", None),
+    ("seed", True, "True"),
+    ("duration_s", 48.5, "48.5"),
+    ("gcoff_slowdown", math.inf, "inf"),
+    ("gcoff_slowdown", math.nan, "nan"),
+    ("seed", 0, "0"),
+    ("duration_s", -1, "-1"),
+    ("gc_mode", "never", "never"),
+    ("rtt_us", 49, "49"),
+    ("rate_rsp", 100, "100"),
+    ("nodes", None, "_5_"),
+    ("rtt_us", None, "1__0"),
+]
+# run_scenario keyword for each field it can override
+OVERRIDES = {"gc_mode": "mode", "seed": "seed", "duration_s": "duration_s"}
+
+
+@pytest.mark.parametrize("key,value,text", BAD_INPUTS)
+def test_every_input_path_refuses_a_bad_value_naming_its_field(tmp_path, capsys, key,
+                                                               value, text):
+    if text is not None:
+        path = write(tmp_path, f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+    if value is not None:
+        with pytest.raises(ConfigError, match=key):
+            default_config("raft", **{key: value})
+        if key in OVERRIDES:
+            with pytest.raises(ConfigError, match=key):
+                run_scenario(default_config("raft"), **{OVERRIDES[key]: value})
 
 
 # -- command line ----------------------------------------------------------------
@@ -183,7 +241,5 @@ def test_cli_entry_point_runs_as_module(tmp_path):
 
 @pytest.mark.parametrize("name", ["configs/raft_desk.cfg", "configs/http_cluster.cfg"])
 def test_shipped_configs_parse(name):
-    import pathlib
-    root = pathlib.Path(__file__).resolve().parents[1]
-    cfg = parse_config(str(root / name))
+    cfg = parse_config(str(ROOT / name))
     assert cfg.gc_mode == "blade"

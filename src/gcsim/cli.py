@@ -2,8 +2,10 @@
 
 ``gcsim run <config>`` executes one scenario and writes its report;
 ``gcsim compare <config>`` replays the same seed and workload under all
-three collector modes and writes a combined comparison table.  Any
-validation or runtime failure exits non-zero with the reason on stderr.
+three collector modes and writes a combined comparison table.  Each Raft
+history is checked with ``check_history`` before the report is written.  Any
+validation or runtime failure, or a safety violation, exits non-zero with
+the reason on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Optional
 
 from .config import ConfigError, parse_config
 from .metrics import emit_report, render_summary_table
+from .raftcheck import check_history
 from .scenarios import run_compare, run_scenario
 
 
@@ -60,6 +63,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             results = run_compare(cfg, seed=args.seed, duration_s=args.deadline_s)
             prefix = "compare"
+        for result in results:
+            violations = check_history(result.trace) if result.trace is not None else []
+            if violations:
+                print(f"gcsim: {result.mode} raft history is unsafe: {violations[0]}",
+                      file=sys.stderr)
+                return 1
         summaries = [r.summary() for r in results]
         paths = emit_report(summaries, args.out, prefix=prefix)
     except ConfigError as exc:  # an invalid --seed, --deadline-s or --mode

@@ -139,16 +139,49 @@ class DoneGC:
 
 
 class RaftTrace:
-    """Observational record consumed by the independent safety checker."""
+    """Observational record consumed by the independent safety checker.
+
+    Nodes report what they do; the record never reads node state.  Applied
+    entries are kept once for the cluster: ``applied[i - 1]`` is the log
+    entry ``(term, op, rid)`` first applied at index ``i``, by the node
+    ``applied_by[i - 1]``, and ``last_applied`` maps each node to the last
+    index it applied.  State-machine safety is checked as each entry is
+    reported (Ongaro 2014, section 3.6.3): ``violations`` names every index
+    a node applies out of order, and every entry whose term or op differs
+    from the one first applied at its index.
+    """
 
     def __init__(self) -> None:
         self.role_changes: dict[NodeId, list[tuple[int, int, Role]]] = {}
-        self.applied: dict[NodeId, list[tuple[int, int, tuple]]] = {}
+        self.applied: list[Optional[tuple]] = []  # None at an index skipped so far
+        self.applied_by: list[Optional[NodeId]] = []
+        self.last_applied: dict[NodeId, int] = {}
+        self.violations: list[str] = []
         self.switches: list[tuple[int, NodeId, NodeId, int]] = []
         self.final_logs: dict[NodeId, list[tuple]] = {}  # each node's own log
 
     def record_role(self, node: NodeId, time: int, term: int, role: Role) -> None:
         self.role_changes.setdefault(node, []).append((time, term, role))
+
+    def record_apply(self, node: NodeId, index: int, entry: tuple) -> None:
+        """Record that ``node`` applied its log entry ``entry`` at ``index``."""
+        last = self.last_applied.get(node, 0)
+        if index != last + 1:
+            self.violations.append(
+                f"{node} applied index {index} after index {last} (gap or reorder)")
+        self.last_applied[node] = index
+        applied, applied_by = self.applied, self.applied_by
+        if index > len(applied):  # the first report of this index
+            pad = [None] * (index - len(applied))
+            applied.extend(pad)
+            applied_by.extend(pad)
+        first = applied[index - 1]
+        if first is None:
+            applied[index - 1], applied_by[index - 1] = entry, node
+        elif first is not entry and first[:2] != entry[:2]:
+            self.violations.append(
+                f"index {index} applied as {first[:2]!r} by "
+                f"{applied_by[index - 1]} but as {entry[:2]!r} by {node}")
 
     def role_at(self, node: NodeId, time: int) -> Role:
         role = Role.FOLLOWER
@@ -499,15 +532,16 @@ class RaftNode:
         # The role is read per entry: an allocation may pause this node or
         # start a handoff.
         log, awaiting = self.log, self._awaiting_commit
-        applied = self.trace.applied.setdefault(self.id, [])
+        record_apply, node_id = self.trace.record_apply, self.id
         runtime, nbytes = self.runtime, self.bytes_per_request
         while self.last_applied < self.commit_index:
             index = self.last_applied = self.last_applied + 1
-            term, op, _rid = log[index - 1]
+            entry = log[index - 1]
+            op = entry[1]
             if op[0] == "set":
                 self.kv[op[1]] = op[2]
                 runtime.allocate(nbytes)
-            applied.append((index, term, op))
+            record_apply(node_id, index, entry)
             pending = awaiting.pop(index, None)
             if pending is not None and self.role is Role.LEADER:
                 client, rid = pending

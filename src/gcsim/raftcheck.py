@@ -1,15 +1,17 @@
 """Independent safety checker for recorded Raft histories.
 
-Works purely on the observational trace (role changes, final logs,
-per-node applied sequences) so a bug in the protocol implementation cannot
-hide itself: every check is a brute-force comparison straight from the Raft
-safety definitions.
+Works purely on what nodes report to the trace (role changes, final logs,
+applied entries), never on node state, so a bug in the protocol
+implementation cannot hide itself: every check compares the reports
+straight against the Raft safety definitions.
 
 * Election safety: at most one node assumes leadership in any term.
 * Log matching: if two logs agree on the term at some index, they are
   identical up to and including that index.
 * State-machine safety: no two nodes apply different commands at the same
-  log index.
+  log index, and each node applies indexes 1, 2, 3, ... in order.  The
+  trace checks this as each entry is applied (``RaftTrace.record_apply``),
+  against the entry first applied at that index.
 """
 
 from __future__ import annotations
@@ -52,25 +54,7 @@ def check_log_matching(trace: RaftTrace) -> list[str]:
 
 
 def check_state_machine_safety(trace: RaftTrace) -> list[str]:
-    violations = []
-    applied_at: dict[int, tuple] = {}
-    applied_by: dict[int, str] = {}
-    for node in sorted(trace.applied):
-        seen = 0
-        for index, term, op in trace.applied[node]:
-            if index != seen + 1:
-                violations.append(
-                    f"{node} applied index {index} after index {seen} (gap or reorder)")
-            seen = index
-            entry = (term, op)
-            if index in applied_at and applied_at[index] != entry:
-                violations.append(
-                    f"index {index} applied as {applied_at[index]!r} by "
-                    f"{applied_by[index]} but as {entry!r} by {node}")
-            else:
-                applied_at[index] = entry
-                applied_by[index] = node
-    return violations
+    return list(trace.violations)
 
 
 def check_history(trace: RaftTrace) -> list[str]:

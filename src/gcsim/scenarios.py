@@ -201,8 +201,10 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
     clients = [RaftClient(sim, cid, bootstrap.id, cfg.client_timeout_us, samples.add)
                for cid in client_ids]
 
+    keys = [f"k{i}" for i in range(997)]  # one string per key, shared by every log
+
     def dispatch(rid: int, kind: str) -> None:
-        key = f"k{rid % 997}"
+        key = keys[rid % 997]
         op = ("get", key) if kind == "get" else ("set", key, rid)
         clients[rid % len(clients)].submit(rid, op)
 

@@ -9,6 +9,7 @@ import pytest
 from gcsim.cli import main
 from gcsim.config import (ConfigError, ScenarioConfig, config_from_pairs,
                           default_config, parse_config, parse_lines, serialize)
+from gcsim.raft import RaftTrace
 from gcsim.runtime import MIB, GIB
 from gcsim.scenarios import run_scenario
 
@@ -199,6 +200,27 @@ def test_cli_compare_writes_three_rows(tmp_path, capsys):
     rows = [l for l in table.splitlines() if l and not l.startswith("#")]
     assert len(rows) == 4  # header + off/blade/on
     assert [r.split("\t")[0] for r in rows[1:]] == ["gc-off", "blade", "gc-on"]
+
+
+@pytest.mark.parametrize("command,first_mode", [("run", "blade"), ("compare", "off")])
+def test_cli_fails_on_an_unsafe_raft_history(tmp_path, capsys, monkeypatch, command,
+                                             first_mode):
+    record_apply = RaftTrace.record_apply
+
+    def forge_on_n2(trace, node, index, entry):  # n2 applies another op
+        if node == "n2":
+            entry = (entry[0], ("set", "forged", index), None)
+        record_apply(trace, node, index, entry)
+
+    monkeypatch.setattr(RaftTrace, "record_apply", forge_on_n2)
+    out = tmp_path / "out"
+    rc = main([command, tiny_raft_cfg(tmp_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"gcsim: {first_mode} raft history is unsafe: index 1 ")
+    assert "('set', 'forged'," in err[0] and err[0].endswith(" by n2")
+    assert not out.exists()
 
 
 def test_cli_rejects_invalid_config(tmp_path, capsys):

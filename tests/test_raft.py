@@ -224,7 +224,7 @@ class ReferenceRaftNode(RaftNode):
             if op[0] == "set":
                 self.kv[op[1]] = op[2]
                 self.runtime.allocate(self.bytes_per_request)
-            self.trace.applied.setdefault(self.id, []).append((self.last_applied, term, op))
+            self.trace.record_apply(self.id, self.last_applied, self.log[self.last_applied - 1])
             pending = self._awaiting_commit.pop(self.last_applied, None)
             if pending is not None and self.role is Role.LEADER:
                 client, rid_ = pending
@@ -253,7 +253,8 @@ def lone_node(cls, size, log_terms, tag):
 def node_state(node, received):
     return (node.term, node.role, node.voted_for, node.leader_hint, node.last_contact,
             node.log, node.commit_index, node.last_applied, node.kv,
-            node.trace.applied, node.trace.role_changes, node._awaiting_commit,
+            node.trace.applied, node.trace.applied_by, node.trace.last_applied,
+            node.trace.violations, node.trace.role_changes, node._awaiting_commit,
             [(due, reply) for _client, reply, due, _handle
              in node._pending_replies.values()], received)
 
@@ -712,6 +713,28 @@ def test_long_leader_pause_triggers_reelection_and_stays_safe():
     assert len(samples) == 200  # every request answered eventually
 
 
+def test_a_stale_log_never_wins_an_election():
+    # n2 hears no appends from 5 ms to 600 ms, so its log stops at the
+    # bootstrap entry while n0 and n1 commit sets; its vote requests must be
+    # refused, or it would lead and overwrite entries they have applied
+    sim, nodes, clients, samples, trace = make_cluster()
+    stale = nodes[2]
+
+    def lossy(src, msg):
+        if not (isinstance(msg, AppendEntries) and 5_000 <= sim.now < 600_000):
+            stale.deliver(src, msg)
+
+    sim.add_node(stale.id, lossy)
+    for i in range(40):
+        sim.schedule_at(10_000 * (i + 1),
+                        lambda _, r=i: clients[r % 2].submit(r, ("set", "x", r)))
+    sim.run_until(2_000_000)
+    assert any(role is Role.CANDIDATE for _t, _term, role in trace.role_changes["n2"])
+    assert check_history(trace) == []
+    assert all(role is not Role.LEADER for _t, _term, role in trace.role_changes["n2"])
+    assert len(samples) == 40
+
+
 def test_checker_flags_double_leadership():
     trace = RaftTrace()
     trace.role_changes = {"a": [(0, 1, Role.LEADER)], "b": [(10, 1, Role.LEADER)]}
@@ -729,10 +752,8 @@ def test_checker_flags_log_divergence():
 
 def test_checker_flags_conflicting_applies():
     trace = RaftTrace()
-    trace.applied = {
-        "a": [(1, 1, ("set", "k", 1))],
-        "b": [(1, 1, ("set", "k", 2))],
-    }
+    trace.record_apply("a", 1, (1, ("set", "k", 1), 1))
+    trace.record_apply("b", 1, (1, ("set", "k", 2), 1))
     assert any("applied" in v for v in check_history(trace))
 
 
@@ -740,9 +761,95 @@ def test_checker_accepts_prefix_histories():
     trace = RaftTrace()
     log = [(1, ("set", "k", 1), 1), (2, ("noop",), None)]
     trace.final_logs = {"a": log, "b": log[:1]}
-    trace.applied = {"a": [(1, 1, ("set", "k", 1))], "b": [(1, 1, ("set", "k", 1))]}
+    trace.record_apply("a", 1, log[0])
+    trace.record_apply("b", 1, (1, ("set", "k", 1), 7))  # equal term and op
     trace.role_changes = {"a": [(0, 1, Role.LEADER), (5, 2, Role.LEADER)]}
     assert check_history(trace) == []
+
+
+def test_checker_flags_an_apply_gap():
+    trace = RaftTrace()
+    log = [(1, ("set", "k", i), i) for i in range(1, 4)]
+    trace.record_apply("a", 1, log[0])
+    trace.record_apply("a", 3, log[2])
+    trace.record_apply("b", 1, log[0])
+    trace.record_apply("b", 2, log[1])
+    trace.record_apply("b", 3, log[2])
+    assert check_history(trace) == ["a applied index 3 after index 1 (gap or reorder)"]
+    assert trace.applied == log and trace.applied_by == ["a", "b", "a"]
+    trace.record_apply("c", 1, log[0])
+    trace.record_apply("c", 2, (1, ("set", "k", 9), 2))  # conflicts at the skipped index
+    assert check_history(trace)[1:] == [
+        "index 2 applied as (1, ('set', 'k', 2)) by b but as (1, ('set', 'k', 9)) by c"]
+
+
+def test_checker_flags_an_apply_reorder():
+    trace = RaftTrace()
+    log = [(1, ("set", "k", i), i) for i in range(1, 3)]
+    trace.record_apply("a", 2, log[1])
+    trace.record_apply("a", 1, log[0])
+    assert check_history(trace) == [
+        "a applied index 2 after index 0 (gap or reorder)",
+        "a applied index 1 after index 2 (gap or reorder)",
+    ]
+
+
+def test_checker_flags_a_conflict_reported_after_the_first_entry():
+    trace = RaftTrace()
+    first, other = (1, ("set", "k", 1), 1), (2, ("set", "k", 2), 2)
+    for node in ("a", "b"):
+        trace.record_apply(node, 1, first)
+    trace.record_apply("c", 1, other)
+    trace.record_apply("d", 1, first)
+    assert check_history(trace) == [
+        "index 1 applied as (1, ('set', 'k', 1)) by a but as (2, ('set', 'k', 2)) by c"]
+
+
+def replay_state_machine_safety(sequences):
+    """Reference: replay each node's applied sequence after the run, the
+    check ``RaftTrace.record_apply`` makes as entries are applied.  Returns
+    the gap messages and the set of indexes applied as different entries."""
+    gaps, conflicts = [], set()
+    applied_at = {}
+    for node in sorted(sequences):
+        seen = 0
+        for index, entry in sequences[node]:
+            if index != seen + 1:
+                gaps.append(f"{node} applied index {index} after index {seen} (gap or reorder)")
+            seen = index
+            if index in applied_at and applied_at[index] != entry[:2]:
+                conflicts.add(index)
+            else:
+                applied_at[index] = entry[:2]
+    return gaps, conflicts
+
+
+_entries_applied = st.tuples(st.integers(1, 2), st.sampled_from(["x", "y"]),
+                             st.integers(0, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_entries_applied, max_size=5),
+       st.lists(st.tuples(st.integers(0, 5),
+                          st.lists(st.tuples(st.integers(1, 6), _entries_applied),
+                                   max_size=2)),
+                min_size=1, max_size=3),
+       st.data())
+def test_applied_check_matches_per_node_replay(common, nodes, data):
+    # each node applies a prefix of one common log, then any stray applies,
+    # and the nodes' reports interleave in a drawn order
+    sequences = {f"n{i}": list(enumerate(common[:keep], 1)) + stray
+                 for i, (keep, stray) in enumerate(nodes)}
+    pending = {node: list(seq) for node, seq in sequences.items()}
+    trace = RaftTrace()
+    while any(pending.values()):
+        node = data.draw(st.sampled_from(sorted(n for n, seq in pending.items() if seq)))
+        index, entry = pending[node].pop(0)
+        trace.record_apply(node, index, entry)
+    gaps, conflicts = replay_state_machine_safety(sequences)
+    found = check_history(trace)
+    assert sorted(v for v in found if "gap" in v) == sorted(gaps)
+    assert {int(v.split()[1]) for v in found if "gap" not in v} == conflicts
 
 
 def forward_log_matching(trace):

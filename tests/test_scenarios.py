@@ -141,13 +141,15 @@ def test_compare_reports_match_pinned_digests(tmp_path, overrides, digests):
     assert got == digests
 
 
-# Digest of each mode's Raft record (role changes, handoffs, applied entries
-# and final logs) for the 5-server churn config at 3 simulated seconds,
-# recorded before the duplicate records were removed.  Report digests do not
-# cover this record; raftcheck and the benchmark's Raft counts read it.  The
-# blade entry was re-recorded when clients stopped reaching a new leader
-# through the old one: the handoffs are the same, the order of sets in the
-# log is not.
+# Digest of each mode's Raft record (role changes, handoffs, each node's
+# applied sequence and final logs) for the 5-server churn config at 3
+# simulated seconds, recorded before the duplicate records were removed.
+# Report digests do not cover this record; raftcheck and the benchmark's Raft
+# counts read it.  The blade entry was re-recorded when clients stopped
+# reaching a new leader through the old one: the handoffs are the same, the
+# order of sets in the log is not.  The trace keeps one entry per applied
+# index for the cluster, so each node's sequence of (index, term, op) is
+# rebuilt from it as entries 1 to that node's last applied index.
 _RAFT_RECORD_OFF_ON = "705595160d8cdd837be6062b60c246d1762c7565634ba854b07afa15f51dafc1"
 PINNED_RAFT_RECORD = {
     "off": _RAFT_RECORD_OFF_ON,
@@ -162,7 +164,11 @@ def test_compare_raft_record_matches_pinned_digest():
     got = {}
     for run in run_compare(cfg, duration_s=3):
         t = run.trace
+        assert t.violations == []
+        applied = {node: [(i, term, op) for i, (term, op, _rid)
+                          in enumerate(t.applied[:last], 1)]
+                   for node, last in t.last_applied.items()}
         record = repr((sorted(t.role_changes.items()), t.switches,
-                       sorted(t.applied.items()), sorted(t.final_logs.items())))
+                       sorted(applied.items()), sorted(t.final_logs.items())))
         got[run.mode] = hashlib.sha256(record.encode()).hexdigest()
     assert got == PINNED_RAFT_RECORD

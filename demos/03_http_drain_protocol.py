@@ -8,8 +8,7 @@ Requests never wait on a collector; the cluster briefly loses one server of
 capacity instead.
 """
 
-from gcsim import (MIB, GIB, HttpEventModel, default_config, http_model_eval,
-                   run_scenario)
+from gcsim import MIB, GIB, default_config, run_scenario
 from gcsim.httpcluster import Backend, LoadBalancer
 from gcsim.runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime, PauseEstimator
 from gcsim.simcore import NetworkModel, Simulation
@@ -24,30 +23,36 @@ rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 8_761),
 backend = Backend(sim, "b0", "lb", rt, service_time_us=2_000, parallelism=16,
                   bytes_per_request=0)
 
+# Note when each coordination message lands.
+landed = {}
+for node, deliver in (("b0", backend.deliver), ("lb", lb.deliver)):
+    def watch(src, msg, deliver=deliver):
+        landed.setdefault(msg[0], sim.now)
+        deliver(src, msg)
+    sim.add_node(node, watch)
+
 sim.schedule_at(10, lambda _: lb.route(1, 10))
 sim.schedule_at(20, lambda _: lb.route(2, 20))
 sim.schedule_at(100, lambda _: rt.allocate(200 * MIB))  # ask goes out here
 sim.run_until(1_000_000)
 
 pause = rt.pauses[0]
-print("timeline of the coordinated collection:")
+print("timeline of the coordinated collection, as measured:")
 print(f"  trigger crossed, ask sent      {100:>8} us")
-print(f"  grant received (1 RTT later)   {100 + 48:>8} us")
+print(f"  grant received                 {landed['allow']:>8} us")
 print(f"  trailers drained, pause begins {pause.start_us:>8} us")
 print(f"  pause ends, done sent          {pause.end_us:>8} us")
+print(f"  done received, routing resumes {landed['done']:>8} us")
 for rid, issued, done, server, _kind in sorted(lb.samples):
     print(f"  request {rid}: {issued} -> {done} us ({(done - issued) / 1000:.3f} ms, "
           f"untouched by the pause)")
-
-# The capacity model for that event.
-model = HttpEventModel(t_schedule=48, t_trailers=pause.start_us - 148,
-                       t_gc=pause.end_us - pause.start_us, t_rpc=24)
-result = http_model_eval(model)
-print("\ncapacity model:")
-print(f"  latency impact    {result.latency_impact_us} us")
-print(f"  capacity loss     {result.capacity_loss_servers} server")
-print(f"  capacity downtime {result.capacity_downtime_us / 1000:.3f} ms")
-print(f"  event time        {result.event_time_us / 1000:.3f} ms")
+# The backend is out of the rotation from the grant to the done report.
+print("capacity: one server out of the rotation for "
+      f"{(landed['done'] - landed['ask']) / 1000:.3f} ms =")
+print(f"  allow in flight {landed['allow'] - landed['ask']} us"
+      f" + drain {pause.start_us - landed['allow']} us"
+      f" + pause {pause.end_us - pause.start_us} us"
+      f" + done in flight {landed['done'] - pause.end_us} us")
 
 # The same protocol at cluster scale: each backend collects about twice.
 cfg = default_config("http", duration_s=30)

@@ -1,12 +1,13 @@
 """Load-balanced HTTP cluster with drain-then-collect coordination.
 
-A round-robin balancer fronts identical backends.  When a backend's runtime
-offers a collection, the backend asks the balancer-side coordinator for a
-slot instead of pausing; once granted, the balancer stops routing to it, the
-backend finishes its outstanding requests (the trailers), collects while
-idle, then notifies the coordinator and rejoins the rotation.  The
-coordinator caps how many backends may be down at once and queues further
-askers FIFO, so a request is never serviced by a paused backend.
+A round-robin balancer fronts identical backends.  Each backend's collections
+go through a :class:`GcGrantee`: a long one is deferred and asked for at the
+balancer-side coordinator instead of pausing.  Once granted, the balancer
+stops routing to the backend, which finishes its outstanding requests (the
+trailers), collects while idle, then notifies the coordinator and rejoins the
+rotation.  The coordinator caps how many backends may be down at once and
+queues further askers FIFO, so a request is never serviced by a paused
+backend.
 
 Message flow per collection (one-way network delay each hop):
 
@@ -16,65 +17,12 @@ Message flow per collection (one-way network delay each hop):
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .metrics import SampleLog
-from .runtime import CollectionTicket, GcLedger, GcMode, ManagedRuntime
+from .runtime import CollectionTicket, GcGrantee, GcLedger, ManagedRuntime
 from .simcore import NodeId, Simulation
-
-
-# -- capacity/latency model ---------------------------------------------------
-
-
-@dataclass
-class HttpEventModel:
-    """Timing inputs for one coordinated collection at a backend, in us."""
-
-    t_schedule: int
-    t_trailers: int
-    t_gc: int
-    t_rpc: int
-
-
-@dataclass
-class HttpModelResult:
-    latency_impact_us: int
-    capacity_loss_servers: int
-    capacity_downtime_us: int
-    event_time_us: int
-
-
-def http_model_eval(model: HttpEventModel) -> HttpModelResult:
-    """Evaluate the cluster capacity model for one collection event.
-
-    Coordinated collection trades capacity for latency: requests never wait
-    on the collector (impact 0), one server leaves the rotation for the
-    drain + pause + completion-notification window.
-    """
-    for name in ("t_schedule", "t_trailers", "t_gc", "t_rpc"):
-        if getattr(model, name) < 0:
-            raise ValueError(f"{name} must be non-negative")
-    downtime = model.t_trailers + model.t_gc + model.t_rpc
-    return HttpModelResult(
-        latency_impact_us=0,
-        capacity_loss_servers=1,
-        capacity_downtime_us=downtime,
-        event_time_us=model.t_schedule + downtime,
-    )
-
-
-# -- cluster actors -------------------------------------------------------------
-
-
-class BackendStatus(enum.Enum):
-    SERVING = "serving"
-    AWAITING_SCHEDULE = "awaiting_schedule"
-    DRAINING = "draining"
-    COLLECTING = "collecting"
-    NOTIFYING = "notifying"
 
 
 class Backend:
@@ -83,7 +31,10 @@ class Backend:
     Requests allocate ``bytes_per_request`` on arrival, which is what drives
     the runtime's collection triggers.  While the runtime is paused the
     backend starts no new work and in-flight completions shift right by the
-    pause, matching stop-the-world semantics.
+    pause, matching stop-the-world semantics.  A granted backend is ready to
+    pause once it is idle, so it polls its grantee as each request completes.
+    A pause shifts every completion past its end, so a backend that was not
+    idle when a pause began is still not idle when it ends.
     """
 
     def __init__(self, sim: Simulation, backend_id: NodeId, balancer_id: NodeId,
@@ -96,15 +47,12 @@ class Backend:
         self.service_time_us = service_time_us
         self.parallelism = parallelism
         self.bytes_per_request = bytes_per_request
-        self.defer_threshold_us = defer_threshold_us
-        self.status = BackendStatus.SERVING
         self.queue: deque = deque()
         self.in_service = 0
         self._completions: dict[int, list] = {}
-        self._pending_ticket_id: Optional[int] = None
         runtime.on_pause = self._on_pause
-        if runtime.mode is GcMode.BLADE:
-            runtime.reg_gc_hand(self._on_gc_offer)
+        self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
+                                 self._send_done, self._idle)
         sim.add_node(backend_id, self.deliver)
 
     # -- request path ------------------------------------------------------
@@ -114,7 +62,7 @@ class Backend:
         if tag == "req":
             self._on_request(msg[1], msg[2])
         elif tag == "allow":
-            self._on_allow()
+            self.grantee.grant(src)
         else:
             raise ValueError(f"backend {self.id} got unknown message {msg!r}")
 
@@ -141,46 +89,18 @@ class Backend:
         if not self.runtime.is_paused:
             while self.queue and self.in_service < self.parallelism:
                 self._start(*self.queue.popleft())
-        if self.status is BackendStatus.DRAINING and self._idle():
-            self._begin_collect()
+        self.grantee.poll()
 
     def _idle(self) -> bool:
         return self.in_service == 0 and not self.queue
 
-    # -- coordinated collection flow -----------------------------------------
+    # -- coordinated collection hooks -------------------------------------------
 
-    def _on_gc_offer(self, ticket: CollectionTicket) -> bool:
-        # Collections short enough to be invisible are not worth coordinating.
-        if ticket.estimated_pause_us <= self.defer_threshold_us:
-            return True
-        self._pending_ticket_id = ticket.id
-        self.status = BackendStatus.AWAITING_SCHEDULE
+    def _send_ask(self, ticket: CollectionTicket) -> None:
         self.sim.send(self.id, self.balancer_id, ("ask", ticket.id))
-        return False
 
-    def _on_allow(self) -> None:
-        self.status = BackendStatus.DRAINING
-        if self._idle():
-            self._begin_collect()
-
-    def _begin_collect(self) -> None:
-        self.status = BackendStatus.COLLECTING
-        tid = self._pending_ticket_id
-        self.runtime.start_gc(tid)
-        if not self.runtime.is_paused:
-            # Exhaustion already forced this cycle (or the pause rounded to
-            # zero); nothing to wait for.
-            self._finish_collect()
-
-    def _finish_collect(self) -> None:
-        self.sim.send(self.id, self.balancer_id, ("done", self._pending_ticket_id))
-        self._pending_ticket_id = None
-        self.status = BackendStatus.NOTIFYING
-        self.sim.schedule_after(self.sim.network.one_way_delay_us, self._back_to_serving)
-
-    def _back_to_serving(self, _arg=None) -> None:
-        if self.status is BackendStatus.NOTIFYING:
-            self.status = BackendStatus.SERVING
+    def _send_done(self, ticket_id: int, grantor: NodeId) -> None:
+        self.sim.send(self.id, grantor, ("done", ticket_id))
 
     # -- stop-the-world handling ----------------------------------------------
 
@@ -195,12 +115,6 @@ class Backend:
     def _wake(self, _arg=None) -> None:
         while self.queue and self.in_service < self.parallelism:
             self._start(*self.queue.popleft())
-        if self.status is BackendStatus.COLLECTING:
-            self._finish_collect()
-        elif self.status is BackendStatus.DRAINING and self._idle():
-            # A forced collection ran mid-drain; the later grant only needs
-            # the (now no-op) start plus the done notification.
-            self._begin_collect()
 
 
 class LoadBalancer:

@@ -8,9 +8,12 @@ commits the largest index a majority has matched once that entry is from the
 current term.  On top of plain Raft sit the two collection-coordination
 machines:
 
-* Followers ask the leader before pausing and collect once allowed; if the
-  leadership changes while an ask is outstanding, the ask is re-sent to the
-  new leader.
+* Each server's :class:`GcGrantee` asks the leader before a long pause and
+  collects once allowed; if the leadership changes while an ask is
+  outstanding, the ask is re-sent to the new leader.  A server that leads
+  when a grant reaches it asks again instead of pausing, and a server that
+  has just handed leadership off holds a grant until the requests sent to it
+  before the handoff have arrived.
 * The leader runs a :class:`GcLedger` that grants collections only while a
   majority of servers stays live, queueing further askers FIFO.  When the
   leader itself needs to collect, it grants itself a slot and hands
@@ -36,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .runtime import CollectionTicket, GcLedger, GcMode, ManagedRuntime
+from .runtime import CollectionTicket, GcGrantee, GcLedger, ManagedRuntime
 from .simcore import NodeId, Simulation
 
 
@@ -221,7 +224,6 @@ class RaftNode:
         self.election_range_us = election_timeout_us
         self.service_time_us = service_time_us
         self.bytes_per_request = bytes_per_request
-        self.defer_threshold_us = defer_threshold_us
         self.proxy_mode = proxy_mode
         self.collection_timeout_factor = collection_timeout_factor
         self.client_ids = client_ids or []
@@ -244,7 +246,6 @@ class RaftNode:
 
         # collection coordination
         self.ledger = GcLedger(self.cluster_size - self.majority)
-        self.req_in_flight = 0
         self._ask_info: dict[NodeId, tuple[int, int]] = {}  # node -> (ticket, est)
         self._grant_token: dict[NodeId, int] = {}
         self.switch_target: Optional[NodeId] = None
@@ -269,8 +270,8 @@ class RaftNode:
             DoneGC: self._on_done_gc,
         }
         runtime.on_pause = self._on_pause
-        if runtime.mode is GcMode.BLADE:
-            runtime.reg_gc_hand(self._on_gc_offer)
+        self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
+                                 self._send_done)
 
         sim.add_node(node_id, self.deliver)
         trace.record_role(node_id, 0, 0, Role.FOLLOWER)
@@ -392,8 +393,7 @@ class RaftNode:
             self.last_contact = self.sim.now
             if leader != self.leader_hint:
                 self.leader_hint = leader
-                if self.req_in_flight:
-                    self._ask_gc()
+                self.grantee.ask()
 
     def _become_leader(self, grants: tuple = ()) -> None:
         """Take the lead, holding the ``grants`` a handoff carried over."""
@@ -412,8 +412,7 @@ class RaftNode:
         self.log.append((self.term, ("noop",), None))
         self._replicate()
         self.sim.schedule_after(self.heartbeat_us, self._heartbeat)
-        if self.req_in_flight:
-            self._ask_gc()
+        self.grantee.ask()
 
     def _heartbeat(self, _arg=None) -> None:
         if self.role is not Role.LEADER:
@@ -658,24 +657,12 @@ class RaftNode:
             # the old leader granted itself, then handed off to collect
             self._send(src, AllowGC(self._ask_info[src][0]))
 
-    # -- collection coordination: follower side ------------------------------------------
+    # -- collection coordination: grantee side ------------------------------------------
 
-    def _pending_est(self) -> int:
-        ticket = self.runtime.tickets.get(self.req_in_flight)
-        return ticket.estimated_pause_us if ticket else 0
-
-    def _on_gc_offer(self, ticket: CollectionTicket) -> bool:
-        if ticket.estimated_pause_us <= self.defer_threshold_us:
-            return True
-        self.req_in_flight = ticket.id
-        self._ask_gc()
-        return False
-
-    def _ask_gc(self) -> None:
-        """Ask the known leader to admit the collection in flight; a leader
-        asks its own ledger, a node that knows no leader asks once it learns
-        of one."""
-        ask = AskGC(self.req_in_flight, self._pending_est())
+    def _send_ask(self, ticket: CollectionTicket) -> None:
+        """Ask the known leader to admit ``ticket``; a leader asks its own
+        ledger, a node that knows no leader asks once it learns of one."""
+        ask = AskGC(ticket.id, ticket.estimated_pause_us)
         if self.role is Role.LEADER:
             self._on_ask_gc(self.id, ask)
         elif self.leader_hint is not None:
@@ -689,26 +676,19 @@ class RaftNode:
             return
         if self.role is Role.LEADER:
             # Elected while the grant was in flight: a leader never pauses as
-            # leader, so feed the ticket back through the admission flow (the
-            # grantor's timeout reclaims its stale slot).
-            self.req_in_flight = m.ticket_id
-            self._ask_gc()
+            # leader, so ask again through the admission flow (the grantor's
+            # timeout reclaims its stale slot).
+            self.grantee.ask()
             return
-        self.req_in_flight = 0
-        self.runtime.start_gc(m.ticket_id)
-        self._send_done((m.ticket_id, src))
+        self.grantee.grant(src)
 
     def _redeliver(self, arg: tuple) -> None:
         self.deliver(*arg)
 
-    def _send_done(self, arg: tuple) -> None:
-        """Report a collection done to the leader known when the report
-        departs: a handoff during the pause moves the grant to the successor."""
-        if self.runtime.is_paused:
-            self.sim.schedule_at(self.runtime.paused_until, self._send_done, arg)
-            return
-        ticket_id, grantor = arg
-        self.sim.send(self.id, self.leader_hint or grantor, DoneGC(ticket_id))
+    def _send_done(self, ticket_id: int, grantor: NodeId) -> None:
+        """Report a collection done to the leader known when its pause ends:
+        a handoff during the pause moves the grant to the successor."""
+        self._send(self.leader_hint or grantor, DoneGC(ticket_id))
 
     # -- collection coordination: leader side ---------------------------------------------
 

@@ -19,8 +19,13 @@ If allocation exhausts the hard heap limit while a collection is deferred,
 the collector runs immediately and the ticket is marked force-completed so a
 late ``start_gc`` stays a no-op.
 
-On the coordinator's side, a :class:`GcLedger` decides which deferred
-collections may start: the HTTP balancer and the Raft leader each hold one.
+Both halves of coordinated collection live here too.  On the coordinator's
+side, a :class:`GcLedger` decides which deferred collections may start: the
+HTTP balancer and the Raft leader each hold one.  On each node's side, a
+:class:`GcGrantee` is the upcall handler: it collects short pauses at once,
+asks for the rest, starts the deferred collection once granted and the node
+is ready, and reports done when the pause is over.  HTTP backends and Raft
+servers differ only in the hooks they give it.
 
 A runtime may also allocate in the background at a constant rate, in ticks on
 a fixed grid that a pause suspends: a tick due during a pause moves to the
@@ -218,6 +223,67 @@ class GcLedger:
         self.granted.clear()
         self.granted.update(granted)
         self.pending.clear()
+
+
+class GcGrantee:
+    """Node-side admission: a long collection waits for its coordinator.
+
+    In blade mode the grantee is the runtime's upcall handler.  An offer
+    whose estimated pause is at most ``defer_threshold_us`` collects at once;
+    a longer one is deferred, and the node asks for it through
+    ``send_ask(ticket)``.  ``ask`` sends that ask again, for instance to a
+    new coordinator.  A grant admits the node, not one ticket: once
+    ``ready()`` holds, the grantee starts whatever collection it has
+    deferred (nothing, if exhaustion has forced it since) and, once the pause
+    is over, calls ``send_done(ticket_id, grantor)``.  A node whose readiness
+    can change calls ``poll`` whenever it may have.
+    """
+
+    def __init__(self, runtime: ManagedRuntime, defer_threshold_us: int,
+                 send_ask: Callable[[CollectionTicket], None],
+                 send_done: Callable[[int, NodeId], None],
+                 ready: Callable[[], bool] = lambda: True):
+        self.runtime = runtime
+        self.defer_threshold_us = defer_threshold_us
+        self.send_ask = send_ask
+        self.send_done = send_done
+        self.ready = ready
+        self.ticket_id = 0                     # the deferred collection; 0 if none
+        self.grantor: Optional[NodeId] = None  # set while granted and draining
+        if runtime.mode is GcMode.BLADE:
+            runtime.reg_gc_hand(self.offer)
+
+    def offer(self, ticket: CollectionTicket) -> bool:
+        if ticket.estimated_pause_us <= self.defer_threshold_us:
+            return True  # too short to be worth coordinating
+        self.ticket_id = ticket.id
+        self.send_ask(ticket)
+        return False
+
+    def ask(self) -> None:
+        """Send the ask for the deferred collection again, if there is one."""
+        if self.ticket_id:
+            self.send_ask(self.runtime.tickets[self.ticket_id])
+
+    def grant(self, grantor: NodeId) -> None:
+        self.grantor = grantor
+        self.poll()
+
+    def poll(self) -> None:
+        """Start the granted collection if the node is ready to pause."""
+        if self.grantor is None or not self.ready():
+            return
+        done = (self.ticket_id, self.grantor)
+        self.ticket_id, self.grantor = 0, None
+        runtime = self.runtime
+        runtime.start_gc(done[0])
+        if runtime.is_paused:
+            runtime.sim.schedule_at(runtime.paused_until, self._report, done)
+        else:
+            self._report(done)
+
+    def _report(self, done: tuple[int, NodeId]) -> None:
+        self.send_done(*done)
 
 
 UpcallHandler = Callable[[CollectionTicket], bool]

@@ -1,8 +1,6 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsim.httpcluster import (Backend, BackendStatus, HttpEventModel,
-                               LoadBalancer, http_model_eval)
+from gcsim.httpcluster import Backend, LoadBalancer
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
 from gcsim.simcore import NetworkModel, Simulation
@@ -26,34 +24,6 @@ def make_cluster(n=3, mode=GcMode.BLADE, service_us=2_000, parallelism=16,
         backends.append(Backend(sim, bid, "lb", rt, service_us, parallelism,
                                 bytes_per_request))
     return sim, lb, backends
-
-
-# -- capacity model -----------------------------------------------------------
-
-
-def test_model_eval_sums_downtime_components():
-    got = http_model_eval(HttpEventModel(t_schedule=48, t_trailers=2_000,
-                                         t_gc=12_423, t_rpc=24))
-    assert got.latency_impact_us == 0
-    assert got.capacity_loss_servers == 1
-    assert got.capacity_downtime_us == 14_447
-    assert got.event_time_us == 14_495
-
-
-def test_model_eval_all_zero():
-    got = http_model_eval(HttpEventModel(0, 0, 0, 0))
-    assert (got.latency_impact_us, got.capacity_downtime_us, got.event_time_us) == (0, 0, 0)
-    assert got.capacity_loss_servers == 1
-
-
-def test_model_latency_impact_zero_regardless_of_gc_time():
-    for t_gc in (0, 10_000, 10_000_000):
-        assert http_model_eval(HttpEventModel(48, 0, t_gc, 24)).latency_impact_us == 0
-
-
-def test_model_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        http_model_eval(HttpEventModel(-1, 0, 0, 0))
 
 
 # -- routing -------------------------------------------------------------------
@@ -190,22 +160,27 @@ def test_grant_deferred_behind_another_collector():
 def test_backend_statuses_walk_the_protocol():
     sim, lb, backends = make_cluster()
     b = backends[0]
-    seen = [b.status]
+
+    def state():
+        # (deferred ticket, draining, paused, out of the rotation)
+        return (b.grantee.ticket_id, b.grantee.grantor is not None,
+                b.runtime.is_paused, "b0" in lb.ledger.granted)
+    seen = [state()]
 
     def watch(_):
-        if b.status != seen[-1]:
-            seen.append(b.status)
+        if state() != seen[-1]:
+            seen.append(state())
         if sim.now < 40_000:
             sim.schedule_after(2, watch)
 
     sim.schedule_at(0, watch)
     sim.schedule_at(100, lambda _: trigger_gc(b))
     sim.run_until(50_000)
-    # the backend is idle, so draining completes within the grant event and
-    # only the four durable states are observable between samples
-    assert seen == [BackendStatus.SERVING, BackendStatus.AWAITING_SCHEDULE,
-                    BackendStatus.COLLECTING, BackendStatus.NOTIFYING,
-                    BackendStatus.SERVING]
+    # serving, asking, granted at the balancer, collecting, done in flight,
+    # serving; the backend is idle, so it drains within the grant event
+    assert seen == [(0, False, False, False), (1, False, False, False),
+                    (1, False, False, True), (0, False, True, True),
+                    (0, False, False, True), (0, False, False, False)]
 
 
 def test_draining_status_observable_with_requests_in_flight():
@@ -214,7 +189,7 @@ def test_draining_status_observable_with_requests_in_flight():
     sim.schedule_at(10, lambda _: lb.route(1, 10))
     sim.schedule_at(40, lambda _: trigger_gc(b))
     sim.run_until(200)  # grant landed at 88; request still has ~4.8 ms left
-    assert b.status is BackendStatus.DRAINING
+    assert b.grantee.grantor == "lb"  # granted and draining
     assert b.runtime.collection_count() == 0
 
 

@@ -653,6 +653,23 @@ def test_forced_collection_then_late_allow_causes_no_second_pause():
     assert nodes[0].ledger.used == 0          # done sent anyway, slot freed
 
 
+def test_late_allow_starts_the_collection_deferred_since_a_forced_one():
+    # as above, but n1 defers a second collection the instant its forced
+    # pause ends, just before the allow for the forced one is handled: the
+    # allow admits n1, so it starts the collection it has deferred now
+    sim, nodes, clients, samples, _ = make_cluster(live=100, trigger=200,
+                                                   hard=400, overhead=100_000)
+    f = nodes[1]
+    sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250))
+    sim.schedule_at(2_000, lambda _: f.runtime.allocate(150))
+    sim.schedule_at(3_000, lambda _: f.runtime.allocate(300))  # exhaustion
+    sim.schedule_at(103_000, lambda _: f.runtime.allocate(150))
+    sim.run_until(3_000_000)
+    assert [(p.ticket_id, p.start_us, p.forced) for p in f.runtime.pauses] == \
+           [(1, 3_000, True), (2, 103_000, False)]
+    assert nodes[0].ledger.used == 0
+
+
 def test_ask_resent_to_new_leader_after_switch():
     sim, nodes, clients, samples, trace = make_cluster()
     f = nodes[2]
@@ -670,9 +687,10 @@ def test_allow_arriving_at_a_leader_reroutes_through_a_handoff():
     # the stray grant is fed back through the admission flow instead
     sim, nodes, clients, samples, trace = make_cluster()
     leader = nodes[0]
-    leader.runtime.reg_gc_hand(lambda t: False)  # defer without asking yet
+    send_ask = leader.grantee.send_ask
+    leader.grantee.send_ask = lambda ticket: None  # defer without asking yet
     sim.schedule_at(1_000, lambda _: leader.runtime.allocate(250 * MIB))
-    sim.schedule_at(1_010, lambda _: leader.runtime.reg_gc_hand(leader._on_gc_offer))
+    sim.schedule_at(1_010, lambda _: setattr(leader.grantee, "send_ask", send_ask))
     sim.schedule_at(1_020, lambda _: leader.deliver("n1", AllowGC(1)))
     sim.run_until(3_000_000)
     assert leader.runtime.collection_count() == 1
@@ -684,12 +702,16 @@ def test_allow_arriving_at_a_leader_reroutes_through_a_handoff():
 def test_grant_timeout_frees_the_slot():
     sim, nodes, clients, samples, _ = make_cluster()
     leader = nodes[0]
+    sim.add_node("n1", lambda src, msg: None)  # swallow the grant: no done ever
     leader._ask_info["n1"] = (1, 10_000)
     assert leader.ledger.ask("n1") == "grant"
     leader._issue_grant("n1")
-    nodes[1].deliver = lambda src, msg: None  # swallow the grant: no done ever
-    sim.run_until(2_000_000)  # 10 x 10 ms budget elapses
+    sim.run_until(99_999)
+    assert leader.ledger.used == 1
+    sim.run_until(100_000)  # the 10 x 10 ms budget has elapsed
     assert leader.ledger.used == 0
+    # n1 hears nothing, but its election timer fires at 150 ms at the earliest
+    assert leader.role is Role.LEADER
 
 
 # -- elections ------------------------------------------------------------------------

@@ -13,6 +13,12 @@ Message flow per collection (one-way network delay each hop):
 
     backend --ask--> coordinator --allow--> backend ... drain ... pause ...
     backend --done--> coordinator (routing resumes)
+
+Each request costs four events: its arrival at the balancer, which routes
+it; its delivery to a backend; its completion there; and the delivery of the
+reply to the balancer, which records the sample.  Replies never feed
+routing: the rotation moves on grants and dones alone, so the common case
+(no backend holds a grant) routes without looking at any backend's state.
 """
 
 from __future__ import annotations
@@ -60,25 +66,26 @@ class Backend:
     def deliver(self, src: NodeId, msg: tuple) -> None:
         tag = msg[0]
         if tag == "req":
-            self._on_request(msg[1], msg[2])
+            if self.sim.now < self.runtime.paused_until or self.in_service >= self.parallelism:
+                self.queue.append((msg[1], msg[2]))
+            else:
+                self._start(msg[1], msg[2])
         elif tag == "allow":
             self.grantee.grant(src)
         else:
             raise ValueError(f"backend {self.id} got unknown message {msg!r}")
 
-    def _on_request(self, rid: int, issued: int) -> None:
-        if self.runtime.is_paused or self.in_service >= self.parallelism:
-            self.queue.append((rid, issued))
-        else:
-            self._start(rid, issued)
-
     def _start(self, rid: int, issued: int) -> None:
         # Allocation happens as the request is serviced; if it trips an
         # immediate collection, this request resumes after the pause.
         self.in_service += 1
-        self.runtime.allocate(self.bytes_per_request)
-        start_at = max(self.sim.now, self.runtime.paused_until)
-        self._completions[rid] = self.sim.schedule_at(
+        runtime = self.runtime
+        runtime.allocate(self.bytes_per_request)
+        sim = self.sim
+        start_at = runtime.paused_until
+        if start_at < sim.now:
+            start_at = sim.now
+        self._completions[rid] = sim.schedule_at(
             start_at + self.service_time_us, self._complete, (rid, issued))
 
     def _complete(self, arg: tuple) -> None:
@@ -86,10 +93,10 @@ class Backend:
         del self._completions[rid]
         self.in_service -= 1
         self.sim.send(self.id, self.balancer_id, ("rep", rid, issued))
-        if not self.runtime.is_paused:
-            while self.queue and self.in_service < self.parallelism:
-                self._start(*self.queue.popleft())
-        self.grantee.poll()
+        if self.queue and self.sim.now >= self.runtime.paused_until:
+            self._wake()
+        if self.grantee.grantor is not None:
+            self.grantee.poll()
 
     def _idle(self) -> bool:
         return self.in_service == 0 and not self.queue
@@ -141,30 +148,34 @@ class LoadBalancer:
 
     # -- routing ------------------------------------------------------------
 
-    def on_request(self, rid: int) -> None:
+    def on_request(self, rid: int, kind: str = "http") -> None:
         """Entry point for workload arrivals; issue time is the current tick."""
         self.route(rid, self.sim.now)
 
     def route(self, rid: int, issued: int) -> Optional[NodeId]:
-        n = len(self.order)
+        order = self.order
+        n = len(order)
+        idx = self.rr_pos
         granted = self.ledger.granted
-        for k in range(n):
-            idx = (self.rr_pos + k) % n
-            backend = self.order[idx]
-            if backend not in granted:
-                self.rr_pos = (idx + 1) % n
-                self.sim.send(self.id, backend, ("req", rid, issued))
-                return backend
-        self.pending.append((rid, issued))
-        return None
+        if granted:  # skip the backends out of the rotation
+            for _ in range(n):
+                if order[idx] not in granted:
+                    break
+                idx = (idx + 1) % n
+            else:
+                self.pending.append((rid, issued))
+                return None
+        backend = order[idx]
+        self.rr_pos = (idx + 1) % n
+        self.sim.send(self.id, backend, ("req", rid, issued))
+        return backend
 
     # -- replies and coordination ----------------------------------------------
 
     def deliver(self, src: NodeId, msg: tuple) -> None:
         tag = msg[0]
         if tag == "rep":
-            _, rid, issued = msg
-            self.samples.add(rid, issued, self.sim.now, src, "http")
+            self.samples.add(msg[1], msg[2], self.sim.now, src, "http")
         elif tag == "ask":
             if self.ledger.ask(src) == "grant":
                 self._grant(src)

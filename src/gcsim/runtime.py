@@ -357,7 +357,16 @@ class ManagedRuntime:
             raise ValueError("allocation size must be non-negative")
         if self._next_tick <= self.sim.now:
             self._add_background_ticks()
-        self._grow(n_bytes)
+        heap = self.heap
+        total = heap.allocated_bytes + n_bytes
+        if total < heap.trigger_bytes and self.active_ticket is None:
+            # The common case: below the trigger, so below the hard limit,
+            # and no cycle open, so nothing to offer or force.
+            heap.allocated_bytes = total
+            if total > self._peak_allocated_bytes:
+                self._peak_allocated_bytes = total
+        else:
+            self._grow(n_bytes)
         if self._tick_bytes:
             self._arm_crossing()
 

@@ -64,8 +64,10 @@ class _WorkloadDriver:
 
     Scheduling each arrival from its predecessor keeps the event queue small.
     Events of one tick fire in insertion order, and an arrival is inserted
-    when its predecessor fires: it fires after the protocol events of its
-    tick that were scheduled before that, and before those scheduled later.
+    when its predecessor fires, after the predecessor's dispatch: it fires
+    after the protocol events of its tick that were scheduled before that,
+    and before those scheduled later.  The stream's ``(t, rid, kind)`` tuple
+    is the arrival event's argument.
     """
 
     def __init__(self, sim: Simulation, stream: Iterator[tuple[int, int, str]],
@@ -74,19 +76,16 @@ class _WorkloadDriver:
         self.stream = stream
         self.dispatch = dispatch
         self.issued = 0
-        self._prime()
+        item = next(stream, None)
+        if item is not None:
+            sim.schedule_at(item[0], self._fire, item)
 
-    def _prime(self) -> None:
+    def _fire(self, item: tuple[int, int, str]) -> None:
+        self.issued += 1
+        self.dispatch(item[1], item[2])
         item = next(self.stream, None)
         if item is not None:
-            t, rid, kind = item
-            self.sim.schedule_at(t, self._fire, (rid, kind))
-
-    def _fire(self, arg: tuple) -> None:
-        rid, kind = arg
-        self.issued += 1
-        self.dispatch(rid, kind)
-        self._prime()
+            self.sim.schedule_at(item[0], self._fire, item)
 
 
 def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,
@@ -161,7 +160,7 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
     def finish() -> dict:
         return {"samples": lb.samples}
 
-    return backends, lambda rid, kind: lb.on_request(rid), finish
+    return backends, lb.on_request, finish
 
 
 # -- replicated key-value cluster ---------------------------------------------------

@@ -234,3 +234,49 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     assert lb.route(2, sim.now) == "b0"  # back in the rotation
     # the in-flight request was shifted right by the forced pause
     assert lb.samples[0][2] - lb.samples[0][1] == RTT + 2_000 + 1_000
+
+
+# -- the routing fast path against the loop reference ---------------------------------
+
+
+class _ReferenceBalancer(LoadBalancer):
+    """``route`` as one modulo loop over the rotation, with no fast path."""
+
+    def route(self, rid, issued):
+        n = len(self.order)
+        granted = self.ledger.granted
+        for k in range(n):
+            idx = (self.rr_pos + k) % n
+            backend = self.order[idx]
+            if backend not in granted:
+                self.rr_pos = (idx + 1) % n
+                self.sim.send(self.id, backend, ("req", rid, issued))
+                return backend
+        self.pending.append((rid, issued))
+        return None
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_route_matches_loop_reference(data):
+    # the same backend, rotation position, parked requests and messages, for
+    # any position and granted set, the empty set and the full one included
+    n = data.draw(st.integers(1, 6))
+    ids = [f"b{i}" for i in range(n)]
+    rr_pos = data.draw(st.integers(0, n - 1))
+    grants = data.draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=8))
+    observed = []
+    for cls in (LoadBalancer, _ReferenceBalancer):
+        sim = Simulation()
+        lb = cls(sim, "lb", ids, max_concurrent=n)
+        for bid in ids:
+            sim.add_node(bid, lambda src, msg: None)
+        lb.rr_pos = rr_pos
+        picks = []
+        for rid, granted in enumerate(grants):
+            lb.ledger.granted.clear()
+            lb.ledger.granted.update(granted)
+            picks.append((lb.route(rid, rid), lb.rr_pos))
+        observed.append((picks, list(lb.pending), [(e[0], e[3]) for e in sim._lane],
+                         sim.messages_sent))
+    assert observed[0] == observed[1]

@@ -757,6 +757,50 @@ def test_a_stale_log_never_wins_an_election():
     assert len(samples) == 40
 
 
+def test_an_entry_from_an_earlier_term_committed_by_replicas_survives():
+    # Ongaro 2014, Figure 3.7, on five servers.  n0 (term 1) gets x to n1
+    # only, then crashes; n4 wins term 2 with n2 and n3 and appends y, which
+    # reaches nobody, then crashes.  n0 wins term 3 and replicates x to n2: a
+    # majority holds x.  n0 crashes and n4 stands again.  Had n0 committed x
+    # by counting replicas before any term-3 entry reached a majority, n4
+    # could win and overwrite it; n0's election entry is what makes x safe.
+    sim, nodes, clients, samples, trace = make_cluster(n=5)
+    down, cut = set(), set()
+
+    def sink(node):
+        def deliver(src, msg):
+            if not (src in down or node.id in down or (src, node.id) in cut):
+                node.deliver(src, msg)
+        return deliver
+    for node in nodes:
+        sim.add_node(node.id, sink(node))
+
+    def at(ms, step):
+        sim.schedule_at(ms * 1_000, lambda _: step())
+    n0, n1, n2, n4 = nodes[0], nodes[1], nodes[2], nodes[4]
+    x, y = ("set", "x", 0), ("set", "y", 1)
+    at(5, lambda: (cut.update({("n0", "n2"), ("n0", "n3"), ("n0", "n4")}),
+                   clients[0].submit(0, x)))
+    at(6, lambda: (down.add("n0"), n4._become_candidate()))
+    # once the votes are in, nothing n4 sends arrives until it crashes
+    sim.schedule_at(6_030, lambda _: cut.update((("n4", p) for p in ("n1", "n2", "n3"))))
+    at(6.1, lambda: n4.deliver("c1", ClientRequest("c1", 1, y)))
+    at(7, lambda: (down.discard("n0"), down.add("n4"),
+                   cut.difference_update({("n0", "n2"), ("n0", "n4")})))
+    at(8, n0._become_candidate)  # term 2: n2 and n3 voted for n4
+    at(9, n0._become_candidate)  # term 3: n1 and n2 elect it
+    at(10, lambda: (down.add("n0"), down.discard("n4"), cut.clear()))
+    at(11, n4._become_candidate)
+    at(12, n4._become_candidate)
+    sim.run_until(20_000)
+
+    assert check_history(trace) == []
+    assert (3, Role.LEADER) in [(term, role) for _t, term, role in trace.role_changes["n0"]]
+    assert n0.commit_index == 3 and trace.applied[1][1] == x
+    assert [log[1][1] for log in (n1.log, n2.log)] == [x, x]
+    assert [term for _t, term, role in trace.role_changes["n4"] if role is Role.LEADER] == [2]
+
+
 def test_checker_flags_double_leadership():
     trace = RaftTrace()
     trace.role_changes = {"a": [(0, 1, Role.LEADER)], "b": [(10, 1, Role.LEADER)]}

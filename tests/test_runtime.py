@@ -436,3 +436,81 @@ def test_defer_threshold_boundary(make, over):
     sim.run_until(100_000)
     start = node.runtime.pauses[0].start_us
     assert (start, asks) == ((1_000, []) if not over else (1_048, [1_024]))
+
+
+# -- the allocation fast path against the single-path reference ------------------------
+
+
+class _ReferenceAllocate(ManagedRuntime):
+    """``allocate`` as before its fast path: every allocation runs ``_grow``."""
+
+    def allocate(self, n_bytes):
+        if n_bytes < 0:
+            raise ValueError("allocation size must be non-negative")
+        if self._next_tick <= self.sim.now:
+            self._add_background_ticks()
+        self._grow(n_bytes)
+        if self._tick_bytes:
+            self._arm_crossing()
+
+    def _grow(self, n_bytes):
+        heap = self.heap
+        if self.mode is GcMode.OFF:
+            heap.allocated_bytes += n_bytes
+            if heap.allocated_bytes > self._peak_allocated_bytes:
+                self._peak_allocated_bytes = heap.allocated_bytes
+            return
+        heap.allocated_bytes = min(heap.allocated_bytes + n_bytes, heap.hard_limit_bytes)
+        if heap.allocated_bytes > self._peak_allocated_bytes:
+            self._peak_allocated_bytes = heap.allocated_bytes
+        if self.active_ticket is None and heap.allocated_bytes >= heap.trigger_bytes:
+            self._open_cycle()
+        if (self.active_ticket is not None
+                and self.active_ticket.state is TicketState.DEFERRED
+                and heap.allocated_bytes >= heap.hard_limit_bytes):
+            self._collect(self.active_ticket, forced=True)
+
+
+def _allocation_run(cls, mode, ops, rate, deferred):
+    """Apply ``ops`` (gap, op, value) in order; snapshot the runtime after each."""
+    sim = Simulation()
+    heap = HeapModel(live_bytes=100, trigger_bytes=200, hard_limit_bytes=400)
+    cost = CollectorCostModel(pause_per_gib_us=0, fixed_overhead_us=3_000)
+    rt = cls(sim, "n", heap, cost, mode=mode, background_bytes_per_s=rate,
+             background_interval_us=1_000)
+    if mode is GcMode.BLADE:
+        rt.reg_gc_hand(lambda ticket: ticket.id not in deferred)
+    snapshots = []
+
+    def step(op_value):
+        op, value = op_value
+        if op == "alloc":
+            rt.allocate(value)
+        else:
+            rt.start_gc(value)
+        snapshots.append((sim.now, rt.heap.allocated_bytes, rt._peak_allocated_bytes,
+                          [(t.id, t.allocated_bytes, t.estimated_pause_us, t.state)
+                           for t in rt.tickets.values()],
+                          list(rt.pauses)))
+    at = 0
+    for gap, op, value in ops:
+        at += gap
+        sim.schedule_at(at, step, (op, value))
+    sim.run_until(at + 10_000)
+    return snapshots, rt.peak_allocated_bytes, rt.heap.allocated_bytes
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from([GcMode.ON, GcMode.BLADE, GcMode.OFF]),
+       rate=st.sampled_from([0, 20_000, 90_000]),
+       deferred=st.sets(st.integers(1, 12)),
+       ops=st.lists(st.tuples(st.integers(0, 2_500),
+                              st.sampled_from(["alloc", "alloc", "alloc", "start"]),
+                              st.integers(0, 150)),
+                    max_size=60))
+def test_allocate_fast_path_matches_reference(mode, rate, deferred, ops):
+    # deferred tickets are started by id or forced at the hard limit; both
+    # runtimes must agree on every byte, peak, ticket and pause after each op
+    ops = [(gap, op, value if op == "alloc" else value % 12 + 1) for gap, op, value in ops]
+    assert (_allocation_run(ManagedRuntime, mode, ops, rate, deferred)
+            == _allocation_run(_ReferenceAllocate, mode, ops, rate, deferred))

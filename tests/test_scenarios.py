@@ -172,3 +172,23 @@ def test_compare_raft_record_matches_pinned_digest():
                        sorted(applied.items()), sorted(t.final_logs.items())))
         got[run.mode] = hashlib.sha256(record.encode()).hexdigest()
     assert got == PINNED_RAFT_RECORD
+
+
+# Digest of each mode's HTTP sample log, rows in order with the server
+# column, and its pauses, recorded before the request path's fast paths.
+# Report digests cover neither.  Two slots per backend at 2,500 requests/s
+# keep queues filled, so completions drain them; the gc-on pauses start with
+# requests in service, so their completions shift; jitter reorders deliveries.
+PINNED_HTTP_SAMPLE_LOG = {
+    "off": "190f99637cab971848aa524947938657f510a7db8c2fa5ab4c8ff416a29291df",
+    "blade": "99fcc7091b1d45dcff1822b5d9ee9c4a5a398721c3a5965b6cffa76594faea66",
+    "on": "096618715f55ca6b05c70e525b6c04a106e1333c202216b7dc81e1791e49db34",
+}
+
+
+def test_compare_http_sample_log_matches_pinned_digest():
+    cfg = default_config("http", duration_s=3, jitter_us=5, live_bytes=16 * MIB,
+                         trigger_bytes=24 * MIB, rate_rps=2_500, parallelism=2)
+    got = {run.mode: hashlib.sha256(repr((list(run.samples), run.pauses)).encode()).hexdigest()
+           for run in run_compare(cfg)}
+    assert got == PINNED_HTTP_SAMPLE_LOG

@@ -14,6 +14,9 @@ Message flow per collection (one-way network delay each hop):
     backend --ask--> coordinator --allow--> backend ... drain ... pause ...
     backend --done--> coordinator (routing resumes)
 
+If exhaustion forces the collection while the ask is still queued, the
+backend withdraws the ask with a done once the pause is over.
+
 Each request costs four events: its arrival at the balancer, which routes
 it; its delivery to a backend; its completion there; and the delivery of the
 reply to the balancer, which records the sample.  Replies never feed
@@ -106,8 +109,8 @@ class Backend:
     def _send_ask(self, ticket: CollectionTicket) -> None:
         self.sim.send(self.id, self.balancer_id, ("ask", ticket.id))
 
-    def _send_done(self, ticket_id: int, grantor: NodeId) -> None:
-        self.sim.send(self.id, grantor, ("done", ticket_id))
+    def _send_done(self, ticket_id: int, grantor: Optional[NodeId]) -> None:
+        self.sim.send(self.id, self.balancer_id, ("done", ticket_id))
 
     # -- stop-the-world handling ----------------------------------------------
 

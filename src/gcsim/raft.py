@@ -174,7 +174,11 @@ class RaftTrace:
                 f"{node} applied index {index} after index {last} (gap or reorder)")
         self.last_applied[node] = index
         applied, applied_by = self.applied, self.applied_by
-        if index > len(applied):  # the first report of this index
+        if index == len(applied) + 1:  # the first report of the next index
+            applied.append(entry)
+            applied_by.append(node)
+            return
+        if index > len(applied):  # the first report of an index past it
             pad = [None] * (index - len(applied))
             applied.extend(pad)
             applied_by.extend(pad)
@@ -284,19 +288,16 @@ class RaftNode:
         lo, hi = self.election_range_us
         return self.rng.randint(lo, hi)
 
-    @property
-    def last_index(self) -> int:
-        return len(self.log)
-
     def _term_at(self, index: int) -> int:
         return self.log[index - 1][0] if index >= 1 else 0
 
     def _send(self, dst: NodeId, msg: Any) -> None:
         """Send gated by stop-the-world pauses: nothing departs mid-pause."""
-        if self.runtime.is_paused:
-            self.sim.schedule_at(self.runtime.paused_until, self._deferred_send, (dst, msg))
+        sim, paused_until = self.sim, self.runtime.paused_until
+        if sim.now < paused_until:
+            sim.schedule_at(paused_until, self._deferred_send, (dst, msg))
         else:
-            self.sim.send(self.id, dst, msg)
+            sim.send(self.id, dst, msg)
 
     def _deferred_send(self, arg: tuple) -> None:
         self._send(*arg)  # a fresh pause at the wake tick defers it again
@@ -304,7 +305,7 @@ class RaftNode:
     # -- delivery and pause handling --------------------------------------------
 
     def deliver(self, src: NodeId, msg: Any) -> None:
-        if self.runtime.is_paused:
+        if self.sim.now < self.runtime.paused_until:
             self.inbox.append((src, msg))
             return
         self._handlers[type(msg)](src, msg)
@@ -314,7 +315,8 @@ class RaftNode:
 
     def _wake(self, _arg=None) -> None:
         inbox, handlers = self.inbox, self._handlers
-        while inbox and not self.runtime.is_paused:
+        runtime, sim = self.runtime, self.sim
+        while inbox and sim.now >= runtime.paused_until:
             src, msg = inbox.popleft()
             handlers[type(msg)](src, msg)
 
@@ -344,7 +346,8 @@ class RaftNode:
         self.election_timeout_us = self._draw_timeout()
         self.last_contact = self.sim.now
         self.trace.record_role(self.id, self.sim.now, self.term, Role.CANDIDATE)
-        rv = RequestVote(self.term, self.id, self.last_index, self._term_at(self.last_index))
+        last = len(self.log)
+        rv = RequestVote(self.term, self.id, last, self._term_at(last))
         for peer in self.peers:
             self._send(peer, rv)
         self._arm_election_timer()
@@ -354,7 +357,8 @@ class RaftNode:
             self._become_follower(m.term)
         granted = False
         if m.term == self.term and self.voted_for in (None, src):
-            mine = (self._term_at(self.last_index), self.last_index)
+            last = len(self.log)
+            mine = (self._term_at(last), last)
             theirs = (m.last_log_term, m.last_log_index)
             if theirs >= mine:
                 granted = True
@@ -400,7 +404,7 @@ class RaftNode:
         self.role = Role.LEADER
         self.leader_hint = self.id
         self.trace.record_role(self.id, self.sim.now, self.term, Role.LEADER)
-        self.next_index = {p: self.last_index + 1 for p in self.peers}
+        self.next_index = {p: len(self.log) + 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
         self.ledger.reset(node for node, _ticket, _est in grants)
         for node, ticket_id, est in grants:
@@ -439,16 +443,21 @@ class RaftNode:
         """Send every peer the log from its next index on, in peer order.
 
         Peers at the same next index share one message, which no receiver
-        mutates.
+        mutates.  Sending starts no pause, so one check covers the fan-out.
         """
         built: dict[int, AppendEntries] = {}
         next_index = self.next_index
+        sim, node_id = self.sim, self.id
+        paused = sim.now < self.runtime.paused_until
         for peer in self.peers:
             nxt = next_index[peer]
             msg = built.get(nxt)
             if msg is None:
                 msg = built[nxt] = self._append_from(nxt)
-            self._send(peer, msg)
+            if paused:
+                self._send(peer, msg)
+            else:
+                sim.send(node_id, peer, msg)
 
     def _on_append(self, src: NodeId, m: AppendEntries) -> None:
         if m.term != self.term or m.leader != self.leader_hint:
@@ -479,17 +488,23 @@ class RaftNode:
             if k < prev + len(entries):
                 del log[k:]
                 log.extend(entries[k - prev:])
-        new_commit = min(m.leader_commit, len(log))
+        n, new_commit = len(log), m.leader_commit
+        if new_commit > n:
+            new_commit = n
         if new_commit > self.commit_index:
             self.commit_index = new_commit
-            self._apply_committed()
-        self._send(src, AppendReply(self.term, True, prev + len(entries)))
+            self._apply_committed()  # may start a pause
+        reply = AppendReply(self.term, True, prev + len(entries))
+        sim = self.sim
+        if sim.now < self.runtime.paused_until:
+            self._send(src, reply)
+        else:
+            sim.send(self.id, src, reply)
 
     def _on_append_reply(self, src: NodeId, m: AppendReply) -> None:
-        if m.term > self.term:
-            self._become_follower(m.term)
-            return
-        if self.role is not Role.LEADER or m.term != self.term:
+        if m.term != self.term or self.role is not Role.LEADER:
+            if m.term > self.term:
+                self._become_follower(m.term)
             return
         if not m.success:
             self.next_index[src] = max(1, self.next_index[src] - 1)
@@ -528,23 +543,30 @@ class RaftNode:
             self._apply_committed()
 
     def _apply_committed(self) -> None:
-        # The role is read per entry: an allocation may pause this node or
-        # start a handoff.
+        """Apply the entries up to ``commit_index``; a leader answers the
+        clients waiting on them.
+
+        Nothing an entry's allocation starts (a pause, an ask, a handoff
+        scheduled for later) moves ``commit_index`` or ``last_applied``.
+        Only a leader waits on entries, so a follower skips the lookup.
+        """
+        index, commit = self.last_applied, self.commit_index
+        self.last_applied = commit
         log, awaiting = self.log, self._awaiting_commit
         record_apply, node_id = self.trace.record_apply, self.id
-        runtime, nbytes = self.runtime, self.bytes_per_request
-        while self.last_applied < self.commit_index:
-            index = self.last_applied = self.last_applied + 1
-            entry = log[index - 1]
+        while index < commit:
+            entry = log[index]
+            index += 1
             op = entry[1]
             if op[0] == "set":
                 self.kv[op[1]] = op[2]
-                runtime.allocate(nbytes)
+                self.runtime.allocate(self.bytes_per_request)
             record_apply(node_id, index, entry)
-            pending = awaiting.pop(index, None)
-            if pending is not None and self.role is Role.LEADER:
-                client, rid = pending
-                self._schedule_reply(client, ClientReply(rid, "ok", self.leader_hint))
+            if awaiting:
+                pending = awaiting.pop(index, None)
+                if pending is not None and self.role is Role.LEADER:
+                    client, rid = pending
+                    self._schedule_reply(client, ClientReply(rid, "ok", self.leader_hint))
 
     # -- client requests ------------------------------------------------------------
 
@@ -559,8 +581,9 @@ class RaftNode:
             value = self.kv.get(m.op[1])
             self._schedule_reply(m.client, ClientReply(m.rid, value, self.id))
         else:
-            self.log.append((self.term, m.op, m.rid))
-            self._awaiting_commit[self.last_index] = (m.client, m.rid)
+            log = self.log
+            log.append((self.term, m.op, m.rid))
+            self._awaiting_commit[len(log)] = (m.client, m.rid)
             self._replicate()
         # Allocation last: a collection offer triggered here may schedule a
         # leadership handoff, which must observe the appended entry above.
@@ -576,8 +599,7 @@ class RaftNode:
         time, so an imminent pause at this node cannot delay them, and a
         further handoff carries them on again.
         """
-        self._reply_seq += 1
-        token = self._reply_seq
+        token = self._reply_seq = self._reply_seq + 1
         if due is None:
             due = self.sim.now + self.service_time_us
         handle = self.sim.schedule_at(due, self._fire_reply, token)
@@ -586,7 +608,11 @@ class RaftNode:
     def _fire_reply(self, token: int) -> None:
         entry = self._pending_replies.pop(token, None)
         if entry is not None:
-            self._send(entry[0], entry[1])
+            sim = self.sim
+            if sim.now < self.runtime.paused_until:
+                self._send(entry[0], entry[1])
+            else:
+                sim.send(self.id, entry[0], entry[1])
 
     # -- fast leadership handoff -------------------------------------------------------
 
@@ -610,9 +636,10 @@ class RaftNode:
         if self.switch_target in self.ledger.granted:
             # granted a collection while its log caught up: it may be paused
             self.switch_target = self._pick_successor()
-        if self.match_index[self.switch_target] < self.last_index:
+        last = len(self.log)
+        if self.match_index[self.switch_target] < last:
             self._send_append(self.switch_target)
-        elif self.commit_index == self.last_index:
+        elif self.commit_index == last:
             self._do_fast_switch()
 
     def _do_fast_switch(self) -> None:
@@ -685,10 +712,14 @@ class RaftNode:
     def _redeliver(self, arg: tuple) -> None:
         self.deliver(*arg)
 
-    def _send_done(self, ticket_id: int, grantor: NodeId) -> None:
+    def _send_done(self, ticket_id: int, grantor: Optional[NodeId]) -> None:
         """Report a collection done to the leader known when its pause ends:
-        a handoff during the pause moves the grant to the successor."""
-        self._send(self.leader_hint or grantor, DoneGC(ticket_id))
+        a handoff during the pause moves the grant to the successor.  A
+        withdrawal (no grantor) while no leader is known has no ask left to
+        withdraw: a new leader starts with an empty queue."""
+        dst = self.leader_hint or grantor
+        if dst is not None:
+            self._send(dst, DoneGC(ticket_id))
 
     # -- collection coordination: leader side ---------------------------------------------
 

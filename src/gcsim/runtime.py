@@ -17,14 +17,15 @@ live set, and a three-call coordination surface:
 
 If allocation exhausts the hard heap limit while a collection is deferred,
 the collector runs immediately and the ticket is marked force-completed so a
-late ``start_gc`` stays a no-op.
+late ``start_gc`` stays a no-op; ``on_forced(ticket)``, if set, is told.
 
 Both halves of coordinated collection live here too.  On the coordinator's
 side, a :class:`GcLedger` decides which deferred collections may start: the
 HTTP balancer and the Raft leader each hold one.  On each node's side, a
 :class:`GcGrantee` is the upcall handler: it collects short pauses at once,
 asks for the rest, starts the deferred collection once granted and the node
-is ready, and reports done when the pause is over.  HTTP backends and Raft
+is ready, and reports done when the pause is over.  When exhaustion forces
+the deferred collection first, it withdraws the ask.  HTTP backends and Raft
 servers differ only in the hooks they give it.
 
 A runtime may also allocate in the background at a constant rate, in ticks on
@@ -34,6 +35,14 @@ Before each ``allocate`` and ``start_gc`` the runtime adds in the ticks due
 by then (ticks at the current microsecond come first), and it schedules one
 event only, at the tick where the next threshold is crossed: the trigger
 while no cycle is open, or the hard limit while the open cycle is deferred.
+An event already armed no earlier than that tick is kept.  Arming also
+stores the slack: the bytes the node may still allocate before the crossing
+tick would move earlier than the armed event.  An allocation below the
+trigger only subtracts itself from the slack, and arms again once the slack
+is used up.  Ticks added in leave the slack as it is, since each moves the
+grid one interval on as it adds its bytes; a collection, a new cycle or a
+pause only moves the real crossing later, so a slack computed before them
+stays safe.
 """
 
 from __future__ import annotations
@@ -179,8 +188,9 @@ class GcLedger:
     which the successor then sends it.  A queued ask is forgotten and is
     sent again by its asker when it learns of the new leader.  A leader that
     wins an election starts empty: it does not know what its predecessor
-    granted.  A finish from a node this ledger does not hold a grant for
-    (possible right after a reset) is ignored rather than freeing a slot.
+    granted.  A finish from a node this ledger holds no grant for frees no
+    slot and drops that node's queued ask, if any: it comes right after a
+    reset, or from a node withdrawing an ask that exhaustion made moot.
     """
 
     def __init__(self, capacity: int):
@@ -207,6 +217,8 @@ class GcLedger:
         """Record a finished collection; returns the next node to grant."""
         self.last_finished = node
         if node not in self.granted:
+            if node in self.pending:
+                self.pending.remove(node)
             return None
         self.granted.discard(node)
         if self.pending:
@@ -237,11 +249,18 @@ class GcGrantee:
     deferred (nothing, if exhaustion has forced it since) and, once the pause
     is over, calls ``send_done(ticket_id, grantor)``.  A node whose readiness
     can change calls ``poll`` whenever it may have.
+
+    If exhaustion forces the deferred collection, the grantee forgets the
+    ticket, so ``ask`` sends nothing for it.  Unless the node already holds
+    a grant, whose done is reported as usual, the grantee withdraws the ask
+    once the forced pause is over, with ``send_done(ticket_id, None)``.  A
+    grant, or a newer ask, that comes first takes the outstanding ask over
+    instead: a grant admits the node, not a ticket.
     """
 
     def __init__(self, runtime: ManagedRuntime, defer_threshold_us: int,
                  send_ask: Callable[[CollectionTicket], None],
-                 send_done: Callable[[int, NodeId], None],
+                 send_done: Callable[[int, Optional[NodeId]], None],
                  ready: Callable[[], bool] = lambda: True):
         self.runtime = runtime
         self.defer_threshold_us = defer_threshold_us
@@ -250,13 +269,16 @@ class GcGrantee:
         self.ready = ready
         self.ticket_id = 0                     # the deferred collection; 0 if none
         self.grantor: Optional[NodeId] = None  # set while granted and draining
+        self._withdrawal = 0                   # a forced ticket's ask to withdraw
         if runtime.mode is GcMode.BLADE:
             runtime.reg_gc_hand(self.offer)
+            runtime.on_forced = self._forced
 
     def offer(self, ticket: CollectionTicket) -> bool:
         if ticket.estimated_pause_us <= self.defer_threshold_us:
             return True  # too short to be worth coordinating
         self.ticket_id = ticket.id
+        self._withdrawal = 0  # this ask takes the place of one not yet withdrawn
         self.send_ask(ticket)
         return False
 
@@ -267,6 +289,7 @@ class GcGrantee:
 
     def grant(self, grantor: NodeId) -> None:
         self.grantor = grantor
+        self._withdrawal = 0  # this grant's done frees the slot instead
         self.poll()
 
     def poll(self) -> None:
@@ -284,6 +307,17 @@ class GcGrantee:
 
     def _report(self, done: tuple[int, NodeId]) -> None:
         self.send_done(*done)
+
+    def _forced(self, ticket: CollectionTicket) -> None:
+        self.ticket_id = 0
+        if self.grantor is None:
+            self._withdrawal = ticket.id
+            self.runtime.sim.schedule_at(self.runtime.paused_until, self._withdraw)
+
+    def _withdraw(self, _arg=None) -> None:
+        if self._withdrawal:
+            self.send_done(self._withdrawal, None)
+            self._withdrawal = 0
 
 
 UpcallHandler = Callable[[CollectionTicket], bool]
@@ -313,6 +347,7 @@ class ManagedRuntime:
         self.mode = mode
         self.handler: Optional[UpcallHandler] = None
         self.on_pause: Optional[PauseCallback] = None
+        self.on_forced: Optional[Callable[[CollectionTicket], None]] = None
         self.tickets: dict[int, CollectionTicket] = {}
         self.active_ticket: Optional[CollectionTicket] = None
         self._next_id = 1
@@ -327,6 +362,7 @@ class ManagedRuntime:
         self._next_tick: float = (sim.now + background_interval_us
                                   if self._tick_bytes else math.inf)
         self._crossing: Optional[list] = None
+        self._slack: float = math.inf  # bytes left before the crossing must move
         self._arm_crossing()
 
     # -- coordination API ---------------------------------------------------
@@ -365,10 +401,14 @@ class ManagedRuntime:
             heap.allocated_bytes = total
             if total > self._peak_allocated_bytes:
                 self._peak_allocated_bytes = total
+            if self._tick_bytes:
+                self._slack -= n_bytes
+                if self._slack <= 0:
+                    self._arm_crossing()
         else:
             self._grow(n_bytes)
-        if self._tick_bytes:
-            self._arm_crossing()
+            if self._tick_bytes:
+                self._arm_crossing()
 
     def _grow(self, n_bytes: int) -> None:
         heap = self.heap
@@ -404,25 +444,42 @@ class ManagedRuntime:
                 return
         due = (now - t) // self._tick_interval_us + 1
         self._next_tick = t + due * self._tick_interval_us
-        self._grow(due * self._tick_bytes)
+        n_bytes = due * self._tick_bytes
+        heap = self.heap
+        total = heap.allocated_bytes + n_bytes
+        if total < heap.trigger_bytes and self.active_ticket is None:
+            heap.allocated_bytes = total
+            if total > self._peak_allocated_bytes:
+                self._peak_allocated_bytes = total
+        else:
+            self._grow(n_bytes)
 
     def _arm_crossing(self) -> None:
-        """Schedule the crossing event at the tick that reaches the next threshold.
+        """Schedule the crossing event at the tick that reaches the next
+        threshold, and store the slack.
 
         An event already scheduled no later than that tick is kept: when it
-        fires it adds in the ticks due and arms again.
+        fires it adds in the ticks due and arms again.  The slack is the
+        bytes that may still be allocated while the crossing tick stays at
+        or after the armed event.
         """
         if not self._tick_bytes or self.mode is GcMode.OFF:
             return
         heap = self.heap
         limit = heap.trigger_bytes if self.active_ticket is None else heap.hard_limit_bytes
-        ticks = max(1, -((heap.allocated_bytes - limit) // self._tick_bytes))
-        at = max(self._next_tick, self.paused_until) + (ticks - 1) * self._tick_interval_us
-        if self._crossing is not None:
-            if self._crossing[0] <= at:
-                return
-            self.sim.cancel(self._crossing)
-        self._crossing = self.sim.schedule_at(at, self._on_crossing)
+        gap = limit - heap.allocated_bytes
+        tick_bytes, interval = self._tick_bytes, self._tick_interval_us
+        base = max(self._next_tick, self.paused_until)
+        at = base + (max(1, -(-gap // tick_bytes)) - 1) * interval
+        crossing = self._crossing
+        if crossing is None or crossing[0] > at:
+            if crossing is not None:
+                self.sim.cancel(crossing)
+            crossing = self._crossing = self.sim.schedule_at(at, self._on_crossing)
+        # The crossing tick is reached after ceil((armed - base) / interval)
+        # more ticks at the earliest; it stays there while the gap exceeds
+        # that many ticks' bytes.
+        self._slack = gap + (base - crossing[0]) // interval * tick_bytes
 
     def _on_crossing(self, _arg=None) -> None:
         self._crossing = None
@@ -466,6 +523,8 @@ class ManagedRuntime:
         self.active_ticket = None
         if self.on_pause is not None:
             self.on_pause(start, end)
+        if forced and self.on_forced is not None:
+            self.on_forced(ticket)
         return pause
 
     # -- introspection ---------------------------------------------------------

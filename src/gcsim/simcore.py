@@ -133,13 +133,13 @@ class Simulation:
         if delivery is None:
             delivery = self._link(src, dst)
         network = self.network
-        delay = network.one_way_delay_us
-        if network.jitter_us:
-            delay += self.rng.randrange(network.jitter_us + 1)
+        at = self.now + network.one_way_delay_us
+        jitter = network.jitter_us
+        if jitter:
+            at += self.rng.randrange(jitter + 1)
         self.messages_sent += 1
-        self._seq += 1
-        at = self.now + delay
-        entry = [at, self._seq, delivery, msg]
+        seq = self._seq = self._seq + 1
+        entry = [at, seq, delivery, msg]
         lane = self._lane
         if lane and lane[-1][0] > at:
             heapq.heappush(self._heap, entry)

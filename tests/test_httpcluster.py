@@ -236,6 +236,42 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     assert lb.samples[0][2] - lb.samples[0][1] == RTT + 2_000 + 1_000
 
 
+def test_forced_collection_withdraws_its_queued_ask():
+    # b0's ask waits behind b1's grant when exhaustion forces b0 to collect:
+    # b0 forgets the ticket and withdraws the ask once its pause is over, so
+    # the slot b1 frees is never granted to b0 to collect nothing
+    sim, lb, backends = make_cluster(n=2, max_concurrent=1, live=100, trigger=200,
+                                     hard=400, overhead=5_000)
+    b0, b1 = backends
+    grants, dones = [], []
+    grant, deliver = lb._grant, lb.deliver
+
+    def spy_grant(backend):
+        grants.append((sim.now, backend))
+        grant(backend)
+
+    def spy_deliver(src, msg):
+        if msg[0] == "done":
+            dones.append((sim.now, src, msg))
+        deliver(src, msg)
+    lb._grant = spy_grant
+    sim.add_node("lb", spy_deliver)
+    sim.schedule_at(10, lambda _: b1.runtime.allocate(150))  # asks first: granted
+    sim.schedule_at(10, lambda _: b0.runtime.allocate(150))  # queued behind b1
+    sim.schedule_at(30, lambda _: b0.runtime.allocate(200))  # exhaustion
+    sim.run_until(1_000_000)
+    assert [(p.start_us, p.end_us, p.forced) for p in b0.runtime.pauses] == [(30, 5_030, True)]
+    assert [(p.start_us, p.end_us, p.forced) for p in b1.runtime.pauses] == [(58, 5_058, False)]
+    assert grants == [(34, "b1")]  # b0 never
+    assert dones == [(5_054, "b0", ("done", 1)), (5_082, "b1", ("done", 1))]
+    assert lb.ledger.granted == set() and not lb.ledger.pending
+    assert b0.grantee.ticket_id == 0
+    sent = sim.messages_sent
+    b0.grantee.ask()  # nothing left to ask for
+    assert sim.messages_sent == sent
+    assert [lb.route(i, sim.now) for i in range(2)] == ["b0", "b1"]
+
+
 # -- the routing fast path against the loop reference ---------------------------------
 
 

@@ -188,26 +188,26 @@ class ReferenceRaftNode(RaftNode):
             self._send(src, AppendReply(self.term, False, 0))
             return
         self._become_follower(m.term, m.leader)
-        if m.prev_index > self.last_index or \
+        if m.prev_index > len(self.log) or \
                 (m.prev_index >= 1 and self._term_at(m.prev_index) != m.prev_term):
             self._send(src, AppendReply(self.term, False, 0))
             return
         for k, entry in enumerate(m.entries):
             idx = m.prev_index + 1 + k
-            if idx <= self.last_index:
+            if idx <= len(self.log):
                 if self.log[idx - 1][0] != entry[0]:
                     del self.log[idx - 1:]
                     self.log.append(entry)
             else:
                 self.log.append(entry)
-        new_commit = min(m.leader_commit, self.last_index)
+        new_commit = min(m.leader_commit, len(self.log))
         if new_commit > self.commit_index:
             self.commit_index = new_commit
             self._apply_committed()
         self._send(src, AppendReply(self.term, True, m.prev_index + len(m.entries)))
 
     def _advance_commit(self):
-        n = self.last_index
+        n = len(self.log)
         while n > self.commit_index:
             acks = 1 + sum(1 for p in self.peers if self.match_index[p] >= n)
             if acks >= self.majority and self.log[n - 1][0] == self.term:
@@ -668,6 +668,31 @@ def test_late_allow_starts_the_collection_deferred_since_a_forced_one():
     assert [(p.ticket_id, p.start_us, p.forced) for p in f.runtime.pauses] == \
            [(1, 3_000, True), (2, 103_000, False)]
     assert nodes[0].ledger.used == 0
+
+
+def test_forced_collection_withdraws_its_queued_ask_and_never_asks_again():
+    # n1's ask waits behind n2's 50 ms collection when exhaustion forces n1
+    # to collect.  n1 then forgets the ticket: leading from just after its
+    # pause, it neither asks itself for it nor hands off to collect nothing.
+    # Pauses shorter than n0's 100 ms grant timeout keep that out of play.
+    sim, nodes, clients, samples, trace = make_cluster(live=100, trigger=200,
+                                                       hard=400, overhead=50_000)
+    f = nodes[1]
+    log = record_deliveries(sim, nodes)
+    sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250))
+    sim.schedule_at(1_001, lambda _: f.runtime.allocate(150))  # queued behind n2
+    sim.schedule_at(1_002, lambda _: f.runtime.allocate(300))  # exhaustion
+    sim.schedule_at(51_010, lambda _: nodes[0].request_leader_switch("n1"))
+    sim.run_until(1_000_000)
+    assert [(p.start_us, p.end_us, p.forced) for p in f.runtime.pauses] == \
+           [(1_002, 51_002, True)]
+    assert trace.switches == [(51_010, "n0", "n1", 2)]
+    assert [(t, src, dst, kind) for t, src, dst, kind in log if kind.endswith("GC")] == [
+        (1_000 + HALF, "n2", "n0", "AskGC"), (1_001 + HALF, "n1", "n0", "AskGC"),
+        (1_000 + RTT, "n0", "n2", "AllowGC"),
+        (51_002 + HALF, "n1", "n0", "DoneGC"),  # the withdrawal
+        (51_048 + HALF, "n2", "n1", "DoneGC")]
+    assert f.ledger.used == 0 and not f.ledger.pending
 
 
 def test_ask_resent_to_new_leader_after_switch():

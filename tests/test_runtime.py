@@ -442,7 +442,9 @@ def test_defer_threshold_boundary(make, over):
 
 
 class _ReferenceAllocate(ManagedRuntime):
-    """``allocate`` as before its fast path: every allocation runs ``_grow``."""
+    """``allocate`` as before its fast paths: every allocation runs ``_grow``
+    and arms the crossing event, and background ticks go in through ``_grow``.
+    """
 
     def allocate(self, n_bytes):
         if n_bytes < 0:
@@ -470,9 +472,39 @@ class _ReferenceAllocate(ManagedRuntime):
                 and heap.allocated_bytes >= heap.hard_limit_bytes):
             self._collect(self.active_ticket, forced=True)
 
+    def _add_background_ticks(self):
+        now = self.sim.now
+        t = self._next_tick
+        if t < self.paused_until:
+            t = self.paused_until
+            if t > now:
+                self._next_tick = t
+                return
+        due = (now - t) // self._tick_interval_us + 1
+        self._next_tick = t + due * self._tick_interval_us
+        self._grow(due * self._tick_bytes)
+
+    def _arm_crossing(self):
+        if not self._tick_bytes or self.mode is GcMode.OFF:
+            return
+        heap = self.heap
+        limit = heap.trigger_bytes if self.active_ticket is None else heap.hard_limit_bytes
+        ticks = max(1, -((heap.allocated_bytes - limit) // self._tick_bytes))
+        at = max(self._next_tick, self.paused_until) + (ticks - 1) * self._tick_interval_us
+        if self._crossing is not None:
+            if self._crossing[0] <= at:
+                return
+            self.sim.cancel(self._crossing)
+        self._crossing = self.sim.schedule_at(at, self._on_crossing)
+
 
 def _allocation_run(cls, mode, ops, rate, deferred):
-    """Apply ``ops`` (gap, op, value) in order; snapshot the runtime after each."""
+    """Apply ``ops`` (gap, op, value) in order; snapshot the runtime after each.
+
+    A snapshot includes the time of the armed crossing event and the number
+    of events scheduled so far, so a crossing armed late, early or once too
+    often shows.
+    """
     sim = Simulation()
     heap = HeapModel(live_bytes=100, trigger_bytes=200, hard_limit_bytes=400)
     cost = CollectorCostModel(pause_per_gib_us=0, fixed_overhead_us=3_000)
@@ -491,7 +523,7 @@ def _allocation_run(cls, mode, ops, rate, deferred):
         snapshots.append((sim.now, rt.heap.allocated_bytes, rt._peak_allocated_bytes,
                           [(t.id, t.allocated_bytes, t.estimated_pause_us, t.state)
                            for t in rt.tickets.values()],
-                          list(rt.pauses)))
+                          list(rt.pauses), rt._crossing and rt._crossing[0], sim._seq))
     at = 0
     for gap, op, value in ops:
         at += gap
@@ -506,11 +538,13 @@ def _allocation_run(cls, mode, ops, rate, deferred):
        deferred=st.sets(st.integers(1, 12)),
        ops=st.lists(st.tuples(st.integers(0, 2_500),
                               st.sampled_from(["alloc", "alloc", "alloc", "start"]),
-                              st.integers(0, 150)),
+                              st.one_of(st.integers(0, 150), st.sampled_from([10, 20, 90]))),
                     max_size=60))
 def test_allocate_fast_path_matches_reference(mode, rate, deferred, ops):
     # deferred tickets are started by id or forced at the hard limit; both
-    # runtimes must agree on every byte, peak, ticket and pause after each op
+    # runtimes must agree on every byte, peak, ticket, pause and armed
+    # crossing after each op.  Sizes of whole ticks (20 and 90 bytes) and
+    # half ticks use up the slack exactly, where the crossing must move.
     ops = [(gap, op, value if op == "alloc" else value % 12 + 1) for gap, op, value in ops]
     assert (_allocation_run(ManagedRuntime, mode, ops, rate, deferred)
             == _allocation_run(_ReferenceAllocate, mode, ops, rate, deferred))

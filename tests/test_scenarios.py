@@ -8,7 +8,9 @@ from gcsim.config import ConfigError, default_config, parse_config
 from gcsim.metrics import emit_report, percentiles
 from gcsim.raftcheck import check_history
 from gcsim.runtime import MIB
+from gcsim import scenarios
 from gcsim.scenarios import run_compare, run_scenario
+from gcsim.simcore import Simulation
 
 
 def small_raft(**kw):
@@ -192,3 +194,36 @@ def test_compare_http_sample_log_matches_pinned_digest():
     got = {run.mode: hashlib.sha256(repr((list(run.samples), run.pauses)).encode()).hexdigest()
            for run in run_compare(cfg)}
     assert got == PINNED_HTTP_SAMPLE_LOG
+
+
+# Digest of each mode's Raft sample log, rows in order with the server
+# column, its pauses, its SimStats and the number of events it scheduled,
+# recorded before the message path's and the background ticks' fast paths.
+# Background ticks cross the trigger between requests, every server pauses
+# in blade and gc-on (gc-off never collects), the blade leader hands off to
+# collect, and jitter reorders deliveries.  A crossing event that is not
+# re-armed when it must be changes the count of scheduled events.
+PINNED_RAFT_SAMPLE_LOG = {
+    "off": "6ce84820b234363aaff14d76f81d4e9670efe8a536838a33ebc5797a20b81922",
+    "blade": "1f7bda346dfe5a6af6212c7989fdddd6d7ad2f6c639f215c62e1bc3387d6522d",
+    "on": "db3dc77f2762a3243417de0ba1dcf81a2236efe41e543b0c89e35461c9702338",
+}
+
+
+def test_compare_raft_sample_log_matches_pinned_digest(monkeypatch):
+    sims = []
+
+    class RecordedSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+    monkeypatch.setattr(scenarios, "Simulation", RecordedSimulation)
+    cfg = default_config("raft", duration_s=3, jitter_us=5, live_bytes=16 * MIB,
+                         trigger_bytes=24 * MIB, background_alloc_bytes_per_s=16 * MIB,
+                         rate_rps=1_000)
+    runs = run_compare(cfg)
+    assert all(run.pauses for run in runs if run.mode != "off")
+    got = {run.mode: hashlib.sha256(repr((
+        list(run.samples), run.pauses, run.stats.events_fired, run.stats.messages_sent,
+        sim._seq)).encode()).hexdigest() for run, sim in zip(runs, sims)}
+    assert got == PINNED_RAFT_SAMPLE_LOG

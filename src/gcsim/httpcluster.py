@@ -17,11 +17,15 @@ Message flow per collection (one-way network delay each hop):
 If exhaustion forces the collection while the ask is still queued, the
 backend withdraws the ask with a done once the pause is over.
 
-Each request costs four events: its arrival at the balancer, which routes
-it; its delivery to a backend; its completion there; and the delivery of the
-reply to the balancer, which records the sample.  Replies never feed
+Each request costs three events: its arrival at the balancer, which routes
+it; its delivery to a backend; and its completion there.  Replies never feed
 routing: the rotation moves on grants and dones alone, so the common case
 (no backend holds a grant) routes without looking at any backend's state.
+So a reply queues no delivery.  The completing backend records the sample
+in the balancer's ``samples`` as it sends the reply, stamped with the time
+the reply arrives (``Simulation.stamp``), so a row is visible from the
+send on.  At the end of a scenario run ``SampleLog.keep_arrived`` keeps the
+rows that have arrived, in arrival order.
 """
 
 from __future__ import annotations
@@ -44,6 +48,17 @@ class Backend:
     pause once it is idle, so it polls its grantee as each request completes.
     A pause shifts every completion past its end, so a backend that was not
     idle when a pause began is still not idle when it ends.
+
+    ``_completions`` holds the pending completions' event handles in start
+    order, which a pause shifts in order.  The service time is constant and
+    start times never decrease, so completions fire in start order, and the
+    one that fires is the oldest.  The exception is a pause that begins
+    while the backend is already paused: work started by the first pause's
+    wake collects again, and the second shift moves the older completions
+    past the ones just started, so a completion may fire from further back.
+
+    Build the balancer first: the backend records its replies with the
+    balancer's recorder.
     """
 
     def __init__(self, sim: Simulation, backend_id: NodeId, balancer_id: NodeId,
@@ -58,7 +73,8 @@ class Backend:
         self.bytes_per_request = bytes_per_request
         self.queue: deque = deque()
         self.in_service = 0
-        self._completions: dict[int, list] = {}
+        self._completions: deque = deque()
+        self._record = sim.recorder(balancer_id)
         runtime.on_pause = self._on_pause
         self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
                                  self._send_done, self._idle)
@@ -88,15 +104,22 @@ class Backend:
         start_at = runtime.paused_until
         if start_at < sim.now:
             start_at = sim.now
-        self._completions[rid] = sim.schedule_at(
-            start_at + self.service_time_us, self._complete, (rid, issued))
+        self._completions.append(sim.schedule_at(
+            start_at + self.service_time_us, self._complete, (rid, issued)))
 
     def _complete(self, arg: tuple) -> None:
-        rid, issued = arg
-        del self._completions[rid]
+        completions = self._completions
+        if completions[0][3] is arg:
+            completions.popleft()
+        else:  # overlapping pauses reordered the completions (class docstring)
+            completions.remove(next(h for h in completions if h[3] is arg))
         self.in_service -= 1
-        self.sim.send(self.id, self.balancer_id, ("rep", rid, issued))
-        if self.queue and self.sim.now >= self.runtime.paused_until:
+        sim = self.sim
+        # The reply, recorded at the balancer now, stamped with its arrival.
+        # It is stamped before ``_wake`` and ``poll``, which may send, so the
+        # RNG draws follow the send order.
+        self._record(arg[0], arg[1], sim.stamp(), self.id, "http")
+        if self.queue and sim.now >= self.runtime.paused_until:
             self._wake()
         if self.grantee.grantor is not None:
             self.grantee.poll()
@@ -116,11 +139,13 @@ class Backend:
 
     def _on_pause(self, start_us: int, end_us: int) -> None:
         shift = end_us - start_us
-        for rid, handle in list(self._completions.items()):
-            self.sim.cancel(handle)
-            self._completions[rid] = self.sim.schedule_at(
-                handle[0] + shift, self._complete, handle[3])
-        self.sim.schedule_at(end_us, self._wake)
+        sim = self.sim
+        shifted = deque()
+        for handle in self._completions:
+            sim.cancel(handle)
+            shifted.append(sim.schedule_at(handle[0] + shift, self._complete, handle[3]))
+        self._completions = shifted
+        sim.schedule_at(end_us, self._wake)
 
     def _wake(self, _arg=None) -> None:
         while self.queue and self.in_service < self.parallelism:
@@ -148,6 +173,7 @@ class LoadBalancer:
         self.wait_queue = self.ledger.pending
         self.samples = SampleLog()
         sim.add_node(balancer_id, self.deliver)
+        sim.add_recorder(balancer_id, self.samples.add)
 
     # -- routing ------------------------------------------------------------
 
@@ -173,13 +199,11 @@ class LoadBalancer:
         self.sim.send(self.id, backend, ("req", rid, issued))
         return backend
 
-    # -- replies and coordination ----------------------------------------------
+    # -- coordination ------------------------------------------------------------
 
     def deliver(self, src: NodeId, msg: tuple) -> None:
         tag = msg[0]
-        if tag == "rep":
-            self.samples.add(msg[1], msg[2], self.sim.now, src, "http")
-        elif tag == "ask":
+        if tag == "ask":
             if self.ledger.ask(src) == "grant":
                 self._grant(src)
         elif tag == "done":

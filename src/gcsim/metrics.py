@@ -10,13 +10,14 @@ header.  Rendering is deterministic: identical inputs give identical files.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Collection, Iterable, Iterator, Optional
 
 from .runtime import PauseInterval
@@ -66,6 +67,26 @@ class SampleLog:
         self.completed.append(completed)
         self.server.append(server)
         self.kind.append(kind)
+
+    def keep_arrived(self, until: int) -> None:
+        """Put rows appended as they were sent in arrival order, and keep
+        those that arrived by ``until``.
+
+        A row's ``completed`` is its arrival.  With jitter a later send can
+        arrive first; a stable sort on ``completed`` then gives the engine's
+        delivery order (arrival, then send order).  It is skipped when the
+        rows are in order already.
+        """
+        completed = self.completed
+        if not all(map(operator.le, completed, islice(completed, 1, None))):
+            order = sorted(range(len(completed)), key=completed.__getitem__)
+            for name, column in vars(self).items():
+                picked = map(column.__getitem__, order)
+                setattr(self, name,
+                        array("Q", picked) if isinstance(column, array) else list(picked))
+        cut = bisect_right(self.completed, until)
+        for column in vars(self).values():
+            del column[cut:]
 
     def __len__(self) -> int:
         return len(self.rid)

@@ -14,6 +14,10 @@ appending alone, and the main loop fires whichever head is smaller.  A
 delivery that would break the lane's order (jitter, or a delay lowered
 mid-run) goes to the heap.  This is a calendar queue (Brown, CACM 1988)
 with one bucket.
+
+A message whose delivery would do nothing but record it needs no event at
+all: ``stamp`` counts it and draws its arrival time as ``send`` would, and
+the sender records it at once through the receiver's ``recorder``.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ class Simulation:
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
         # (src, dst) -> partial(deliver, src), cached once the link is validated
         self._links: dict[tuple[NodeId, NodeId], Callable[[Any], None]] = {}
+        self._recorders: dict[NodeId, Callable[..., None]] = {}
         self.events_fired = 0
         self.messages_sent = 0
 
@@ -94,6 +99,21 @@ class Simulation:
         """Register a message sink; ``deliver(src, msg)`` runs on delivery."""
         self._nodes[node_id] = deliver
         self._links.clear()  # a cached link may hold a replaced sink
+
+    def add_recorder(self, node_id: NodeId, record: Callable[..., None]) -> None:
+        """Register how ``node_id`` records a message that it only records."""
+        self._recorders[node_id] = record
+
+    def recorder(self, node_id: NodeId) -> Callable[..., None]:
+        """The function a sender calls to record a message at ``node_id``.
+
+        A message whose delivery would do nothing but record it needs no
+        event: the sender records it at once, stamped with :meth:`stamp`.
+        """
+        record = self._recorders.get(node_id)
+        if record is None:
+            raise SchedulingError(f"node {node_id!r} registered no recorder")
+        return record
 
     # -- scheduling -------------------------------------------------------
 
@@ -146,6 +166,20 @@ class Simulation:
         else:
             lane.append(entry)
         return entry
+
+    def stamp(self) -> SimTime:
+        """Count a message sent now that queues no delivery; return its arrival.
+
+        The delay and jitter are drawn as :meth:`send` draws them, so later
+        draws from ``rng`` stay in the same order.
+        """
+        network = self.network
+        at = self.now + network.one_way_delay_us
+        jitter = network.jitter_us
+        if jitter:
+            at += self.rng.randrange(jitter + 1)
+        self.messages_sent += 1
+        return at
 
     def _link(self, src: NodeId, dst: NodeId) -> Callable[[Any], None]:
         """Validate a (src, dst) link on first use and cache its delivery."""

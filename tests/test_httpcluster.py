@@ -1,5 +1,6 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gcsim import default_config, run_scenario
 from gcsim.httpcluster import Backend, LoadBalancer
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
@@ -275,7 +276,7 @@ def test_forced_collection_withdraws_its_queued_ask():
 # -- the routing fast path against the loop reference ---------------------------------
 
 
-class _ReferenceBalancer(LoadBalancer):
+class _LoopBalancer(LoadBalancer):
     """``route`` as one modulo loop over the rotation, with no fast path."""
 
     def route(self, rid, issued):
@@ -302,7 +303,7 @@ def test_route_matches_loop_reference(data):
     rr_pos = data.draw(st.integers(0, n - 1))
     grants = data.draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=8))
     observed = []
-    for cls in (LoadBalancer, _ReferenceBalancer):
+    for cls in (LoadBalancer, _LoopBalancer):
         sim = Simulation()
         lb = cls(sim, "lb", ids, max_concurrent=n)
         for bid in ids:
@@ -316,3 +317,111 @@ def test_route_matches_loop_reference(data):
         observed.append((picks, list(lb.pending), [(e[0], e[3]) for e in sim._lane],
                          sim.messages_sent))
     assert observed[0] == observed[1]
+
+
+# -- stamped replies against delivered ones ---------------------------------------------
+
+
+class _ReferenceBackend(Backend):
+    """Completions in a dict by rid, and each reply sent as a ``"rep"``
+    message that the balancer records when it is delivered."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._completions = {}
+
+    def _start(self, rid, issued):
+        self.in_service += 1
+        self.runtime.allocate(self.bytes_per_request)
+        start_at = max(self.runtime.paused_until, self.sim.now)
+        self._completions[rid] = self.sim.schedule_at(
+            start_at + self.service_time_us, self._complete, (rid, issued))
+
+    def _complete(self, arg):
+        rid, issued = arg
+        del self._completions[rid]
+        self.in_service -= 1
+        self.sim.send(self.id, self.balancer_id, ("rep", rid, issued))
+        if self.queue and self.sim.now >= self.runtime.paused_until:
+            self._wake()
+        if self.grantee.grantor is not None:
+            self.grantee.poll()
+
+    def _on_pause(self, start_us, end_us):
+        shift = end_us - start_us
+        for rid, handle in list(self._completions.items()):
+            self.sim.cancel(handle)
+            self._completions[rid] = self.sim.schedule_at(
+                handle[0] + shift, self._complete, handle[3])
+        self.sim.schedule_at(end_us, self._wake)
+
+
+class _ReferenceBalancer(LoadBalancer):
+    """Records a sample as each ``"rep"`` message is delivered."""
+
+    def deliver(self, src, msg):
+        if msg[0] == "rep":
+            self.samples.add(msg[1], msg[2], self.sim.now, src, "http")
+        else:
+            super().deliver(src, msg)
+
+
+def _run_small_cluster(balancer_cls, backend_cls, mode, jitter, parallelism,
+                       service_us, bytes_per_request, overhead, gaps, deadline):
+    sim = Simulation(seed=7, network=NetworkModel(24, jitter))
+    ids = ["b0", "b1", "b2"]
+    lb = balancer_cls(sim, "lb", ids)
+    backends = []
+    for bid in ids:
+        heap = HeapModel(live_bytes=100, trigger_bytes=200, hard_limit_bytes=400)
+        rt = ManagedRuntime(sim, bid, heap, CollectorCostModel(25_000, overhead),
+                            PauseEstimator(), mode=mode)
+        backends.append(backend_cls(sim, bid, "lb", rt, service_us, parallelism,
+                                    bytes_per_request))
+    t = 0
+    for rid, gap in enumerate(gaps):
+        t += gap
+        sim.schedule_at(t, lambda _, rid=rid: lb.on_request(rid))
+    sim.run_until(deadline)
+    if balancer_cls is LoadBalancer:
+        lb.samples.keep_arrived(deadline)
+    pauses = [p for b in backends for p in b.runtime.pauses]
+    return list(lb.samples), pauses, sim.messages_sent, sim.rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from([GcMode.OFF, GcMode.BLADE, GcMode.ON]),
+       jitter=st.integers(0, 8), parallelism=st.integers(1, 4),
+       service_us=st.integers(1, 200), bytes_per_request=st.integers(20, 250),
+       overhead=st.integers(1, 2_000),
+       gaps=st.lists(st.integers(0, 20), min_size=1, max_size=80),
+       cut=st.integers(0, 400))
+# a request started as a reply is sent asks for a collection, whose draw
+# comes after the reply's
+@example(mode=GcMode.BLADE, jitter=1, parallelism=1, service_us=1, bytes_per_request=50,
+         overhead=1, gaps=[0, 0, 0, 0], cut=49)
+# a reply overtakes an older one, and two land at the deadline's instant
+@example(mode=GcMode.OFF, jitter=1, parallelism=1, service_us=1, bytes_per_request=20,
+         overhead=1, gaps=[0, 0, 0, 0], cut=49)
+def test_stamped_replies_match_delivered_replies(mode, jitter, parallelism, service_us,
+                                                  bytes_per_request, overhead, gaps, cut):
+    # the same rows in the same order, pauses, message count and RNG draws as
+    # replies delivered through the network; the deadline falls anywhere
+    # from the last arrival on, so it often cuts replies on the wire
+    deadline = sum(gaps) + cut
+    args = (mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+            gaps, deadline)
+    assert (_run_small_cluster(LoadBalancer, Backend, *args)
+            == _run_small_cluster(_ReferenceBalancer, _ReferenceBackend, *args))
+
+
+def test_a_reply_on_the_wire_at_the_deadline_is_in_flight():
+    # one request a millisecond; the one issued at 998 ms completes at
+    # 999,994 us and its reply lands at 1,000,018 us, after the 1 s deadline
+    cfg = default_config("http", nodes=1, rate_rps=1_000, duration_s=1,
+                         service_time_us=1_970, bytes_per_request=0)
+    run = run_scenario(cfg, mode="off")
+    assert run.issued == 1_000
+    assert run.samples[len(run.samples) - 1][:3] == (997, 997_000, 999_018)
+    assert 998 not in run.samples.rid
+    assert run.in_flight == 3  # the reply on the wire and two in service

@@ -24,18 +24,23 @@ routing: the rotation moves on grants and dones alone, so the common case
 So a reply queues no delivery.  The completing backend records the sample
 in the balancer's ``samples`` as it sends the reply, stamped with the time
 the reply arrives (``Simulation.stamp``), so a row is visible from the
-send on.  At the end of a scenario run ``SampleLog.keep_arrived`` keeps the
-rows that have arrived, in arrival order.
+send on.  ``SampleLog.arrived`` gives the rows that have arrived by a given
+time, in arrival order; a scenario run reports those.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 from .metrics import SampleLog
 from .runtime import CollectionTicket, GcGrantee, GcLedger, ManagedRuntime
-from .simcore import NodeId, Simulation
+from .simcore import NodeId, SchedulingError, Simulation
+
+# Each balancer's sample log, by simulation and balancer id, for its backends
+# to record replies in.
+_SAMPLE_LOGS: WeakKeyDictionary[Simulation, dict[NodeId, SampleLog]] = WeakKeyDictionary()
 
 
 class Backend:
@@ -49,16 +54,9 @@ class Backend:
     A pause shifts every completion past its end, so a backend that was not
     idle when a pause began is still not idle when it ends.
 
-    ``_completions`` holds the pending completions' event handles in start
-    order, which a pause shifts in order.  The service time is constant and
-    start times never decrease, so completions fire in start order, and the
-    one that fires is the oldest.  The exception is a pause that begins
-    while the backend is already paused: work started by the first pause's
-    wake collects again, and the second shift moves the older completions
-    past the ones just started, so a completion may fire from further back.
-
-    Build the balancer first: the backend records its replies with the
-    balancer's recorder.
+    A completing request's reply is recorded in the balancer's sample log
+    as it is sent (module docstring).  The backend looks the log up on its
+    first reply, so the balancer may be built before or after it.
     """
 
     def __init__(self, sim: Simulation, backend_id: NodeId, balancer_id: NodeId,
@@ -73,8 +71,8 @@ class Backend:
         self.bytes_per_request = bytes_per_request
         self.queue: deque = deque()
         self.in_service = 0
-        self._completions: deque = deque()
-        self._record = sim.recorder(balancer_id)
+        self._completions: dict[int, list] = {}
+        self._record = self._first_record  # then the balancer's SampleLog.add
         runtime.on_pause = self._on_pause
         self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
                                  self._send_done, self._idle)
@@ -104,25 +102,29 @@ class Backend:
         start_at = runtime.paused_until
         if start_at < sim.now:
             start_at = sim.now
-        self._completions.append(sim.schedule_at(
-            start_at + self.service_time_us, self._complete, (rid, issued)))
+        self._completions[rid] = sim.schedule_at(
+            start_at + self.service_time_us, self._complete, (rid, issued))
 
     def _complete(self, arg: tuple) -> None:
-        completions = self._completions
-        if completions[0][3] is arg:
-            completions.popleft()
-        else:  # overlapping pauses reordered the completions (class docstring)
-            completions.remove(next(h for h in completions if h[3] is arg))
+        rid, issued = arg
+        del self._completions[rid]
         self.in_service -= 1
         sim = self.sim
         # The reply, recorded at the balancer now, stamped with its arrival.
         # It is stamped before ``_wake`` and ``poll``, which may send, so the
         # RNG draws follow the send order.
-        self._record(arg[0], arg[1], sim.stamp(), self.id, "http")
+        self._record(rid, issued, sim.stamp(), self.id, "http")
         if self.queue and sim.now >= self.runtime.paused_until:
             self._wake()
         if self.grantee.grantor is not None:
             self.grantee.poll()
+
+    def _first_record(self, *row) -> None:
+        logs = _SAMPLE_LOGS.get(self.sim, {})
+        if self.balancer_id not in logs:
+            raise SchedulingError(f"unknown balancer {self.balancer_id!r}")
+        self._record = logs[self.balancer_id].add
+        self._record(*row)
 
     def _idle(self) -> bool:
         return self.in_service == 0 and not self.queue
@@ -139,13 +141,11 @@ class Backend:
 
     def _on_pause(self, start_us: int, end_us: int) -> None:
         shift = end_us - start_us
-        sim = self.sim
-        shifted = deque()
-        for handle in self._completions:
-            sim.cancel(handle)
-            shifted.append(sim.schedule_at(handle[0] + shift, self._complete, handle[3]))
-        self._completions = shifted
-        sim.schedule_at(end_us, self._wake)
+        for rid, handle in list(self._completions.items()):
+            self.sim.cancel(handle)
+            self._completions[rid] = self.sim.schedule_at(
+                handle[0] + shift, self._complete, handle[3])
+        self.sim.schedule_at(end_us, self._wake)
 
     def _wake(self, _arg=None) -> None:
         while self.queue and self.in_service < self.parallelism:
@@ -159,6 +159,11 @@ class LoadBalancer:
     soon as a backend rejoins.  The coordinator is a :class:`GcLedger` of
     capacity ``max_concurrent``; a backend leaves the rotation while it holds
     a grant.
+
+    ``samples`` gets a row per reply as the reply is sent, in send order,
+    with ``completed`` set to the reply's arrival: mid-run, a row whose
+    arrival is later than ``sim.now`` is a reply still on the wire.
+    ``samples.arrived(sim.now)`` is the log of the replies received so far.
     """
 
     def __init__(self, sim: Simulation, balancer_id: NodeId,
@@ -173,7 +178,7 @@ class LoadBalancer:
         self.wait_queue = self.ledger.pending
         self.samples = SampleLog()
         sim.add_node(balancer_id, self.deliver)
-        sim.add_recorder(balancer_id, self.samples.add)
+        _SAMPLE_LOGS.setdefault(sim, {})[balancer_id] = self.samples
 
     # -- routing ------------------------------------------------------------
 

@@ -68,25 +68,28 @@ class SampleLog:
         self.server.append(server)
         self.kind.append(kind)
 
-    def keep_arrived(self, until: int) -> None:
-        """Put rows appended as they were sent in arrival order, and keep
-        those that arrived by ``until``.
+    def arrived(self, until: int) -> SampleLog:
+        """A new log of the rows that arrived by ``until``, in arrival order,
+        from rows appended as they were sent; this log is left as it is.
 
         A row's ``completed`` is its arrival.  With jitter a later send can
         arrive first; a stable sort on ``completed`` then gives the engine's
         delivery order (arrival, then send order).  It is skipped when the
         rows are in order already.
         """
+        log = SampleLog()
         completed = self.completed
-        if not all(map(operator.le, completed, islice(completed, 1, None))):
-            order = sorted(range(len(completed)), key=completed.__getitem__)
+        if all(map(operator.le, completed, islice(completed, 1, None))):
+            cut = bisect_right(completed, until)
             for name, column in vars(self).items():
-                picked = map(column.__getitem__, order)
-                setattr(self, name,
-                        array("Q", picked) if isinstance(column, array) else list(picked))
-        cut = bisect_right(self.completed, until)
-        for column in vars(self).values():
-            del column[cut:]
+                setattr(log, name, column[:cut])
+            return log
+        order = sorted(range(len(completed)), key=completed.__getitem__)
+        del order[bisect_right(order, until, key=completed.__getitem__):]
+        for name, column in vars(self).items():
+            picked = map(column.__getitem__, order)
+            setattr(log, name, array("Q", picked) if isinstance(column, array) else list(picked))
+        return log
 
     def __len__(self) -> int:
         return len(self.rid)

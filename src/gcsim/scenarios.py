@@ -158,8 +158,7 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
         ))
 
     def finish() -> dict:
-        lb.samples.keep_arrived(sim.now)
-        return {"samples": lb.samples}
+        return {"samples": lb.samples.arrived(sim.now)}
 
     return backends, lb.on_request, finish
 

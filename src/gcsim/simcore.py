@@ -16,8 +16,8 @@ mid-run) goes to the heap.  This is a calendar queue (Brown, CACM 1988)
 with one bucket.
 
 A message whose delivery would do nothing but record it needs no event at
-all: ``stamp`` counts it and draws its arrival time as ``send`` would, and
-the sender records it at once through the receiver's ``recorder``.
+all: ``stamp`` counts it and draws its arrival time as ``send`` does, and
+the sender records it at once.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class Simulation:
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
         # (src, dst) -> partial(deliver, src), cached once the link is validated
         self._links: dict[tuple[NodeId, NodeId], Callable[[Any], None]] = {}
-        self._recorders: dict[NodeId, Callable[..., None]] = {}
         self.events_fired = 0
         self.messages_sent = 0
 
@@ -99,21 +98,6 @@ class Simulation:
         """Register a message sink; ``deliver(src, msg)`` runs on delivery."""
         self._nodes[node_id] = deliver
         self._links.clear()  # a cached link may hold a replaced sink
-
-    def add_recorder(self, node_id: NodeId, record: Callable[..., None]) -> None:
-        """Register how ``node_id`` records a message that it only records."""
-        self._recorders[node_id] = record
-
-    def recorder(self, node_id: NodeId) -> Callable[..., None]:
-        """The function a sender calls to record a message at ``node_id``.
-
-        A message whose delivery would do nothing but record it needs no
-        event: the sender records it at once, stamped with :meth:`stamp`.
-        """
-        record = self._recorders.get(node_id)
-        if record is None:
-            raise SchedulingError(f"node {node_id!r} registered no recorder")
-        return record
 
     # -- scheduling -------------------------------------------------------
 
@@ -152,12 +136,7 @@ class Simulation:
         delivery = self._links.get((src, dst))
         if delivery is None:
             delivery = self._link(src, dst)
-        network = self.network
-        at = self.now + network.one_way_delay_us
-        jitter = network.jitter_us
-        if jitter:
-            at += self.rng.randrange(jitter + 1)
-        self.messages_sent += 1
+        at = self.stamp()
         seq = self._seq = self._seq + 1
         entry = [at, seq, delivery, msg]
         lane = self._lane
@@ -168,10 +147,11 @@ class Simulation:
         return entry
 
     def stamp(self) -> SimTime:
-        """Count a message sent now that queues no delivery; return its arrival.
+        """Count a message sent now and return its arrival time.
 
-        The delay and jitter are drawn as :meth:`send` draws them, so later
-        draws from ``rng`` stay in the same order.
+        :meth:`send` queues the delivery at that time; a sender whose message
+        needs no delivery event calls this alone.  Either way the jitter is
+        drawn from ``rng`` as the message is sent.
         """
         network = self.network
         at = self.now + network.one_way_delay_us

@@ -383,10 +383,9 @@ def _run_small_cluster(balancer_cls, backend_cls, mode, jitter, parallelism,
         t += gap
         sim.schedule_at(t, lambda _, rid=rid: lb.on_request(rid))
     sim.run_until(deadline)
-    if balancer_cls is LoadBalancer:
-        lb.samples.keep_arrived(deadline)
+    samples = lb.samples.arrived(deadline) if balancer_cls is LoadBalancer else lb.samples
     pauses = [p for b in backends for p in b.runtime.pauses]
-    return list(lb.samples), pauses, sim.messages_sent, sim.rng.getstate()
+    return list(samples), pauses, sim.messages_sent, sim.rng.getstate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,3 +424,30 @@ def test_a_reply_on_the_wire_at_the_deadline_is_in_flight():
     assert run.samples[len(run.samples) - 1][:3] == (997, 997_000, 999_018)
     assert 998 not in run.samples.rid
     assert run.in_flight == 3  # the reply on the wire and two in service
+
+
+def test_arrived_is_a_view_that_leaves_the_log_as_it_is():
+    # mid-run the log holds the reply sent at 4,024 us, which lands at
+    # 4,048 us; the view leaves it out, the log keeps it, and the run resumes
+    sim, lb, _ = make_cluster(mode=GcMode.OFF)
+    for i in range(50):
+        sim.schedule_at(i * 100, lambda _, rid=i: lb.on_request(rid))
+    sim.run_until(4_030)
+    rows = list(lb.samples)
+    view = lb.samples.arrived(sim.now)
+    assert list(lb.samples) == rows and len(rows) == 21
+    assert list(view) == rows[:20] and rows[20][2] == 4_048
+    sim.run_until(1_000_000)
+    assert list(lb.samples.arrived(sim.now).rid) == list(range(50))
+
+
+def test_a_backend_may_be_built_before_its_balancer():
+    sim = Simulation(network=NetworkModel.from_rtt(RTT))
+    heap = HeapModel(live_bytes=100, trigger_bytes=200, hard_limit_bytes=400)
+    rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 1_000),
+                        PauseEstimator(), mode=GcMode.OFF)
+    Backend(sim, "b0", "lb", rt, 2_000, 16, 0)
+    lb = LoadBalancer(sim, "lb", ["b0"])
+    sim.schedule_at(0, lambda _: lb.on_request(1))
+    sim.run_until(10_000)
+    assert list(lb.samples) == [(1, 0, 2_048, "b0", "http")]

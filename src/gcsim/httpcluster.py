@@ -24,8 +24,9 @@ routing: the rotation moves on grants and dones alone, so the common case
 So a reply queues no delivery.  The completing backend records the sample
 in the balancer's ``samples`` as it sends the reply, stamped with the time
 the reply arrives (``Simulation.stamp``), so a row is visible from the
-send on.  ``SampleLog.arrived`` gives the rows that have arrived by a given
-time, in arrival order; a scenario run reports those.
+send on.  ``SampleLog.keep_arrived`` sets aside the rows still on the wire
+at a given time and puts the others in arrival order; a scenario run
+reports those.
 """
 
 from __future__ import annotations
@@ -162,8 +163,9 @@ class LoadBalancer:
 
     ``samples`` gets a row per reply as the reply is sent, in send order,
     with ``completed`` set to the reply's arrival: mid-run, a row whose
-    arrival is later than ``sim.now`` is a reply still on the wire.
-    ``samples.arrived(sim.now)`` is the log of the replies received so far.
+    arrival is later than ``sim.now`` is a reply still on the wire.  After
+    ``samples.keep_arrived(sim.now)`` it holds the replies received so far,
+    until the next reply is recorded.
     """
 
     def __init__(self, sim: Simulation, balancer_id: NodeId,

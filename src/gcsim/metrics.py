@@ -54,42 +54,57 @@ class SampleLog:
     completed, lists of references for server and kind.  Iteration and
     indexing yield ``(rid, issued, completed, server, kind)`` tuples."""
 
+    _COLUMNS = ("rid", "issued", "completed", "server", "kind")
+
     def __init__(self) -> None:
         # Unsigned: ids and times are never negative, and the array module
         # appends "Q" items without the format parsing it does for "q".
         self.rid, self.issued, self.completed = array("Q"), array("Q"), array("Q")
         self.server: list[str] = []
         self.kind: list[str] = []
+        self._on_wire: list = []  # the columns of the rows keep_arrived set aside
 
     def add(self, rid: int, issued: int, completed: int, server: str, kind: str) -> None:
+        if self._on_wire:
+            self._put_back()
         self.rid.append(rid)
         self.issued.append(issued)
         self.completed.append(completed)
         self.server.append(server)
         self.kind.append(kind)
 
-    def arrived(self, until: int) -> SampleLog:
-        """A new log of the rows that arrived by ``until``, in arrival order,
-        from rows appended as they were sent; this log is left as it is.
+    def keep_arrived(self, until: int) -> None:
+        """Put rows appended as they were sent in arrival order, and set
+        aside those that arrive after ``until``.
 
         A row's ``completed`` is its arrival.  With jitter a later send can
         arrive first; a stable sort on ``completed`` then gives the engine's
         delivery order (arrival, then send order).  It is skipped when the
-        rows are in order already.
+        rows are in order already.  The rows set aside are still on the
+        wire: the next :meth:`add` puts them back first, so a run may be
+        resumed and no row is lost.
         """
-        log = SampleLog()
+        if self._on_wire:
+            self._put_back()
         completed = self.completed
-        if all(map(operator.le, completed, islice(completed, 1, None))):
-            cut = bisect_right(completed, until)
-            for name, column in vars(self).items():
-                setattr(log, name, column[:cut])
-            return log
-        order = sorted(range(len(completed)), key=completed.__getitem__)
-        del order[bisect_right(order, until, key=completed.__getitem__):]
-        for name, column in vars(self).items():
-            picked = map(column.__getitem__, order)
-            setattr(log, name, array("Q", picked) if isinstance(column, array) else list(picked))
-        return log
+        if not all(map(operator.le, completed, islice(completed, 1, None))):
+            order = sorted(range(len(completed)), key=completed.__getitem__)
+            for name in self._COLUMNS:
+                column = getattr(self, name)
+                picked = map(column.__getitem__, order)
+                setattr(self, name,
+                        array("Q", picked) if isinstance(column, array) else list(picked))
+        cut = bisect_right(self.completed, until)
+        if cut < len(self):
+            columns = [getattr(self, name) for name in self._COLUMNS]
+            self._on_wire = [column[cut:] for column in columns]
+            for column in columns:
+                del column[cut:]
+
+    def _put_back(self) -> None:
+        for name, rows in zip(self._COLUMNS, self._on_wire):
+            getattr(self, name).extend(rows)
+        self._on_wire = []
 
     def __len__(self) -> int:
         return len(self.rid)

@@ -158,7 +158,8 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
         ))
 
     def finish() -> dict:
-        return {"samples": lb.samples.arrived(sim.now)}
+        lb.samples.keep_arrived(sim.now)
+        return {"samples": lb.samples}
 
     return backends, lb.on_request, finish
 

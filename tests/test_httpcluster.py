@@ -383,9 +383,10 @@ def _run_small_cluster(balancer_cls, backend_cls, mode, jitter, parallelism,
         t += gap
         sim.schedule_at(t, lambda _, rid=rid: lb.on_request(rid))
     sim.run_until(deadline)
-    samples = lb.samples.arrived(deadline) if balancer_cls is LoadBalancer else lb.samples
+    if balancer_cls is LoadBalancer:
+        lb.samples.keep_arrived(deadline)
     pauses = [p for b in backends for p in b.runtime.pauses]
-    return list(samples), pauses, sim.messages_sent, sim.rng.getstate()
+    return list(lb.samples), pauses, sim.messages_sent, sim.rng.getstate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -426,19 +427,23 @@ def test_a_reply_on_the_wire_at_the_deadline_is_in_flight():
     assert run.in_flight == 3  # the reply on the wire and two in service
 
 
-def test_arrived_is_a_view_that_leaves_the_log_as_it_is():
+def test_keep_arrived_mid_run_loses_no_reply():
     # mid-run the log holds the reply sent at 4,024 us, which lands at
-    # 4,048 us; the view leaves it out, the log keeps it, and the run resumes
+    # 4,048 us; keep_arrived sets it aside, twice over, and the next reply
+    # puts it back
     sim, lb, _ = make_cluster(mode=GcMode.OFF)
     for i in range(50):
         sim.schedule_at(i * 100, lambda _, rid=i: lb.on_request(rid))
     sim.run_until(4_030)
     rows = list(lb.samples)
-    view = lb.samples.arrived(sim.now)
-    assert list(lb.samples) == rows and len(rows) == 21
-    assert list(view) == rows[:20] and rows[20][2] == 4_048
+    assert len(rows) == 21 and rows[20][2] == 4_048
+    lb.samples.keep_arrived(sim.now)
+    lb.samples.keep_arrived(sim.now)
+    assert list(lb.samples) == rows[:20]
     sim.run_until(1_000_000)
-    assert list(lb.samples.arrived(sim.now).rid) == list(range(50))
+    lb.samples.keep_arrived(sim.now)
+    assert list(lb.samples)[:21] == rows
+    assert list(lb.samples.rid) == list(range(50))
 
 
 def test_a_backend_may_be_built_before_its_balancer():

@@ -149,7 +149,9 @@ class Backend:
         self.sim.schedule_at(end_us, self._wake)
 
     def _wake(self, _arg=None) -> None:
-        while self.queue and self.in_service < self.parallelism:
+        # A start may pause the runtime; the rest wait for the pause's end.
+        while (self.queue and self.in_service < self.parallelism
+               and self.sim.now >= self.runtime.paused_until):
             self._start(*self.queue.popleft())
 
 

@@ -415,6 +415,23 @@ def test_stamped_replies_match_delivered_replies(mode, jitter, parallelism, serv
             == _run_small_cluster(_ReferenceBalancer, _ReferenceBackend, *args))
 
 
+def test_a_backend_starts_no_request_while_paused():
+    # gc-on, and each request crosses the trigger: ten requests at once, three
+    # slots per backend.  A start that pauses the runtime holds the queued
+    # requests back until the pause is over, so no pause begins inside an
+    # earlier one, and a pause never shifts a completion twice
+    rows, pauses, _, _ = _run_small_cluster(LoadBalancer, Backend, GcMode.ON, 0, 3, 1,
+                                            100, 1, [0] * 10, 1_000)
+    assert len(rows) == 10
+    for node in ("b0", "b1", "b2"):
+        mine = [(p.start_us, p.end_us) for p in pauses if p.node == node]
+        assert all(end <= nxt for (_, end), (nxt, _) in zip(mine, mine[1:]))
+        # each backend serves its requests in rid order, so completions in
+        # rid order must not go back in time
+        done = [completed for rid, _, completed, server, _ in sorted(rows) if server == node]
+        assert done == sorted(done)
+
+
 def test_a_reply_on_the_wire_at_the_deadline_is_in_flight():
     # one request a millisecond; the one issued at 998 ms completes at
     # 999,994 us and its reply lands at 1,000,018 us, after the 1 s deadline

@@ -17,47 +17,86 @@ Message flow per collection (one-way network delay each hop):
 If exhaustion forces the collection while the ask is still queued, the
 backend withdraws the ask with a done once the pause is over.
 
-Each request costs three events: its arrival at the balancer, which routes
-it; its delivery to a backend; and its completion there.  Replies never feed
-routing: the rotation moves on grants and dones alone, so the common case
-(no backend holds a grant) routes without looking at any backend's state.
-So a reply queues no delivery.  The completing backend records the sample
-in the balancer's ``samples`` as it sends the reply, stamped with the time
-the reply arrives (``Simulation.stamp``), so a row is visible from the
-send on.  ``SampleLog.keep_arrived`` sets aside the rows still on the wire
-at a given time and puts the others in arrival order; a scenario run
-reports those.
+A request costs one event: its arrival at the balancer, which routes it.
+Routing moves on grants and dones alone, never on a backend's state, so the
+balancer hands the request to its backend at once, stamped with the time it
+arrives there, and the backend accounts its service lazily.  The service
+time is constant and the queue FIFO, so a request starts at the latest of
+its arrival, the end of the current pause and the completion of the request
+``parallelism`` places before it (the Kiefer-Wolfowitz recursion; Lindley's
+for one slot).  It completes one service time later, plus every pause that
+begins while it is in service.  As it completes, the backend writes the
+reply into the balancer's ``samples``, stamped with the reply's arrival.
+``SampleLog.keep_arrived`` puts the rows in arrival order and sets aside
+those still on the wire; a scenario run reports the others.
+
+A backend schedules an event only where it must act at its own time: the
+start whose allocation may reach the runtime's trigger or hard limit (every
+start, if the runtime also allocates in the background) and, while it holds
+a grant, the moment it drains.  It brings itself up to date there, when an
+allow arrives, before its runtime's background tick can cross a threshold,
+and when it is observed (``queue``, ``in_service``, the balancer's
+``samples``).  Every HTTP message draws its jitter from its own identity
+(``Simulation.arrival``), so the order in which this accounting stamps
+messages changes no draw.
+
+Same-instant order.  At each instant every backend settles first, in the
+balancer's order: its completions due (in start order), its background
+tick, its starts (FIFO, while a slot is free and it is not paused), and, if
+it holds a grant and is then idle, the start of its collection.  Then the
+instant's other events fire in the order they were scheduled: arrivals at
+the balancer, asks and dones there, allows at backends, and the dones a
+backend sends at the end of a pause.  Requests that reach a backend at one
+instant queue in the order they were sent.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
-from typing import Optional
-from weakref import WeakKeyDictionary
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .metrics import SampleLog
-from .runtime import CollectionTicket, GcGrantee, GcLedger, ManagedRuntime
+from .runtime import CollectionTicket, GcGrantee, GcLedger, GcMode, ManagedRuntime
 from .simcore import NodeId, SchedulingError, Simulation
 
-# Each balancer's sample log, by simulation and balancer id, for its backends
-# to record replies in.
-_SAMPLE_LOGS: WeakKeyDictionary[Simulation, dict[NodeId, SampleLog]] = WeakKeyDictionary()
+# Kinds of HTTP message, the first part of each message's identity.
+REQ, REP, ASK, ALLOW, DONE = range(1, 6)
+INF = math.inf
+# A backend accounts the requests handed to it once this many wait.
+_BATCH = 64
+
+
+def _node_code(node_id: NodeId) -> int:
+    """A node id as an integer, for message identities."""
+    return int.from_bytes(node_id.encode(), "big")
+
+
+def _peer(sim: Simulation, node_id: NodeId, cls: type):
+    """The ``cls`` object whose method is registered for ``node_id``, if any."""
+    peer = getattr(sim.sink(node_id), "__self__", None)
+    return peer if isinstance(peer, cls) else None
 
 
 class Backend:
     """One web server: FIFO queue, fixed service time, bounded concurrency.
 
-    Requests allocate ``bytes_per_request`` on arrival, which is what drives
-    the runtime's collection triggers.  While the runtime is paused the
-    backend starts no new work and in-flight completions shift right by the
-    pause, matching stop-the-world semantics.  A granted backend is ready to
-    pause once it is idle, so it polls its grantee as each request completes.
-    A pause shifts every completion past its end, so a backend that was not
-    idle when a pause began is still not idle when it ends.
+    A request allocates ``bytes_per_request`` as it starts, which is what
+    drives the runtime's collection triggers; if that allocation pauses the
+    runtime, the request is served after the pause.  The backend starts no
+    request while paused, and a pause delays the completion of every request
+    in service by its length, matching stop-the-world semantics.  A granted
+    backend is ready to pause once it is idle.
 
-    A completing request's reply is recorded in the balancer's sample log
-    as it is sent (module docstring).  The backend looks the log up on its
-    first reply, so the balancer may be built before or after it.
+    Requests are accounted lazily (module docstring).  ``queue`` (the
+    requests that have arrived and wait) and ``in_service`` bring the
+    cluster up to date before they answer.  The backend expects to be the
+    only one to allocate on its runtime, apart from background ticks: code
+    that allocates on it directly while requests flow calls ``catch_up``
+    first.
     """
 
     def __init__(self, sim: Simulation, backend_id: NodeId, balancer_id: NodeId,
@@ -70,89 +109,264 @@ class Backend:
         self.service_time_us = service_time_us
         self.parallelism = parallelism
         self.bytes_per_request = bytes_per_request
-        self.queue: deque = deque()
-        self.in_service = 0
-        self._completions: dict[int, list] = {}
-        self._record = self._first_record  # then the balancer's SampleLog.add
+        self._pending: deque[list] = deque()  # [arrival, rid, issued], not started
+        self._busy: deque[list] = deque()  # [completion - shift, rid, issued], in service
+        self._shift = 0  # pause time so far: a request in service completes this much later
+        self._starts_left: float = INF  # the start at this place must run at its own time
+        self._advancing = False
+        self._wake: Optional[list] = None  # the one event scheduled for this backend
+        self.wake_at: float = INF  # settle no later than this
+        self._lb: Optional[LoadBalancer] = None
+        self._log: Optional[SampleLog] = None  # the balancer's
+        self._code = _node_code(backend_id)
+        self._asks = self._dones = 0
         runtime.on_pause = self._on_pause
+        runtime.before_crossing = self._gate
+        self._next_tick = runtime.add_due_ticks()  # inf without background ticks
+        self._ticks = runtime.mode is not GcMode.OFF and self._next_tick < INF
         self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
                                  self._send_done, self._idle)
+        self.grantee.before_done = self._gate
         sim.add_node(backend_id, self.deliver)
+        self._plan()
+        lb = _peer(sim, balancer_id, LoadBalancer)
+        if lb is not None and backend_id in lb.order:
+            lb._attach(self)
 
-    # -- request path ------------------------------------------------------
+    # -- observation ---------------------------------------------------------
+
+    @property
+    def in_service(self) -> int:
+        self.catch_up()
+        return len(self._busy)
+
+    @property
+    def queue(self) -> list[tuple[int, int]]:
+        """The requests that have arrived and wait, as ``(rid, issued)``."""
+        self.catch_up()
+        now = self.sim.now
+        return [(rid, issued) for at, rid, issued in self._pending if at <= now]
+
+    def catch_up(self) -> None:
+        """Bring the backend, and the rest of its cluster, up to date."""
+        if self._lb is not None:
+            self._lb.catch_up()
+        else:
+            self._settle()
+
+    # -- messages --------------------------------------------------------------
 
     def deliver(self, src: NodeId, msg: tuple) -> None:
-        tag = msg[0]
-        if tag == "req":
-            if self.sim.now < self.runtime.paused_until or self.in_service >= self.parallelism:
-                self.queue.append((msg[1], msg[2]))
-            else:
-                self._start(msg[1], msg[2])
-        elif tag == "allow":
-            self.grantee.grant(src)
-        else:
+        if msg[0] != "allow":
             raise ValueError(f"backend {self.id} got unknown message {msg!r}")
+        self._gate()
+        self._advance()
+        self.grantee.grant(src)
+        self._plan()
 
-    def _start(self, rid: int, issued: int) -> None:
-        # Allocation happens as the request is serviced; if it trips an
-        # immediate collection, this request resumes after the pause.
-        self.in_service += 1
-        runtime = self.runtime
-        runtime.allocate(self.bytes_per_request)
-        sim = self.sim
-        start_at = runtime.paused_until
-        if start_at < sim.now:
-            start_at = sim.now
-        self._completions[rid] = sim.schedule_at(
-            start_at + self.service_time_us, self._complete, (rid, issued))
-
-    def _complete(self, arg: tuple) -> None:
-        rid, issued = arg
-        del self._completions[rid]
-        self.in_service -= 1
-        sim = self.sim
-        # The reply, recorded at the balancer now, stamped with its arrival.
-        # It is stamped before ``_wake`` and ``poll``, which may send, so the
-        # RNG draws follow the send order.
-        self._record(rid, issued, sim.stamp(), self.id, "http")
-        if self.queue and sim.now >= self.runtime.paused_until:
-            self._wake()
-        if self.grantee.grantor is not None:
-            self.grantee.poll()
-
-    def _first_record(self, *row) -> None:
-        logs = _SAMPLE_LOGS.get(self.sim, {})
-        if self.balancer_id not in logs:
-            raise SchedulingError(f"unknown balancer {self.balancer_id!r}")
-        self._record = logs[self.balancer_id].add
-        self._record(*row)
-
-    def _idle(self) -> bool:
-        return self.in_service == 0 and not self.queue
-
-    # -- coordinated collection hooks -------------------------------------------
+    def _take(self, rid: int, issued: int, at: int) -> None:
+        """Accept a request routed here that arrives at ``at``."""
+        pending = self._pending
+        entry = [at, rid, issued]
+        waiting = len(pending) + 1
+        if waiting == 1 or pending[-1][0] <= at:
+            pending.append(entry)
+            place = waiting
+        else:  # sent later, arrives earlier (jitter)
+            place = bisect_right(pending, at, key=itemgetter(0))
+            pending.insert(place, entry)
+            place += 1
+        # the start that must run at its own time is now known, or moved
+        if place <= self._starts_left <= waiting or waiting > _BATCH:
+            self._advance()
+            self._plan()
 
     def _send_ask(self, ticket: CollectionTicket) -> None:
-        self.sim.send(self.id, self.balancer_id, ("ask", ticket.id))
+        sim = self.sim
+        at = sim.arrival(sim.now, ASK, self._code, self._asks)
+        self._asks += 1
+        sim.post(self.id, self.balancer_id, ("ask", ticket.id), at)
 
     def _send_done(self, ticket_id: int, grantor: Optional[NodeId]) -> None:
-        self.sim.send(self.id, self.balancer_id, ("done", ticket_id))
+        sim = self.sim
+        at = sim.arrival(sim.now, DONE, self._code, self._dones)
+        self._dones += 1
+        sim.post(self.id, self.balancer_id, ("done", ticket_id), at)
 
-    # -- stop-the-world handling ----------------------------------------------
+    # -- lazy service ------------------------------------------------------------
+
+    def _gate(self) -> None:
+        """Settle every backend of the cluster that must act by now."""
+        if self._lb is not None:
+            self._lb._gate()
+        else:
+            self._settle()
+
+    def _on_wake(self, _arg=None) -> None:
+        self._wake = None
+        self._gate()
+
+    def _settle(self) -> None:
+        self._advance()
+        if self.grantee.grantor is not None:
+            self.grantee.poll()  # drains once idle
+        self._plan()
+
+    def _idle(self) -> bool:
+        pending = self._pending
+        return not self._busy and not (pending and pending[0][0] <= self.sim.now)
+
+    def _advance(self) -> None:
+        """Complete and start every request due by now, in the same-instant
+        order of the module docstring."""
+        now = self.sim.now
+        busy, pending = self._busy, self._pending
+        runtime = self.runtime
+        service = self.service_time_us
+        free = self.parallelism - len(busy)
+        shift, paused_until = self._shift, runtime.paused_until
+        left, lazy = self._starts_left, 0
+        freed = 0  # when the last completion freed a slot
+        rids, issueds, replies = [], [], []  # the replies sent, as columns
+        self._advancing = True
+        while True:
+            done_at = busy[0][0] + shift if busy else INF
+            if pending and free:
+                start_at = pending[0][0]
+                if start_at < paused_until:
+                    start_at = paused_until
+                if start_at < freed:
+                    start_at = freed
+                if start_at < done_at:  # a completion at the same time goes first
+                    if start_at > now:
+                        break
+                    free -= 1
+                    if left > 1:  # below every threshold: allocate in one go later
+                        left -= 1
+                        lazy += 1
+                        entry = pending.popleft()
+                        entry[0] = start_at + service - shift
+                        busy.append(entry)
+                        continue
+                    if start_at < now:
+                        raise SchedulingError(
+                            f"backend {self.id} missed the start at {start_at}us")
+                    if lazy:
+                        runtime.allocate(lazy * self.bytes_per_request)
+                        lazy = 0
+                    runtime.add_due_ticks()  # ticks at this instant come first
+                    if now < runtime.paused_until:
+                        free += 1
+                        paused_until = runtime.paused_until
+                        continue
+                    entry = pending.popleft()
+                    entry[0] = now + service - shift
+                    busy.append(entry)
+                    # May pause: the pause then delays this request too.
+                    runtime.allocate(self.bytes_per_request)
+                    shift, paused_until = self._shift, runtime.paused_until
+                    left = self._threshold_start()
+                    continue
+            if done_at > now:
+                break
+            _, rid, issued = busy.popleft()
+            free += 1
+            freed = done_at
+            rids.append(rid)
+            issueds.append(issued)
+            replies.append(done_at)
+        if lazy:
+            runtime.allocate(lazy * self.bytes_per_request)
+        if replies:
+            self._send_replies(rids, issueds, replies)
+        if self._ticks:
+            self._next_tick = runtime.add_due_ticks()
+        self._starts_left = left
+        self._advancing = False
+
+    def _send_replies(self, rids: list[int], issueds: list[int], sent: list[int]) -> None:
+        """Record the replies sent at ``sent``, stamped with their arrivals."""
+        sim = self.sim
+        network = sim.network
+        if network.jitter_us:
+            arrivals = list(map(sim.arrival, sent, repeat(REP), rids))
+        else:
+            delay = network.one_way_delay_us
+            arrivals = [t + delay for t in sent]
+            sim.messages_sent += len(sent)
+        self._log.extend(rids, issueds, arrivals, self.id, "http")
+
+    def _threshold_start(self) -> float:
+        """The place, among the next starts, of the first whose allocation
+        may cross a threshold; ``inf`` if none can."""
+        runtime = self.runtime
+        if self._ticks:
+            return 1  # background ticks move the heap between any two starts
+        if runtime.mode is GcMode.OFF or not self.bytes_per_request:
+            return INF
+        heap = runtime.heap
+        limit = heap.trigger_bytes if runtime.active_ticket is None else heap.hard_limit_bytes
+        return max(1, -(-(limit - heap.allocated_bytes) // self.bytes_per_request))
+
+    def _plan(self) -> None:
+        """Schedule the one event this backend needs, and tell the balancer
+        when to settle it at the latest."""
+        left = self._starts_left = self._threshold_start()
+        wake: float = INF
+        if left <= len(self._pending):
+            wake = self._start_time(left)
+        if self.grantee.grantor is not None:
+            wake = min(wake, self._drain_time())
+        handle = self._wake
+        if handle is None or handle[0] != wake:
+            if handle is not None:
+                self.sim.cancel(handle)
+            self._wake = None if wake == INF else self.sim.schedule_at(wake, self._on_wake)
+        if self._ticks and self._next_tick < wake:
+            wake = self._next_tick
+        self.wake_at = wake
+        lb = self._lb
+        if lb is not None and wake < lb._next_wake:
+            lb._next_wake = wake
+
+    def _starts(self) -> Iterator[tuple[int, int]]:
+        """Each waiting request's arrival and start, if no pause comes first:
+        the start of the request ``parallelism`` places before it, plus the
+        service time, frees its slot."""
+        shift, p, service = self._shift, self.parallelism, self.service_time_us
+        slots = deque([c + shift for c, _, _ in self._busy], p)  # the last p completions
+        paused_until = self.runtime.paused_until
+        for arrival, _, _ in self._pending:
+            start = arrival if arrival > paused_until else paused_until
+            if len(slots) == p and slots[0] > start:
+                start = slots[0]
+            slots.append(start + service)
+            yield arrival, start
+
+    def _start_time(self, place: int) -> int:
+        """When the waiting request at ``place`` starts, if no pause comes first."""
+        return next(islice(self._starts(), place - 1, None))[1]
+
+    def _drain_time(self) -> int:
+        """When the backend is next idle, if no pause comes first."""
+        busy = self._busy
+        idle_at = busy[-1][0] + self._shift if busy else self.sim.now
+        for arrival, start in self._starts():
+            if arrival > idle_at:
+                break
+            idle_at = start + self.service_time_us
+        return idle_at
 
     def _on_pause(self, start_us: int, end_us: int) -> None:
-        shift = end_us - start_us
-        for rid, handle in list(self._completions.items()):
-            self.sim.cancel(handle)
-            self._completions[rid] = self.sim.schedule_at(
-                handle[0] + shift, self._complete, handle[3])
-        self.sim.schedule_at(end_us, self._wake)
-
-    def _wake(self, _arg=None) -> None:
-        # A start may pause the runtime; the rest wait for the pause's end.
-        while (self.queue and self.in_service < self.parallelism
-               and self.sim.now >= self.runtime.paused_until):
-            self._start(*self.queue.popleft())
+        busy, pending = self._busy, self._pending
+        if not self._advancing and (
+                busy and busy[0][0] + self._shift <= start_us
+                or pending and pending[0][0] < start_us and len(busy) < self.parallelism):
+            raise SchedulingError(
+                f"backend {self.id} is behind its runtime: call catch_up() first")
+        self._shift += end_us - start_us
+        if not self._advancing:
+            self._plan()
 
 
 class LoadBalancer:
@@ -163,11 +377,13 @@ class LoadBalancer:
     capacity ``max_concurrent``; a backend leaves the rotation while it holds
     a grant.
 
-    ``samples`` gets a row per reply as the reply is sent, in send order,
-    with ``completed`` set to the reply's arrival: mid-run, a row whose
-    arrival is later than ``sim.now`` is a reply still on the wire.  After
-    ``samples.keep_arrived(sim.now)`` it holds the replies received so far,
-    until the next reply is recorded.
+    ``samples`` gets a row per reply as the reply is sent, with
+    ``completed`` set to the reply's arrival: mid-run, a row whose arrival
+    is later than ``sim.now`` is a reply still on the wire.  Reading it
+    brings the backends up to date.  After ``samples.keep_arrived(sim.now)``
+    it holds the replies received so far, until the next reply is recorded.
+    A balancer and its backends find each other through the simulation's
+    node registry, so either may be built first.
     """
 
     def __init__(self, sim: Simulation, balancer_id: NodeId,
@@ -180,9 +396,46 @@ class LoadBalancer:
         self.ledger = GcLedger(max_concurrent)
         # Alias kept for the benchmark's tracer, which reads ``lb.wait_queue``.
         self.wait_queue = self.ledger.pending
-        self.samples = SampleLog()
+        self._samples = SampleLog(by_arrival=True)
+        self._backends: list[Optional[Backend]] = [None] * len(self.order)  # once found
+        self._next_wake: float = INF  # no backend must act before this
+        self._allows: dict[NodeId, int] = {}
         sim.add_node(balancer_id, self.deliver)
-        _SAMPLE_LOGS.setdefault(sim, {})[balancer_id] = self.samples
+        for bid in self.order:
+            backend = _peer(sim, bid, Backend)
+            if backend is not None and backend.balancer_id == balancer_id:
+                self._attach(backend)
+
+    @property
+    def samples(self) -> SampleLog:
+        self.catch_up()
+        return self._samples
+
+    def catch_up(self) -> None:
+        """Bring every backend up to date, for an observer."""
+        for backend in self._backends:
+            if backend is not None:
+                backend._settle()
+
+    def _attach(self, backend: Backend) -> None:
+        self._backends[self.order.index(backend.id)] = backend
+        backend._lb = self
+        backend._log = self._samples
+        if backend.wake_at < self._next_wake:
+            self._next_wake = backend.wake_at
+
+    def _gate(self) -> None:
+        """Settle, in rotation order, every backend that must act by now."""
+        now = self.sim.now
+        if self._next_wake > now:
+            return
+        self._next_wake = INF  # a settle that sends a message gates again: no-op
+        for backend in self._backends:
+            if backend is not None and backend.wake_at <= now:
+                backend.wake_at = INF
+                backend._settle()
+        self._next_wake = min([b.wake_at for b in self._backends if b is not None],
+                              default=INF)
 
     # -- routing ------------------------------------------------------------
 
@@ -191,6 +444,9 @@ class LoadBalancer:
         self.route(rid, self.sim.now)
 
     def route(self, rid: int, issued: int) -> Optional[NodeId]:
+        sim = self.sim
+        if self._next_wake <= sim.now:
+            self._gate()
         order = self.order
         n = len(order)
         idx = self.rr_pos
@@ -203,14 +459,17 @@ class LoadBalancer:
             else:
                 self.pending.append((rid, issued))
                 return None
-        backend = order[idx]
         self.rr_pos = (idx + 1) % n
-        self.sim.send(self.id, backend, ("req", rid, issued))
-        return backend
+        backend = self._backends[idx]
+        if backend is None:
+            raise SchedulingError(f"unknown backend {order[idx]!r}")
+        backend._take(rid, issued, sim.arrival(sim.now, REQ, rid))
+        return order[idx]
 
     # -- coordination ------------------------------------------------------------
 
     def deliver(self, src: NodeId, msg: tuple) -> None:
+        self._gate()
         tag = msg[0]
         if tag == "ask":
             if self.ledger.ask(src) == "grant":
@@ -221,7 +480,11 @@ class LoadBalancer:
             raise ValueError(f"balancer got unknown message {msg!r}")
 
     def _grant(self, backend: NodeId) -> None:
-        self.sim.send(self.id, backend, ("allow",))
+        sim = self.sim
+        count = self._allows.get(backend, 0)
+        self._allows[backend] = count + 1
+        sim.post(self.id, backend, ("allow",),
+                 sim.arrival(sim.now, ALLOW, _node_code(backend), count))
 
     def _on_done(self, backend: NodeId) -> None:
         nxt = self.ledger.finish(backend)

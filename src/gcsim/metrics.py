@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice, repeat
 from typing import Collection, Iterable, Iterator, Optional
 
 from .runtime import PauseInterval
@@ -52,62 +52,112 @@ class OverlapStat:
 class SampleLog:
     """Completed requests as columns: integer arrays for rid, issued and
     completed, lists of references for server and kind.  Iteration and
-    indexing yield ``(rid, issued, completed, server, kind)`` tuples."""
+    indexing yield ``(rid, issued, completed, server, kind)`` tuples.
+
+    Rows are read in the order they were added, or, in a log kept
+    ``by_arrival``, in arrival order and rid order within one arrival
+    instant (a row's ``completed`` is its arrival).  Such a log takes rows
+    in any order and sorts them when they are next read, through
+    iteration, indexing, ``==`` or a column.  ``len``, ``latencies`` and
+    ``latency_by_rid`` need no order and sort nothing.
+    """
 
     _COLUMNS = ("rid", "issued", "completed", "server", "kind")
 
-    def __init__(self) -> None:
+    def __init__(self, by_arrival: bool = False) -> None:
         # Unsigned: ids and times are never negative, and the array module
         # appends "Q" items without the format parsing it does for "q".
-        self.rid, self.issued, self.completed = array("Q"), array("Q"), array("Q")
-        self.server: list[str] = []
-        self.kind: list[str] = []
+        self._rid, self._issued, self._completed = array("Q"), array("Q"), array("Q")
+        self._server: list[str] = []
+        self._kind: list[str] = []
+        self._by_arrival = by_arrival
+        self._unsorted = False  # rows added since the last sort
         self._on_wire: list = []  # the columns of the rows keep_arrived set aside
+
+    def _column(name: str) -> property:
+        def read(self):
+            if self._unsorted:
+                self._sort()
+            return getattr(self, "_" + name)
+        return property(read)
+
+    rid, issued, completed, server, kind = map(_column, _COLUMNS)
+    del _column
 
     def add(self, rid: int, issued: int, completed: int, server: str, kind: str) -> None:
         if self._on_wire:
             self._put_back()
-        self.rid.append(rid)
-        self.issued.append(issued)
-        self.completed.append(completed)
-        self.server.append(server)
-        self.kind.append(kind)
+        self._rid.append(rid)
+        self._issued.append(issued)
+        self._completed.append(completed)
+        self._server.append(server)
+        self._kind.append(kind)
+        self._unsorted = self._by_arrival
+
+    def extend(self, rid: list[int], issued: list[int], completed: list[int],
+               server: str, kind: str) -> None:
+        """Add rows given as columns, all from one server and of one kind."""
+        if self._on_wire:
+            self._put_back()
+        self._rid.extend(rid)
+        self._issued.extend(issued)
+        self._completed.extend(completed)
+        self._server.extend(repeat(server, len(rid)))
+        self._kind.extend(repeat(kind, len(rid)))
+        self._unsorted = self._by_arrival
 
     def keep_arrived(self, until: int) -> None:
-        """Put rows appended as they were sent in arrival order, and set
-        aside those that arrive after ``until``.
+        """Set aside the rows that arrive after ``until``; the log is then
+        read by arrival.
 
-        A row's ``completed`` is its arrival.  With jitter a later send can
-        arrive first; a stable sort on ``completed`` then gives the engine's
-        delivery order (arrival, then send order).  It is skipped when the
-        rows are in order already.  The rows set aside are still on the
-        wire: the next :meth:`add` puts them back first, so a run may be
-        resumed and no row is lost.
+        The rows set aside are still on the wire: the next :meth:`add` puts
+        them back first, so a run may be resumed and no row is lost.
         """
         if self._on_wire:
             self._put_back()
-        completed = self.completed
-        if not all(map(operator.le, completed, islice(completed, 1, None))):
-            order = sorted(range(len(completed)), key=completed.__getitem__)
-            for name in self._COLUMNS:
-                column = getattr(self, name)
-                picked = map(column.__getitem__, order)
-                setattr(self, name,
-                        array("Q", picked) if isinstance(column, array) else list(picked))
-        cut = bisect_right(self.completed, until)
-        if cut < len(self):
-            columns = [getattr(self, name) for name in self._COLUMNS]
-            self._on_wire = [column[cut:] for column in columns]
+        if not self._by_arrival:
+            self._by_arrival = self._unsorted = True
+        completed = self._completed
+        if not completed or max(completed) <= until:
+            return
+        columns = [getattr(self, "_" + name) for name in self._COLUMNS]
+        late = list(compress(range(len(completed)), map(until.__lt__, completed)))
+        self._on_wire = [[column[i] for i in late] for column in columns]
+        for i in reversed(late):  # order is restored on read: move the last row in
             for column in columns:
-                del column[cut:]
+                column[i] = column[-1]
+                del column[-1]
+        self._unsorted = True
 
     def _put_back(self) -> None:
         for name, rows in zip(self._COLUMNS, self._on_wire):
-            getattr(self, name).extend(rows)
+            getattr(self, "_" + name).extend(rows)
         self._on_wire = []
+        self._unsorted = self._by_arrival
+
+    def _sort(self) -> None:
+        """Put the rows in arrival order, then rid order."""
+        rid = self._rid
+        width = max(rid, default=0).bit_length()
+        keys = list(map(operator.or_, map(operator.lshift, self._completed, repeat(width)), rid))
+        if not all(map(operator.le, keys, islice(keys, 1, None))):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            for name in self._COLUMNS:
+                column = getattr(self, "_" + name)
+                picked = map(column.__getitem__, order)
+                setattr(self, "_" + name,
+                        array("Q", picked) if isinstance(column, array) else list(picked))
+        self._unsorted = False
+
+    def latencies(self) -> Iterator[int]:
+        """Each row's ``completed - issued``, in no particular order."""
+        return map(operator.sub, self._completed, self._issued)
+
+    def latency_by_rid(self) -> dict[int, int]:
+        return dict(zip(self._rid, self.latencies()))
 
     def __len__(self) -> int:
-        return len(self.rid)
+        return len(self._rid)
 
     def __iter__(self) -> Iterator[tuple[int, int, int, str, str]]:
         return zip(self.rid, self.issued, self.completed, self.server, self.kind)
@@ -116,7 +166,9 @@ class SampleLog:
         return self.rid[i], self.issued[i], self.completed[i], self.server[i], self.kind[i]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SampleLog) and vars(self) == vars(other)
+        return (isinstance(other, SampleLog)
+                and all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
+                and self._on_wire == other._on_wire)
 
 
 # -- workload ---------------------------------------------------------------

@@ -270,6 +270,8 @@ class GcGrantee:
         self.ticket_id = 0                     # the deferred collection; 0 if none
         self.grantor: Optional[NodeId] = None  # set while granted and draining
         self._withdrawal = 0                   # a forced ticket's ask to withdraw
+        # Runs first in the events that send a done at a pause's end.
+        self.before_done: Optional[Callable[[], None]] = None
         if runtime.mode is GcMode.BLADE:
             runtime.reg_gc_hand(self.offer)
             runtime.on_forced = self._forced
@@ -306,6 +308,8 @@ class GcGrantee:
             self._report(done)
 
     def _report(self, done: tuple[int, NodeId]) -> None:
+        if self.before_done is not None:
+            self.before_done()
         self.send_done(*done)
 
     def _forced(self, ticket: CollectionTicket) -> None:
@@ -315,6 +319,8 @@ class GcGrantee:
             self.runtime.sim.schedule_at(self.runtime.paused_until, self._withdraw)
 
     def _withdraw(self, _arg=None) -> None:
+        if self.before_done is not None:
+            self.before_done()
         if self._withdrawal:
             self.send_done(self._withdrawal, None)
             self._withdrawal = 0
@@ -331,6 +337,8 @@ class ManagedRuntime:
     crossing allocation, so they must not block; deferral is expressed by
     returning ``False``.  The owning node learns about stop-the-world pauses
     through ``on_pause`` and must process no work before ``paused_until``.
+    A node that accounts its own work lazily sets ``before_crossing`` to
+    bring itself up to date before a background tick may cross a threshold.
     With ``background_bytes_per_s`` set, the node also allocates that rate in
     ticks every ``background_interval_us``, suspended while it is paused.
     """
@@ -348,6 +356,7 @@ class ManagedRuntime:
         self.handler: Optional[UpcallHandler] = None
         self.on_pause: Optional[PauseCallback] = None
         self.on_forced: Optional[Callable[[CollectionTicket], None]] = None
+        self.before_crossing: Optional[Callable[[], None]] = None
         self.tickets: dict[int, CollectionTicket] = {}
         self.active_ticket: Optional[CollectionTicket] = None
         self._next_id = 1
@@ -481,8 +490,17 @@ class ManagedRuntime:
         # that many ticks' bytes.
         self._slack = gap + (base - crossing[0]) // interval * tick_bytes
 
+    def add_due_ticks(self) -> float:
+        """Add in the background ticks due by now; returns when the next
+        one is due (``inf`` without background allocation)."""
+        if self._next_tick <= self.sim.now:
+            self._add_background_ticks()
+        return self._next_tick
+
     def _on_crossing(self, _arg=None) -> None:
         self._crossing = None
+        if self.before_crossing is not None:
+            self.before_crossing()
         if self._next_tick <= self.sim.now:
             self._add_background_ticks()
         self._arm_crossing()

@@ -10,7 +10,6 @@ and seed under all three collector modes.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,13 +48,13 @@ class RunResult:
         return self.issued - len(self.samples)
 
     def latencies_us(self) -> array:
-        return array("q", map(operator.sub, self.samples.completed, self.samples.issued))
+        return array("q", self.samples.latencies())
 
     def latency_by_rid(self) -> dict[int, int]:
-        return dict(zip(self.samples.rid, self.latencies_us()))
+        return self.samples.latency_by_rid()
 
     def summary(self) -> RunSummary:
-        counts = Counter(map(operator.sub, self.samples.completed, self.samples.issued))
+        counts = Counter(self.samples.latencies())
         return summarize_run(self.label, counts, self.in_flight, self.pauses)
 
 
@@ -120,9 +119,11 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
         seed=cfg.seed, kind="http" if cfg.system == "http" else "rw"))
     driver = _WorkloadDriver(sim, stream, dispatch)
 
-    stats = sim.run_until(cfg.duration_us())
+    sim.run_until(cfg.duration_us())
 
-    fields = finish()
+    fields = finish()  # may account work done by the deadline, so stats come after
+    stats = SimStats(events_fired=sim.events_fired, now=sim.now,
+                     messages_sent=sim.messages_sent)
     pauses = [p for node in servers for p in node.runtime.pauses]
     return RunResult(
         config=cfg, mode=cfg.gc_mode, issued=driver.issued, pauses=pauses, stats=stats,

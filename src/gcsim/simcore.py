@@ -5,7 +5,7 @@ totally ordered by ``(fire_at, seq)`` where ``seq`` is the insertion sequence
 number, so two simulations built the same way and driven by the same seed
 replay byte-identical event sequences.  Nodes exchange messages through a
 point-to-point network with a configurable one-way delay (half the round-trip
-time) and optional bounded jitter drawn from the simulation's seeded RNG.
+time) and optional bounded jitter.
 
 Events live in two queues: a binary heap, and a FIFO lane of message
 deliveries.  With a constant delay every delivery is due no earlier than the
@@ -15,9 +15,15 @@ delivery that would break the lane's order (jitter, or a delay lowered
 mid-run) goes to the heap.  This is a calendar queue (Brown, CACM 1988)
 with one bucket.
 
-A message whose delivery would do nothing but record it needs no event at
-all: ``stamp`` counts it and draws its arrival time as ``send`` does, and
-the sender records it at once.
+``send`` draws each message's jitter from the simulation's seeded RNG, so a
+draw depends on the order of sends.  ``arrival`` instead makes the jitter a
+pure function of the seed and the message's identity, a counter-based draw
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011)
+through SplitMix64's mixing function (Steele, Lea and Flood, OOPSLA 2014),
+so a sender may stamp its messages in any order.  ``post`` queues the
+delivery of a message stamped that way; a message whose receiver accounts
+its arrival itself needs no event at all, and the sender hands it over with
+its arrival time at once.
 """
 
 from __future__ import annotations
@@ -40,6 +46,18 @@ NodeId = str
 # Queue entries are mutable lists [fire_at, seq, action, arg]; cancelling an
 # event nulls out its action so the main loop skips it cheaply.
 EventHandle = list
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """SplitMix64's output function: a bijection of 64-bit integers whose
+    outputs look independent for consecutive inputs."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SchedulingError(ValueError):
@@ -81,6 +99,7 @@ class Simulation:
 
     def __init__(self, seed: int = 0, network: Optional[NetworkModel] = None):
         self.now: SimTime = 0
+        self.seed = seed
         self.rng = random.Random(seed)
         self.network = network or NetworkModel()
         self._heap: list[list] = []
@@ -147,12 +166,8 @@ class Simulation:
         return entry
 
     def stamp(self) -> SimTime:
-        """Count a message sent now and return its arrival time.
-
-        :meth:`send` queues the delivery at that time; a sender whose message
-        needs no delivery event calls this alone.  Either way the jitter is
-        drawn from ``rng`` as the message is sent.
-        """
+        """Count a message sent now and return its arrival time, drawing
+        the jitter from ``rng``; :meth:`send` queues the delivery then."""
         network = self.network
         at = self.now + network.one_way_delay_us
         jitter = network.jitter_us
@@ -160,6 +175,42 @@ class Simulation:
             at += self.rng.randrange(jitter + 1)
         self.messages_sent += 1
         return at
+
+    def arrival(self, sent_at: SimTime, kind: int, ident: int, count: int = 0) -> SimTime:
+        """Count a message sent at ``sent_at`` and return its arrival time.
+
+        The jitter is a pure function of the seed and the message's
+        identity ``(kind, ident, count)``, integers that no other message of
+        the run shares; ``rng`` is not touched.
+        """
+        network = self.network
+        at = sent_at + network.one_way_delay_us
+        if network.jitter_us:
+            z = mix64(mix64(mix64(mix64(self.seed & _MASK64) ^ kind) ^ ident) ^ count)
+            at += z % (network.jitter_us + 1)
+        self.messages_sent += 1
+        return at
+
+    def post(self, src: NodeId, dst: NodeId, msg: Any, at: SimTime) -> EventHandle:
+        """Deliver ``msg`` to ``dst`` at ``at``, an arrival from :meth:`arrival`."""
+        if at < self.now:
+            raise SchedulingError(
+                f"cannot deliver at t={at}us: clock is already at {self.now}us")
+        delivery = self._links.get((src, dst))
+        if delivery is None:
+            delivery = self._link(src, dst)
+        seq = self._seq = self._seq + 1
+        entry = [at, seq, delivery, msg]
+        lane = self._lane
+        if lane and lane[-1][0] > at:
+            heapq.heappush(self._heap, entry)
+        else:
+            lane.append(entry)
+        return entry
+
+    def sink(self, node_id: NodeId) -> Optional[Callable[[NodeId, Any], None]]:
+        """The function registered for ``node_id``, or ``None``."""
+        return self._nodes.get(node_id)
 
     def _link(self, src: NodeId, dst: NodeId) -> Callable[[Any], None]:
         """Validate a (src, dst) link on first use and cache its delivery."""

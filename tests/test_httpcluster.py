@@ -1,6 +1,10 @@
+from unittest import mock
+
 from hypothesis import example, given, settings, strategies as st
 
-from gcsim import default_config, run_scenario
+import refmodel
+from gcsim import default_config, run_scenario, scenarios
+from gcsim.config import ScenarioConfig
 from gcsim.httpcluster import Backend, LoadBalancer
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
@@ -273,146 +277,82 @@ def test_forced_collection_withdraws_its_queued_ask():
     assert [lb.route(i, sim.now) for i in range(2)] == ["b0", "b1"]
 
 
-# -- the routing fast path against the loop reference ---------------------------------
+# -- the cluster against the reference model ----------------------------------------
 
 
-class _LoopBalancer(LoadBalancer):
-    """``route`` as one modulo loop over the rotation, with no fast path."""
-
-    def route(self, rid, issued):
-        n = len(self.order)
-        granted = self.ledger.granted
-        for k in range(n):
-            idx = (self.rr_pos + k) % n
-            backend = self.order[idx]
-            if backend not in granted:
-                self.rr_pos = (idx + 1) % n
-                self.sim.send(self.id, backend, ("req", rid, issued))
-                return backend
-        self.pending.append((rid, issued))
-        return None
-
-
-@settings(max_examples=150)
-@given(st.data())
-def test_route_matches_loop_reference(data):
-    # the same backend, rotation position, parked requests and messages, for
-    # any position and granted set, the empty set and the full one included
-    n = data.draw(st.integers(1, 6))
-    ids = [f"b{i}" for i in range(n)]
-    rr_pos = data.draw(st.integers(0, n - 1))
-    grants = data.draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=8))
-    observed = []
-    for cls in (LoadBalancer, _LoopBalancer):
-        sim = Simulation()
-        lb = cls(sim, "lb", ids, max_concurrent=n)
-        for bid in ids:
-            sim.add_node(bid, lambda src, msg: None)
-        lb.rr_pos = rr_pos
-        picks = []
-        for rid, granted in enumerate(grants):
-            lb.ledger.granted.clear()
-            lb.ledger.granted.update(granted)
-            picks.append((lb.route(rid, rid), lb.rr_pos))
-        observed.append((picks, list(lb.pending), [(e[0], e[3]) for e in sim._lane],
-                         sim.messages_sent))
-    assert observed[0] == observed[1]
-
-
-# -- stamped replies against delivered ones ---------------------------------------------
-
-
-class _ReferenceBackend(Backend):
-    """Completions in a dict by rid, and each reply sent as a ``"rep"``
-    message that the balancer records when it is delivered."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._completions = {}
-
-    def _start(self, rid, issued):
-        self.in_service += 1
-        self.runtime.allocate(self.bytes_per_request)
-        start_at = max(self.runtime.paused_until, self.sim.now)
-        self._completions[rid] = self.sim.schedule_at(
-            start_at + self.service_time_us, self._complete, (rid, issued))
-
-    def _complete(self, arg):
-        rid, issued = arg
-        del self._completions[rid]
-        self.in_service -= 1
-        self.sim.send(self.id, self.balancer_id, ("rep", rid, issued))
-        if self.queue and self.sim.now >= self.runtime.paused_until:
-            self._wake()
-        if self.grantee.grantor is not None:
-            self.grantee.poll()
-
-    def _on_pause(self, start_us, end_us):
-        shift = end_us - start_us
-        for rid, handle in list(self._completions.items()):
-            self.sim.cancel(handle)
-            self._completions[rid] = self.sim.schedule_at(
-                handle[0] + shift, self._complete, handle[3])
-        self.sim.schedule_at(end_us, self._wake)
-
-
-class _ReferenceBalancer(LoadBalancer):
-    """Records a sample as each ``"rep"`` message is delivered."""
-
-    def deliver(self, src, msg):
-        if msg[0] == "rep":
-            self.samples.add(msg[1], msg[2], self.sim.now, src, "http")
-        else:
-            super().deliver(src, msg)
-
-
-def _run_small_cluster(balancer_cls, backend_cls, mode, jitter, parallelism,
-                       service_us, bytes_per_request, overhead, gaps, deadline):
+def _run_small_cluster(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+                       gaps, deadline):
     sim = Simulation(seed=7, network=NetworkModel(24, jitter))
     ids = ["b0", "b1", "b2"]
-    lb = balancer_cls(sim, "lb", ids)
+    lb = LoadBalancer(sim, "lb", ids)
     backends = []
     for bid in ids:
         heap = HeapModel(live_bytes=100, trigger_bytes=200, hard_limit_bytes=400)
         rt = ManagedRuntime(sim, bid, heap, CollectorCostModel(25_000, overhead),
                             PauseEstimator(), mode=mode)
-        backends.append(backend_cls(sim, bid, "lb", rt, service_us, parallelism,
-                                    bytes_per_request))
+        backends.append(Backend(sim, bid, "lb", rt, service_us, parallelism,
+                                bytes_per_request))
     t = 0
     for rid, gap in enumerate(gaps):
         t += gap
         sim.schedule_at(t, lambda _, rid=rid: lb.on_request(rid))
     sim.run_until(deadline)
-    if balancer_cls is LoadBalancer:
-        lb.samples.keep_arrived(deadline)
+    lb.samples.keep_arrived(deadline)
     pauses = [p for b in backends for p in b.runtime.pauses]
-    return list(lb.samples), pauses, sim.messages_sent, sim.rng.getstate()
+    return list(lb.samples), pauses, sim.messages_sent
 
 
-@settings(max_examples=200, deadline=None)
-@given(mode=st.sampled_from([GcMode.OFF, GcMode.BLADE, GcMode.ON]),
-       jitter=st.integers(0, 8), parallelism=st.integers(1, 4),
-       service_us=st.integers(1, 200), bytes_per_request=st.integers(20, 250),
-       overhead=st.integers(1, 2_000),
+def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+                       background, interval, max_concurrent, gaps, cut):
+    cfg = default_config("http", nodes=3, rtt_us=48, jitter_us=jitter, seed=7, gc_mode=mode,
+                         live_bytes=100, trigger_bytes=200, hard_limit_bytes=400,
+                         pause_overhead_us=overhead, service_time_us=service_us,
+                         parallelism=parallelism, bytes_per_request=bytes_per_request,
+                         max_concurrent=max_concurrent, background_alloc_bytes_per_s=background,
+                         background_alloc_interval_us=interval, duration_s=1)
+    stream, t = [], 0
+    for rid, gap in enumerate(gaps, 1):
+        t += gap
+        stream.append((t, rid, "http"))
+    deadline = t + cut
+    with mock.patch.object(scenarios, "generate_workload", lambda _: iter(stream)), \
+            mock.patch.object(ScenarioConfig, "duration_us", lambda _: deadline):
+        run = run_scenario(cfg)
+    got = (list(run.samples), [(p.node, p.start_us, p.end_us, p.ticket_id, p.forced)
+                               for p in run.pauses],
+           run.stats.messages_sent, run.peak_allocated, run.issued)
+    assert got == refmodel.run(cfg, stream, deadline)
+    assert run.in_flight == run.issued - len(got[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(mode=st.sampled_from(["off", "blade", "on"]), jitter=st.integers(0, 8),
+       parallelism=st.integers(1, 4), service_us=st.integers(1, 200),
+       bytes_per_request=st.integers(0, 250), overhead=st.integers(0, 2_000),
+       background=st.sampled_from([0, 0, 2_000_000, 9_000_000]),
+       interval=st.integers(3, 60), max_concurrent=st.integers(1, 3),
        gaps=st.lists(st.integers(0, 20), min_size=1, max_size=80),
        cut=st.integers(0, 400))
-# a request started as a reply is sent asks for a collection, whose draw
-# comes after the reply's
-@example(mode=GcMode.BLADE, jitter=1, parallelism=1, service_us=1, bytes_per_request=50,
-         overhead=1, gaps=[0, 0, 0, 0], cut=49)
+# a request started as a reply is sent asks for a collection
+@example(mode="blade", jitter=1, parallelism=1, service_us=1, bytes_per_request=50,
+         overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0, 0, 0, 0],
+         cut=49)
 # a reply overtakes an older one, and two land at the deadline's instant
-@example(mode=GcMode.OFF, jitter=1, parallelism=1, service_us=1, bytes_per_request=20,
-         overhead=1, gaps=[0, 0, 0, 0], cut=49)
-def test_stamped_replies_match_delivered_replies(mode, jitter, parallelism, service_us,
-                                                  bytes_per_request, overhead, gaps, cut):
-    # the same rows in the same order, pauses, message count and RNG draws as
-    # replies delivered through the network; the deadline falls anywhere
-    # from the last arrival on, so it often cuts replies on the wire
-    deadline = sum(gaps) + cut
-    args = (mode, jitter, parallelism, service_us, bytes_per_request, overhead,
-            gaps, deadline)
-    assert (_run_small_cluster(LoadBalancer, Backend, *args)
-            == _run_small_cluster(_ReferenceBalancer, _ReferenceBackend, *args))
+@example(mode="off", jitter=1, parallelism=1, service_us=1, bytes_per_request=20,
+         overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0, 0, 0, 0],
+         cut=49)
+# every start pauses a gc-on backend: the rest wait for the pause's end
+@example(mode="on", jitter=0, parallelism=3, service_us=1, bytes_per_request=100,
+         overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0] * 10,
+         cut=1_000)
+def test_cluster_matches_reference_model(mode, jitter, parallelism, service_us,
+                                         bytes_per_request, overhead, background, interval,
+                                         max_concurrent, gaps, cut):
+    # the rows in order, the pauses, the messages sent, each backend's peak
+    # heap and the requests issued; the deadline falls anywhere from the
+    # last arrival on, so it cuts requests queued, in service and on the wire
+    _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+                       background, interval, max_concurrent, gaps, cut)
 
 
 def test_a_backend_starts_no_request_while_paused():
@@ -420,8 +360,7 @@ def test_a_backend_starts_no_request_while_paused():
     # slots per backend.  A start that pauses the runtime holds the queued
     # requests back until the pause is over, so no pause begins inside an
     # earlier one, and a pause never shifts a completion twice
-    rows, pauses, _, _ = _run_small_cluster(LoadBalancer, Backend, GcMode.ON, 0, 3, 1,
-                                            100, 1, [0] * 10, 1_000)
+    rows, pauses, _ = _run_small_cluster(GcMode.ON, 0, 3, 1, 100, 1, [0] * 10, 1_000)
     assert len(rows) == 10
     for node in ("b0", "b1", "b2"):
         mine = [(p.start_us, p.end_us) for p in pauses if p.node == node]

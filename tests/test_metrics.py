@@ -254,6 +254,20 @@ def test_sample_log_holds_at_most_48_bytes_per_sample():
     assert held / len(log) <= 48  # a list of tuples holds about 176
 
 
+def test_a_log_by_arrival_reads_rows_in_arrival_then_rid_order():
+    log = SampleLog(by_arrival=True)
+    log.extend([5, 2], [0, 0], [70, 50], "b1", "http")
+    log.add(4, 0, 50, "b0", "http")
+    log.add(3, 0, 90, "b0", "http")
+    assert len(log) == 4 and sorted(log.latencies()) == [50, 50, 70, 90]
+    assert list(log) == [(2, 0, 50, "b1", "http"), (4, 0, 50, "b0", "http"),
+                         (5, 0, 70, "b1", "http"), (3, 0, 90, "b0", "http")]
+    log.keep_arrived(60)  # the rows arriving after 60 are still on the wire
+    assert list(log.rid) == [2, 4]
+    log.add(1, 0, 55, "b2", "http")  # puts them back first
+    assert list(log.rid) == [2, 4, 1, 5, 3]
+
+
 def test_summary_of_equal_latencies_holds_a_one_row_histogram():
     latencies = [2_048] * 100_000
     held, summary = _held_bytes(lambda: summarize_run("blade", latencies, 0, []))

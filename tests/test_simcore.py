@@ -139,6 +139,38 @@ def test_jitter_is_bounded_and_seed_deterministic():
     assert len(delays) == 1  # same seed, same jitter draws
 
 
+def test_keyed_jitter_depends_on_the_message_not_on_send_order():
+    # the same messages stamped in opposite orders arrive at the same times,
+    # each within the jitter bound; the RNG is not drawn
+    def stamp_all(keys):
+        sim = Simulation(seed=7, network=NetworkModel.from_rtt(48, jitter_us=10))
+        state = sim.rng.getstate()
+        arrivals = {key: sim.arrival(100, *key) for key in keys}
+        assert sim.messages_sent == len(keys) and sim.rng.getstate() == state
+        return arrivals
+
+    keys = [(kind, ident, count) for kind in (1, 2) for ident in range(20) for count in (0, 1)]
+    arrivals = stamp_all(keys)
+    assert arrivals == stamp_all(keys[::-1])
+    assert all(124 <= t <= 134 for t in arrivals.values())
+    assert len(set(arrivals.values())) > 1
+    other_seed = Simulation(seed=8, network=NetworkModel.from_rtt(48, jitter_us=10))
+    assert arrivals != {key: other_seed.arrival(100, *key) for key in keys}
+
+
+def test_post_delivers_at_the_stamped_arrival():
+    sim = Simulation(network=NetworkModel.from_rtt(48, jitter_us=10))
+    seen = []
+    sim.add_node("a", lambda src, msg: None)
+    sim.add_node("b", lambda src, msg: seen.append((sim.now, msg)))
+    sim.post("a", "b", "late", 90)
+    sim.post("a", "b", "early", 30)
+    sim.run_until(100)
+    assert seen == [(30, "early"), (90, "late")]
+    with pytest.raises(SchedulingError):
+        sim.post("a", "b", "past", 50)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
 def test_fired_order_matches_sort_oracle(times):
     sim = Simulation()

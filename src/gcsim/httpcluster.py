@@ -26,9 +26,9 @@ its arrival, the end of the current pause and the completion of the request
 ``parallelism`` places before it (the Kiefer-Wolfowitz recursion; Lindley's
 for one slot).  It completes one service time later, plus every pause that
 begins while it is in service.  As it completes, the backend writes the
-reply into the balancer's ``samples``, stamped with the reply's arrival.
-``SampleLog.keep_arrived`` puts the rows in arrival order and sets aside
-those still on the wire; a scenario run reports the others.
+reply into the balancer's ``samples``, stamped with the reply's arrival;
+the log reads its rows in arrival order, and ``SampleLog.keep_arrived``
+sets aside those still on the wire.  A scenario run reports the others.
 
 A backend schedules an event only where it must act at its own time: the
 start whose allocation may reach the runtime's trigger or hard limit (every

@@ -108,7 +108,7 @@ class SampleLog:
 
     def keep_arrived(self, until: int) -> None:
         """Set aside the rows that arrive after ``until``; the log is then
-        read by arrival.
+        read in arrival order, and rid order within one arrival instant.
 
         The rows set aside are still on the wire: the next :meth:`add` puts
         them back first, so a run may be resumed and no row is lost.

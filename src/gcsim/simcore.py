@@ -51,7 +51,7 @@ EventHandle = list
 _MASK64 = (1 << 64) - 1
 
 
-def mix64(z: int) -> int:
+def _mix64(z: int) -> int:
     """SplitMix64's output function: a bijection of 64-bit integers whose
     outputs look independent for consecutive inputs."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -186,7 +186,7 @@ class Simulation:
         network = self.network
         at = sent_at + network.one_way_delay_us
         if network.jitter_us:
-            z = mix64(mix64(mix64(mix64(self.seed & _MASK64) ^ kind) ^ ident) ^ count)
+            z = _mix64(_mix64(_mix64(_mix64(self.seed & _MASK64) ^ kind) ^ ident) ^ count)
             at += z % (network.jitter_us + 1)
         self.messages_sent += 1
         return at
@@ -196,6 +196,7 @@ class Simulation:
         if at < self.now:
             raise SchedulingError(
                 f"cannot deliver at t={at}us: clock is already at {self.now}us")
+        # The tail of send, which keeps its own copy to stay one call deep.
         delivery = self._links.get((src, dst))
         if delivery is None:
             delivery = self._link(src, dst)

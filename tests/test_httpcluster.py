@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 import refmodel
 from gcsim import default_config, run_scenario, scenarios
 from gcsim.config import ScenarioConfig
-from gcsim.httpcluster import Backend, LoadBalancer
+from gcsim.httpcluster import REQ, Backend, LoadBalancer
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
                            ManagedRuntime, PauseEstimator)
 from gcsim.simcore import NetworkModel, Simulation
@@ -277,6 +277,49 @@ def test_forced_collection_withdraws_its_queued_ask():
     assert [lb.route(i, sim.now) for i in range(2)] == ["b0", "b1"]
 
 
+# -- routing against a loop reference ---------------------------------------------
+
+
+def _loop_route(order, rr_pos, granted):
+    """The backend one modulo loop over the rotation picks, and the new position."""
+    n = len(order)
+    for k in range(n):
+        idx = (rr_pos + k) % n
+        if order[idx] not in granted:
+            return order[idx], (idx + 1) % n
+    return None, rr_pos
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_route_matches_loop_reference(data):
+    # the same backend, rotation position, parked requests and hand-offs, for
+    # any position and granted set, the empty set and the full one included
+    n = data.draw(st.integers(1, 6))
+    rr_pos = data.draw(st.integers(0, n - 1))
+    grants = data.draw(st.lists(st.sets(st.sampled_from([f"b{i}" for i in range(n)])),
+                                min_size=1, max_size=8))
+    sim, lb, backends = make_cluster(n=n, max_concurrent=n)
+    handed = []
+    for b in backends:
+        b._take = lambda rid, issued, at, bid=b.id: handed.append((bid, rid, issued, at))
+    clock = Simulation(network=NetworkModel.from_rtt(RTT))  # the same arrival draws
+    lb.rr_pos = rr_pos
+    pos, want_handed, want_pending = rr_pos, [], []
+    for rid, granted in enumerate(grants):
+        lb.ledger.granted.clear()
+        lb.ledger.granted.update(granted)
+        want, pos = _loop_route(lb.order, pos, granted)
+        if want is None:
+            want_pending.append((rid, rid))
+        else:
+            want_handed.append((want, rid, rid, clock.arrival(0, REQ, rid)))
+        assert (lb.route(rid, rid), lb.rr_pos) == (want, pos)
+    assert handed == want_handed
+    assert list(lb.pending) == want_pending
+    assert sim.messages_sent == len(want_handed)
+
+
 # -- the cluster against the reference model ----------------------------------------
 
 
@@ -333,14 +376,6 @@ def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request,
        interval=st.integers(3, 60), max_concurrent=st.integers(1, 3),
        gaps=st.lists(st.integers(0, 20), min_size=1, max_size=80),
        cut=st.integers(0, 400))
-# a request started as a reply is sent asks for a collection
-@example(mode="blade", jitter=1, parallelism=1, service_us=1, bytes_per_request=50,
-         overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0, 0, 0, 0],
-         cut=49)
-# a reply overtakes an older one, and two land at the deadline's instant
-@example(mode="off", jitter=1, parallelism=1, service_us=1, bytes_per_request=20,
-         overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0, 0, 0, 0],
-         cut=49)
 # every start pauses a gc-on backend: the rest wait for the pause's end
 @example(mode="on", jitter=0, parallelism=3, service_us=1, bytes_per_request=100,
          overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0] * 10,
@@ -353,6 +388,28 @@ def test_cluster_matches_reference_model(mode, jitter, parallelism, service_us,
     # last arrival on, so it cuts requests queued, in service and on the wire
     _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
                        background, interval, max_concurrent, gaps, cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(["off", "blade", "on"]), jitter=st.integers(0, 8),
+       parallelism=st.integers(1, 4), service_us=st.integers(1, 200),
+       bytes_per_request=st.integers(20, 250), overhead=st.integers(1, 2_000),
+       gaps=st.lists(st.integers(0, 20), min_size=1, max_size=80),
+       cut=st.integers(0, 400))
+# a request started as a reply is sent asks for a collection
+@example(mode="blade", jitter=1, parallelism=1, service_us=1, bytes_per_request=50,
+         overhead=1, gaps=[0, 0, 0, 0], cut=49)
+# a reply overtakes an older one, and two land at the deadline's instant
+@example(mode="off", jitter=1, parallelism=1, service_us=1, bytes_per_request=20,
+         overhead=1, gaps=[0, 0, 0, 0], cut=49)
+def test_stamped_replies_match_delivered_replies(mode, jitter, parallelism, service_us,
+                                                  bytes_per_request, overhead, gaps, cut):
+    # replies stamped with their arrival as the backend accounts them give the
+    # same rows in the same order, pauses and message count as the reference
+    # model, which delivers each reply as an event; the deadline often cuts
+    # replies on the wire.  No background allocation, one collector at a time
+    _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+                       0, 10_000, 1, gaps, cut)
 
 
 def test_a_backend_starts_no_request_while_paused():

@@ -61,18 +61,17 @@ from typing import Iterator, Optional
 
 from .metrics import SampleLog
 from .runtime import CollectionTicket, GcGrantee, GcLedger, GcMode, ManagedRuntime
-from .simcore import NodeId, SchedulingError, Simulation
+from .simcore import NodeId, SchedulingError, Simulation, node_ident
 
 # Kinds of HTTP message, the first part of each message's identity.
 REQ, REP, ASK, ALLOW, DONE = range(1, 6)
 INF = math.inf
-# A backend accounts the requests handed to it once this many wait.
+# A backend that need not act at its own time (any backend in off mode) would
+# hold every request handed to it until it is observed; it accounts them once
+# this many wait instead.  Three-mode http_cluster on 2 vCPUs, median of four
+# runs: 4 took 5.4 s, 16 to 256 took 3.6-4.0 s, and no bound 4.8 s with a
+# peak RSS of 101 MB against 58 MB (BENCH_16.json, "batch_sweep").
 _BATCH = 64
-
-
-def _node_code(node_id: NodeId) -> int:
-    """A node id as an integer, for message identities."""
-    return int.from_bytes(node_id.encode(), "big")
 
 
 def _peer(sim: Simulation, node_id: NodeId, cls: type):
@@ -118,7 +117,7 @@ class Backend:
         self.wake_at: float = INF  # settle no later than this
         self._lb: Optional[LoadBalancer] = None
         self._log: Optional[SampleLog] = None  # the balancer's
-        self._code = _node_code(backend_id)
+        self._code = node_ident(backend_id)
         self._asks = self._dones = 0
         runtime.on_pause = self._on_pause
         runtime.before_crossing = self._gate
@@ -286,14 +285,7 @@ class Backend:
 
     def _send_replies(self, rids: list[int], issueds: list[int], sent: list[int]) -> None:
         """Record the replies sent at ``sent``, stamped with their arrivals."""
-        sim = self.sim
-        network = sim.network
-        if network.jitter_us:
-            arrivals = list(map(sim.arrival, sent, repeat(REP), rids))
-        else:
-            delay = network.one_way_delay_us
-            arrivals = [t + delay for t in sent]
-            sim.messages_sent += len(sent)
+        arrivals = list(map(self.sim.arrival, sent, repeat(REP), rids))
         self._log.extend(rids, issueds, arrivals, self.id, "http")
 
     def _threshold_start(self) -> float:
@@ -484,7 +476,7 @@ class LoadBalancer:
         count = self._allows.get(backend, 0)
         self._allows[backend] = count + 1
         sim.post(self.id, backend, ("allow",),
-                 sim.arrival(sim.now, ALLOW, _node_code(backend), count))
+                 sim.arrival(sim.now, ALLOW, node_ident(backend), count))
 
     def _on_done(self, backend: NodeId) -> None:
         nxt = self.ledger.finish(backend)

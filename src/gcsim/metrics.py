@@ -107,16 +107,17 @@ class SampleLog:
         self._unsorted = self._by_arrival
 
     def keep_arrived(self, until: int) -> None:
-        """Set aside the rows that arrive after ``until``; the log is then
-        read in arrival order, and rid order within one arrival instant.
+        """Set aside the rows that arrive after ``until``; the log still
+        reads the others in arrival order, and rid order within one arrival
+        instant.  Only a log built ``by_arrival`` may do this.
 
         The rows set aside are still on the wire: the next :meth:`add` puts
         them back first, so a run may be resumed and no row is lost.
         """
+        if not self._by_arrival:
+            raise ValueError("keep_arrived needs a log built with by_arrival=True")
         if self._on_wire:
             self._put_back()
-        if not self._by_arrival:
-            self._by_arrival = self._unsorted = True
         completed = self._completed
         if not completed or max(completed) <= until:
             return

@@ -60,6 +60,19 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def node_ident(node_id: NodeId) -> int:
+    """A node id folded into 64 bits, for message identities.
+
+    An id of up to 8 bytes (UTF-8) is its bytes read as one integer; each
+    further 8 bytes are mixed in, so every byte of the id reaches the draw.
+    """
+    data = node_id.encode()
+    ident = int.from_bytes(data[:8], "big")
+    for i in range(8, len(data), 8):
+        ident = _mix64(ident) ^ int.from_bytes(data[i:i + 8], "big")
+    return ident
+
+
 class SchedulingError(ValueError):
     """Raised when an event is scheduled in the past or to an unknown node."""
 
@@ -152,22 +165,11 @@ class Simulation:
 
     def send(self, src: NodeId, dst: NodeId, msg: Any) -> EventHandle:
         """Deliver ``msg`` to ``dst`` after the network's one-way delay."""
-        delivery = self._links.get((src, dst))
-        if delivery is None:
-            delivery = self._link(src, dst)
-        at = self.stamp()
-        seq = self._seq = self._seq + 1
-        entry = [at, seq, delivery, msg]
-        lane = self._lane
-        if lane and lane[-1][0] > at:
-            heapq.heappush(self._heap, entry)
-        else:
-            lane.append(entry)
-        return entry
+        return self.post(src, dst, msg, self.stamp())
 
     def stamp(self) -> SimTime:
         """Count a message sent now and return its arrival time, drawing
-        the jitter from ``rng``; :meth:`send` queues the delivery then."""
+        the jitter from ``rng``; :meth:`send` posts the delivery then."""
         network = self.network
         at = self.now + network.one_way_delay_us
         jitter = network.jitter_us
@@ -180,8 +182,9 @@ class Simulation:
         """Count a message sent at ``sent_at`` and return its arrival time.
 
         The jitter is a pure function of the seed and the message's
-        identity ``(kind, ident, count)``, integers that no other message of
-        the run shares; ``rng`` is not touched.
+        identity ``(kind, ident, count)``, integers below ``2**64`` that no
+        other message of the run shares (:func:`node_ident` folds a node id
+        to that width); ``rng`` is not touched.
         """
         network = self.network
         at = sent_at + network.one_way_delay_us
@@ -196,7 +199,6 @@ class Simulation:
         if at < self.now:
             raise SchedulingError(
                 f"cannot deliver at t={at}us: clock is already at {self.now}us")
-        # The tail of send, which keeps its own copy to stay one call deep.
         delivery = self._links.get((src, dst))
         if delivery is None:
             delivery = self._link(src, dst)

@@ -50,7 +50,11 @@ def mix64(z):
 
 
 def code(node):
-    return int.from_bytes(node.encode(), "big")
+    data = node.encode()
+    z = int.from_bytes(data[:8], "big")
+    for i in range(8, len(data), 8):
+        z = mix64(z) ^ int.from_bytes(data[i:i + 8], "big")
+    return z
 
 
 class Model:

@@ -266,6 +266,8 @@ def test_a_log_by_arrival_reads_rows_in_arrival_then_rid_order():
     assert list(log.rid) == [2, 4]
     log.add(1, 0, 55, "b2", "http")  # puts them back first
     assert list(log.rid) == [2, 4, 1, 5, 3]
+    with pytest.raises(ValueError):
+        SampleLog().keep_arrived(60)  # a plain log keeps insertion order
 
 
 def test_summary_of_equal_latencies_holds_a_one_row_histogram():

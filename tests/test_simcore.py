@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from gcsim.simcore import NetworkModel, SchedulingError, Simulation
+from gcsim.simcore import NetworkModel, SchedulingError, Simulation, node_ident
 
 
 def make_recorder(sim, log, name):
@@ -156,6 +156,16 @@ def test_keyed_jitter_depends_on_the_message_not_on_send_order():
     assert len(set(arrivals.values())) > 1
     other_seed = Simulation(seed=8, network=NetworkModel.from_rtt(48, jitter_us=10))
     assert arrivals != {key: other_seed.arrival(100, *key) for key in keys}
+
+
+def test_node_ident_keeps_every_byte_of_a_long_id():
+    # two ids longer than 8 bytes that share their last 8 bytes draw apart
+    a, b = node_ident("dc1-backend0"), node_ident("dc2-backend0")
+    assert a != b and max(a, b) < 2**64
+    assert node_ident("b0") == int.from_bytes(b"b0", "big")
+    sim = Simulation(seed=1, network=NetworkModel.from_rtt(48, jitter_us=1_000_000))
+    draws = [[sim.arrival(0, 3, ident, count) for count in range(4)] for ident in (a, b)]
+    assert draws[0] != draws[1]
 
 
 def test_post_delivers_at_the_stamped_arrival():

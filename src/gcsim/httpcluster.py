@@ -36,9 +36,10 @@ start, if the runtime also allocates in the background) and, while it holds
 a grant, the moment it drains.  It brings itself up to date there, when an
 allow arrives, before its runtime's background tick can cross a threshold,
 and when it is observed (``queue``, ``in_service``, the balancer's
-``samples``).  Every HTTP message draws its jitter from its own identity
-(``Simulation.arrival``), so the order in which this accounting stamps
-messages changes no draw.
+``samples``).  Every message draws its jitter from its own identity
+(``Simulation.arrival``): a request or reply from its rid, an ask, allow or
+done from its link and its place on that link.  So the order in which this
+accounting stamps requests and replies changes no draw.
 
 Same-instant order.  At each instant every backend settles first, in the
 balancer's order: its completions due (in start order), its background
@@ -61,10 +62,11 @@ from typing import Iterator, Optional
 
 from .metrics import SampleLog
 from .runtime import CollectionTicket, GcGrantee, GcLedger, GcMode, ManagedRuntime
-from .simcore import NodeId, SchedulingError, Simulation, node_ident
+from .simcore import NodeId, SchedulingError, Simulation
 
-# Kinds of HTTP message, the first part of each message's identity.
-REQ, REP, ASK, ALLOW, DONE = range(1, 6)
+# Kinds of the HTTP messages that have no delivery event, the first part of
+# their identity; ``Simulation.send`` keys the others by link.
+REQ, REP = 1, 2
 INF = math.inf
 # A backend that need not act at its own time (any backend in off mode) would
 # hold every request handed to it until it is observed; it accounts them once
@@ -117,8 +119,6 @@ class Backend:
         self.wake_at: float = INF  # settle no later than this
         self._lb: Optional[LoadBalancer] = None
         self._log: Optional[SampleLog] = None  # the balancer's
-        self._code = node_ident(backend_id)
-        self._asks = self._dones = 0
         runtime.on_pause = self._on_pause
         runtime.before_crossing = self._gate
         self._next_tick = runtime.add_due_ticks()  # inf without background ticks
@@ -181,16 +181,10 @@ class Backend:
             self._plan()
 
     def _send_ask(self, ticket: CollectionTicket) -> None:
-        sim = self.sim
-        at = sim.arrival(sim.now, ASK, self._code, self._asks)
-        self._asks += 1
-        sim.post(self.id, self.balancer_id, ("ask", ticket.id), at)
+        self.sim.send(self.id, self.balancer_id, ("ask", ticket.id))
 
     def _send_done(self, ticket_id: int, grantor: Optional[NodeId]) -> None:
-        sim = self.sim
-        at = sim.arrival(sim.now, DONE, self._code, self._dones)
-        self._dones += 1
-        sim.post(self.id, self.balancer_id, ("done", ticket_id), at)
+        self.sim.send(self.id, self.balancer_id, ("done", ticket_id))
 
     # -- lazy service ------------------------------------------------------------
 
@@ -391,7 +385,6 @@ class LoadBalancer:
         self._samples = SampleLog(by_arrival=True)
         self._backends: list[Optional[Backend]] = [None] * len(self.order)  # once found
         self._next_wake: float = INF  # no backend must act before this
-        self._allows: dict[NodeId, int] = {}
         sim.add_node(balancer_id, self.deliver)
         for bid in self.order:
             backend = _peer(sim, bid, Backend)
@@ -472,11 +465,7 @@ class LoadBalancer:
             raise ValueError(f"balancer got unknown message {msg!r}")
 
     def _grant(self, backend: NodeId) -> None:
-        sim = self.sim
-        count = self._allows.get(backend, 0)
-        self._allows[backend] = count + 1
-        sim.post(self.id, backend, ("allow",),
-                 sim.arrival(sim.now, ALLOW, node_ident(backend), count))
+        self.sim.send(self.id, backend, ("allow",))
 
     def _on_done(self, backend: NodeId) -> None:
         nxt = self.ledger.finish(backend)

@@ -15,21 +15,18 @@ delivery that would break the lane's order (jitter, or a delay lowered
 mid-run) goes to the heap.  This is a calendar queue (Brown, CACM 1988)
 with one bucket.
 
-``send`` draws each message's jitter from the simulation's seeded RNG, so a
-draw depends on the order of sends.  ``arrival`` instead makes the jitter a
-pure function of the seed and the message's identity, a counter-based draw
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011)
-through SplitMix64's mixing function (Steele, Lea and Flood, OOPSLA 2014),
-so a sender may stamp its messages in any order.  ``post`` queues the
-delivery of a message stamped that way; a message whose receiver accounts
-its arrival itself needs no event at all, and the sender hands it over with
-its arrival time at once.
+A message's jitter is a pure function of the seed and the message's
+identity, a counter-based draw (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011) through SplitMix64's mixing function (Steele, Lea
+and Flood, OOPSLA 2014), so it does not depend on the order of sends.
+``send`` keys a message by its link and its place on that link; a message
+whose receiver accounts its arrival itself needs no event, and its sender
+keys it by an identity of its own through ``arrival``.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -49,6 +46,7 @@ EventHandle = list
 
 
 _MASK64 = (1 << 64) - 1
+LINK = 0  # the kind of a message sent through ``send``; other kinds are the caller's
 
 
 def _mix64(z: int) -> int:
@@ -83,8 +81,8 @@ class NetworkModel:
 
     With jitter disabled (the default) delivery time is exactly
     ``send_time + one_way_delay_us``, which keeps every per-link message
-    stream FIFO.  Jitter is drawn uniformly from ``[0, jitter_us]`` with the
-    simulation's RNG.
+    stream FIFO.  Jitter is drawn from ``[0, jitter_us]`` by
+    :meth:`Simulation.arrival`.
     """
 
     one_way_delay_us: int = 24
@@ -106,30 +104,32 @@ class Simulation:
     """Single-threaded event loop owning a virtual clock and node registry.
 
     One instance is fully self-contained: independent instances never share
-    state and may run in parallel.  All randomness (jitter, protocol timers)
-    must come from ``self.rng`` or RNGs derived from the configured seed.
+    state and may run in parallel.  Jitter is a draw keyed by ``seed``
+    (:meth:`arrival`); protocol timers use RNGs derived from the seed.
     """
 
     def __init__(self, seed: int = 0, network: Optional[NetworkModel] = None):
         self.now: SimTime = 0
         self.seed = seed
-        self.rng = random.Random(seed)
         self.network = network or NetworkModel()
         self._heap: list[list] = []
         self._lane: deque[list] = deque()  # deliveries in (fire_at, seq) order
         self._seq = 0  # events ever scheduled; also the tie-break sequence
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
-        # (src, dst) -> partial(deliver, src), cached once the link is validated
-        self._links: dict[tuple[NodeId, NodeId], Callable[[Any], None]] = {}
+        # (src, dst) -> [partial(deliver, src), identity, messages sent on it]
+        self._links: dict[tuple[NodeId, NodeId], list] = {}
         self.events_fired = 0
         self.messages_sent = 0
 
     # -- nodes ------------------------------------------------------------
 
     def add_node(self, node_id: NodeId, deliver: Callable[[NodeId, Any], None]) -> None:
-        """Register a message sink; ``deliver(src, msg)`` runs on delivery."""
+        """Register a message sink; ``deliver(src, msg)`` runs on delivery.
+        A replaced sink takes over the links to it, and their counts."""
         self._nodes[node_id] = deliver
-        self._links.clear()  # a cached link may hold a replaced sink
+        for (src, dst), link in self._links.items():
+            if dst == node_id:
+                link[0] = partial(deliver, src)
 
     # -- scheduling -------------------------------------------------------
 
@@ -164,19 +164,22 @@ class Simulation:
     # -- messaging --------------------------------------------------------
 
     def send(self, src: NodeId, dst: NodeId, msg: Any) -> EventHandle:
-        """Deliver ``msg`` to ``dst`` after the network's one-way delay."""
-        return self.post(src, dst, msg, self.stamp())
-
-    def stamp(self) -> SimTime:
-        """Count a message sent now and return its arrival time, drawing
-        the jitter from ``rng``; :meth:`send` posts the delivery then."""
-        network = self.network
-        at = self.now + network.one_way_delay_us
-        jitter = network.jitter_us
-        if jitter:
-            at += self.rng.randrange(jitter + 1)
-        self.messages_sent += 1
-        return at
+        """Deliver ``msg`` to ``dst`` after the network's delay, its jitter
+        keyed by the link and the message's place on it."""
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._link(src, dst)
+        count = link[2]
+        link[2] = count + 1
+        at = self.arrival(self.now, LINK, link[1], count)
+        seq = self._seq = self._seq + 1
+        entry = [at, seq, link[0], msg]
+        lane = self._lane
+        if lane and lane[-1][0] > at:
+            heapq.heappush(self._heap, entry)
+        else:
+            lane.append(entry)
+        return entry
 
     def arrival(self, sent_at: SimTime, kind: int, ident: int, count: int = 0) -> SimTime:
         """Count a message sent at ``sent_at`` and return its arrival time.
@@ -184,7 +187,7 @@ class Simulation:
         The jitter is a pure function of the seed and the message's
         identity ``(kind, ident, count)``, integers below ``2**64`` that no
         other message of the run shares (:func:`node_ident` folds a node id
-        to that width); ``rng`` is not touched.
+        to that width).
         """
         network = self.network
         at = sent_at + network.one_way_delay_us
@@ -194,36 +197,21 @@ class Simulation:
         self.messages_sent += 1
         return at
 
-    def post(self, src: NodeId, dst: NodeId, msg: Any, at: SimTime) -> EventHandle:
-        """Deliver ``msg`` to ``dst`` at ``at``, an arrival from :meth:`arrival`."""
-        if at < self.now:
-            raise SchedulingError(
-                f"cannot deliver at t={at}us: clock is already at {self.now}us")
-        delivery = self._links.get((src, dst))
-        if delivery is None:
-            delivery = self._link(src, dst)
-        seq = self._seq = self._seq + 1
-        entry = [at, seq, delivery, msg]
-        lane = self._lane
-        if lane and lane[-1][0] > at:
-            heapq.heappush(self._heap, entry)
-        else:
-            lane.append(entry)
-        return entry
-
     def sink(self, node_id: NodeId) -> Optional[Callable[[NodeId, Any], None]]:
         """The function registered for ``node_id``, or ``None``."""
         return self._nodes.get(node_id)
 
-    def _link(self, src: NodeId, dst: NodeId) -> Callable[[Any], None]:
-        """Validate a (src, dst) link on first use and cache its delivery."""
+    def _link(self, src: NodeId, dst: NodeId) -> list:
+        """Validate a (src, dst) link on first use and cache its record; its
+        identity folds both ids, so ``a -> b`` and ``b -> a`` differ."""
         deliver = self._nodes.get(dst)
         if deliver is None:
             raise SchedulingError(f"unknown node id {dst!r}")
         if src not in self._nodes:
             raise SchedulingError(f"unknown node id {src!r}")
-        delivery = self._links[(src, dst)] = partial(deliver, src)
-        return delivery
+        link = self._links[(src, dst)] = [
+            partial(deliver, src), _mix64(node_ident(src)) ^ node_ident(dst), 0]
+        return link
 
     # -- main loop --------------------------------------------------------
 

@@ -24,7 +24,9 @@ The rules for events at one instant, which the simulator must follow too:
 3. A pause delays each request in service by its length.  A completion due
    at the instant a pause begins is not in service.
 4. A message takes half the RTT plus a jitter drawn from the seed and the
-   message's identity alone, so jitter does not depend on event order.
+   message's identity alone, so jitter does not depend on event order.  A
+   request or reply is identified by its rid; an ask, allow or done by its
+   link and its place on that link.
 
 Rows are returned in arrival order, then rid order.
 """
@@ -38,7 +40,7 @@ from gcsim.config import ScenarioConfig
 
 GIB = 1 << 30
 MASK64 = (1 << 64) - 1
-REQ, REP, ASK, ALLOW, DONE = 1, 2, 3, 4, 5
+LINK, REQ, REP = 0, 1, 2
 COMPLETE, TICK, ARRIVE, SERVE = 0, 1, 2, 3  # a backend's own events at one instant
 
 
@@ -57,6 +59,17 @@ def code(node):
     return z
 
 
+def link_code(src, dst):
+    return mix64(code(src)) ^ code(dst)
+
+
+def jitter(seed, bound, kind, ident, count=0):
+    """The jitter, 0 to ``bound`` us, of the message ``(kind, ident, count)``."""
+    if not bound:
+        return 0
+    return mix64(mix64(mix64(mix64(seed & MASK64) ^ kind) ^ ident) ^ count) % (bound + 1)
+
+
 class Model:
     def __init__(self, cfg: ScenarioConfig, stream, deadline):
         self.cfg = cfg
@@ -65,6 +78,7 @@ class Model:
         self.heap = []
         self.seq = 0
         self.messages = 0
+        self.links = {}  # (src, dst) -> messages sent on that link
         self.issued = 0
         self.rows = []
         self.stream = iter(stream)
@@ -94,11 +108,14 @@ class Model:
 
     def arrival_time(self, kind, ident, count=0):
         self.messages += 1
-        t = self.now + self.cfg.rtt_us // 2
-        if self.cfg.jitter_us:
-            z = mix64(mix64(mix64(mix64(self.cfg.seed & MASK64) ^ kind) ^ ident) ^ count)
-            t += z % (self.cfg.jitter_us + 1)
-        return t
+        return self.now + self.cfg.rtt_us // 2 + jitter(self.cfg.seed, self.cfg.jitter_us,
+                                                        kind, ident, count)
+
+    def link_arrival(self, src, dst):
+        """Arrival time of the next message on the link ``src -> dst``."""
+        count = self.links.get((src, dst), 0)
+        self.links[(src, dst)] = count + 1
+        return self.arrival_time(LINK, link_code(src, dst), count)
 
     # -- workload --------------------------------------------------------------
 
@@ -122,7 +139,6 @@ class Balancer:
         self.capacity = model.cfg.max_concurrent
         self.granted = set()
         self.asked = deque()
-        self.allows = {b: 0 for b in order}
 
     def route(self, rid, issued):
         n = len(self.order)
@@ -137,8 +153,7 @@ class Balancer:
         self.parked.append((rid, issued))
 
     def send_allow(self, name):
-        t = self.m.arrival_time(ALLOW, code(name), self.allows[name])
-        self.allows[name] += 1
+        t = self.m.link_arrival("lb", name)
         backend = self.m.backends[self.order.index(name)]
         self.m.at(t, backend.allow)
 
@@ -197,7 +212,6 @@ class Backend:
         self.ticket_id = 0
         self.grantor = None
         self.withdrawal = 0
-        self.asks = self.dones = 0
         interval = cfg.background_alloc_interval_us
         self.tick_bytes = round(cfg.background_alloc_bytes_per_s * interval / 1_000_000)
         self.interval = interval
@@ -283,8 +297,7 @@ class Backend:
         ticket[1] = "deferred"
         self.ticket_id = ticket[0]
         self.withdrawal = 0
-        t = self.m.arrival_time(ASK, code(self.name), self.asks)
-        self.asks += 1
+        t = self.m.link_arrival(self.name, "lb")
         self.m.at(t, self.m.lb.ask, self.name)
 
     def collect(self, ticket, forced=False):
@@ -331,8 +344,7 @@ class Backend:
             self.send_done()
 
     def send_done(self):
-        t = self.m.arrival_time(DONE, code(self.name), self.dones)
-        self.dones += 1
+        t = self.m.link_arrival(self.name, "lb")
         self.m.at(t, self.m.lb.done, self.name)
 
     def withdraw(self):

@@ -206,10 +206,12 @@ def test_compare_http_sample_log_matches_pinned_digest():
 # in blade and gc-on (gc-off never collects), the blade leader hands off to
 # collect, and jitter reorders deliveries.  A crossing event that is not
 # re-armed when it must be changes the count of scheduled events.
+# Re-recorded when each message's jitter became a draw keyed by its link and
+# its place on that link, instead of the next draw of the simulation's RNG.
 PINNED_RAFT_SAMPLE_LOG = {
-    "off": "6ce84820b234363aaff14d76f81d4e9670efe8a536838a33ebc5797a20b81922",
-    "blade": "1f7bda346dfe5a6af6212c7989fdddd6d7ad2f6c639f215c62e1bc3387d6522d",
-    "on": "db3dc77f2762a3243417de0ba1dcf81a2236efe41e543b0c89e35461c9702338",
+    "off": "ff80487aacc4173ec9995331f2d183dcb53ffa658b5944651cef572d02ed6ae8",
+    "blade": "5b1c61b57a01fda8cbcfc602f70242df11b94dd005a3439a32047f72b8081cfb",
+    "on": "22a9d0e8cf154abfb7355cd3cb531ed040fefc2bafd564596e20e00d8d6ba313",
 }
 
 

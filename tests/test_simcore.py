@@ -1,10 +1,13 @@
 import heapq
 import itertools
+from collections import Counter
+from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from gcsim.simcore import NetworkModel, SchedulingError, Simulation, node_ident
+from gcsim.simcore import LINK, NetworkModel, SchedulingError, Simulation, node_ident
+from refmodel import jitter, link_code
 
 
 def make_recorder(sim, log, name):
@@ -141,12 +144,11 @@ def test_jitter_is_bounded_and_seed_deterministic():
 
 def test_keyed_jitter_depends_on_the_message_not_on_send_order():
     # the same messages stamped in opposite orders arrive at the same times,
-    # each within the jitter bound; the RNG is not drawn
+    # each within the jitter bound
     def stamp_all(keys):
         sim = Simulation(seed=7, network=NetworkModel.from_rtt(48, jitter_us=10))
-        state = sim.rng.getstate()
         arrivals = {key: sim.arrival(100, *key) for key in keys}
-        assert sim.messages_sent == len(keys) and sim.rng.getstate() == state
+        assert sim.messages_sent == len(keys)
         return arrivals
 
     keys = [(kind, ident, count) for kind in (1, 2) for ident in range(20) for count in (0, 1)]
@@ -168,17 +170,58 @@ def test_node_ident_keeps_every_byte_of_a_long_id():
     assert draws[0] != draws[1]
 
 
-def test_post_delivers_at_the_stamped_arrival():
-    sim = Simulation(network=NetworkModel.from_rtt(48, jitter_us=10))
+def _link_draws(sim, links, n=6):
+    """Arrival times of ``n`` messages sent now on each of ``links``."""
+    return {link: [sim.send(*link, None)[0] for _ in range(n)] for link in links}
+
+
+def test_each_direction_and_each_long_id_draws_its_own_jitter():
+    sim = Simulation(seed=1, network=NetworkModel.from_rtt(48, jitter_us=1_000_000))
+    for node in ("a", "b", "x", "dc1-backend0", "dc2-backend0"):
+        sim.add_node(node, lambda src, msg: None)
+    draws = _link_draws(sim, [("a", "b"), ("b", "a"), ("dc1-backend0", "x"),
+                              ("dc2-backend0", "x")])
+    assert draws[("a", "b")] != draws[("b", "a")]
+    assert draws[("dc1-backend0", "x")] != draws[("dc2-backend0", "x")]
+    assert sim.messages_sent == 24
+
+
+@given(st.permutations([link for link in itertools.permutations("abc", 2) for _ in range(4)]))
+def test_a_links_arrivals_do_not_depend_on_other_links(order):
+    # sending on other links in between moves no draw of a link
+    def arrivals(links):
+        sim = Simulation(seed=3, network=NetworkModel.from_rtt(48, jitter_us=10))
+        for node in "abc":
+            sim.add_node(node, lambda src, msg: None)
+        got = {}
+        for link in links:
+            got.setdefault(link, []).append(sim.send(*link, None)[0])
+        return got
+
+    assert arrivals(order) == arrivals(sorted(order))
+
+
+def test_a_replaced_sink_keeps_its_links_identities():
+    # at a jitter this large, a reused identity would show as a repeated arrival
+    sim = Simulation(seed=2, network=NetworkModel.from_rtt(48, jitter_us=2**60))
     seen = []
     sim.add_node("a", lambda src, msg: None)
-    sim.add_node("b", lambda src, msg: seen.append((sim.now, msg)))
-    sim.post("a", "b", "late", 90)
-    sim.post("a", "b", "early", 30)
-    sim.run_until(100)
-    assert seen == [(30, "early"), (90, "late")]
-    with pytest.raises(SchedulingError):
-        sim.post("a", "b", "past", 50)
+    sim.add_node("b", lambda src, msg: seen.append(("old", msg)))
+    arrivals = [sim.send("a", "b", i)[0] for i in range(5)]
+    sim.add_node("b", lambda src, msg: seen.append(("new", msg)))
+    arrivals += [sim.send("a", "b", i)[0] for i in range(5, 10)]
+    assert len(set(arrivals)) == 10
+    sim.run_until(max(arrivals))
+    assert sorted(seen, key=lambda row: row[1]) == [("old", i) for i in range(5)] + [
+        ("new", i) for i in range(5, 10)]
+
+
+def test_every_jitter_offset_occurs():
+    sim = Simulation(seed=4, network=NetworkModel.from_rtt(48, jitter_us=10))
+    sim.add_node("a", lambda src, msg: None)
+    sim.add_node("b", lambda src, msg: None)
+    offsets = Counter(t - 24 for t in _link_draws(sim, [("a", "b")], 500)[("a", "b")])
+    assert sorted(offsets) == list(range(11))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
@@ -229,16 +272,21 @@ def test_identical_runs_produce_identical_traces():
 
 
 class HeapOnlySimulation(Simulation):
-    """Reference scheduler: every event goes on the heap, fired by a heap-only loop."""
+    """Reference scheduler: every event goes on the heap, fired by a heap-only
+    loop; the jitter is ``refmodel``'s draw for a message's place on its link."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent_on = Counter()
 
     def send(self, src, dst, msg):
-        delivery = self._links.get((src, dst)) or self._link(src, dst)
-        delay = self.network.one_way_delay_us
-        if self.network.jitter_us:
-            delay += self.rng.randrange(self.network.jitter_us + 1)
+        count = self.sent_on[src, dst]
+        self.sent_on[src, dst] += 1
+        delay = self.network.one_way_delay_us + jitter(
+            self.seed, self.network.jitter_us, LINK, link_code(src, dst), count)
         self.messages_sent += 1
         self._seq += 1
-        entry = [self.now + delay, self._seq, delivery, msg]
+        entry = [self.now + delay, self._seq, partial(self._nodes[dst], src), msg]
         heapq.heappush(self._heap, entry)
         return entry
 
@@ -311,6 +359,8 @@ def replay(sim, steps):
 
 
 @given(_steps)
+@example([(("jitter", 7), [])] + [(("send", "a", "b"), []), (("send", "b", "a"), [])] * 4
+         + [("run", 80)])  # jittered sends both ways on one pair of nodes
 def test_fired_order_matches_heap_only_reference(steps):
     got = replay(Simulation(seed=5, network=NetworkModel(24)), steps)
     want = replay(HeapOnlySimulation(seed=5, network=NetworkModel(24)), steps)

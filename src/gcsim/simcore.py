@@ -22,6 +22,14 @@ and Flood, OOPSLA 2014), so it does not depend on the order of sends.
 ``send`` keys a message by its link and its place on that link; a message
 whose receiver accounts its arrival itself needs no event, and its sender
 keys it by an identity of its own through ``arrival``.
+
+An event may also fire in place.  A handler that would schedule an event at
+``fire_at`` first asks :meth:`Simulation.fire_in_place`: if ``run_until`` is
+running with a deadline at or after ``fire_at`` and no queued event is due at
+or before it (one due at the same instant has a smaller ``seq``), the event
+would fire next.  The engine then advances the clock and counts the event as
+scheduled and fired, as the queue and the main loop would, and the handler
+runs it at once, skipping the queue's push and pop.
 """
 
 from __future__ import annotations
@@ -115,9 +123,11 @@ class Simulation:
         self._heap: list[list] = []
         self._lane: deque[list] = deque()  # deliveries in (fire_at, seq) order
         self._seq = 0  # events ever scheduled; also the tie-break sequence
+        self._deadline: SimTime = -1  # run_until's, while it runs
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
-        # (src, dst) -> [partial(deliver, src), identity, messages sent on it]
+        # (src, dst) -> [partial(deliver, src), jitter key, messages sent on it]
         self._links: dict[tuple[NodeId, NodeId], list] = {}
+        self._kind_keys: dict[int, int] = {}  # kind -> its part of the draw
         self.events_fired = 0
         self.messages_sent = 0
 
@@ -157,6 +167,24 @@ class Simulation:
         heapq.heappush(self._heap, entry)
         return entry
 
+    def fire_in_place(self, fire_at: SimTime) -> bool:
+        """Fire an event due at ``fire_at`` in place if it would fire next.
+
+        If it would, advance the clock to ``fire_at``, count the event as
+        scheduled and fired, and return True: the caller runs it at once.
+        Otherwise change nothing and return False: the caller schedules it.
+        """
+        lane = self._lane
+        if lane and lane[0][0] <= fire_at:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= fire_at or not self.now <= fire_at <= self._deadline:
+            return False
+        self.now = fire_at
+        self._seq += 1
+        self.events_fired += 1
+        return True
+
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event; no-op if it already fired."""
         handle[2] = None
@@ -171,7 +199,11 @@ class Simulation:
             link = self._link(src, dst)
         count = link[2]
         link[2] = count + 1
-        at = self.arrival(self.now, LINK, link[1], count)
+        network = self.network
+        at = self.now + network.one_way_delay_us
+        if network.jitter_us:  # as ``arrival(now, LINK, identity, count)`` draws it
+            at += _mix64(link[1] ^ count) % (network.jitter_us + 1)
+        self.messages_sent += 1
         seq = self._seq = self._seq + 1
         entry = [at, seq, link[0], msg]
         lane = self._lane
@@ -192,25 +224,37 @@ class Simulation:
         network = self.network
         at = sent_at + network.one_way_delay_us
         if network.jitter_us:
-            z = _mix64(_mix64(_mix64(_mix64(self.seed & _MASK64) ^ kind) ^ ident) ^ count)
-            at += z % (network.jitter_us + 1)
+            at += _mix64(_mix64(self._kind_key(kind) ^ ident) ^ count) % (network.jitter_us + 1)
         self.messages_sent += 1
         return at
+
+    def _kind_key(self, kind: int) -> int:
+        """The first two of a draw's four mixing rounds, which depend only on
+        the seed and the message's kind; cached per kind."""
+        key = self._kind_keys.get(kind)
+        if key is None:
+            key = self._kind_keys[kind] = _mix64(_mix64(self.seed & _MASK64) ^ kind)
+        return key
 
     def sink(self, node_id: NodeId) -> Optional[Callable[[NodeId, Any], None]]:
         """The function registered for ``node_id``, or ``None``."""
         return self._nodes.get(node_id)
 
     def _link(self, src: NodeId, dst: NodeId) -> list:
-        """Validate a (src, dst) link on first use and cache its record; its
-        identity folds both ids, so ``a -> b`` and ``b -> a`` differ."""
+        """Validate a (src, dst) link on first use and cache its record.
+
+        The link's identity folds both ids, so ``a -> b`` and ``b -> a``
+        differ; the record keeps the first three mixing rounds of its draws,
+        which depend only on the seed and that identity.
+        """
         deliver = self._nodes.get(dst)
         if deliver is None:
             raise SchedulingError(f"unknown node id {dst!r}")
         if src not in self._nodes:
             raise SchedulingError(f"unknown node id {src!r}")
+        identity = _mix64(node_ident(src)) ^ node_ident(dst)
         link = self._links[(src, dst)] = [
-            partial(deliver, src), _mix64(node_ident(src)) ^ node_ident(dst), 0]
+            partial(deliver, src), _mix64(self._kind_key(LINK) ^ identity), 0]
         return link
 
     # -- main loop --------------------------------------------------------
@@ -226,6 +270,7 @@ class Simulation:
         pop = heapq.heappop
         popleft = lane.popleft
         fired = 0
+        self._deadline = deadline
         while True:
             if lane and not (heap and heap[0] < lane[0]):
                 entry = lane[0]
@@ -245,6 +290,7 @@ class Simulation:
             self.now = entry[0]
             fired += 1
             action(entry[3])
+        self._deadline = -1
         self.now = deadline
         self.events_fired += fired
         return SimStats(events_fired=self.events_fired, now=self.now,

@@ -10,7 +10,7 @@ from gcsim.raftcheck import check_history
 from gcsim.runtime import MIB
 from gcsim import scenarios
 from gcsim.scenarios import run_compare, run_scenario
-from gcsim.simcore import Simulation
+from gcsim.simcore import NetworkModel, Simulation
 
 
 def small_raft(**kw):
@@ -232,3 +232,44 @@ def test_compare_raft_sample_log_matches_pinned_digest(monkeypatch):
         list(run.samples), run.pauses, run.stats.events_fired, run.stats.messages_sent,
         sim._seq)).encode()).hexdigest() for run, sim in zip(runs, sims)}
     assert got == PINNED_RAFT_SAMPLE_LOG
+
+
+def _drive(sim, times, on_arrival=lambda rid: None):
+    """Feed arrivals at ``times`` into ``sim``; returns the log they write."""
+    log = []
+
+    def dispatch(rid, kind):
+        log.append(("arrival", rid, sim.now))
+        on_arrival(rid)
+
+    stream = ((t, rid, "http") for rid, t in enumerate(times))
+    return log, scenarios._WorkloadDriver(sim, stream, dispatch)
+
+
+def test_an_arrival_due_with_a_queued_event_fires_after_it():
+    # a timer queued before the run, and a message the previous arrival's
+    # dispatch sends, are each due at the same instant as the next arrival
+    sim = Simulation(network=NetworkModel(one_way_delay_us=5))
+    sim.add_node("a", lambda src, msg: None)
+    sim.add_node("b", lambda src, msg: log.append(("message", msg, sim.now)))
+    log, driver = _drive(sim, [5, 10, 15, 16],
+                         lambda rid: rid == 1 and sim.send("a", "b", rid))
+    sim.schedule_at(10, lambda _: log.append(("timer", None, sim.now)))
+    sim.run_until(20)
+    assert log == [("arrival", 0, 5), ("timer", None, 10), ("arrival", 1, 10),
+                   ("message", 1, 15), ("arrival", 2, 15), ("arrival", 3, 16)]
+    # six events: four arrivals, the timer and the message
+    assert (driver.issued, sim._seq, sim.events_fired, sim.messages_sent) == (4, 6, 6, 1)
+
+
+def test_an_arrival_past_the_deadline_waits_for_the_next_run():
+    sim = Simulation()
+    log, driver = _drive(sim, range(10))
+    for deadline in (4, 7, 20):
+        sim.run_until(deadline)
+        log.append(("deadline", None, sim.now))
+    assert log == ([("arrival", rid, rid) for rid in range(5)] + [("deadline", None, 4)]
+                   + [("arrival", rid, rid) for rid in range(5, 8)] + [("deadline", None, 7)]
+                   + [("arrival", rid, rid) for rid in range(8, 10)]
+                   + [("deadline", None, 20)])
+    assert (driver.issued, sim._seq, sim.events_fired) == (10, 10, 10)

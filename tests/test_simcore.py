@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gcsim.scenarios import _WorkloadDriver
 from gcsim.simcore import LINK, NetworkModel, SchedulingError, Simulation, node_ident
 from refmodel import jitter, link_code
 
@@ -170,6 +171,23 @@ def test_node_ident_keeps_every_byte_of_a_long_id():
     assert draws[0] != draws[1]
 
 
+@given(st.integers(0, 2**64 + 5), st.integers(1, 2**20))
+def test_cached_draws_match_the_reference_jitter(seed, bound):
+    # the draw caches its seed-, kind- and link-only rounds; every value stays
+    sim = Simulation(seed=seed, network=NetworkModel(24, jitter_us=bound))
+    for node in ("a", "b", "dc1-backend0"):
+        sim.add_node(node, lambda src, msg: None)
+    links = [("a", "b"), ("b", "a"), ("dc1-backend0", "a")]
+    for count in range(3):
+        for src, dst in links:
+            assert sim.send(src, dst, None)[0] == 24 + jitter(
+                seed, bound, LINK, link_code(src, dst), count)
+        for kind in (1, 2, 7):
+            for ident in (0, count + 1, 2**63):
+                assert sim.arrival(100, kind, ident, count) == 124 + jitter(
+                    seed, bound, kind, ident, count)
+
+
 def _link_draws(sim, links, n=6):
     """Arrival times of ``n`` messages sent now on each of ``links``."""
     return {link: [sim.send(*link, None)[0] for _ in range(n)] for link in links}
@@ -273,7 +291,8 @@ def test_identical_runs_produce_identical_traces():
 
 class HeapOnlySimulation(Simulation):
     """Reference scheduler: every event goes on the heap, fired by a heap-only
-    loop; the jitter is ``refmodel``'s draw for a message's place on its link."""
+    loop, and none fires in place; the jitter is ``refmodel``'s draw for a
+    message's place on its link."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -289,6 +308,9 @@ class HeapOnlySimulation(Simulation):
         entry = [self.now + delay, self._seq, partial(self._nodes[dst], src), msg]
         heapq.heappush(self._heap, entry)
         return entry
+
+    def fire_in_place(self, fire_at):
+        return False  # every event is scheduled
 
     def run_until(self, deadline):
         heap = self._heap
@@ -321,7 +343,10 @@ _steps = st.lists(st.one_of(st.tuples(st.just("run"), st.integers(0, 80)),
                   max_size=40)
 
 
-def replay(sim, steps):
+def replay(sim, steps, arrivals=()):
+    """Apply ``steps`` to ``sim``; ``arrivals`` is a workload of ``(gap,
+    ops)`` pairs, fed by a ``_WorkloadDriver``, whose dispatch applies the
+    listed ``(op, then)`` steps."""
     fired, handles, reactions = [], [], {}
     labels = itertools.count()
 
@@ -346,8 +371,15 @@ def replay(sim, steps):
         elif op[0] == "delay":
             sim.network.one_way_delay_us = op[1]
 
+    def dispatch(rid, kind):
+        fired.append((sim.now, "arrival", rid))
+        for step in arrivals[rid][1]:
+            apply(*step)
+
     for node in "abc":
         sim.add_node(node, lambda src, msg: fire(msg))
+    times = itertools.accumulate(gap for gap, _ in arrivals)
+    _WorkloadDriver(sim, ((t, rid, "http") for rid, t in enumerate(times)), dispatch)
     for step in steps:
         if step[0] == "run":
             sim.run_until(sim.now + step[1])
@@ -355,7 +387,7 @@ def replay(sim, steps):
         else:
             apply(*step)
     sim.run_until(sim.now + 1_000)  # everything still queued is due by then
-    return fired, sim.events_fired, sim.messages_sent
+    return fired, sim.now, sim._seq, sim.events_fired, sim.messages_sent
 
 
 @given(_steps)
@@ -367,4 +399,28 @@ def test_fired_order_matches_heap_only_reference(steps):
     assert got == want
     # an event due after a deadline fires in a later run, never before it
     times = [t for t, _ in got[0]]
+    assert times == sorted(times)
+
+
+# Arrival gaps and the steps each arrival's dispatch applies: few distinct
+# gaps, so arrivals often fall due with a timer or a delivery on one tick.
+_arrivals = st.lists(st.tuples(st.sampled_from([0, 0, 1, 5, 24, 30]),
+                               st.lists(st.tuples(_ops, st.lists(_ops, max_size=2)),
+                                        max_size=3)),
+                     max_size=30)
+
+
+@given(_steps, _arrivals)
+# Arrivals at 0, 1, 6, 12, 24, 29 and 53 over runs to 10, 40 and 1040: the
+# one at 6 ties a timer, the one at 12 falls past the first deadline, and the
+# one at 24 ties a delivery.
+@example([("run", 10), ("run", 30)],
+         [(0, [(("send", "a", "b"), [])]), (1, [(("at", 5), [])]), (5, []), (6, []),
+          (12, []), (5, [(("jitter", 7), []), (("send", "b", "a"), [])]), (24, [])])
+def test_arrivals_fired_in_place_match_always_scheduled(steps, arrivals):
+    got = replay(Simulation(seed=5, network=NetworkModel(24)), steps, arrivals)
+    want = replay(HeapOnlySimulation(seed=5, network=NetworkModel(24)), steps, arrivals)
+    assert got == want
+    assert [row[2] for row in got[0] if row[1] == "arrival"] == list(range(len(arrivals)))
+    times = [row[0] for row in got[0]]
     assert times == sorted(times)

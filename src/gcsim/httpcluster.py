@@ -36,10 +36,11 @@ start, if the runtime also allocates in the background) and, while it holds
 a grant, the moment it drains.  It brings itself up to date there, when an
 allow arrives, before its runtime's background tick can cross a threshold,
 and when it is observed (``queue``, ``in_service``, the balancer's
-``samples``).  Every message draws its jitter from its own identity
-(``Simulation.arrival``): a request or reply from its rid, an ask, allow or
-done from its link and its place on that link.  So the order in which this
-accounting stamps requests and replies changes no draw.
+``samples``).  Every message draws its jitter from its own identity: a
+request or reply from its rid (``Simulation.arrival``), an ask, allow or
+done from its link and its place on that link (``Simulation.send``).  So
+the order in which this accounting stamps requests and replies changes no
+draw.
 
 Same-instant order.  At each instant every backend settles first, in the
 balancer's order: its completions due (in start order), its background

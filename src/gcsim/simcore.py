@@ -199,11 +199,7 @@ class Simulation:
             link = self._link(src, dst)
         count = link[2]
         link[2] = count + 1
-        network = self.network
-        at = self.now + network.one_way_delay_us
-        if network.jitter_us:  # as ``arrival(now, LINK, identity, count)`` draws it
-            at += _mix64(link[1] ^ count) % (network.jitter_us + 1)
-        self.messages_sent += 1
+        at = self.arrival(self.now, LINK, None, count, link[1])
         seq = self._seq = self._seq + 1
         entry = [at, seq, link[0], msg]
         lane = self._lane
@@ -213,18 +209,24 @@ class Simulation:
             lane.append(entry)
         return entry
 
-    def arrival(self, sent_at: SimTime, kind: int, ident: int, count: int = 0) -> SimTime:
+    def arrival(self, sent_at: SimTime, kind: int, ident: Optional[int],
+                count: int = 0, key: Optional[int] = None) -> SimTime:
         """Count a message sent at ``sent_at`` and return its arrival time.
 
         The jitter is a pure function of the seed and the message's
         identity ``(kind, ident, count)``, integers below ``2**64`` that no
         other message of the run shares (:func:`node_ident` folds a node id
-        to that width).
+        to that width).  Every message's delay and jitter are drawn here.
+        ``key`` may stand for ``(kind, ident)``: the draw's first three
+        mixing rounds, cached by a caller that sends many messages under one
+        identity (``send`` keeps its link's in the link record).
         """
         network = self.network
         at = sent_at + network.one_way_delay_us
         if network.jitter_us:
-            at += _mix64(_mix64(self._kind_key(kind) ^ ident) ^ count) % (network.jitter_us + 1)
+            if key is None:
+                key = _mix64(self._kind_key(kind) ^ ident)
+            at += _mix64(key ^ count) % (network.jitter_us + 1)
         self.messages_sent += 1
         return at
 

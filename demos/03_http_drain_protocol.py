@@ -20,7 +20,7 @@ heap = HeapModel(live_bytes=150 * MIB, trigger_bytes=300 * MIB,
                  hard_limit_bytes=GIB)
 rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 8_761),
                     PauseEstimator(), mode=GcMode.BLADE)
-backend = Backend(sim, "b0", "lb", rt, service_time_us=2_000, parallelism=16,
+backend = Backend(sim, "b0", lb, rt, service_time_us=2_000, parallelism=16,
                   bytes_per_request=0)
 
 # Note when each coordination message lands.

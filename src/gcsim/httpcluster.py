@@ -77,12 +77,6 @@ INF = math.inf
 _BATCH = 64
 
 
-def _peer(sim: Simulation, node_id: NodeId, cls: type):
-    """The ``cls`` object whose method is registered for ``node_id``, if any."""
-    peer = getattr(sim.sink(node_id), "__self__", None)
-    return peer if isinstance(peer, cls) else None
-
-
 class Backend:
     """One web server: FIFO queue, fixed service time, bounded concurrency.
 
@@ -93,6 +87,10 @@ class Backend:
     in service by its length, matching stop-the-world semantics.  A granted
     backend is ready to pause once it is idle.
 
+    A backend is built after its balancer ``lb`` and takes the next place of
+    its rotation; one built out of the order of ``backend_ids`` is refused
+    with a ``ValueError``.
+
     Requests are accounted lazily (module docstring).  ``queue`` (the
     requests that have arrived and wait) and ``in_service`` bring the
     cluster up to date before they answer.  The backend expects to be the
@@ -101,12 +99,12 @@ class Backend:
     first.
     """
 
-    def __init__(self, sim: Simulation, backend_id: NodeId, balancer_id: NodeId,
+    def __init__(self, sim: Simulation, backend_id: NodeId, lb: LoadBalancer,
                  runtime: ManagedRuntime, service_time_us: int, parallelism: int,
                  bytes_per_request: int, defer_threshold_us: int = 1_000):
         self.sim = sim
         self.id = backend_id
-        self.balancer_id = balancer_id
+        lb._attach(self)
         self.runtime = runtime
         self.service_time_us = service_time_us
         self.parallelism = parallelism
@@ -118,20 +116,16 @@ class Backend:
         self._advancing = False
         self._wake: Optional[list] = None  # the one event scheduled for this backend
         self.wake_at: float = INF  # settle no later than this
-        self._lb: Optional[LoadBalancer] = None
-        self._log: Optional[SampleLog] = None  # the balancer's
+        self._lb = lb
+        self._log = lb._samples
         runtime.on_pause = self._on_pause
-        runtime.before_crossing = self._gate
+        runtime.catch_up_node = lb._gate
         self._next_tick = runtime.add_due_ticks()  # inf without background ticks
         self._ticks = runtime.mode is not GcMode.OFF and self._next_tick < INF
         self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
                                  self._send_done, self._idle)
-        self.grantee.before_done = self._gate
         sim.add_node(backend_id, self.deliver)
         self._plan()
-        lb = _peer(sim, balancer_id, LoadBalancer)
-        if lb is not None and backend_id in lb.order:
-            lb._attach(self)
 
     # -- observation ---------------------------------------------------------
 
@@ -149,17 +143,14 @@ class Backend:
 
     def catch_up(self) -> None:
         """Bring the backend, and the rest of its cluster, up to date."""
-        if self._lb is not None:
-            self._lb.catch_up()
-        else:
-            self._settle()
+        self._lb.catch_up()
 
     # -- messages --------------------------------------------------------------
 
     def deliver(self, src: NodeId, msg: tuple) -> None:
         if msg[0] != "allow":
             raise ValueError(f"backend {self.id} got unknown message {msg!r}")
-        self._gate()
+        self._lb._gate()
         self._advance()
         self.grantee.grant(src)
         self._plan()
@@ -182,23 +173,16 @@ class Backend:
             self._plan()
 
     def _send_ask(self, ticket: CollectionTicket) -> None:
-        self.sim.send(self.id, self.balancer_id, ("ask", ticket.id))
+        self.sim.send(self.id, self._lb.id, ("ask", ticket.id))
 
     def _send_done(self, ticket_id: int, grantor: Optional[NodeId]) -> None:
-        self.sim.send(self.id, self.balancer_id, ("done", ticket_id))
+        self.sim.send(self.id, self._lb.id, ("done", ticket_id))
 
     # -- lazy service ------------------------------------------------------------
 
-    def _gate(self) -> None:
-        """Settle every backend of the cluster that must act by now."""
-        if self._lb is not None:
-            self._lb._gate()
-        else:
-            self._settle()
-
     def _on_wake(self, _arg=None) -> None:
         self._wake = None
-        self._gate()
+        self._lb._gate()
 
     def _settle(self) -> None:
         self._advance()
@@ -313,7 +297,7 @@ class Backend:
             wake = self._next_tick
         self.wake_at = wake
         lb = self._lb
-        if lb is not None and wake < lb._next_wake:
+        if wake < lb._next_wake:
             lb._next_wake = wake
 
     def _starts(self) -> Iterator[tuple[int, int]]:
@@ -369,8 +353,8 @@ class LoadBalancer:
     is later than ``sim.now`` is a reply still on the wire.  Reading it
     brings the backends up to date.  After ``samples.keep_arrived(sim.now)``
     it holds the replies received so far, until the next reply is recorded.
-    A balancer and its backends find each other through the simulation's
-    node registry, so either may be built first.
+    The balancer is built first, then its backends, one per entry of
+    ``backend_ids`` and in that order; it routes once all are built.
     """
 
     def __init__(self, sim: Simulation, balancer_id: NodeId,
@@ -384,13 +368,9 @@ class LoadBalancer:
         # Alias kept for the benchmark's tracer, which reads ``lb.wait_queue``.
         self.wait_queue = self.ledger.pending
         self._samples = SampleLog(by_arrival=True)
-        self._backends: list[Optional[Backend]] = [None] * len(self.order)  # once found
+        self._backends: list[Backend] = []  # in rotation order, as built
         self._next_wake: float = INF  # no backend must act before this
         sim.add_node(balancer_id, self.deliver)
-        for bid in self.order:
-            backend = _peer(sim, bid, Backend)
-            if backend is not None and backend.balancer_id == balancer_id:
-                self._attach(backend)
 
     @property
     def samples(self) -> SampleLog:
@@ -400,15 +380,15 @@ class LoadBalancer:
     def catch_up(self) -> None:
         """Bring every backend up to date, for an observer."""
         for backend in self._backends:
-            if backend is not None:
-                backend._settle()
+            backend._settle()
 
     def _attach(self, backend: Backend) -> None:
-        self._backends[self.order.index(backend.id)] = backend
-        backend._lb = self
-        backend._log = self._samples
-        if backend.wake_at < self._next_wake:
-            self._next_wake = backend.wake_at
+        """Take ``backend`` as the next one of the rotation."""
+        place = len(self._backends)
+        if self.order[place:place + 1] != [backend.id]:
+            raise ValueError(f"backend {backend.id!r} is not next in the rotation "
+                             f"{self.order!r} of balancer {self.id!r}")
+        self._backends.append(backend)
 
     def _gate(self) -> None:
         """Settle, in rotation order, every backend that must act by now."""
@@ -417,11 +397,10 @@ class LoadBalancer:
             return
         self._next_wake = INF  # a settle that sends a message gates again: no-op
         for backend in self._backends:
-            if backend is not None and backend.wake_at <= now:
+            if backend.wake_at <= now:
                 backend.wake_at = INF
                 backend._settle()
-        self._next_wake = min([b.wake_at for b in self._backends if b is not None],
-                              default=INF)
+        self._next_wake = min([b.wake_at for b in self._backends], default=INF)
 
     # -- routing ------------------------------------------------------------
 
@@ -446,10 +425,7 @@ class LoadBalancer:
                 self.pending.append((rid, issued))
                 return None
         self.rr_pos = (idx + 1) % n
-        backend = self._backends[idx]
-        if backend is None:
-            raise SchedulingError(f"unknown backend {order[idx]!r}")
-        backend._take(rid, issued, sim.arrival(sim.now, REQ, rid))
+        self._backends[idx]._take(rid, issued, sim.arrival(sim.now, REQ, rid))
         return order[idx]
 
     # -- coordination ------------------------------------------------------------

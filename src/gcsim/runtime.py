@@ -255,7 +255,9 @@ class GcGrantee:
     a grant, whose done is reported as usual, the grantee withdraws the ask
     once the forced pause is over, with ``send_done(ticket_id, None)``.  A
     grant, or a newer ask, that comes first takes the outstanding ask over
-    instead: a grant admits the node, not a ticket.
+    instead: a grant admits the node, not a ticket.  Before it sends a done
+    or a withdrawal, the grantee calls the runtime's ``catch_up_node`` hook,
+    if set.
     """
 
     def __init__(self, runtime: ManagedRuntime, defer_threshold_us: int,
@@ -270,8 +272,6 @@ class GcGrantee:
         self.ticket_id = 0                     # the deferred collection; 0 if none
         self.grantor: Optional[NodeId] = None  # set while granted and draining
         self._withdrawal = 0                   # a forced ticket's ask to withdraw
-        # Runs first in the events that send a done at a pause's end.
-        self.before_done: Optional[Callable[[], None]] = None
         if runtime.mode is GcMode.BLADE:
             runtime.reg_gc_hand(self.offer)
             runtime.on_forced = self._forced
@@ -308,8 +308,8 @@ class GcGrantee:
             self._report(done)
 
     def _report(self, done: tuple[int, NodeId]) -> None:
-        if self.before_done is not None:
-            self.before_done()
+        if self.runtime.catch_up_node is not None:
+            self.runtime.catch_up_node()
         self.send_done(*done)
 
     def _forced(self, ticket: CollectionTicket) -> None:
@@ -319,8 +319,8 @@ class GcGrantee:
             self.runtime.sim.schedule_at(self.runtime.paused_until, self._withdraw)
 
     def _withdraw(self, _arg=None) -> None:
-        if self.before_done is not None:
-            self.before_done()
+        if self.runtime.catch_up_node is not None:
+            self.runtime.catch_up_node()
         if self._withdrawal:
             self.send_done(self._withdrawal, None)
             self._withdrawal = 0
@@ -337,8 +337,10 @@ class ManagedRuntime:
     crossing allocation, so they must not block; deferral is expressed by
     returning ``False``.  The owning node learns about stop-the-world pauses
     through ``on_pause`` and must process no work before ``paused_until``.
-    A node that accounts its own work lazily sets ``before_crossing`` to
-    bring itself up to date before a background tick may cross a threshold.
+    A node that accounts its own work lazily sets ``catch_up_node`` to a
+    function that brings it up to date.  The runtime calls it before a
+    background tick may cross a threshold, and the node's :class:`GcGrantee`
+    before it sends a done or a withdrawal.
     With ``background_bytes_per_s`` set, the node also allocates that rate in
     ticks every ``background_interval_us``, suspended while it is paused.
     """
@@ -356,7 +358,7 @@ class ManagedRuntime:
         self.handler: Optional[UpcallHandler] = None
         self.on_pause: Optional[PauseCallback] = None
         self.on_forced: Optional[Callable[[CollectionTicket], None]] = None
-        self.before_crossing: Optional[Callable[[], None]] = None
+        self.catch_up_node: Optional[Callable[[], None]] = None
         self.tickets: dict[int, CollectionTicket] = {}
         self.active_ticket: Optional[CollectionTicket] = None
         self._next_id = 1
@@ -499,8 +501,8 @@ class ManagedRuntime:
 
     def _on_crossing(self, _arg=None) -> None:
         self._crossing = None
-        if self.before_crossing is not None:
-            self.before_crossing()
+        if self.catch_up_node is not None:
+            self.catch_up_node()
         if self._next_tick <= self.sim.now:
             self._add_background_ticks()
         self._arm_crossing()

@@ -164,7 +164,7 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
     for bid in backend_ids:
         runtime = _make_runtime(sim, bid, cfg, mode)
         backends.append(Backend(
-            sim, bid, "lb", runtime,
+            sim, bid, lb, runtime,
             service_time_us=service_us,
             parallelism=cfg.parallelism,
             bytes_per_request=cfg.bytes_per_request,

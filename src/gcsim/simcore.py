@@ -238,10 +238,6 @@ class Simulation:
             key = self._kind_keys[kind] = _mix64(_mix64(self.seed & _MASK64) ^ kind)
         return key
 
-    def sink(self, node_id: NodeId) -> Optional[Callable[[NodeId, Any], None]]:
-        """The function registered for ``node_id``, or ``None``."""
-        return self._nodes.get(node_id)
-
     def _link(self, src: NodeId, dst: NodeId) -> list:
         """Validate a (src, dst) link on first use and cache its record.
 

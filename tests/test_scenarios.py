@@ -138,7 +138,7 @@ def test_compare_reports_match_pinned_digests(tmp_path, overrides, digests):
     cfg = default_config(overrides.pop("system"), duration_s=5, live_bytes=16 * MIB,
                          trigger_bytes=24 * MIB, **overrides)
     paths = emit_report([r.summary() for r in run_compare(cfg)], str(tmp_path))
-    got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+    got = {os.path.basename(p): hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
            for p in paths}
     assert got == digests
 

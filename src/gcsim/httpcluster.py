@@ -14,8 +14,9 @@ Message flow per collection (one-way network delay each hop):
     backend --ask--> coordinator --allow--> backend ... drain ... pause ...
     backend --done--> coordinator (routing resumes)
 
-If exhaustion forces the collection while the ask is still queued, the
-backend withdraws the ask with a done once the pause is over.
+If exhaustion forces the collection while the ask is still queued, the ask
+stays queued: its allow, when it comes, finds nothing to collect and is
+answered with a done at once, without draining.
 
 A request costs one event: its arrival at the balancer, which routes it.
 Routing moves on grants and dones alone, never on a backend's state, so the
@@ -45,9 +46,10 @@ draw.
 Same-instant order.  At each instant every backend settles first, in the
 balancer's order: its completions due (in start order), its background
 tick, its starts (FIFO, while a slot is free and it is not paused), and, if
-it holds a grant and is then idle, the start of its collection.  Then the
-instant's other events fire in the order they were scheduled: arrivals at
-the balancer, asks and dones there, allows at backends, and the dones a
+it holds a grant, its answer: the start of its collection if it is then
+idle, or its done if nothing is deferred any more.  Then the instant's
+other events fire in the order they were scheduled: arrivals at the
+balancer, asks and dones there, allows at backends, and the dones a
 backend sends at the end of a pause.  Requests that reach a backend at one
 instant queue in the order they were sent.
 """
@@ -173,10 +175,10 @@ class Backend:
             self._plan()
 
     def _send_ask(self, ticket: CollectionTicket) -> None:
-        self.sim.send(self.id, self._lb.id, ("ask", ticket.id))
+        self.sim.send(self.id, self._lb.id, ("ask",))
 
-    def _send_done(self, ticket_id: int, grantor: Optional[NodeId]) -> None:
-        self.sim.send(self.id, self._lb.id, ("done", ticket_id))
+    def _send_done(self, grantor: NodeId) -> None:
+        self.sim.send(self.id, self._lb.id, ("done",))
 
     # -- lazy service ------------------------------------------------------------
 

@@ -13,7 +13,9 @@ machines:
   outstanding, the ask is re-sent to the new leader.  A server that leads
   when a grant reaches it asks again instead of pausing, and a server that
   has just handed leadership off holds a grant until the requests sent to it
-  before the handoff have arrived.
+  before the handoff have arrived.  An ask outlives a collection that
+  exhaustion forces: its grant finds nothing deferred and is answered with
+  a done at once.
 * The leader runs a :class:`GcLedger` that grants collections only while a
   majority of servers stays live, queueing further askers FIFO.  When the
   leader itself needs to collect, it grants itself a slot and hands
@@ -21,7 +23,8 @@ machines:
   finished collecting and holds no grant, via a half-RTT authoritative
   broadcast.  The successor takes over the old leader's grants, its own
   included, and grants it the collection; the old leader starts it once
-  every request a client sent it before the handoff has arrived.
+  every request a client sent it before the handoff has arrived.  A leader
+  granted its own slot with nothing deferred frees the slot instead.
 
 Clients follow a handoff through the :class:`LeaderNotice` the old leader
 sends them with the broadcast; requests that still reach the old leader are
@@ -114,7 +117,7 @@ class FastSwitch:
     new_term: int
     successor: NodeId
     pending_replies: tuple = ()  # of (client, ClientReply, due_us)
-    grants: tuple = ()           # of (node, ticket_id, est_pause_us)
+    grants: tuple = ()           # of (node, est_pause_us)
 
 
 @dataclass(slots=True)
@@ -124,18 +127,17 @@ class LeaderNotice:
 
 @dataclass(slots=True)
 class AskGC:
-    ticket_id: int
     est_pause_us: int
 
 
 @dataclass(slots=True)
 class AllowGC:
-    ticket_id: int
+    pass
 
 
 @dataclass(slots=True)
 class DoneGC:
-    ticket_id: int
+    pass
 
 
 # -- history recording -------------------------------------------------------------
@@ -250,7 +252,7 @@ class RaftNode:
 
         # collection coordination
         self.ledger = GcLedger(self.cluster_size - self.majority)
-        self._ask_info: dict[NodeId, tuple[int, int]] = {}  # node -> (ticket, est)
+        self._ask_info: dict[NodeId, int] = {}  # node -> estimated pause of its ask
         self._grant_token: dict[NodeId, int] = {}
         self.switch_target: Optional[NodeId] = None
         self._awaiting_commit: dict[int, tuple[NodeId, int]] = {}  # index -> (client, rid)
@@ -406,9 +408,9 @@ class RaftNode:
         self.trace.record_role(self.id, self.sim.now, self.term, Role.LEADER)
         self.next_index = {p: len(self.log) + 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
-        self.ledger.reset(node for node, _ticket, _est in grants)
-        for node, ticket_id, est in grants:
-            self._ask_info[node] = (ticket_id, est)
+        self.ledger.reset(node for node, _est in grants)
+        for node, est in grants:
+            self._ask_info[node] = est
             self._arm_grant_timeout(node, est)
         self.switch_target = None
         # A fresh entry in the new term is what lets the commit rule advance
@@ -651,7 +653,7 @@ class RaftNode:
             reply.leader_hint = successor  # not this node, which is about to pause
             pending.append((client, reply, due))
         self._pending_replies.clear()
-        grants = tuple((node, *self._ask_info[node]) for node in sorted(self.ledger.granted))
+        grants = tuple((node, self._ask_info[node]) for node in sorted(self.ledger.granted))
         net = self.sim.network
         self._drained_at = self.sim.now + 2 * (net.one_way_delay_us + net.jitter_us)
         self.trace.switches.append((self.sim.now, self.id, successor, new_term))
@@ -682,14 +684,14 @@ class RaftNode:
             self._schedule_reply(client, reply, max(self.sim.now, due))
         if src in self.ledger.granted:
             # the old leader granted itself, then handed off to collect
-            self._send(src, AllowGC(self._ask_info[src][0]))
+            self._send(src, AllowGC())
 
     # -- collection coordination: grantee side ------------------------------------------
 
     def _send_ask(self, ticket: CollectionTicket) -> None:
         """Ask the known leader to admit ``ticket``; a leader asks its own
         ledger, a node that knows no leader asks once it learns of one."""
-        ask = AskGC(ticket.id, ticket.estimated_pause_us)
+        ask = AskGC(ticket.estimated_pause_us)
         if self.role is Role.LEADER:
             self._on_ask_gc(self.id, ask)
         elif self.leader_hint is not None:
@@ -712,31 +714,29 @@ class RaftNode:
     def _redeliver(self, arg: tuple) -> None:
         self.deliver(*arg)
 
-    def _send_done(self, ticket_id: int, grantor: Optional[NodeId]) -> None:
+    def _send_done(self, grantor: NodeId) -> None:
         """Report a collection done to the leader known when its pause ends:
-        a handoff during the pause moves the grant to the successor.  A
-        withdrawal (no grantor) while no leader is known has no ask left to
-        withdraw: a new leader starts with an empty queue."""
-        dst = self.leader_hint or grantor
-        if dst is not None:
-            self._send(dst, DoneGC(ticket_id))
+        a handoff during the pause moves the grant to the successor."""
+        self._send(self.leader_hint or grantor, DoneGC())
 
     # -- collection coordination: leader side ---------------------------------------------
 
     def _on_ask_gc(self, src: NodeId, m: AskGC) -> None:
         if self.role is not Role.LEADER:
             return  # asker will retry against the right leader
-        self._ask_info[src] = (m.ticket_id, m.est_pause_us)
+        self._ask_info[src] = m.est_pause_us
         if self.ledger.ask(src) == "grant":
             self._issue_grant(src)
 
     def _issue_grant(self, node: NodeId) -> None:
-        ticket_id, est = self._ask_info.get(node, (0, 0))
         if node == self.id:
-            self._begin_own_collection()
+            if self.runtime.active_ticket is None:
+                self._finish_collection(node)  # forced since it asked
+            else:
+                self._begin_own_collection()
             return
-        self._send(node, AllowGC(ticket_id))
-        self._arm_grant_timeout(node, est)
+        self._send(node, AllowGC())
+        self._arm_grant_timeout(node, self._ask_info.get(node, 0))
 
     def _arm_grant_timeout(self, node: NodeId, est: int) -> None:
         """Reclaim ``node``'s slot if its done never arrives."""

@@ -17,15 +17,16 @@ live set, and a three-call coordination surface:
 
 If allocation exhausts the hard heap limit while a collection is deferred,
 the collector runs immediately and the ticket is marked force-completed so a
-late ``start_gc`` stays a no-op; ``on_forced(ticket)``, if set, is told.
+late ``start_gc`` stays a no-op.
 
 Both halves of coordinated collection live here too.  On the coordinator's
 side, a :class:`GcLedger` decides which deferred collections may start: the
 HTTP balancer and the Raft leader each hold one.  On each node's side, a
 :class:`GcGrantee` is the upcall handler: it collects short pauses at once,
 asks for the rest, starts the deferred collection once granted and the node
-is ready, and reports done when the pause is over.  When exhaustion forces
-the deferred collection first, it withdraws the ask.  HTTP backends and Raft
+is ready, and reports done when the pause is over.  An ask outlives a
+collection that exhaustion forces: its grant, when it comes, finds nothing
+deferred and is answered with a done at once.  HTTP backends and Raft
 servers differ only in the hooks they give it.
 
 A runtime may also allocate in the background at a constant rate, in ticks on
@@ -188,9 +189,8 @@ class GcLedger:
     which the successor then sends it.  A queued ask is forgotten and is
     sent again by its asker when it learns of the new leader.  A leader that
     wins an election starts empty: it does not know what its predecessor
-    granted.  A finish from a node this ledger holds no grant for frees no
-    slot and drops that node's queued ask, if any: it comes right after a
-    reset, or from a node withdrawing an ask that exhaustion made moot.
+    granted.  A finish from a node this ledger holds no grant for, which
+    comes right after a reset, changes nothing.
     """
 
     def __init__(self, capacity: int):
@@ -217,8 +217,6 @@ class GcLedger:
         """Record a finished collection; returns the next node to grant."""
         self.last_finished = node
         if node not in self.granted:
-            if node in self.pending:
-                self.pending.remove(node)
             return None
         self.granted.discard(node)
         if self.pending:
@@ -243,87 +241,65 @@ class GcGrantee:
     In blade mode the grantee is the runtime's upcall handler.  An offer
     whose estimated pause is at most ``defer_threshold_us`` collects at once;
     a longer one is deferred, and the node asks for it through
-    ``send_ask(ticket)``.  ``ask`` sends that ask again, for instance to a
-    new coordinator.  A grant admits the node, not one ticket: once
-    ``ready()`` holds, the grantee starts whatever collection it has
-    deferred (nothing, if exhaustion has forced it since) and, once the pause
-    is over, calls ``send_done(ticket_id, grantor)``.  A node whose readiness
-    can change calls ``poll`` whenever it may have.
-
-    If exhaustion forces the deferred collection, the grantee forgets the
-    ticket, so ``ask`` sends nothing for it.  Unless the node already holds
-    a grant, whose done is reported as usual, the grantee withdraws the ask
-    once the forced pause is over, with ``send_done(ticket_id, None)``.  A
-    grant, or a newer ask, that comes first takes the outstanding ask over
-    instead: a grant admits the node, not a ticket.  Before it sends a done
-    or a withdrawal, the grantee calls the runtime's ``catch_up_node`` hook,
-    if set.
+    ``send_ask(ticket)``.  ``ask`` sends the ask for the runtime's deferred
+    collection again, for instance to a new coordinator.  A grant admits the
+    node, not one ticket: once ``ready()`` holds, the grantee starts
+    whatever collection the runtime has deferred and, once the pause is
+    over, calls ``send_done(grantor)``.  A grant that finds nothing deferred
+    (exhaustion forced the collection since the ask) needs no readiness and
+    is answered at once, or when the forced pause is over.  A node whose
+    readiness can change calls ``poll`` whenever it may have.  Before it
+    sends a done, the grantee calls the runtime's ``catch_up_node`` hook, if
+    set.
     """
 
     def __init__(self, runtime: ManagedRuntime, defer_threshold_us: int,
                  send_ask: Callable[[CollectionTicket], None],
-                 send_done: Callable[[int, Optional[NodeId]], None],
+                 send_done: Callable[[NodeId], None],
                  ready: Callable[[], bool] = lambda: True):
         self.runtime = runtime
         self.defer_threshold_us = defer_threshold_us
         self.send_ask = send_ask
         self.send_done = send_done
         self.ready = ready
-        self.ticket_id = 0                     # the deferred collection; 0 if none
         self.grantor: Optional[NodeId] = None  # set while granted and draining
-        self._withdrawal = 0                   # a forced ticket's ask to withdraw
         if runtime.mode is GcMode.BLADE:
             runtime.reg_gc_hand(self.offer)
-            runtime.on_forced = self._forced
 
     def offer(self, ticket: CollectionTicket) -> bool:
         if ticket.estimated_pause_us <= self.defer_threshold_us:
             return True  # too short to be worth coordinating
-        self.ticket_id = ticket.id
-        self._withdrawal = 0  # this ask takes the place of one not yet withdrawn
         self.send_ask(ticket)
         return False
 
     def ask(self) -> None:
         """Send the ask for the deferred collection again, if there is one."""
-        if self.ticket_id:
-            self.send_ask(self.runtime.tickets[self.ticket_id])
+        if self.runtime.active_ticket is not None:
+            self.send_ask(self.runtime.active_ticket)
 
     def grant(self, grantor: NodeId) -> None:
         self.grantor = grantor
-        self._withdrawal = 0  # this grant's done frees the slot instead
         self.poll()
 
     def poll(self) -> None:
-        """Start the granted collection if the node is ready to pause."""
-        if self.grantor is None or not self.ready():
-            return
-        done = (self.ticket_id, self.grantor)
-        self.ticket_id, self.grantor = 0, None
+        """Answer the grant: start the deferred collection if the node is
+        ready to pause, or report done if nothing is deferred."""
         runtime = self.runtime
-        runtime.start_gc(done[0])
+        ticket = runtime.active_ticket
+        if self.grantor is None or ticket is not None and not self.ready():
+            return
+        grantor, self.grantor = self.grantor, None
+        if ticket is not None:
+            runtime.start_gc(ticket.id)
         if runtime.is_paused:
-            runtime.sim.schedule_at(runtime.paused_until, self._report, done)
+            runtime.sim.schedule_at(runtime.paused_until, self._report, grantor)
         else:
-            self._report(done)
+            self._report(grantor)
 
-    def _report(self, done: tuple[int, NodeId]) -> None:
+    def _report(self, grantor: NodeId) -> None:
         if self.runtime.catch_up_node is not None:
             self.runtime.catch_up_node()
-        self.send_done(*done)
-
-    def _forced(self, ticket: CollectionTicket) -> None:
-        self.ticket_id = 0
-        if self.grantor is None:
-            self._withdrawal = ticket.id
-            self.runtime.sim.schedule_at(self.runtime.paused_until, self._withdraw)
-
-    def _withdraw(self, _arg=None) -> None:
-        if self.runtime.catch_up_node is not None:
-            self.runtime.catch_up_node()
-        if self._withdrawal:
-            self.send_done(self._withdrawal, None)
-            self._withdrawal = 0
+        self.send_done(grantor)
 
 
 UpcallHandler = Callable[[CollectionTicket], bool]
@@ -340,7 +316,7 @@ class ManagedRuntime:
     A node that accounts its own work lazily sets ``catch_up_node`` to a
     function that brings it up to date.  The runtime calls it before a
     background tick may cross a threshold, and the node's :class:`GcGrantee`
-    before it sends a done or a withdrawal.
+    before it sends a done.
     With ``background_bytes_per_s`` set, the node also allocates that rate in
     ticks every ``background_interval_us``, suspended while it is paused.
     """
@@ -357,14 +333,13 @@ class ManagedRuntime:
         self.mode = mode
         self.handler: Optional[UpcallHandler] = None
         self.on_pause: Optional[PauseCallback] = None
-        self.on_forced: Optional[Callable[[CollectionTicket], None]] = None
         self.catch_up_node: Optional[Callable[[], None]] = None
         self.tickets: dict[int, CollectionTicket] = {}
         self.active_ticket: Optional[CollectionTicket] = None
         self._next_id = 1
         self.paused_until: int = 0
         self.pauses: list[PauseInterval] = []
-        self._peak_allocated_bytes = heap.allocated_bytes
+        self._peak_collected = 0  # the highest occupancy a collection reset
         # Background ticks: bytes per tick, grid spacing, the next tick not
         # yet added in (inf when there is no background allocation), and the
         # handle of the one event scheduled at a threshold crossing.
@@ -410,8 +385,6 @@ class ManagedRuntime:
             # The common case: below the trigger, so below the hard limit,
             # and no cycle open, so nothing to offer or force.
             heap.allocated_bytes = total
-            if total > self._peak_allocated_bytes:
-                self._peak_allocated_bytes = total
             if self._tick_bytes:
                 self._slack -= n_bytes
                 if self._slack <= 0:
@@ -425,12 +398,8 @@ class ManagedRuntime:
         heap = self.heap
         if self.mode is GcMode.OFF:
             heap.allocated_bytes += n_bytes
-            if heap.allocated_bytes > self._peak_allocated_bytes:
-                self._peak_allocated_bytes = heap.allocated_bytes
             return
         heap.allocated_bytes = min(heap.allocated_bytes + n_bytes, heap.hard_limit_bytes)
-        if heap.allocated_bytes > self._peak_allocated_bytes:
-            self._peak_allocated_bytes = heap.allocated_bytes
         if self.active_ticket is None and heap.allocated_bytes >= heap.trigger_bytes:
             self._open_cycle()
         if (self.active_ticket is not None
@@ -460,8 +429,6 @@ class ManagedRuntime:
         total = heap.allocated_bytes + n_bytes
         if total < heap.trigger_bytes and self.active_ticket is None:
             heap.allocated_bytes = total
-            if total > self._peak_allocated_bytes:
-                self._peak_allocated_bytes = total
         else:
             self._grow(n_bytes)
 
@@ -537,24 +504,26 @@ class ManagedRuntime:
         else:
             ticket.state = TicketState.COMPLETED
         self.estimator.observe(heap.live_bytes, pause)
+        self._peak_collected = max(self._peak_collected, heap.allocated_bytes)
         heap.allocated_bytes = heap.live_bytes
         self.paused_until = end
         self.pauses.append(PauseInterval(self.node_id, start, end, ticket.id, forced))
         self.active_ticket = None
         if self.on_pause is not None:
             self.on_pause(start, end)
-        if forced and self.on_forced is not None:
-            self.on_forced(ticket)
         return pause
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def peak_allocated_bytes(self) -> int:
-        """Highest heap occupancy so far, background ticks due by now included."""
+        """Highest heap occupancy so far, background ticks due by now included.
+
+        Occupancy only grows between collections, so the peak is the
+        occupancy now or the highest one a collection reset."""
         if self._next_tick <= self.sim.now:
             self._add_background_ticks()
-        return self._peak_allocated_bytes
+        return max(self._peak_collected, self.heap.allocated_bytes)
 
     @property
     def is_paused(self) -> bool:

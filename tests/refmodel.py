@@ -17,10 +17,14 @@ The rules for events at one instant, which the simulator must follow too:
    they were sent), then one serve step.  The serve step starts queued
    requests FIFO while a slot is free and the runtime is not paused (a start
    that pauses it holds the rest back), and then, if the backend holds a
-   grant and is idle, begins its collection.
+   grant, answers it: it begins its deferred collection if it is idle, and
+   reports done at once if nothing is deferred.
 2. Every other event follows, in the order it was scheduled: workload
    arrivals, asks, dones and replies at the balancer, allows at backends,
-   and a backend's done or withdrawal at the end of its pause.
+   and a backend's done at the end of its pause.  A backend answers an
+   allow as it arrives, as in the serve step.  When exhaustion forces the
+   collection of a backend that holds a grant, it answers the grant then,
+   with a done at the end of the forced pause.
 3. A pause delays each request in service by its length.  A completion due
    at the instant a pause begins is not in service.
 4. A message takes half the RTT plus a jitter drawn from the seed and the
@@ -173,8 +177,6 @@ class Balancer:
             if self.asked:
                 nxt = self.asked.popleft()
                 self.granted.add(nxt)
-        elif name in self.asked:
-            self.asked.remove(name)
         while self.parked and len(self.granted) < len(self.order):
             self.route(*self.parked.popleft())
         if nxt is not None:
@@ -205,13 +207,9 @@ class Backend:
         self.paused_until = 0
         self.pauses = []
         self.history = []
-        self.tickets = {}
         self.active = None  # [id, state]
         self.next_id = 1
-        # grantee
-        self.ticket_id = 0
         self.grantor = None
-        self.withdrawal = 0
         interval = cfg.background_alloc_interval_us
         self.tick_bytes = round(cfg.background_alloc_bytes_per_s * interval / 1_000_000)
         self.interval = interval
@@ -289,14 +287,11 @@ class Backend:
     def open_cycle(self):
         ticket = [self.next_id, "offered"]
         self.next_id += 1
-        self.tickets[ticket[0]] = ticket
         self.active = ticket
         if self.mode == "on" or self.estimate() <= self.m.cfg.defer_threshold_us:
             self.collect(ticket)
             return
         ticket[1] = "deferred"
-        self.ticket_id = ticket[0]
-        self.withdrawal = 0
         t = self.m.link_arrival(self.name, "lb")
         self.m.at(t, self.m.lb.ask, self.name)
 
@@ -318,26 +313,20 @@ class Backend:
                                               *entry[3], order=number)
         self.at(end, SERVE, self.serve)
         if forced:
-            self.ticket_id = 0
-            if self.grantor is None:
-                self.withdrawal = ticket[0]
-                self.m.at(end, self.withdraw)
+            self.poll()
 
     # -- coordination ----------------------------------------------------------
 
     def allow(self):
         self.grantor = "lb"
-        self.withdrawal = 0
         self.poll()
 
     def poll(self):
-        if self.grantor is None or not self.idle():
+        if self.grantor is None or self.active is not None and not self.idle():
             return
-        ticket_id = self.ticket_id
-        self.ticket_id, self.grantor = 0, None
-        ticket = self.tickets.get(ticket_id)
-        if ticket is not None and ticket[1] == "deferred":
-            self.collect(ticket)
+        self.grantor = None
+        if self.active is not None:
+            self.collect(self.active)
         if self.m.now < self.paused_until:
             self.m.at(self.paused_until, self.send_done)
         else:
@@ -346,11 +335,6 @@ class Backend:
     def send_done(self):
         t = self.m.link_arrival(self.name, "lb")
         self.m.at(t, self.m.lb.done, self.name)
-
-    def withdraw(self):
-        if self.withdrawal:
-            self.withdrawal = 0
-            self.send_done()
 
 
 def run(cfg: ScenarioConfig, stream, deadline):

@@ -53,7 +53,7 @@ def test_requests_queue_when_no_backend_available_and_drain_on_done():
     lb.ledger.granted.update({"b0", "b1", "b2"})
     assert [lb.route(i, 0) for i in range(4)] == [None] * 4
     assert len(lb.pending) == 4
-    lb.deliver("b1", ("done", 1))
+    lb.deliver("b1", ("done",))
     sim.run_until(1_000)
     # queued requests drained to the returned backend in FIFO order
     assert len(lb.pending) == 0
@@ -65,17 +65,17 @@ def test_requests_queue_when_no_backend_available_and_drain_on_done():
 
 def test_coordinator_grants_immediately_when_idle():
     sim, lb, _ = make_cluster()
-    lb.deliver("b0", ("ask", 1))
+    lb.deliver("b0", ("ask",))
     assert lb.ledger.granted == {"b0"}
     assert lb.route(1, 0) == "b1"  # b0 left the rotation
 
 
 def test_coordinator_queues_second_asker_until_done():
     sim, lb, _ = make_cluster()
-    lb.deliver("b0", ("ask", 1))
-    lb.deliver("b1", ("ask", 1))
+    lb.deliver("b0", ("ask",))
+    lb.deliver("b1", ("ask",))
     assert lb.ledger.granted == {"b0"} and list(lb.ledger.pending) == ["b1"]
-    lb.deliver("b0", ("done", 1))
+    lb.deliver("b0", ("done",))
     assert lb.ledger.granted == {"b1"}
     assert [lb.route(i, 0) for i in range(2)] == ["b0", "b2"]  # b1 is out
 
@@ -83,20 +83,20 @@ def test_coordinator_queues_second_asker_until_done():
 def test_simultaneous_asks_grant_in_arrival_order():
     sim, lb, _ = make_cluster()
     for b in ("b2", "b0", "b1"):
-        lb.deliver(b, ("ask", 1))
+        lb.deliver(b, ("ask",))
     order = [next(iter(lb.ledger.granted))]
     for _ in range(2):
-        lb.deliver(order[-1], ("done", 1))
+        lb.deliver(order[-1], ("done",))
         order.append(next(iter(lb.ledger.granted)))
     assert order == ["b2", "b0", "b1"]
 
 
 def test_duplicate_ask_is_ignored():
     sim, lb, _ = make_cluster()
-    lb.deliver("b0", ("ask", 1))
-    lb.deliver("b0", ("ask", 1))
-    lb.deliver("b1", ("ask", 1))
-    lb.deliver("b1", ("ask", 1))
+    lb.deliver("b0", ("ask",))
+    lb.deliver("b0", ("ask",))
+    lb.deliver("b1", ("ask",))
+    lb.deliver("b1", ("ask",))
     assert lb.ledger.granted == {"b0"} and list(lb.ledger.pending) == ["b1"]
 
 
@@ -107,7 +107,7 @@ def test_duplicate_ask_is_ignored():
 def test_coordinator_never_exceeds_max_concurrent(max_concurrent, msgs):
     sim, lb, _ = make_cluster(n=4, max_concurrent=max_concurrent)
     for tag, backend in msgs:
-        lb.deliver(backend, (tag, 1))
+        lb.deliver(backend, (tag,))
         assert lb.ledger.used <= max_concurrent
         # a granted backend is out of the rotation; parking needs all four out
         target = lb.route(0, 0)
@@ -169,7 +169,7 @@ def test_backend_statuses_walk_the_protocol():
 
     def state():
         # (deferred ticket, draining, paused, out of the rotation)
-        return (b.grantee.ticket_id, b.grantee.grantor is not None,
+        return (getattr(b.runtime.active_ticket, "id", 0), b.grantee.grantor is not None,
                 b.runtime.is_paused, "b0" in lb.ledger.granted)
     seen = [state()]
 
@@ -242,10 +242,11 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     assert lb.samples[0][2] - lb.samples[0][1] == RTT + 2_000 + 1_000
 
 
-def test_forced_collection_withdraws_its_queued_ask():
-    # b0's ask waits behind b1's grant when exhaustion forces b0 to collect:
-    # b0 forgets the ticket and withdraws the ask once its pause is over, so
-    # the slot b1 frees is never granted to b0 to collect nothing
+def test_a_stale_grant_after_a_forced_collection_is_answered_at_once():
+    # b0's ask waits behind b1's grant when exhaustion forces b0 to collect.
+    # The ask stays queued, so the slot b1 frees is granted to b0 at 5,082 us;
+    # b0 has nothing deferred, so it answers the allow with a done as it
+    # arrives: no pause, and no drain of the request it is serving
     sim, lb, backends = make_cluster(n=2, max_concurrent=1, live=100, trigger=200,
                                      hard=400, overhead=5_000)
     b0, b1 = backends
@@ -265,17 +266,20 @@ def test_forced_collection_withdraws_its_queued_ask():
     sim.schedule_at(10, lambda _: b1.runtime.allocate(150))  # asks first: granted
     sim.schedule_at(10, lambda _: b0.runtime.allocate(150))  # queued behind b1
     sim.schedule_at(30, lambda _: b0.runtime.allocate(200))  # exhaustion
+    sim.schedule_at(5_060, lambda _: lb.route(0, 5_060))     # to b0: in service 5,084-7,084
     sim.run_until(1_000_000)
     assert [(p.start_us, p.end_us, p.forced) for p in b0.runtime.pauses] == [(30, 5_030, True)]
     assert [(p.start_us, p.end_us, p.forced) for p in b1.runtime.pauses] == [(58, 5_058, False)]
-    assert grants == [(34, "b1")]  # b0 never
-    assert dones == [(5_054, "b0", ("done", 1)), (5_082, "b1", ("done", 1))]
+    assert grants == [(34, "b1"), (5_082, "b0")]
+    assert dones == [(5_082, "b1", ("done",)), (5_130, "b0", ("done",))]
     assert lb.ledger.granted == set() and not lb.ledger.pending
-    assert b0.grantee.ticket_id == 0
+    assert [(rid, completed - issued, server) for rid, issued, completed, server, _
+            in lb.samples] == [(0, RTT + 2_000, "b0")]
+    assert b0.runtime.active_ticket is None
     sent = sim.messages_sent
     b0.grantee.ask()  # nothing left to ask for
     assert sim.messages_sent == sent
-    assert [lb.route(i, sim.now) for i in range(2)] == ["b0", "b1"]
+    assert [lb.route(i, sim.now) for i in range(1, 3)] == ["b1", "b0"]
 
 
 # -- routing against a loop reference ---------------------------------------------
@@ -324,14 +328,12 @@ def test_route_matches_loop_reference(data):
 # -- the cluster against the reference model ----------------------------------------
 
 
-def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
-                       background, interval, max_concurrent, gaps, cut):
-    cfg = default_config("http", nodes=3, rtt_us=48, jitter_us=jitter, seed=7, gc_mode=mode,
-                         live_bytes=100, trigger_bytes=200, hard_limit_bytes=400,
-                         pause_overhead_us=overhead, service_time_us=service_us,
-                         parallelism=parallelism, bytes_per_request=bytes_per_request,
-                         max_concurrent=max_concurrent, background_alloc_bytes_per_s=background,
-                         background_alloc_interval_us=interval, duration_s=1)
+def _small_run(gaps, cut, **overrides):
+    """Three backends with a 100/200/400 B heap on ``gaps`` between arrivals,
+    up to ``cut`` after the last one; returns the config, the arrivals, the
+    deadline and the run."""
+    cfg = default_config("http", nodes=3, rtt_us=48, seed=7, live_bytes=100,
+                         trigger_bytes=200, hard_limit_bytes=400, duration_s=1, **overrides)
     stream, t = [], 0
     for rid, gap in enumerate(gaps, 1):
         t += gap
@@ -339,7 +341,16 @@ def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request,
     deadline = t + cut
     with mock.patch.object(scenarios, "generate_workload", lambda _: iter(stream)), \
             mock.patch.object(ScenarioConfig, "duration_us", lambda _: deadline):
-        run = run_scenario(cfg)
+        return cfg, stream, deadline, run_scenario(cfg)
+
+
+def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+                       background, interval, max_concurrent, gaps, cut):
+    cfg, stream, deadline, run = _small_run(
+        gaps, cut, jitter_us=jitter, gc_mode=mode, pause_overhead_us=overhead,
+        service_time_us=service_us, parallelism=parallelism,
+        bytes_per_request=bytes_per_request, max_concurrent=max_concurrent,
+        background_alloc_bytes_per_s=background, background_alloc_interval_us=interval)
     got = (list(run.samples), [(p.node, p.start_us, p.end_us, p.ticket_id, p.forced)
                                for p in run.pauses],
            run.stats.messages_sent, run.peak_allocated, run.issued)
@@ -359,13 +370,19 @@ def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request,
 @example(mode="on", jitter=0, parallelism=3, service_us=1, bytes_per_request=100,
          overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0] * 10,
          cut=1_000)
-# b1's withdrawal of a forced ask reaches the balancer at 51 us, just after
-# the balancer sent b1 a grant, and frees b1's slot: b1 stays in the rotation,
-# so the request routed to it at 53 us reaches it after it has drained, and
-# its drain time ignores that request
+# each backend forces a collection while its ask waits, b2's at 35 us; the
+# grant the balancer sends b0 at 48 us admits the collection b0 has deferred
+# since, which starts at 72 us
 @example(mode="blade", jitter=0, parallelism=1, service_us=1, bytes_per_request=100,
          overhead=1, background=0, interval=3, max_concurrent=1,
          gaps=[0, 0, 0, 0, 0, 0, 0, 0, 11, 20, 20, 0, 2], cut=24)
+# background ticks force every backend's collection at 46 us while the asks
+# wait.  b0's allow, sent at 47 us, overtakes request 4, routed to b0 at
+# 42 us: b0 drains at 73 us, before request 4 arrives at 74 us, which ends
+# the scan of its drain time early
+@example(mode="blade", jitter=8, parallelism=1, service_us=20, bytes_per_request=0,
+         overhead=7, background=9_000_000, interval=23, max_concurrent=1,
+         gaps=[18, 20, 1, 3], cut=32)
 def test_cluster_matches_reference_model(mode, jitter, parallelism, service_us,
                                          bytes_per_request, overhead, background, interval,
                                          max_concurrent, gaps, cut):
@@ -396,6 +413,18 @@ def test_stamped_replies_match_delivered_replies(mode, jitter, parallelism, serv
     # replies on the wire.  No background allocation, one collector at a time
     _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
                        0, 10_000, 1, gaps, cut)
+
+
+def test_no_two_granted_pauses_overlap_after_forced_collections():
+    # each backend forces a collection at 25 us while its ask waits; the asks
+    # stay queued, so each stale grant holds the only slot until its done
+    # frees it, and no granted collection overlaps another
+    _, _, _, run = _small_run([0] * 9, 74, gc_mode="blade", parallelism=1,
+                              service_time_us=1, bytes_per_request=150,
+                              pause_overhead_us=1, max_concurrent=1)
+    assert sum(p.forced for p in run.pauses) == 3
+    granted = sorted((p.start_us, p.end_us) for p in run.pauses if not p.forced)
+    assert all(end <= nxt for (_, end), (nxt, _) in zip(granted, granted[1:]))
 
 
 def test_a_backend_starts_no_request_while_paused():

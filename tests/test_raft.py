@@ -61,6 +61,14 @@ def test_ledger_finish_pulls_pending_fifo():
     assert led.last_finished == "c"
 
 
+def test_ledger_finish_without_a_grant_keeps_the_queued_ask():
+    led = GcLedger(1)
+    led.ask("a"); led.ask("b")
+    assert led.finish("b") is None  # b holds no grant: nothing is freed
+    assert led.granted == {"a"} and list(led.pending) == ["b"]
+    assert led.finish("a") == "b"
+
+
 def test_ledger_duplicate_ask_ignored():
     led = GcLedger(1)
     assert led.ask("a") == "grant"
@@ -670,11 +678,12 @@ def test_late_allow_starts_the_collection_deferred_since_a_forced_one():
     assert nodes[0].ledger.used == 0
 
 
-def test_forced_collection_withdraws_its_queued_ask_and_never_asks_again():
+def test_forced_collection_sends_no_done_and_the_handoff_drops_its_ask():
     # n1's ask waits behind n2's 50 ms collection when exhaustion forces n1
-    # to collect.  n1 then forgets the ticket: leading from just after its
-    # pause, it neither asks itself for it nor hands off to collect nothing.
-    # Pauses shorter than n0's 100 ms grant timeout keep that out of play.
+    # to collect.  n1 sends nothing when its pause ends; the ask stays queued
+    # at n0 until n0 hands off to n1, whose ledger starts with n2's grant
+    # alone.  Leading with nothing deferred, n1 neither asks itself nor hands
+    # off.  Pauses shorter than n0's 100 ms grant timeout keep that out of play.
     sim, nodes, clients, samples, trace = make_cluster(live=100, trigger=200,
                                                        hard=400, overhead=50_000)
     f = nodes[1]
@@ -682,17 +691,52 @@ def test_forced_collection_withdraws_its_queued_ask_and_never_asks_again():
     sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250))
     sim.schedule_at(1_001, lambda _: f.runtime.allocate(150))  # queued behind n2
     sim.schedule_at(1_002, lambda _: f.runtime.allocate(300))  # exhaustion
+    queued = []
+    sim.schedule_at(51_009, lambda _: queued.append(list(nodes[0].ledger.pending)))
     sim.schedule_at(51_010, lambda _: nodes[0].request_leader_switch("n1"))
     sim.run_until(1_000_000)
     assert [(p.start_us, p.end_us, p.forced) for p in f.runtime.pauses] == \
            [(1_002, 51_002, True)]
+    assert queued == [["n1"]]
     assert trace.switches == [(51_010, "n0", "n1", 2)]
     assert [(t, src, dst, kind) for t, src, dst, kind in log if kind.endswith("GC")] == [
         (1_000 + HALF, "n2", "n0", "AskGC"), (1_001 + HALF, "n1", "n0", "AskGC"),
         (1_000 + RTT, "n0", "n2", "AllowGC"),
-        (51_002 + HALF, "n1", "n0", "DoneGC"),  # the withdrawal
         (51_048 + HALF, "n2", "n1", "DoneGC")]
     assert f.ledger.used == 0 and not f.ledger.pending
+
+
+def test_a_leader_granted_its_slot_with_nothing_deferred_passes_it_on():
+    # n0 leads and queues its own ask behind n2's grant, then exhaustion
+    # forces its collection; n1 asks after it.  n2's done grants n0 its own
+    # slot with nothing deferred: n0 frees it at once, without a handoff or a
+    # message to itself, and the slot goes to n1
+    sim, nodes, clients, samples, trace = make_cluster(live=100, trigger=200,
+                                                       hard=400, overhead=50_000)
+    n0 = nodes[0]
+    log = record_deliveries(sim, nodes)
+    finishes = []  # (time, the node whose slot is freed, the next grantee)
+    finish = n0.ledger.finish
+
+    def spy(node):
+        nxt = finish(node)
+        finishes.append((sim.now, node, nxt))
+        return nxt
+    n0.ledger.finish = spy
+    sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250))  # granted at 1,024
+    sim.schedule_at(1_030, lambda _: n0.runtime.allocate(150))        # queued behind n2
+    sim.schedule_at(1_031, lambda _: nodes[1].runtime.allocate(150))  # queued behind n0
+    sim.schedule_at(1_040, lambda _: n0.runtime.allocate(300))        # exhaustion
+    sim.run_until(1_000_000)
+    assert [(p.start_us, p.end_us, p.forced) for p in n0.runtime.pauses] == \
+           [(1_040, 51_040, True)]
+    assert finishes == [(51_072, "n2", "n0"), (51_072, "n0", "n1"), (101_120, "n1", None)]
+    assert trace.switches == [] and n0.role is Role.LEADER
+    assert [(t, src, dst, kind) for t, src, dst, kind in log if kind.endswith("GC")] == [
+        (1_000 + HALF, "n2", "n0", "AskGC"), (1_000 + RTT, "n0", "n2", "AllowGC"),
+        (1_031 + HALF, "n1", "n0", "AskGC"), (51_048 + HALF, "n2", "n0", "DoneGC"),
+        (51_072 + HALF, "n0", "n1", "AllowGC"), (101_096 + HALF, "n1", "n0", "DoneGC")]
+    assert [(p.start_us, p.forced) for p in nodes[1].runtime.pauses] == [(51_096, False)]
 
 
 def test_ask_resent_to_new_leader_after_switch():
@@ -716,7 +760,7 @@ def test_allow_arriving_at_a_leader_reroutes_through_a_handoff():
     leader.grantee.send_ask = lambda ticket: None  # defer without asking yet
     sim.schedule_at(1_000, lambda _: leader.runtime.allocate(250 * MIB))
     sim.schedule_at(1_010, lambda _: setattr(leader.grantee, "send_ask", send_ask))
-    sim.schedule_at(1_020, lambda _: leader.deliver("n1", AllowGC(1)))
+    sim.schedule_at(1_020, lambda _: leader.deliver("n1", AllowGC()))
     sim.run_until(3_000_000)
     assert leader.runtime.collection_count() == 1
     pause = leader.runtime.pauses[0]
@@ -728,7 +772,7 @@ def test_grant_timeout_frees_the_slot():
     sim, nodes, clients, samples, _ = make_cluster()
     leader = nodes[0]
     sim.add_node("n1", lambda src, msg: None)  # swallow the grant: no done ever
-    leader._ask_info["n1"] = (1, 10_000)
+    leader._ask_info["n1"] = 10_000
     assert leader.ledger.ask("n1") == "grant"
     leader._issue_grant("n1")
     sim.run_until(99_999)

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from gcsim.httpcluster import Backend, LoadBalancer
 from gcsim.raft import AskGC, RaftNode, RaftTrace
-from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
-                           ManagedRuntime, PauseEstimator, TicketState)
+from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcGrantee, GcLedger, GcMode,
+                           HeapModel, ManagedRuntime, PauseEstimator, TicketState)
 from gcsim.simcore import NetworkModel, Simulation
 
 
@@ -433,6 +433,51 @@ def test_defer_threshold_boundary(make, over):
     assert (start, asks) == ((1_000, []) if not over else (1_048, [1_024]))
 
 
+def test_a_grant_gets_one_done_when_its_start_forces_the_collection():
+    # 100 B ticks every 10 us: the tick at 10 us crosses the trigger and asks,
+    # the one at 30 us reaches the hard limit.  The grant, due at 30 us ahead
+    # of that crossing, starts the deferred collection; adding the tick in
+    # forces it first, and the grant still gets exactly one done.  The tick
+    # at the pause's end opens the next cycle
+    sim = Simulation()
+    rt = ManagedRuntime(sim, "n", HeapModel(100, 200, 400), CollectorCostModel(0, 1_000),
+                        mode=GcMode.BLADE, background_bytes_per_s=10_000_000,
+                        background_interval_us=10)
+    asks, dones = [], []
+    grantee = GcGrantee(rt, 1_000, lambda ticket: asks.append((sim.now, ticket.id)),
+                        lambda grantor: dones.append((sim.now, grantor)))
+    sim.schedule_at(30, lambda _: grantee.grant("lb"))
+    sim.run_until(1_030)
+    assert asks == [(10, 1), (1_030, 2)]
+    assert [(p.start_us, p.end_us, p.forced) for p in rt.pauses] == [(30, 1_030, True)]
+    assert dones == [(1_030, "lb")]
+
+
+def test_a_grant_with_nothing_deferred_is_answered_before_the_next_ask():
+    # exhaustion forces ticket 1 at 15 us while its ask waits behind m's
+    # grant; m's done grants n at 20 us with nothing deferred.  n's done goes
+    # out before the tick due at 20 us opens the next cycle, so the ledger
+    # grants that ask instead of dropping it as a duplicate of the grant
+    sim = Simulation()
+    rt = ManagedRuntime(sim, "n", HeapModel(100, 200, 400), CollectorCostModel(0, 1),
+                        mode=GcMode.BLADE, background_bytes_per_s=10_000_000,
+                        background_interval_us=10)
+    ledger = GcLedger(1)
+    ledger.ask("m")
+    log = []
+    grantee = GcGrantee(rt, 0, lambda ticket: log.append((sim.now, ticket.id, ledger.ask("n"))),
+                        lambda grantor: log.append((sim.now, "done", ledger.finish("n"))))
+
+    def m_done(_):
+        assert ledger.finish("m") == "n"
+        grantee.grant("m")
+    sim.schedule_at(15, lambda _: rt.allocate(200))
+    sim.schedule_at(20, m_done)
+    sim.run_until(20)
+    assert log == [(10, 1, "queued"), (20, "done", None), (20, 2, "grant")]
+    assert [(p.start_us, p.forced) for p in rt.pauses] == [(15, True)]
+
+
 # -- the allocation fast path against the single-path reference ------------------------
 
 
@@ -454,12 +499,8 @@ class _ReferenceAllocate(ManagedRuntime):
         heap = self.heap
         if self.mode is GcMode.OFF:
             heap.allocated_bytes += n_bytes
-            if heap.allocated_bytes > self._peak_allocated_bytes:
-                self._peak_allocated_bytes = heap.allocated_bytes
             return
         heap.allocated_bytes = min(heap.allocated_bytes + n_bytes, heap.hard_limit_bytes)
-        if heap.allocated_bytes > self._peak_allocated_bytes:
-            self._peak_allocated_bytes = heap.allocated_bytes
         if self.active_ticket is None and heap.allocated_bytes >= heap.trigger_bytes:
             self._open_cycle()
         if (self.active_ticket is not None
@@ -515,7 +556,7 @@ def _allocation_run(cls, mode, ops, rate, deferred):
             rt.allocate(value)
         else:
             rt.start_gc(value)
-        snapshots.append((sim.now, rt.heap.allocated_bytes, rt._peak_allocated_bytes,
+        snapshots.append((sim.now, rt.heap.allocated_bytes, rt.peak_allocated_bytes,
                           [(t.id, t.allocated_bytes, t.estimated_pause_us, t.state)
                            for t in rt.tickets.values()],
                           list(rt.pauses), rt._crossing and rt._crossing[0], sim._seq))

@@ -1,7 +1,8 @@
 """Workload generation, latency capture, and tail-latency reporting.
 
-Completed requests are kept as integer columns and a run is summarised from
-its ``(latency, count)`` histogram.  Quantiles use the nearest-rank
+Completed requests are kept as narrow columns, 14 bytes a row (32-bit
+integers and one-byte name codes), and a run is summarised from its
+``(latency, count)`` histogram.  Quantiles use the nearest-rank
 definition (exact integer ranks, no interpolation) and the standard deviation
 is the population deviation; both conventions are stated in every report
 header.  Rendering is deterministic: identical inputs give identical files.
@@ -23,7 +24,10 @@ from typing import Collection, Iterable, Iterator, Optional
 from .runtime import PauseInterval
 
 QUANTILE_LEVELS = (95.0, 99.0, 99.9, 99.99, 99.999, 99.9999)
-CDF_CHUNK_LINES = 65_536  # lines per write, which bound a CDF's memory
+# Lines per write.  A chunk's formatted lines and their join are the CDF's
+# transient memory: emit_report of one 150,000-sample run peaks at 0.74 MB
+# by tracemalloc with 8,192 lines, against 5.9 MB with 65,536.
+CDF_CHUNK_LINES = 8_192
 
 
 @dataclass
@@ -50,9 +54,14 @@ class OverlapStat:
 
 
 class SampleLog:
-    """Completed requests as columns: integer arrays for rid, issued and
-    completed, lists of references for server and kind.  Iteration and
-    indexing yield ``(rid, issued, completed, server, kind)`` tuples.
+    """Completed requests as columns, 14 bytes a row: 32-bit unsigned arrays
+    for rid, issued and completed, and one-byte codes for server and kind
+    into a name table the log keeps.  Iteration and indexing yield
+    ``(rid, issued, completed, server, kind)`` tuples, with names decoded.
+
+    A time or id of 2**32 or more (a run past 4,294 simulated seconds)
+    widens the integer columns to 64 bits, and a 257th distinct name widens
+    the code columns to 32 bits; each happens at most once.
 
     Rows are read in the order they were added, or, in a log kept
     ``by_arrival``, in arrival order and rid order within one arrival
@@ -66,10 +75,12 @@ class SampleLog:
 
     def __init__(self, by_arrival: bool = False) -> None:
         # Unsigned: ids and times are never negative, and the array module
-        # appends "Q" items without the format parsing it does for "q".
-        self._rid, self._issued, self._completed = array("Q"), array("Q"), array("Q")
-        self._server: list[str] = []
-        self._kind: list[str] = []
+        # appends "I" and "Q" items without the format parsing it does for
+        # signed or one-byte codes; a bytearray appends a byte faster still.
+        self._rid, self._issued, self._completed = array("I"), array("I"), array("I")
+        self._server, self._kind = bytearray(), bytearray()  # codes into _names
+        self._names: list[str] = []
+        self._codes: dict[str, int] = {}  # the inverse of _names
         self._by_arrival = by_arrival
         self._unsorted = False  # rows added since the last sort
         self._on_wire: list = []  # the columns of the rows keep_arrived set aside
@@ -78,7 +89,8 @@ class SampleLog:
         def read(self):
             if self._unsorted:
                 self._sort()
-            return getattr(self, "_" + name)
+            column = getattr(self, "_" + name)
+            return map(self._names.__getitem__, column) if name in ("server", "kind") else column
         return property(read)
 
     rid, issued, completed, server, kind = map(_column, _COLUMNS)
@@ -87,11 +99,25 @@ class SampleLog:
     def add(self, rid: int, issued: int, completed: int, server: str, kind: str) -> None:
         if self._on_wire:
             self._put_back()
-        self._rid.append(rid)
-        self._issued.append(issued)
-        self._completed.append(completed)
-        self._server.append(server)
-        self._kind.append(kind)
+        codes = self._codes
+        # Codes first: a new name may widen, and so replace, the code columns.
+        try:
+            server_code = codes[server]
+        except KeyError:
+            server_code = self._new_code(server)
+        try:
+            kind_code = codes[kind]
+        except KeyError:
+            kind_code = self._new_code(kind)
+        try:
+            self._rid.append(rid)
+            self._issued.append(issued)
+            self._completed.append(completed)
+        except OverflowError as error:
+            self._widen(len(self._completed), error)  # completed is appended last
+            return self.add(rid, issued, completed, server, kind)
+        self._server.append(server_code)
+        self._kind.append(kind_code)
         self._unsorted = self._by_arrival
 
     def extend(self, rid: list[int], issued: list[int], completed: list[int],
@@ -99,12 +125,39 @@ class SampleLog:
         """Add rows given as columns, all from one server and of one kind."""
         if self._on_wire:
             self._put_back()
-        self._rid.extend(rid)
-        self._issued.extend(issued)
-        self._completed.extend(completed)
-        self._server.extend(repeat(server, len(rid)))
-        self._kind.extend(repeat(kind, len(rid)))
+        codes = self._codes
+        server_code = codes[server] if server in codes else self._new_code(server)
+        kind_code = codes[kind] if kind in codes else self._new_code(kind)
+        rows = len(self._rid)
+        try:
+            self._rid.extend(rid)
+            self._issued.extend(issued)
+            self._completed.extend(completed)
+        except OverflowError as error:
+            self._widen(rows, error)
+            return self.extend(rid, issued, completed, server, kind)
+        self._server.extend(repeat(server_code, len(rid)))
+        self._kind.extend(repeat(kind_code, len(rid)))
         self._unsorted = self._by_arrival
+
+    def _new_code(self, name: str) -> int:
+        code = len(self._names)
+        if code == 256:  # iter(): array() would take a bytearray's bytes as raw items
+            self._server, self._kind = array("I", iter(self._server)), array("I", iter(self._kind))
+        self._names.append(name)
+        self._codes[name] = code
+        return code
+
+    def _widen(self, rows: int, error: OverflowError) -> None:
+        """Cut the integer columns back to ``rows`` rows, undoing a failed
+        append, and widen them to 64 bits for the caller to retry; re-raise
+        ``error`` if they are that wide already."""
+        for column in (self._rid, self._issued, self._completed):
+            del column[rows:]
+        if self._rid.typecode == "Q":
+            raise error
+        self._rid, self._issued, self._completed = (
+            array("Q", column) for column in (self._rid, self._issued, self._completed))
 
     def keep_arrived(self, until: int) -> None:
         """Set aside the rows that arrive after ``until``; the log still
@@ -146,8 +199,8 @@ class SampleLog:
             for name in self._COLUMNS:
                 column = getattr(self, "_" + name)
                 picked = map(column.__getitem__, order)
-                setattr(self, "_" + name,
-                        array("Q", picked) if isinstance(column, array) else list(picked))
+                setattr(self, "_" + name, array(column.typecode, picked)
+                        if isinstance(column, array) else bytearray(picked))
         self._unsorted = False
 
     def latencies(self) -> Iterator[int]:
@@ -164,12 +217,27 @@ class SampleLog:
         return zip(self.rid, self.issued, self.completed, self.server, self.kind)
 
     def __getitem__(self, i: int) -> tuple[int, int, int, str, str]:
-        return self.rid[i], self.issued[i], self.completed[i], self.server[i], self.kind[i]
+        if self._unsorted:
+            self._sort()
+        names = self._names
+        return (self._rid[i], self._issued[i], self._completed[i],
+                names[self._server[i]], names[self._kind[i]])
+
+    def _wire_rows(self) -> list:
+        """The rows set aside by keep_arrived, as decoded tuples."""
+        if not self._on_wire:
+            return []
+        *times, server, kind = self._on_wire
+        decode = self._names.__getitem__
+        return list(zip(*times, map(decode, server), map(decode, kind)))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SampleLog)
-                and all(getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
-                and self._on_wire == other._on_wire)
+                and self.rid == other.rid and self.issued == other.issued
+                and self.completed == other.completed
+                and all(map(operator.eq, self.server, other.server))
+                and all(map(operator.eq, self.kind, other.kind))
+                and self._wire_rows() == other._wire_rows())
 
 
 # -- workload ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -241,7 +242,7 @@ def _held_bytes(build):
         tracemalloc.stop()
 
 
-def test_sample_log_holds_at_most_48_bytes_per_sample():
+def test_sample_log_holds_at_most_16_bytes_per_sample():
     def build():
         log = SampleLog()
         for rid in range(100_000):
@@ -251,7 +252,92 @@ def test_sample_log_holds_at_most_48_bytes_per_sample():
     held, log = _held_bytes(build)
     assert len(log) == 100_000
     assert log[-1] == list(log)[-1] == (99_999, 999_990, 1_002_038, "b0", "http")
-    assert held / len(log) <= 48  # a list of tuples holds about 176
+    assert held / len(log) <= 16  # 14 bytes a row; a list of tuples holds about 176
+
+
+def test_emit_report_of_150k_samples_peaks_under_1_5_mb(tmp_path):
+    run = summarize_run("blade", [2_048] * 150_000, 0, [])
+    tracemalloc.start()
+    try:
+        emit_report([run], str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000  # measured 0.74 MB; chunks of 65,536 lines peak at 5.9 MB
+
+
+BIG = 2 ** 32  # the least value a 32-bit column cannot hold
+
+
+@pytest.mark.parametrize("by_arrival", [False, True], ids=["plain", "by-arrival"])
+@pytest.mark.parametrize("case", ["add", "extend", "names"])
+def test_a_widened_log_reads_every_row_back_in_order(case, by_arrival):
+    # 300 rows whose arrivals are out of rid order, added in batches of 20
+    # rows of one server.  Row 150, in the middle of its batch, completes
+    # at 2**32 or more; in the names case every row has its own server, so
+    # b255 is the 257th name (after "http").
+    rows = [(rid, 10 * rid, 10 * rid + 2_048 - 30 * (rid % 4), f"b{rid // 20 % 3}", "http")
+            for rid in range(300)]
+    if case == "names":
+        rows = [row[:3] + (f"b{row[0]}", "http") for row in rows]
+        split = 240
+    else:
+        rows[150] = rows[150][:2] + (BIG + 5,) + rows[150][3:]
+        split = 140
+    log = SampleLog(by_arrival=by_arrival)
+
+    def put(part):
+        for first in range(0, len(part), 20):
+            batch = part[first:first + 20]
+            if case == "extend":
+                rid, issued, completed, _, _ = map(list, zip(*batch))
+                log.extend(rid, issued, completed, batch[0][3], "http")
+            else:
+                for row in batch:
+                    log.add(*row)
+
+    def reads(expected):
+        if by_arrival:
+            expected = sorted(expected, key=lambda row: (row[2], row[0]))
+        assert list(log) == expected
+        assert [log[i] for i in range(len(log))] == expected
+        assert list(log.server) == [row[3] for row in expected]
+        assert sorted(log.latencies()) == sorted(c - i for _, i, c, _, _ in expected)
+
+    put(rows[:split])
+    reads(rows[:split])
+    until = rows[split - 1][2] - 100
+    if by_arrival:  # the widening add puts these rows back first
+        log.keep_arrived(until)
+        reads([row for row in rows[:split] if row[2] <= until])
+    put(rows[split:])
+    reads(rows)
+    if case == "names":
+        assert isinstance(log._server, array) and isinstance(log._kind, array)
+    else:
+        assert log.rid.typecode == log.issued.typecode == log.completed.typecode == "Q"
+    last = (300, 3_000, BIG + 9, "b0", "http")
+    if by_arrival:
+        log.keep_arrived(until)
+        reads([row for row in rows if row[2] <= until])
+    log.add(*last)  # puts back the rows set aside
+    reads(rows + [last])
+
+
+def test_logs_with_equal_rows_are_equal_whatever_order_they_met_names_in():
+    a, b, c = SampleLog(by_arrival=True), SampleLog(by_arrival=True), SampleLog(by_arrival=True)
+    a.add(1, 0, 50, "b0", "get")
+    a.add(2, 0, 40, "b1", "set")
+    b.add(2, 0, 40, "b1", "set")
+    b.add(1, 0, 50, "b0", "get")
+    c.add(2, 0, 40, "b1", "set")
+    c.add(1, 0, 50, "b2", "get")
+    assert a[0] == b[0] == (2, 0, 40, "b1", "set")
+    assert a[1] == b[1] == (1, 0, 50, "b0", "get")
+    assert a == b and a != c
+    for log in (a, b, c):
+        log.keep_arrived(45)  # rows on the wire compare by name too
+    assert a == b and a != c
 
 
 def test_a_log_by_arrival_reads_rows_in_arrival_then_rid_order():

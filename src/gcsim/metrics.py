@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
 from typing import Collection, Iterable, Iterator, Optional
 
 from .runtime import PauseInterval
@@ -255,11 +255,12 @@ class WorkloadConfig:
 
 
 def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
-    """Yield ``(issue_time_us, request_id, kind)`` in issue order.
+    """Return the ``(issue_time_us, request_id, kind)`` stream in issue order.
 
-    Uniform arrivals are exactly periodic at the aggregate rate; Poisson
-    arrivals draw exponential gaps from a dedicated RNG seeded by the config,
-    so the stream is identical across runs with the same seed.  The get/set
+    Uniform arrivals are exactly periodic at the aggregate rate, built from
+    C iterators with no Python frame per arrival; Poisson arrivals draw
+    exponential gaps from a dedicated RNG seeded by the config, so the
+    stream is identical across runs with the same seed.  The get/set
     pattern repeats deterministically (e.g. G,G,G,S for a 3:1 mix), making
     the ratio exact over every pattern-sized window.
     """
@@ -276,25 +277,28 @@ def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
         raise ValueError("request mix must include at least one request kind")
 
     if cfg.arrivals == "uniform":
+        # Request i + 1 is issued at round((i + 1) * 1e6 / rate).
         n = math.floor(cfg.rate_rps * cfg.duration_s)
-        for i in range(n):
-            t = round((i + 1) * 1_000_000 / cfg.rate_rps)
-            if t > horizon:
-                break
-            yield t, i + 1, pattern[i % len(pattern)]
-    elif cfg.arrivals == "poisson":
-        rng = random.Random(cfg.seed)
-        t = 0.0
-        i = 0
-        while True:
-            t += rng.expovariate(cfg.rate_rps / 1_000_000)
-            it = round(t)
-            if it > horizon:
-                return
-            yield it, i + 1, pattern[i % len(pattern)]
-            i += 1
-    else:
-        raise ValueError(f"unknown arrival process {cfg.arrivals!r}")
+        numerators = range(1_000_000, (n + 1) * 1_000_000, 1_000_000)
+        times = map(round, map(operator.truediv, numerators, repeat(cfg.rate_rps)))
+        return zip(takewhile(horizon.__ge__, times), count(1), cycle(pattern))
+    if cfg.arrivals == "poisson":
+        return _poisson_arrivals(cfg, horizon, pattern)
+    raise ValueError(f"unknown arrival process {cfg.arrivals!r}")
+
+
+def _poisson_arrivals(cfg: WorkloadConfig, horizon: int,
+                      pattern: list[str]) -> Iterator[tuple[int, int, str]]:
+    rng = random.Random(cfg.seed)
+    t = 0.0
+    i = 0
+    while True:
+        t += rng.expovariate(cfg.rate_rps / 1_000_000)
+        it = round(t)
+        if it > horizon:
+            return
+        yield it, i + 1, pattern[i % len(pattern)]
+        i += 1
 
 
 # -- statistics ---------------------------------------------------------------

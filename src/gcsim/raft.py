@@ -32,6 +32,10 @@ proxied to the successor or redirected there.
 
 A paused node neither processes nor emits messages: deliveries buffer in an
 inbox drained at wake, and outbound sends issued mid-pause depart at wake.
+A leader sends each client reply when it schedules it, to depart once the
+request's service time is over, so the reply costs one engine event, its
+delivery.  A pause that begins before the reply departs recalls it, to
+depart at wake; a handoff recalls it and carries it to the successor.
 """
 
 from __future__ import annotations
@@ -107,11 +111,11 @@ class FastSwitch:
     receipt, which makes the transfer effective half a round-trip after the
     broadcast.  The old leader hands off only once every entry in its log is
     committed, so no request has to start over at the successor.  Answers
-    the old leader computed but had not sent yet ride along and are delivered
-    by the new leader directly, naming the new leader as their hint.  So do
-    the collections the old leader admitted: the successor keeps their
-    ledger slots.  Every peer gets the same message; only the successor acts
-    on ``pending_replies`` and ``grants``.
+    the old leader sent that had not departed yet are recalled and ride
+    along; the new leader sends them to depart at the same time, naming
+    itself as their hint.  So do the collections the old leader admitted:
+    the successor keeps their ledger slots.  Every peer gets the same
+    message; only the successor acts on ``pending_replies`` and ``grants``.
     """
 
     new_term: int
@@ -256,8 +260,10 @@ class RaftNode:
         self._grant_token: dict[NodeId, int] = {}
         self.switch_target: Optional[NodeId] = None
         self._awaiting_commit: dict[int, tuple[NodeId, int]] = {}  # index -> (client, rid)
-        self._pending_replies: dict[int, tuple[NodeId, ClientReply, int, list]] = {}
-        self._reply_seq = 0
+        # Replies not known to have departed, in the order they were
+        # scheduled: (client, reply, due, handle, sent).  A sent reply's
+        # handle is its delivery; a held one's is the timer that sends it.
+        self._replies: deque[tuple] = deque()
         # After a handoff, the time by which every request a client sent here
         # before it heard of the successor has arrived.
         self._drained_at = 0
@@ -313,7 +319,17 @@ class RaftNode:
         self._handlers[type(msg)](src, msg)
 
     def _on_pause(self, start_us: int, end_us: int) -> None:
-        self.sim.schedule_at(end_us, self._wake)
+        """Wake at the pause's end, and hold every reply sent to depart
+        inside the pause: recall it into a timer at its departure's place,
+        which ``_send`` defers to the wake, as a reply scheduled mid-pause
+        is held (:meth:`_schedule_reply`)."""
+        sim = self.sim
+        sim.schedule_at(end_us, self._wake)
+        replies = self._replies
+        for i, (client, reply, due, handle, sent) in enumerate(replies):
+            if sent and due < end_us and sim.ahead(due, handle[1]):
+                handle = sim.recall(handle, due, self._deferred_send, (client, reply))
+                replies[i] = (client, reply, due, handle, False)
 
     def _wake(self, _arg=None) -> None:
         inbox, handlers = self.inbox, self._handlers
@@ -593,28 +609,28 @@ class RaftNode:
 
     def _schedule_reply(self, client: NodeId, reply: ClientReply,
                         due: Optional[int] = None) -> None:
-        """Queue a reply to leave at ``due``, by default after the request's
-        service time.
+        """Send a reply to depart at ``due``, by default after the request's
+        service time, unless a pause under way covers ``due``: then hold it
+        in a timer at ``due``, which ``_send`` defers to the wake.
 
-        Replies still pending when leadership is handed off travel in the
-        switch message and are queued here by the successor at the same due
-        time, so an imminent pause at this node cannot delay them, and a
-        further handoff carries them on again.
+        A pause that begins before a sent reply departs holds it too
+        (:meth:`_on_pause`).  A handoff recalls the replies not yet
+        departed: they travel in the switch message and the successor
+        schedules them at the same due time, so an imminent pause at this
+        node cannot delay them, and a further handoff carries them on again.
         """
-        token = self._reply_seq = self._reply_seq + 1
+        sim = self.sim
+        now = sim.now
         if due is None:
-            due = self.sim.now + self.service_time_us
-        handle = self.sim.schedule_at(due, self._fire_reply, token)
-        self._pending_replies[token] = (client, reply, due, handle)
-
-    def _fire_reply(self, token: int) -> None:
-        entry = self._pending_replies.pop(token, None)
-        if entry is not None:
-            sim = self.sim
-            if sim.now < self.runtime.paused_until:
-                self._send(entry[0], entry[1])
-            else:
-                sim.send(self.id, entry[0], entry[1])
+            due = now + self.service_time_us
+        replies = self._replies
+        while replies and replies[0][2] < now:  # departed
+            replies.popleft()
+        if due < self.runtime.paused_until:
+            replies.append((client, reply, due,
+                            sim.schedule_at(due, self._deferred_send, (client, reply)), False))
+        else:
+            replies.append((client, reply, due, sim.send_at(self.id, client, reply, due), True))
 
     # -- fast leadership handoff -------------------------------------------------------
 
@@ -647,12 +663,17 @@ class RaftNode:
     def _do_fast_switch(self) -> None:
         successor = self.switch_target
         new_term = self.term + 1
+        sim = self.sim
         pending = []
-        for client, reply, due, handle in self._pending_replies.values():
-            self.sim.cancel(handle)
-            reply.leader_hint = successor  # not this node, which is about to pause
-            pending.append((client, reply, due))
-        self._pending_replies.clear()
+        for client, reply, due, handle, sent in self._replies:
+            if sim.ahead(due, handle[1]):  # not departed yet
+                if sent:
+                    sim.recall(handle, due)
+                else:
+                    sim.cancel(handle)
+                reply.leader_hint = successor  # not this node, which is about to pause
+                pending.append((client, reply, due))
+        self._replies.clear()
         grants = tuple((node, self._ask_info[node]) for node in sorted(self.ledger.granted))
         net = self.sim.network
         self._drained_at = self.sim.now + 2 * (net.one_way_delay_us + net.jitter_us)

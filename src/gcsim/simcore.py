@@ -13,7 +13,10 @@ one sent before it, so the lane stays in ``(fire_at, seq)`` order by
 appending alone, and the main loop fires whichever head is smaller.  A
 delivery that would break the lane's order (jitter, or a delay lowered
 mid-run) goes to the heap.  This is a calendar queue (Brown, CACM 1988)
-with one bucket.
+with one bucket.  A message sent now to depart later (:meth:`send_at`)
+always goes to the heap: its delivery is due after those of the messages
+sent in the meantime, which the lane must take in order.  Until it departs,
+its sender may recall it (:meth:`recall`).
 
 A message's jitter is a pure function of the seed and the message's
 identity, a counter-based draw (Salmon et al., "Parallel random numbers: as
@@ -124,6 +127,10 @@ class Simulation:
         self._lane: deque[list] = deque()  # deliveries in (fire_at, seq) order
         self._seq = 0  # events ever scheduled; also the tie-break sequence
         self._deadline: SimTime = -1  # run_until's, while it runs
+        # The seq of the event now firing: with ``now``, the engine's place in
+        # (fire_at, seq) order.  Between runs, when every event due by
+        # ``now`` has fired, it is the last seq taken.
+        self.firing_seq = 0
         self._nodes: dict[NodeId, Callable[[NodeId, Any], None]] = {}
         # (src, dst) -> [partial(deliver, src), jitter key, messages sent on it]
         self._links: dict[tuple[NodeId, NodeId], list] = {}
@@ -181,9 +188,14 @@ class Simulation:
         if heap and heap[0][0] <= fire_at or not self.now <= fire_at <= self._deadline:
             return False
         self.now = fire_at
-        self._seq += 1
+        self.firing_seq = self._seq = self._seq + 1
         self.events_fired += 1
         return True
+
+    def ahead(self, at: SimTime, seq: int) -> bool:
+        """Whether the place ``(at, seq)`` in event order is still to come:
+        later than now, or now with a seq above the firing event's."""
+        return at > self.now or at == self.now and seq > self.firing_seq
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event; no-op if it already fired."""
@@ -207,6 +219,47 @@ class Simulation:
             heapq.heappush(self._heap, entry)
         else:
             lane.append(entry)
+        return entry
+
+    def send_at(self, src: NodeId, dst: NodeId, msg: Any, depart_at: SimTime) -> EventHandle:
+        """Send ``msg`` now to depart at ``depart_at``: as :meth:`send` would
+        then, but keyed by its place on the link now.
+
+        Its seq, taken now, is the departure's place in event order.  Until
+        then :meth:`recall` may take the message back.
+        """
+        if depart_at < self.now:
+            raise SchedulingError(
+                f"cannot depart at t={depart_at}us: clock is already at {self.now}us")
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._link(src, dst)
+        count = link[2]
+        link[2] = count + 1
+        at = self.arrival(depart_at, LINK, None, count, link[1])
+        seq = self._seq = self._seq + 1
+        entry = [at, seq, link[0], msg]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def recall(self, handle: EventHandle, depart_at: SimTime,
+               action: Optional[Callable[[Any], None]] = None,
+               arg: Any = None) -> Optional[EventHandle]:
+        """Take back a message :meth:`send_at` sent to depart at
+        ``depart_at``, before it departs: its delivery is cancelled and it no
+        longer counts as sent.  With an ``action``, queue ``action(arg)`` at
+        the departure's place, ``(depart_at, the message's seq)``, and return
+        its handle.
+        """
+        handle[2] = None
+        self.messages_sent -= 1
+        if action is None:
+            return None
+        if handle[0] == depart_at:  # no delay: the delivery holds that very place
+            handle[2], handle[3] = action, arg
+            return handle
+        entry = [depart_at, handle[1], action, arg]
+        heapq.heappush(self._heap, entry)
         return entry
 
     def arrival(self, sent_at: SimTime, kind: int, ident: Optional[int],
@@ -282,13 +335,15 @@ class Simulation:
                 pop(heap)
             else:
                 break
-            action = entry[2]
+            now, seq, action, arg = entry
             if action is None:
                 continue
-            self.now = entry[0]
+            self.now = now
+            self.firing_seq = seq
             fired += 1
-            action(entry[3])
+            action(arg)
         self._deadline = -1
+        self.firing_seq = self._seq
         self.now = deadline
         self.events_fired += fired
         return SimStats(events_fired=self.events_fired, now=self.now,

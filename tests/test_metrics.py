@@ -24,6 +24,24 @@ def test_uniform_arrivals_are_exactly_periodic():
     assert [t for t, _, _ in stream] == [10_000 * (i + 1) for i in range(1000)]
 
 
+def per_request_arrivals(rate, duration_s, pattern):
+    """The uniform stream as one loop step per request."""
+    horizon = round(duration_s * 1_000_000)
+    for i in range(math.floor(rate * duration_s)):
+        t = round((i + 1) * 1_000_000 / rate)
+        if t > horizon:
+            break
+        yield t, i + 1, pattern[i % len(pattern)]
+
+
+@pytest.mark.parametrize("duration_s", [1, 7.5])
+@pytest.mark.parametrize("rate", [8, 100, 333.3, 6_000])
+def test_uniform_arrivals_match_the_per_request_loop(rate, duration_s):
+    stream = generate_workload(WorkloadConfig(rate_rps=rate, duration_s=duration_s))
+    assert list(stream) == list(per_request_arrivals(rate, duration_s,
+                                                     ["get", "get", "get", "set"]))
+
+
 def test_mix_pattern_repeats_three_gets_one_set():
     stream = list(generate_workload(WorkloadConfig(rate_rps=8, duration_s=1)))
     assert [k for _, _, k in stream] == ["get", "get", "get", "set"] * 2

@@ -263,8 +263,8 @@ def node_state(node, received):
             node.log, node.commit_index, node.last_applied, node.kv,
             node.trace.applied, node.trace.applied_by, node.trace.last_applied,
             node.trace.violations, node.trace.role_changes, node._awaiting_commit,
-            [(due, reply) for _client, reply, due, _handle
-             in node._pending_replies.values()], received)
+            [(due, reply, sent) for _client, reply, due, _handle, sent
+             in node._replies], received)
 
 
 _terms = st.lists(st.integers(1, 4), max_size=8).map(sorted)
@@ -414,6 +414,78 @@ def test_reply_hint_older_than_a_leader_notice_is_ignored():
     sim.run_until(2_000)
     assert samples == [(1, 1_000, 1_110)]
     assert [(server, rid) for _t, server, rid in received] == [("s0", 1), ("s1", 2)]
+
+
+# -- client replies -------------------------------------------------------------------
+
+
+def test_a_get_fires_three_events_and_sends_two_messages():
+    sim, nodes, clients, samples, trace = make_cluster(mode=GcMode.OFF)
+    sim.run_until(1_000)  # the leader's first fan-out is answered
+    before = (sim.events_fired, sim.messages_sent)
+    sim.schedule_at(2_000, lambda _: clients[0].submit(1, ("get", "k")))
+    sim.run_until(3_000)
+    # the arrival, the request's delivery and the reply's delivery: the
+    # reply is sent to depart when its service ends, with no timer
+    assert (sim.events_fired - before[0], sim.messages_sent - before[1]) == (3, 2)
+    assert [(s[0], s[2] - s[1]) for s in samples] == [(1, RTT + 400)]
+
+
+def pausing_leader():
+    """A gc-on cluster whose leader n0 pauses each time ``pause`` runs."""
+    sim, nodes, clients, samples, trace = make_cluster(mode=GcMode.ON)
+    sim.run_until(1_000)
+    return sim, nodes[0], clients, samples, lambda _: nodes[0].runtime.allocate(250 * MIB)
+
+
+def test_a_pause_before_a_reply_departs_holds_it_until_the_wake():
+    sim, leader, clients, samples, pause = pausing_leader()
+    sent = sim.messages_sent
+    # the get reaches n0 at 2_024 and its answer is due to depart at 2_424
+    sim.schedule_at(2_000, lambda _: clients[0].submit(1, ("get", "k")))
+    sim.schedule_at(2_100, pause)
+    sim.run_until(20_000)
+    (p,) = leader.runtime.pauses
+    assert p.start_us == 2_100 < 2_424 < p.end_us
+    assert [(s[0], s[2]) for s in samples] == [(1, p.end_us + HALF)]
+    assert sim.messages_sent - sent == 2  # the recalled reply counts once
+
+
+@pytest.mark.parametrize("queued_first", [True, False])
+def test_a_pause_at_a_replys_departure_holds_it_if_queued_before_it(queued_first):
+    sim, leader, clients, samples, pause = pausing_leader()
+    sim.schedule_at(2_000, lambda _: clients[0].submit(1, ("get", "k")))
+    if queued_first:  # before n0 sends the reply at 2_024
+        sim.schedule_at(2_424, pause)
+    else:
+        sim.schedule_at(2_200, lambda _: sim.schedule_at(2_424, pause))
+    sim.run_until(20_000)
+    (p,) = leader.runtime.pauses
+    assert p.start_us == 2_424
+    departed = p.end_us if queued_first else 2_424
+    assert [(s[0], s[2]) for s in samples] == [(1, departed + HALF)]
+
+
+def test_no_reply_departs_inside_back_to_back_leader_pauses():
+    sim, leader, clients, samples, pause = pausing_leader()
+    departures = []
+    for client in clients:
+        def record(src, msg, client=client):
+            if type(msg) is ClientReply:
+                departures.append(sim.now - HALF)
+            client.deliver(src, msg)
+        sim.add_node(client.id, record)
+    for i in range(100):
+        sim.schedule_at(1_000 + 97 * i, lambda _, r=i: clients[r % 2].submit(r, ("get", "k")))
+    first = 2_100 + leader.runtime.cost.pause_us(leader.runtime.heap.live_bytes)
+    sim.schedule_at(2_100, pause)
+    sim.schedule_at(first, pause)  # queued before the first pause's wake
+    sim.run_until(100_000)
+    p1, p2 = leader.runtime.pauses
+    assert p1.end_us == p2.start_us == first
+    assert len(samples) == len(departures) == 100
+    assert not [t for t in departures for p in (p1, p2) if p.start_us <= t < p.end_us]
+    assert departures.count(p2.end_us) > 1  # held replies leave at the wake
 
 
 # -- fast leadership handoff ---------------------------------------------------------
@@ -602,10 +674,10 @@ def test_non_successor_ignores_the_carried_replies_and_grants():
     sim.schedule_at(1_100, lambda _: nodes[0].request_leader_switch("n1"))
     held = []
     sim.schedule_at(1_100 + HALF + 1, lambda _: held.append(
-        (dict(nodes[3]._pending_replies), set(nodes[3].ledger.granted),
+        (list(nodes[3]._replies), set(nodes[3].ledger.granted),
          set(nodes[1].ledger.granted))))
     sim.run_until(100_000)
-    assert held == [({}, set(), {"n2"})]
+    assert held == [([], set(), {"n2"})]
     assert nodes[3].leader_hint == "n1" and nodes[3].role is Role.FOLLOWER
     assert replies == [("n1", 1)]
 

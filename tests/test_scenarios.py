@@ -208,10 +208,16 @@ def test_compare_http_sample_log_matches_pinned_digest():
 # re-armed when it must be changes the count of scheduled events.
 # Re-recorded when each message's jitter became a draw keyed by its link and
 # its place on that link, instead of the next draw of the simulation's RNG.
+# Re-recorded again when a reply was sent as it was scheduled instead of by a
+# timer when due: each mode fires one event fewer per reply, and the seq
+# counter moves with it.  A reply now takes its place on its link when it is
+# scheduled, and one recalled by a handoff keeps that place unused, so the
+# blade handoffs change later draws on the old leader's links; the off and
+# gc-on rows and pauses are unchanged.
 PINNED_RAFT_SAMPLE_LOG = {
-    "off": "ff80487aacc4173ec9995331f2d183dcb53ffa658b5944651cef572d02ed6ae8",
-    "blade": "5b1c61b57a01fda8cbcfc602f70242df11b94dd005a3439a32047f72b8081cfb",
-    "on": "22a9d0e8cf154abfb7355cd3cb531ed040fefc2bafd564596e20e00d8d6ba313",
+    "off": "ddb4b9c8ee9e3adbd5916563961e0c4073161cc917eddb24570a061a56f9167e",
+    "blade": "9ad2c4a10cd739e6d21fe84bfc20c2a099143975316e4dd21d77046f52a47fb3",
+    "on": "c5d40f554eaa713e86450869e8b7048c4238ced6e6ce32fb8b839c53fb11c11d",
 }
 
 
@@ -232,6 +238,30 @@ def test_compare_raft_sample_log_matches_pinned_digest(monkeypatch):
         list(run.samples), run.pauses, run.stats.events_fired, run.stats.messages_sent,
         sim._seq)).encode()).hexdigest() for run, sim in zip(runs, sims)}
     assert got == PINNED_RAFT_SAMPLE_LOG
+
+
+# Digest of each mode's sample log, rows in order, its pauses and its
+# retries, with no jitter.  Every request takes 2 ms of service and allocates
+# 1 MiB, so a server collects every few requests, often with answers waiting
+# to depart; in gc-on the leader pauses again at each wake.  Recorded while
+# each answer was still a timer that sent it when due.
+PINNED_PENDING_REPLIES = {
+    "off": "96203da2ae74384c5fe3b739db62e751f182db01b3a30a0c0caf5e1ce1f7d57c",
+    "blade": "3281994780afef9c9c877f97bcc70bd750a48cf8412981cae7a66ba7fbaee1a5",
+    "on": "2c7c603199de860fbcad66d752b8c276ec7cd7cbf4bf885909de0f6995e72541",
+}
+
+
+def test_replies_pending_across_back_to_back_pauses_match_pinned_digest():
+    cfg = default_config("raft", duration_s=10, service_time_us=2_000, rate_rps=1_000,
+                         live_bytes=16 * MIB, trigger_bytes=24 * MIB,
+                         hard_limit_bytes=30 * MIB, bytes_per_request=1 * MIB, seed=2)
+    runs = run_compare(cfg)
+    leader_pauses = [p for p in runs[2].pauses if p.node == "n0"]
+    assert any(b.start_us == a.end_us for a, b in zip(leader_pauses, leader_pauses[1:]))
+    got = {run.mode: hashlib.sha256(repr((list(run.samples), run.pauses, run.retries))
+                                    .encode()).hexdigest() for run in runs}
+    assert got == PINNED_PENDING_REPLIES
 
 
 def _drive(sim, times, on_arrival=lambda rid: None):

@@ -1,6 +1,6 @@
 import heapq
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from functools import partial
 
 import pytest
@@ -117,6 +117,48 @@ def test_request_reply_takes_one_rtt():
     sim.schedule_at(0, lambda _: sim.send("client", "server", "request"))
     sim.run_until(1000)
     assert done == [48]
+
+
+def test_send_at_departs_later_through_the_heap():
+    sim = Simulation(network=NetworkModel(one_way_delay_us=5))
+    log = []
+    sim.add_node("a", lambda src, msg: None)
+    sim.add_node("b", lambda src, msg: log.append((sim.now, msg)))
+    sim.send_at("a", "b", "late", 20)
+    sim.schedule_at(10, lambda _: sim.send("a", "b", "early"))
+    assert sim._lane == deque()
+    sim.run_until(100)
+    assert log == [(15, "early"), (25, "late")]
+    assert sim.messages_sent == 2
+    with pytest.raises(SchedulingError):
+        sim.send_at("a", "b", "past", 99)
+
+
+@pytest.mark.parametrize("delay", [0, 5])
+def test_recall_queues_an_action_at_the_departures_place(delay):
+    sim = Simulation(network=NetworkModel(one_way_delay_us=delay))
+    log = []
+    sim.add_node("a", lambda src, msg: None)
+    sim.add_node("b", lambda src, msg: log.append(("delivered", sim.now, msg)))
+    sim.schedule_at(20, make_recorder(sim, log, "before"))
+    handle = sim.send_at("a", "b", "m", 20)
+    sim.schedule_at(20, make_recorder(sim, log, "after"))
+    sim.schedule_at(10, lambda _: sim.recall(handle, 20, make_recorder(sim, log, "held"), "m"))
+    sim.run_until(100)
+    assert log == [("before", 20, None), ("held", 20, "m"), ("after", 20, None)]
+    assert sim.messages_sent == 0
+
+
+def test_ahead_compares_a_place_with_the_firing_event():
+    sim = Simulation()
+    seen = []
+    first = sim.schedule_at(10, lambda _: None)
+    sim.schedule_at(10, lambda _: seen.append(
+        [sim.ahead(10, first[1]), sim.ahead(10, last[1]), sim.ahead(11, 0), sim.ahead(9, 99)]))
+    last = sim.schedule_at(10, lambda _: None)
+    sim.run_until(10)
+    assert seen == [[False, True, True, False]]
+    assert not sim.ahead(10, last[1])  # between runs, all that was due has fired
 
 
 def test_send_to_unknown_node_raises():

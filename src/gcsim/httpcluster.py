@@ -31,6 +31,15 @@ reply into the balancer's ``samples``, stamped with the reply's arrival;
 the log reads its rows in arrival order, and ``SampleLog.keep_arrived``
 sets aside those still on the wire.  A scenario run reports the others.
 
+Most requests start as they arrive.  So a backend brought up to date first
+tries a bulk pass over the requests that wait: if no pause is under way,
+none of their starts may cross a threshold, and each finds a free slot (the
+completion ``parallelism`` places before it, in start order, is due by
+then), it takes the whole run with column operations.  It computes their
+starts, completions and replies, records the replies in one batch, and
+allocates for them in one call.  Otherwise it steps through starts and
+completions one at a time.
+
 A backend schedules an event only where it must act at its own time: the
 start whose allocation may reach the runtime's trigger or hard limit (every
 start, if the runtime also allocates in the background) and, while it holds
@@ -59,8 +68,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import add, itemgetter, le, sub
 from typing import Iterator, Optional
 
 from .metrics import SampleLog
@@ -73,9 +82,10 @@ REQ, REP = 1, 2
 INF = math.inf
 # A backend that need not act at its own time (any backend in off mode) would
 # hold every request handed to it until it is observed; it accounts them once
-# this many wait instead.  Three-mode http_cluster on 2 vCPUs, median of four
-# runs: 4 took 5.4 s, 16 to 256 took 3.6-4.0 s, and no bound 4.8 s with a
-# peak RSS of 101 MB against 58 MB (BENCH_16.json, "batch_sweep").
+# this many wait instead, and the bulk pass looks at no more than this many.
+# Three-mode http_cluster on 2 vCPUs, median run_s of four runs: 4 took
+# 5.5 s, 16 3.3 s, 64 2.65 s, 256 2.63 s, and no bound 3.6 s with a peak RSS
+# of 105 MB against 38 MB.
 _BATCH = 64
 
 
@@ -112,7 +122,7 @@ class Backend:
         self.parallelism = parallelism
         self.bytes_per_request = bytes_per_request
         self._pending: deque[list] = deque()  # [arrival, rid, issued], not started
-        self._busy: deque[list] = deque()  # [completion - shift, rid, issued], in service
+        self._busy: deque = deque()  # (completion - shift, rid, issued), in service
         self._shift = 0  # pause time so far: a request in service completes this much later
         self._starts_left: float = INF  # the start at this place must run at its own time
         self._advancing = False
@@ -200,15 +210,18 @@ class Backend:
         """Complete and start every request due by now, in the same-instant
         order of the module docstring."""
         now = self.sim.now
-        busy, pending = self._busy, self._pending
         runtime = self.runtime
+        left = self._starts_left
+        rids, issueds, replies = [], [], []  # the replies sent, as columns
+        self._advancing = True
+        lazy = self._bulk(now, left - 1, rids, issueds, replies) if (
+            self._pending and left > 1 and runtime.paused_until <= now) else 0
+        left -= lazy
+        freed = replies[-1] if replies else 0  # when the last completion freed a slot
+        busy, pending = self._busy, self._pending
         service = self.service_time_us
         free = self.parallelism - len(busy)
         shift, paused_until = self._shift, runtime.paused_until
-        left, lazy = self._starts_left, 0
-        freed = 0  # when the last completion freed a slot
-        rids, issueds, replies = [], [], []  # the replies sent, as columns
-        self._advancing = True
         while True:
             done_at = busy[0][0] + shift if busy else INF
             if pending and free:
@@ -264,10 +277,52 @@ class Backend:
         self._starts_left = left
         self._advancing = False
 
+    def _bulk(self, now: int, most: float, rids: list[int], issueds: list[int],
+              replies: list[int]) -> int:
+        """Start the run of waiting requests due by now, at most ``most`` of
+        them, and complete every request due by now, with column operations;
+        append the replies to the columns and return the number started.
+
+        The caller ensures no pause is under way and that these starts
+        allocate below every threshold.  Each request starts as it arrives,
+        or as the last pause ended, if the completion ``parallelism`` places
+        before it, in start order, is due by then; if one would wait for a
+        slot, start nothing and return 0.
+        """
+        pending, busy = self._pending, self._busy
+        arrivals, new_rids, new_issueds = zip(*islice(pending, _BATCH))
+        k = bisect_right(arrivals, now, 0, min(most, len(arrivals)))
+        if not k:
+            return 0
+        paused_until = self.runtime.paused_until
+        starts = arrivals[:k] if arrivals[0] >= paused_until else tuple(
+            map(max, islice(arrivals, k), repeat(paused_until)))
+        shift, free = self._shift, self.parallelism - len(busy)
+        ends = list(map(add, starts, repeat(self.service_time_us)))  # their completions
+        # the first ``free`` starts take the free slots; each later one, the
+        # slot of the completion ``parallelism`` places before it
+        if k > free and not all(map(le, chain(map(add, map(itemgetter(0), busy), repeat(shift)),
+                                              ends), islice(starts, free, None))):
+            return 0
+        done = bisect_right(busy, now - shift, key=itemgetter(0))  # in service, due by now
+        if done:
+            old_ends, old_rids, old_issueds = zip(*islice(busy, done))
+            rids += old_rids
+            issueds += old_issueds
+            replies += map(add, old_ends, repeat(shift))
+        new_done = bisect_right(ends, now)
+        rids += new_rids[:new_done]
+        issueds += new_issueds[:new_done]
+        replies += ends[:new_done]
+        self._busy = deque(chain(islice(busy, done, None), zip(
+            map(sub, islice(ends, new_done, None), repeat(shift)),
+            new_rids[new_done:k], new_issueds[new_done:k])))
+        self._pending = deque(islice(pending, k, None))
+        return k
+
     def _send_replies(self, rids: list[int], issueds: list[int], sent: list[int]) -> None:
         """Record the replies sent at ``sent``, stamped with their arrivals."""
-        arrivals = list(map(self.sim.arrival, sent, repeat(REP), rids))
-        self._log.extend(rids, issueds, arrivals, self.id, "http")
+        self._log.extend(rids, issueds, self.sim.arrivals(sent, REP, rids), self.id, "http")
 
     def _threshold_start(self) -> float:
         """The place, among the next starts, of the first whose allocation

@@ -17,6 +17,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
 from typing import Collection, Iterable, Iterator, Optional
@@ -430,7 +431,7 @@ def render_summary_table(runs: list[RunSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_cdf(counts: list[tuple[int, int]]) -> Iterator[str]:
+def render_cdf(counts: Collection[tuple[int, int]]) -> Iterator[str]:
     """Two-column text CDF of a histogram: latency_ms and cumulative fraction,
     one rank per line, in chunks of at most ``CDF_CHUNK_LINES`` lines."""
     yield _HEADER
@@ -445,16 +446,30 @@ def render_cdf(counts: list[tuple[int, int]]) -> Iterator[str]:
 
 
 def emit_report(runs: list[RunSummary], out_dir: str, prefix: str = "run") -> list[str]:
-    """Write the summary table plus one CDF file per run; returns the paths."""
+    """Write the summary table plus one CDF file per run; returns the paths.
+
+    Each distinct histogram is rendered once, and each chunk written to
+    every CDF file that shows it.
+    """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     summary_path = os.path.join(out_dir, f"{prefix}_summary.tsv")
     with open(summary_path, "w") as fh:
         fh.write(render_summary_table(runs))
     paths.append(summary_path)
+    shown: dict[str, list[tuple[int, int]]] = {}  # a repeated label shows its last run
     for run in runs:
         cdf_path = os.path.join(out_dir, f"{prefix}_cdf_{run.label}.txt")
-        with open(cdf_path, "w") as fh:
-            fh.writelines(render_cdf(run.report.histogram if run.report else []))
+        shown[cdf_path] = run.report.histogram if run.report else []
         paths.append(cdf_path)
+    showing: dict[tuple, list[str]] = {}  # each distinct histogram -> its files
+    for cdf_path, counts in shown.items():
+        showing.setdefault(tuple(counts), []).append(cdf_path)
+    for counts, files in showing.items():
+        with ExitStack() as stack:
+            writes = [stack.enter_context(open(path, "w")).write for path in files]
+            for chunk in render_cdf(counts):
+                for write in writes:
+                    write(chunk)
+                del chunk  # free it before the next chunk is built
     return paths

@@ -24,7 +24,8 @@ easy as 1, 2, 3", SC 2011) through SplitMix64's mixing function (Steele, Lea
 and Flood, OOPSLA 2014), so it does not depend on the order of sends.
 ``send`` keys a message by its link and its place on that link; a message
 whose receiver accounts its arrival itself needs no event, and its sender
-keys it by an identity of its own through ``arrival``.
+keys it by an identity of its own through ``arrival`` (``arrivals`` for a
+batch).
 
 An event may also fire in place.  A handler that would schedule an event at
 ``fire_at`` first asks :meth:`Simulation.fire_in_place`: if ``run_until`` is
@@ -41,6 +42,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from operator import add
 from typing import Any, Callable, Optional
 
 # Readability helpers for microsecond quantities.
@@ -282,6 +285,15 @@ class Simulation:
             at += _mix64(key ^ count) % (network.jitter_us + 1)
         self.messages_sent += 1
         return at
+
+    def arrivals(self, sent_at: list[SimTime], kind: int,
+                 idents: list[int]) -> list[SimTime]:
+        """:meth:`arrival` of each message ``(kind, idents[i])`` sent at
+        ``sent_at[i]``, counting each; with no jitter, in one pass in C."""
+        if self.network.jitter_us:
+            return list(map(self.arrival, sent_at, repeat(kind), idents))
+        self.messages_sent += len(sent_at)
+        return list(map(add, sent_at, repeat(self.network.one_way_delay_us)))
 
     def _kind_key(self, kind: int) -> int:
         """The first two of a draw's four mixing rounds, which depend only on

@@ -328,11 +328,11 @@ def test_route_matches_loop_reference(data):
 # -- the cluster against the reference model ----------------------------------------
 
 
-def _small_run(gaps, cut, **overrides):
-    """Three backends with a 100/200/400 B heap on ``gaps`` between arrivals,
-    up to ``cut`` after the last one; returns the config, the arrivals, the
-    deadline and the run."""
-    cfg = default_config("http", nodes=3, rtt_us=48, seed=7, live_bytes=100,
+def _small_run(gaps, cut, nodes=3, **overrides):
+    """``nodes`` backends with a 100/200/400 B heap on ``gaps`` between
+    arrivals, up to ``cut`` after the last one; returns the config, the
+    arrivals, the deadline and the run."""
+    cfg = default_config("http", nodes=nodes, rtt_us=48, seed=7, live_bytes=100,
                          trigger_bytes=200, hard_limit_bytes=400, duration_s=1, **overrides)
     stream, t = [], 0
     for rid, gap in enumerate(gaps, 1):
@@ -345,9 +345,9 @@ def _small_run(gaps, cut, **overrides):
 
 
 def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
-                       background, interval, max_concurrent, gaps, cut):
+                       background, interval, max_concurrent, gaps, cut, nodes=3):
     cfg, stream, deadline, run = _small_run(
-        gaps, cut, jitter_us=jitter, gc_mode=mode, pause_overhead_us=overhead,
+        gaps, cut, nodes, jitter_us=jitter, gc_mode=mode, pause_overhead_us=overhead,
         service_time_us=service_us, parallelism=parallelism,
         bytes_per_request=bytes_per_request, max_concurrent=max_concurrent,
         background_alloc_bytes_per_s=background, background_alloc_interval_us=interval)
@@ -413,6 +413,54 @@ def test_stamped_replies_match_delivered_replies(mode, jitter, parallelism, serv
     # replies on the wire.  No background allocation, one collector at a time
     _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
                        0, 10_000, 1, gaps, cut)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from(["off", "blade", "on"]), jitter=st.integers(0, 8),
+       parallelism=st.integers(1, 4), service_us=st.integers(1, 20),
+       bytes_per_request=st.integers(1, 3), overhead=st.integers(0, 60),
+       nodes=st.integers(1, 2),
+       gaps=st.lists(st.sampled_from([0, 5, 10, 10, 20]), min_size=60, max_size=200),
+       cut=st.integers(0, 200))
+# all 64 requests have arrived when the run ends, each as the one before it
+# completes: the pass takes the whole batch
+@example(mode="blade", jitter=0, parallelism=1, service_us=1, bytes_per_request=1,
+         overhead=0, nodes=1, gaps=[1] * 64, cut=100)
+# the last of them arrives with the one before it and would wait for its
+# slot: the pass declines at its last request
+@example(mode="blade", jitter=0, parallelism=1, service_us=1, bytes_per_request=1,
+         overhead=0, nodes=1, gaps=[1] * 63 + [0], cut=100)
+# request 35 arrives at 374 us, inside the gc-on pause from 364 to 379 us,
+# and starts as it ends, in the pass that starts the run at the deadline
+@example(mode="on", jitter=0, parallelism=2, service_us=5, bytes_per_request=3,
+         overhead=15, nodes=1, gaps=[10] * 38, cut=50)
+def test_bulk_service_matches_reference_model(mode, jitter, parallelism, service_us,
+                                              bytes_per_request, overhead, nodes, gaps, cut):
+    # the pass that starts a run of waiting requests at once: long runs of
+    # starts below every threshold (1 to 3 B a request against a 100 B gap),
+    # bursts wider than the slots, where it declines, and gc-on pauses that
+    # end while requests wait.  One or two backends, no background
+    # allocation, one collector at a time
+    _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+                       0, 10_000, 1, gaps, cut, nodes)
+
+
+@pytest.mark.parametrize("gaps,taken", [([1] * 64, 64), ([1] * 63 + [0], 0)],
+                         ids=["whole-batch", "declines-at-last"])
+def test_bulk_pass_takes_a_whole_batch_or_none(monkeypatch, gaps, taken):
+    # the two pinned examples above reach the pass as they say: one call,
+    # when the run ends, with all 64 requests arrived
+    calls = []
+    bulk = Backend._bulk
+
+    def spy(backend, now, most, *columns):
+        calls.append((len(backend._pending), bulk(backend, now, most, *columns)))
+        return calls[-1][1]
+    monkeypatch.setattr(Backend, "_bulk", spy)
+    _, _, _, run = _small_run(gaps, 100, nodes=1, gc_mode="blade", bytes_per_request=1,
+                              pause_overhead_us=0, parallelism=1, service_time_us=1)
+    assert calls == [(64, taken)]
+    assert len(run.samples) == 64
 
 
 def test_no_two_granted_pauses_overlap_after_forced_collections():

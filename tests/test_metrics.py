@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import tracemalloc
 from array import array
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gcsim import metrics
 from gcsim.metrics import (_COLUMNS, _HEADER, CDF_CHUNK_LINES, QUANTILE_LEVELS, OverlapStat,
                            SampleLog, WorkloadConfig, _ms, emit_report, generate_workload,
                            histogram, overlap_count, percentiles, render_cdf,
@@ -223,6 +225,40 @@ def test_cdf_matches_per_line_reference(latencies, tmp_path):
     with open(cdf_path, "rb") as fh:
         assert fh.read() == expected.encode()
 
+
+
+def test_emit_report_renders_each_distinct_histogram_once(tmp_path, monkeypatch):
+    # equal histograms get identical files, each what render_cdf gives; a
+    # distinct one and an empty report are unaffected, and the paths and
+    # their order are as before
+    same = [2_048] * 20_000 + [3_000] * 3  # more than one chunk
+    runs = [summarize_run("gc-off", same, 0, []), summarize_run("empty", [], 2, []),
+            summarize_run("blade", list(reversed(same)), 0, []),
+            summarize_run("gc-on", same + [14_471], 0, [])]
+    rendered = []
+    monkeypatch.setattr(metrics, "render_cdf",
+                        lambda counts: rendered.append(list(counts)) or render_cdf(counts))
+    paths = emit_report(runs, str(tmp_path), prefix="cmp")
+    assert paths == [str(tmp_path / name) for name in (
+        "cmp_summary.tsv", "cmp_cdf_gc-off.txt", "cmp_cdf_empty.txt", "cmp_cdf_blade.txt",
+        "cmp_cdf_gc-on.txt")]
+    assert sorted(rendered) == sorted([histogram(same), [], histogram(same + [14_471])])
+    files = {path: (tmp_path / path).read_text() for path in map(os.path.basename, paths)}
+    assert files["cmp_summary.tsv"] == render_summary_table(runs)
+    for run in runs:
+        want = "".join(render_cdf(run.report.histogram if run.report else []))
+        assert files[f"cmp_cdf_{run.label}.txt"] == want
+    assert files["cmp_cdf_gc-off.txt"] == files["cmp_cdf_blade.txt"]
+    assert files["cmp_cdf_empty.txt"] == _HEADER
+
+
+@pytest.mark.parametrize("first,last", [([1_000], [2_000]), ([1_000], [1_000])])
+def test_emit_report_with_a_repeated_label_keeps_the_last_run(tmp_path, first, last):
+    runs = [summarize_run("x", first, 0, []), summarize_run("x", last, 0, [])]
+    paths = emit_report(runs, str(tmp_path))
+    assert paths[1] == paths[2]
+    with open(paths[1]) as fh:
+        assert fh.read() == "".join(render_cdf(histogram(last)))
 
 def test_summary_table_has_row_per_run_and_ms_precision():
     runs = [summarize_run("blade", [2_048] * 10, 0, []),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import pathlib
@@ -198,6 +199,53 @@ def test_compare_http_sample_log_matches_pinned_digest():
            for run in run_compare(cfg)}
     assert got == PINNED_HTTP_SAMPLE_LOG
 
+
+
+# The shipped http_cluster config at 5 simulated seconds: 16 slots per
+# backend and 6,000 requests/s, 30,000 requests per mode.  As shipped no
+# backend collects before 12 s, so every mode equals gc-off.  With a 24 MiB
+# trigger gap each backend collects twice; a gc-on pause holds 16 requests
+# in service and about 25 arrive during it, which start as it ends.  Each
+# case pins the report files, each mode's sample log and pauses, and each
+# mode's events fired and messages sent.
+_SHIPPED_CDF = "1c79d2ae9c22693bfd232083b02bc1e930a63b560064ed71b300bcd09219cb6a"
+_SHIPPED_LOG = "1a5d0347d74bc6b5a23967c05eef7e0ccf1561dcac8bc5df9b6a96e4837c0a40"
+PINNED_HTTP_CLUSTER = [
+    ({}, {
+        "run_summary.tsv": "3a60b6d820d39e384b036cadc35e3f1d0a6095f77cb317ea6631ef48de589aab",
+        "run_cdf_gc-off.txt": _SHIPPED_CDF,
+        "run_cdf_blade.txt": _SHIPPED_CDF,
+        "run_cdf_gc-on.txt": _SHIPPED_CDF,
+    }, {"off": _SHIPPED_LOG, "blade": _SHIPPED_LOG, "on": _SHIPPED_LOG},
+     {"off": (30_000, 59_987), "blade": (30_000, 59_987), "on": (30_000, 59_987)}),
+    (dict(trigger_bytes=174 * MIB), {
+        "run_summary.tsv": "27a8c523f1e28131e6f5792f67ed1a9628593267a0331e53fdc8472410d6389b",
+        "run_cdf_gc-off.txt": _SHIPPED_CDF,
+        "run_cdf_blade.txt": _SHIPPED_CDF,
+        "run_cdf_gc-on.txt": "e90ca4a6e57e36f25a3c2a8dbb8ea8b136eddeb248053b43a49aac5084c885f6",
+    }, {"off": _SHIPPED_LOG,
+        "blade": "93ec62415b20d34abaa6468b19a0738f9c6bca84791052829af4f5ab3d77696f",
+        "on": "4eb15f1a529e942570753ce08bbe3c71643b906e87cd12d2ce4d9a2268957857"},
+     {"off": (30_000, 59_987), "blade": (30_036, 60_005), "on": (30_006, 59_987)}),
+]
+
+
+@pytest.mark.parametrize("overrides,reports,logs,counts", PINNED_HTTP_CLUSTER)
+def test_shipped_http_cluster_matches_pinned_digests(tmp_path, overrides, reports, logs,
+                                                     counts):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = dataclasses.replace(parse_config(str(root / "configs" / "http_cluster.cfg")),
+                              **overrides)
+    runs = run_compare(cfg, duration_s=5)
+    assert all(len(run.pauses) == (6 if overrides and run.mode != "off" else 0)
+               for run in runs)
+    paths = emit_report([r.summary() for r in runs], str(tmp_path))
+    assert {os.path.basename(p): hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
+            for p in paths} == reports
+    assert {run.mode: hashlib.sha256(repr((list(run.samples), run.pauses)).encode())
+            .hexdigest() for run in runs} == logs
+    assert {run.mode: (run.stats.events_fired, run.stats.messages_sent)
+            for run in runs} == counts
 
 # Digest of each mode's Raft sample log, rows in order with the server
 # column, its pauses, its SimStats and the number of events it scheduled,

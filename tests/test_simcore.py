@@ -203,6 +203,22 @@ def test_keyed_jitter_depends_on_the_message_not_on_send_order():
     assert arrivals != {key: other_seed.arrival(100, *key) for key in keys}
 
 
+
+@pytest.mark.parametrize("jitter_us", [0, 5])
+def test_arrivals_match_arrival_item_by_item(jitter_us):
+    # the batch form draws each message as arrival does, and counts each
+    def sim():
+        return Simulation(seed=11, network=NetworkModel.from_rtt(48, jitter_us=jitter_us))
+
+    sent_at, idents = [0, 0, 7, 30, 30, 2**32], [5, 1, 2**63, 9, 10, 3]
+    single, batch = sim(), sim()
+    want = [single.arrival(t, 2, ident) for t, ident in zip(sent_at, idents)]
+    got = batch.arrivals(sent_at, 2, idents)
+    assert got == want and type(got) is list
+    assert batch.messages_sent == single.messages_sent == len(idents)
+    assert batch.arrivals([], 2, []) == [] and batch.messages_sent == len(idents)
+    assert (len(set(t - s for t, s in zip(got, sent_at))) > 1) == (jitter_us > 0)
+
 def test_node_ident_keeps_every_byte_of_a_long_id():
     # two ids longer than 8 bytes that share their last 8 bytes draw apart
     a, b = node_ident("dc1-backend0"), node_ident("dc2-backend0")

@@ -48,7 +48,6 @@ class ScenarioConfig:
     pause_per_gib_us: int = 25_000
     pause_overhead_us: int = 8_761
     default_pause_estimate_us: int = 10_000
-    defer_threshold_us: int = 1_000
     gcoff_slowdown: float = 1.0
     # workload
     rate_rps: int = 100
@@ -70,7 +69,6 @@ class ScenarioConfig:
     election_timeout_max_ms: int = 300
     heartbeat_ms: int = 50
     proxy_mode: str = "proxy"       # proxy | retry
-    collection_timeout_factor: int = 10
     gc_nodes: str = "all"           # all | followers
 
     def __post_init__(self) -> None:
@@ -141,11 +139,11 @@ _POSITIVE = {
     "pause_per_gib_us", "rate_rps", "duration_s", "service_time_us",
     "parallelism", "max_concurrent", "clients", "client_timeout_us",
     "election_timeout_min_ms", "election_timeout_max_ms", "heartbeat_ms",
-    "collection_timeout_factor", "background_alloc_interval_us",
+    "background_alloc_interval_us",
 }
 _NON_NEGATIVE = {
     "jitter_us", "trigger_bytes", "pause_overhead_us",
-    "default_pause_estimate_us", "defer_threshold_us", "mix_get", "mix_set",
+    "default_pause_estimate_us", "mix_get", "mix_set",
     "bytes_per_request", "background_alloc_bytes_per_s",
 }
 

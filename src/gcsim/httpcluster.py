@@ -1,7 +1,7 @@
 """Load-balanced HTTP cluster with drain-then-collect coordination.
 
 A round-robin balancer fronts identical backends.  Each backend's collections
-go through a :class:`GcGrantee`: a long one is deferred and asked for at the
+go through a :class:`GcGrantee`: each is deferred and asked for at the
 balancer-side coordinator instead of pausing.  Once granted, the balancer
 stops routing to the backend, which finishes its outstanding requests (the
 trailers), collects while idle, then notifies the coordinator and rejoins the
@@ -113,7 +113,7 @@ class Backend:
 
     def __init__(self, sim: Simulation, backend_id: NodeId, lb: LoadBalancer,
                  runtime: ManagedRuntime, service_time_us: int, parallelism: int,
-                 bytes_per_request: int, defer_threshold_us: int = 1_000):
+                 bytes_per_request: int):
         self.sim = sim
         self.id = backend_id
         lb._attach(self)
@@ -134,8 +134,7 @@ class Backend:
         runtime.catch_up_node = lb._gate
         self._next_tick = runtime.add_due_ticks()  # inf without background ticks
         self._ticks = runtime.mode is not GcMode.OFF and self._next_tick < INF
-        self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
-                                 self._send_done, self._idle)
+        self.grantee = GcGrantee(runtime, self._send_ask, self._send_done, self._idle)
         sim.add_node(backend_id, self.deliver)
         self._plan()
 

@@ -8,14 +8,16 @@ commits the largest index a majority has matched once that entry is from the
 current term.  On top of plain Raft sit the two collection-coordination
 machines:
 
-* Each server's :class:`GcGrantee` asks the leader before a long pause and
+* Each server's :class:`GcGrantee` asks the leader before every pause and
   collects once allowed; if the leadership changes while an ask is
   outstanding, the ask is re-sent to the new leader.  A server that leads
   when a grant reaches it asks again instead of pausing, and a server that
   has just handed leadership off holds a grant until the requests sent to it
   before the handoff have arrived.  An ask outlives a collection that
   exhaustion forces: its grant finds nothing deferred and is answered with
-  a done at once.
+  a done at once.  A done names the server that collected; a server that
+  does not lead passes it on to the leader it knows, so a done that reaches
+  a leader which has just handed off still frees its slot at the successor.
 * The leader runs a :class:`GcLedger` that grants collections only while a
   majority of servers stays live, queueing further askers FIFO.  When the
   leader itself needs to collect, it grants itself a slot and hands
@@ -121,7 +123,7 @@ class FastSwitch:
     new_term: int
     successor: NodeId
     pending_replies: tuple = ()  # of (client, ClientReply, due_us)
-    grants: tuple = ()           # of (node, est_pause_us)
+    grants: tuple = ()           # of nodes
 
 
 @dataclass(slots=True)
@@ -131,7 +133,7 @@ class LeaderNotice:
 
 @dataclass(slots=True)
 class AskGC:
-    est_pause_us: int
+    pass
 
 
 @dataclass(slots=True)
@@ -141,7 +143,7 @@ class AllowGC:
 
 @dataclass(slots=True)
 class DoneGC:
-    pass
+    node: NodeId  # the server that collected
 
 
 # -- history recording -------------------------------------------------------------
@@ -218,9 +220,7 @@ class RaftNode:
                  election_timeout_us: tuple[int, int] = (150_000, 300_000),
                  service_time_us: int = 400,
                  bytes_per_request: int = 8_192,
-                 defer_threshold_us: int = 1_000,
                  proxy_mode: bool = True,
-                 collection_timeout_factor: int = 10,
                  client_ids: Optional[list[NodeId]] = None,
                  timer_seed: int = 0):
         self.sim = sim
@@ -235,7 +235,6 @@ class RaftNode:
         self.service_time_us = service_time_us
         self.bytes_per_request = bytes_per_request
         self.proxy_mode = proxy_mode
-        self.collection_timeout_factor = collection_timeout_factor
         self.client_ids = client_ids or []
         self.rng = random.Random(timer_seed)
 
@@ -256,8 +255,6 @@ class RaftNode:
 
         # collection coordination
         self.ledger = GcLedger(self.cluster_size - self.majority)
-        self._ask_info: dict[NodeId, int] = {}  # node -> estimated pause of its ask
-        self._grant_token: dict[NodeId, int] = {}
         self.switch_target: Optional[NodeId] = None
         self._awaiting_commit: dict[int, tuple[NodeId, int]] = {}  # index -> (client, rid)
         # Replies not known to have departed, in the order they were
@@ -282,8 +279,7 @@ class RaftNode:
             DoneGC: self._on_done_gc,
         }
         runtime.on_pause = self._on_pause
-        self.grantee = GcGrantee(runtime, defer_threshold_us, self._send_ask,
-                                 self._send_done)
+        self.grantee = GcGrantee(runtime, self._send_ask, self._send_done)
 
         sim.add_node(node_id, self.deliver)
         trace.record_role(node_id, 0, 0, Role.FOLLOWER)
@@ -424,10 +420,7 @@ class RaftNode:
         self.trace.record_role(self.id, self.sim.now, self.term, Role.LEADER)
         self.next_index = {p: len(self.log) + 1 for p in self.peers}
         self.match_index = {p: 0 for p in self.peers}
-        self.ledger.reset(node for node, _est in grants)
-        for node, est in grants:
-            self._ask_info[node] = est
-            self._arm_grant_timeout(node, est)
+        self.ledger.reset(grants)
         self.switch_target = None
         # A fresh entry in the new term is what lets the commit rule advance
         # over entries inherited from previous leaders.
@@ -674,7 +667,7 @@ class RaftNode:
                 reply.leader_hint = successor  # not this node, which is about to pause
                 pending.append((client, reply, due))
         self._replies.clear()
-        grants = tuple((node, self._ask_info[node]) for node in sorted(self.ledger.granted))
+        grants = tuple(sorted(self.ledger.granted))
         net = self.sim.network
         self._drained_at = self.sim.now + 2 * (net.one_way_delay_us + net.jitter_us)
         self.trace.switches.append((self.sim.now, self.id, successor, new_term))
@@ -712,7 +705,7 @@ class RaftNode:
     def _send_ask(self, ticket: CollectionTicket) -> None:
         """Ask the known leader to admit ``ticket``; a leader asks its own
         ledger, a node that knows no leader asks once it learns of one."""
-        ask = AskGC(ticket.estimated_pause_us)
+        ask = AskGC()
         if self.role is Role.LEADER:
             self._on_ask_gc(self.id, ask)
         elif self.leader_hint is not None:
@@ -726,8 +719,9 @@ class RaftNode:
             return
         if self.role is Role.LEADER:
             # Elected while the grant was in flight: a leader never pauses as
-            # leader, so ask again through the admission flow (the grantor's
-            # timeout reclaims its stale slot).
+            # leader, so ask again through the admission flow.  The grantor
+            # stepped down on the newer term, and its ledger with the stale
+            # slot was reset then.
             self.grantee.ask()
             return
         self.grantee.grant(src)
@@ -738,14 +732,13 @@ class RaftNode:
     def _send_done(self, grantor: NodeId) -> None:
         """Report a collection done to the leader known when its pause ends:
         a handoff during the pause moves the grant to the successor."""
-        self._send(self.leader_hint or grantor, DoneGC())
+        self._send(self.leader_hint or grantor, DoneGC(self.id))
 
     # -- collection coordination: leader side ---------------------------------------------
 
     def _on_ask_gc(self, src: NodeId, m: AskGC) -> None:
         if self.role is not Role.LEADER:
             return  # asker will retry against the right leader
-        self._ask_info[src] = m.est_pause_us
         if self.ledger.ask(src) == "grant":
             self._issue_grant(src)
 
@@ -757,26 +750,18 @@ class RaftNode:
                 self._begin_own_collection()
             return
         self._send(node, AllowGC())
-        self._arm_grant_timeout(node, self._ask_info.get(node, 0))
-
-    def _arm_grant_timeout(self, node: NodeId, est: int) -> None:
-        """Reclaim ``node``'s slot if its done never arrives."""
-        token = self._grant_token.get(node, 0) + 1
-        self._grant_token[node] = token
-        budget = max(self.collection_timeout_factor * est, 1_000)
-        self.sim.schedule_after(budget, self._grant_timeout, (node, token))
-
-    def _grant_timeout(self, arg: tuple) -> None:
-        node, token = arg
-        if (self.role is Role.LEADER and self._grant_token.get(node) == token
-                and node in self.ledger.granted):
-            self._finish_collection(node)
 
     def _on_done_gc(self, src: NodeId, m: DoneGC) -> None:
+        """Free the slot of the node that collected.  A server that does not
+        lead passes the done on to the leader it knows, even back to the
+        sender: a successor that has not yet heard of its handoff sends it
+        back, and it moves on until the successor has taken the lead."""
         if self.role is not Role.LEADER:
+            hint = self.leader_hint
+            if hint is not None and hint != self.id:
+                self._send(hint, m)
             return
-        self._grant_token[src] = self._grant_token.get(src, 0) + 1
-        self._finish_collection(src)
+        self._finish_collection(m.node)
 
     def _finish_collection(self, node: NodeId) -> None:
         nxt = self.ledger.finish(node)

@@ -22,9 +22,9 @@ late ``start_gc`` stays a no-op.
 Both halves of coordinated collection live here too.  On the coordinator's
 side, a :class:`GcLedger` decides which deferred collections may start: the
 HTTP balancer and the Raft leader each hold one.  On each node's side, a
-:class:`GcGrantee` is the upcall handler: it collects short pauses at once,
-asks for the rest, starts the deferred collection once granted and the node
-is ready, and reports done when the pause is over.  An ask outlives a
+:class:`GcGrantee` is the upcall handler: it defers every collection and
+asks for it, starts the deferred collection once granted and the node is
+ready, and reports done when the pause is over.  An ask outlives a
 collection that exhaustion forces: its grant, when it comes, finds nothing
 deferred and is answered with a done at once.  HTTP backends and Raft
 servers differ only in the hooks they give it.
@@ -107,7 +107,9 @@ class PauseEstimator:
 
     With fewer than two observations the configured default is returned; if
     every observation sits at the same heap size the slope is undefined and
-    the mean observed pause is used instead.
+    the mean observed pause is used instead.  The estimate rides on each
+    :class:`CollectionTicket` for a handler to read; :class:`GcGrantee`
+    asks for every collection whatever its estimate.
     """
 
     def __init__(self, default_pause_us: int = 10_000):
@@ -181,12 +183,11 @@ class GcLedger:
     servers that may pause while a quorum stays live.
 
     ``reset`` forgets every queued ask and every grant except those it is
-    handed.  A Raft leader that hands leadership off sends its live grants,
-    with their pause estimates, in the ``FastSwitch``, and the successor
-    resets its ledger with them and arms a grant timeout for each, so the
-    collections the old leader admitted keep their slots until they report
-    done or time out.  Among them is the grant the old leader gave itself,
-    which the successor then sends it.  A queued ask is forgotten and is
+    handed.  A Raft leader that hands leadership off sends its live grants
+    in the ``FastSwitch``, and the successor resets its ledger with them, so
+    the collections the old leader admitted keep their slots until they
+    report done.  Among them is the grant the old leader gave itself, which
+    the successor then sends it.  A queued ask is forgotten and is
     sent again by its asker when it learns of the new leader.  A leader that
     wins an election starts empty: it does not know what its predecessor
     granted.  A finish from a node this ledger holds no grant for, which
@@ -236,16 +237,15 @@ class GcLedger:
 
 
 class GcGrantee:
-    """Node-side admission: a long collection waits for its coordinator.
+    """Node-side admission: every collection waits for its coordinator.
 
-    In blade mode the grantee is the runtime's upcall handler.  An offer
-    whose estimated pause is at most ``defer_threshold_us`` collects at once;
-    a longer one is deferred, and the node asks for it through
-    ``send_ask(ticket)``.  ``ask`` sends the ask for the runtime's deferred
-    collection again, for instance to a new coordinator.  A grant admits the
-    node, not one ticket: once ``ready()`` holds, the grantee starts
-    whatever collection the runtime has deferred and, once the pause is
-    over, calls ``send_done(grantor)``.  A grant that finds nothing deferred
+    In blade mode the grantee is the runtime's upcall handler.  Every offer
+    is deferred, and the node asks for it through ``send_ask(ticket)``.
+    ``ask`` sends the ask for the runtime's deferred collection again, for
+    instance to a new coordinator.  A grant admits the node, not one ticket:
+    once ``ready()`` holds, the grantee starts whatever collection the
+    runtime has deferred and, once the pause is over, calls
+    ``send_done(grantor)``.  A grant that finds nothing deferred
     (exhaustion forced the collection since the ask) needs no readiness and
     is answered at once, or when the forced pause is over.  A node whose
     readiness can change calls ``poll`` whenever it may have.  Before it
@@ -253,12 +253,11 @@ class GcGrantee:
     set.
     """
 
-    def __init__(self, runtime: ManagedRuntime, defer_threshold_us: int,
+    def __init__(self, runtime: ManagedRuntime,
                  send_ask: Callable[[CollectionTicket], None],
                  send_done: Callable[[NodeId], None],
                  ready: Callable[[], bool] = lambda: True):
         self.runtime = runtime
-        self.defer_threshold_us = defer_threshold_us
         self.send_ask = send_ask
         self.send_done = send_done
         self.ready = ready
@@ -267,8 +266,6 @@ class GcGrantee:
             runtime.reg_gc_hand(self.offer)
 
     def offer(self, ticket: CollectionTicket) -> bool:
-        if ticket.estimated_pause_us <= self.defer_threshold_us:
-            return True  # too short to be worth coordinating
         self.send_ask(ticket)
         return False
 

@@ -168,7 +168,6 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
             service_time_us=service_us,
             parallelism=cfg.parallelism,
             bytes_per_request=cfg.bytes_per_request,
-            defer_threshold_us=cfg.defer_threshold_us,
         ))
 
     def finish() -> dict:
@@ -199,9 +198,7 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
                                  cfg.election_timeout_max_ms * 1_000),
             service_time_us=cfg.service_time_us,
             bytes_per_request=cfg.bytes_per_request,
-            defer_threshold_us=cfg.defer_threshold_us,
             proxy_mode=cfg.proxy_mode == "proxy",
-            collection_timeout_factor=cfg.collection_timeout_factor,
             client_ids=client_ids,
             timer_seed=cfg.seed * 1_000 + i,
         ))

@@ -206,7 +206,6 @@ class Backend:
         self.allocated = self.peak = self.live
         self.paused_until = 0
         self.pauses = []
-        self.history = []
         self.active = None  # [id, state]
         self.next_id = 1
         self.grantor = None
@@ -271,24 +270,11 @@ class Backend:
         if self.active is not None and self.active[1] == "deferred" and self.allocated >= self.hard:
             self.collect(self.active, forced=True)
 
-    def estimate(self):
-        n = len(self.history)
-        if n < 2:
-            return self.m.cfg.default_pause_estimate_us
-        xs = [h[0] for h in self.history]
-        ys = [h[1] for h in self.history]
-        x_mean, y_mean = sum(xs) / n, sum(ys) / n
-        var = sum((x - x_mean) ** 2 for x in xs)
-        if var == 0.0:
-            return max(0, round(y_mean))
-        cov = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-        return max(0, round(y_mean + cov / var * (self.live - x_mean)))
-
     def open_cycle(self):
         ticket = [self.next_id, "offered"]
         self.next_id += 1
         self.active = ticket
-        if self.mode == "on" or self.estimate() <= self.m.cfg.defer_threshold_us:
+        if self.mode == "on":
             self.collect(ticket)
             return
         ticket[1] = "deferred"
@@ -300,7 +286,6 @@ class Backend:
         pause = cfg.pause_overhead_us + round(cfg.pause_per_gib_us * self.live / GIB)
         start, end = self.m.now, self.m.now + pause
         ticket[1] = "forced" if forced else "completed"
-        self.history.append((self.live, pause))
         self.allocated = self.live
         self.paused_until = end
         self.pauses.append((self.name, start, end, ticket[0], forced))

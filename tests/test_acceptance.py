@@ -4,14 +4,16 @@ Heavy simulations are shared through module-scoped fixtures so each scenario
 runs once regardless of how many criteria consume it.
 """
 
+import dataclasses
 import filecmp
+import pathlib
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsim.config import default_config
+from gcsim.config import default_config, parse_config
 from gcsim.metrics import emit_report, overlap_count, percentiles
 from gcsim.raft import Role
 from gcsim.raftcheck import check_history
@@ -293,6 +295,54 @@ def test_criterion_6_quorum_and_bound_hold_end_to_end_under_jitter(proxy_mode):
 def test_criterion_6_report():
     print("\nACCEPTANCE 6 PASS: ledger quorum guard held over randomized "
           "ask/finish/leader-change sequences (300 cases x 3 cluster sizes)")
+
+
+# -- the claims do not rest on the pause estimate ---------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Variants of shipped configs whose pauses are far from the pause estimate:
+# a 0.5 ms default estimate against 9 ms pauses, 109 ms pauses (a 4 GiB live
+# set), and 1 ms pauses (a 40 MiB live set, no fixed cost).  No claim may
+# depend on the estimate: each collection waits for its grant, and a grant
+# holds its slot until the collection's done.
+RAFT_PROBES = {
+    "short-estimate": ({"default_pause_estimate_us": 500}, 2),
+    "long-pause": ({"live_bytes": 4 * GIB, "trigger_bytes": 6 * GIB,
+                    "hard_limit_bytes": 12 * GIB, "bytes_per_request": MIB}, 2),
+    "short-pause": ({"live_bytes": 40 * MIB, "pause_overhead_us": 0}, 4),
+}
+
+
+def probe_runs(path, overrides, seconds):
+    cfg = dataclasses.replace(parse_config(str(ROOT / path)), **overrides)
+    return cfg, [run_scenario(cfg, mode=mode, seed=1, duration_s=seconds)
+                 for mode in ("off", "blade")]
+
+
+@pytest.mark.parametrize("overrides, seconds", RAFT_PROBES.values(), ids=list(RAFT_PROBES))
+def test_raft_claims_hold_whatever_the_pause_estimate(overrides, seconds):
+    cfg, (off, blade) = probe_runs("perfbench/raft_churn.cfg", overrides, seconds)
+    assert blade.pauses and blade.trace.switches
+    most = most_paused_at_once(blade.pauses)
+    assert most <= cfg.nodes - (cfg.nodes // 2 + 1), f"{most} servers paused at once"
+    assert [(p.node, p.start_us) for p in blade.pauses
+            if blade.trace.role_at(p.node, p.start_us) is Role.LEADER] == []
+    assert set(blade.latency_by_rid()) == set(off.latency_by_rid())
+    worst = worst_impact(off, blade)
+    assert worst <= cfg.rtt_us, f"worst blade-off delta {worst}us exceeds one RTT"
+    print(f"\nPROBE PASS: {len(blade.pauses)} pauses, at most {most} at once, "
+          f"none while leading, worst blade-off delta {worst}us <= {cfg.rtt_us}us")
+
+
+def test_http_claims_hold_whatever_the_pause_estimate():
+    cfg, (off, blade) = probe_runs("configs/http_cluster.cfg",
+                                   {"default_pause_estimate_us": 500}, 20)
+    assert blade.pauses
+    assert most_paused_at_once(blade.pauses) <= cfg.max_concurrent
+    assert [s[:3] for s in blade.samples] == [s[:3] for s in off.samples]
+    print(f"\nPROBE PASS: {len(blade.pauses)} backend pauses, one at a time, "
+          f"blade identical to gc-off over {len(blade.samples)} samples")
 
 
 # -- criterion 7: collection API semantics ---------------------------------------------

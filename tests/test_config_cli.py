@@ -63,8 +63,10 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown key"):
-        config_from_pairs({"rate_rsp": "100"})
+    # a misspelling, and two keys that no longer exist
+    for key in ("rate_rsp", "defer_threshold_us", "collection_timeout_factor"):
+        with pytest.raises(ConfigError, match=f"unknown key {key!r}"):
+            config_from_pairs({key: "100"})
 
 
 def test_parse_error_carries_line_number():

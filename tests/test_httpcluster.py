@@ -199,16 +199,6 @@ def test_draining_status_observable_with_requests_in_flight():
     assert b.runtime.collection_count() == 0
 
 
-def test_short_estimated_pause_collects_without_coordination():
-    sim, lb, backends = make_cluster()
-    b = backends[0]
-    b.runtime.estimator.default_pause_us = 500  # below the 1 ms threshold
-    sim.schedule_at(100, lambda _: trigger_gc(b))
-    sim.run_until(100)
-    assert b.runtime.collection_count() == 1  # paused on the spot
-    assert lb.ledger.granted == set()
-
-
 def test_conservation_requests_in_equals_completed_plus_queued():
     sim, lb, backends = make_cluster(mode=GcMode.ON, bytes_per_request=MIB,
                                      service_us=500)

@@ -1,11 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsim.httpcluster import Backend, LoadBalancer
-from gcsim.raft import AskGC, RaftNode, RaftTrace
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcGrantee, GcLedger, GcMode,
                            HeapModel, ManagedRuntime, PauseEstimator, TicketState)
-from gcsim.simcore import NetworkModel, Simulation
+from gcsim.simcore import Simulation
 
 
 def make_runtime(sim=None, live=100, trigger=200, hard=1000,
@@ -380,57 +378,7 @@ def test_lazy_background_matches_tick_reference_on_random_schedules(
     assert _observed(lazy) == _observed(ref)
 
 
-# -- the grantee's threshold shortcut, in both systems ------------------------------------
-
-
-def blade_runtime(sim, node_id):
-    return ManagedRuntime(sim, node_id, HeapModel(100 * MIB, 200 * MIB, GIB),
-                          CollectorCostModel(25_000, 1_000), PauseEstimator(),
-                          mode=GcMode.BLADE)
-
-
-def http_grantee(sim, asks):
-    """Backend b0 behind a balancer that logs the asks reaching it."""
-    lb = LoadBalancer(sim, "lb", ["b0"])
-
-    def deliver(src, msg):
-        if msg[0] == "ask":
-            asks.append(sim.now)
-        lb.deliver(src, msg)
-    sim.add_node("lb", deliver)
-    return Backend(sim, "b0", lb, blade_runtime(sim, "b0"), 2_000, 16, 0)
-
-
-def raft_grantee(sim, asks):
-    """Follower n1 of leader n0, which logs the asks reaching it."""
-    ids = ["n0", "n1", "n2"]
-    trace = RaftTrace()
-    leader, follower, _ = [RaftNode(sim, nid, ids, blade_runtime(sim, nid), trace)
-                           for nid in ids]
-    leader.term = 1
-    leader._become_leader()
-
-    def deliver(src, msg):
-        if type(msg) is AskGC:
-            asks.append(sim.now)
-        leader.deliver(src, msg)
-    sim.add_node("n0", deliver)
-    return follower
-
-
-@pytest.mark.parametrize("over", [0, 1], ids=["at", "above"])
-@pytest.mark.parametrize("make", [http_grantee, raft_grantee], ids=["http", "raft"])
-def test_defer_threshold_boundary(make, over):
-    # an estimate at the threshold collects on the spot without asking; one
-    # microsecond more asks first and pauses once the grant is back
-    sim = Simulation(network=NetworkModel.from_rtt(48))
-    asks = []
-    node = make(sim, asks)
-    node.runtime.estimator.default_pause_us = node.grantee.defer_threshold_us + over
-    sim.schedule_at(1_000, lambda _: node.runtime.allocate(250 * MIB))
-    sim.run_until(100_000)
-    start = node.runtime.pauses[0].start_us
-    assert (start, asks) == ((1_000, []) if not over else (1_048, [1_024]))
+# -- the grantee -------------------------------------------------------------------------
 
 
 def test_a_grant_gets_one_done_when_its_start_forces_the_collection():
@@ -444,7 +392,7 @@ def test_a_grant_gets_one_done_when_its_start_forces_the_collection():
                         mode=GcMode.BLADE, background_bytes_per_s=10_000_000,
                         background_interval_us=10)
     asks, dones = [], []
-    grantee = GcGrantee(rt, 1_000, lambda ticket: asks.append((sim.now, ticket.id)),
+    grantee = GcGrantee(rt, lambda ticket: asks.append((sim.now, ticket.id)),
                         lambda grantor: dones.append((sim.now, grantor)))
     sim.schedule_at(30, lambda _: grantee.grant("lb"))
     sim.run_until(1_030)
@@ -465,7 +413,7 @@ def test_a_grant_with_nothing_deferred_is_answered_before_the_next_ask():
     ledger = GcLedger(1)
     ledger.ask("m")
     log = []
-    grantee = GcGrantee(rt, 0, lambda ticket: log.append((sim.now, ticket.id, ledger.ask("n"))),
+    grantee = GcGrantee(rt, lambda ticket: log.append((sim.now, ticket.id, ledger.ask("n"))),
                         lambda grantor: log.append((sim.now, "done", ledger.finish("n"))))
 
     def m_done(_):

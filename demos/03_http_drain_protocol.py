@@ -10,7 +10,7 @@ capacity instead.
 
 from gcsim import MIB, GIB, default_config, run_scenario
 from gcsim.httpcluster import Backend, LoadBalancer
-from gcsim.runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime, PauseEstimator
+from gcsim.runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime
 from gcsim.simcore import NetworkModel, Simulation
 
 # One backend with two requests in flight when the grant arrives.
@@ -18,8 +18,7 @@ sim = Simulation(network=NetworkModel.from_rtt(48))
 lb = LoadBalancer(sim, "lb", ["b0"])
 heap = HeapModel(live_bytes=150 * MIB, trigger_bytes=300 * MIB,
                  hard_limit_bytes=GIB)
-rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 8_761),
-                    PauseEstimator(), mode=GcMode.BLADE)
+rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 8_761), mode=GcMode.BLADE)
 backend = Backend(sim, "b0", lb, rt, service_time_us=2_000, parallelism=16,
                   bytes_per_request=0)
 

@@ -17,8 +17,7 @@ from .metrics import (OverlapStat, PercentileReport, WorkloadConfig, emit_report
 from .raft import RaftClient, RaftNode, RaftTrace, Role
 from .raftcheck import check_history
 from .runtime import (CollectionTicket, CollectorCostModel, GcGrantee, GcLedger, GcMode,
-                      HeapModel, ManagedRuntime, PauseEstimator, PauseInterval, TicketState,
-                      GIB, KIB, MIB)
+                      HeapModel, ManagedRuntime, PauseInterval, TicketState, GIB, KIB, MIB)
 from .scenarios import RunResult, run_compare, run_scenario
 from .simcore import (NetworkModel, SchedulingError, SimStats, SimTime,
                       Simulation, MS, SEC, US)
@@ -26,8 +25,8 @@ from .simcore import (NetworkModel, SchedulingError, SimStats, SimTime,
 __all__ = [
     "Backend", "CollectionTicket", "CollectorCostModel", "ConfigError",
     "GcGrantee", "GcLedger", "GcMode", "GIB", "HeapModel", "KIB", "LoadBalancer",
-    "ManagedRuntime", "MIB", "MS", "NetworkModel", "OverlapStat", "PauseEstimator",
-    "PauseInterval", "PercentileReport", "RaftClient", "RaftNode", "RaftTrace", "Role",
+    "ManagedRuntime", "MIB", "MS", "NetworkModel", "OverlapStat", "PauseInterval",
+    "PercentileReport", "RaftClient", "RaftNode", "RaftTrace", "Role",
     "RunResult", "ScenarioConfig", "SchedulingError", "SEC", "SimStats",
     "SimTime", "Simulation", "TicketState", "US", "WorkloadConfig",
     "check_history", "default_config", "emit_report", "generate_workload",

@@ -47,7 +47,6 @@ class ScenarioConfig:
     hard_limit_bytes: int = 1 * GIB
     pause_per_gib_us: int = 25_000
     pause_overhead_us: int = 8_761
-    default_pause_estimate_us: int = 10_000
     gcoff_slowdown: float = 1.0
     # workload
     rate_rps: int = 100
@@ -142,8 +141,7 @@ _POSITIVE = {
     "background_alloc_interval_us",
 }
 _NON_NEGATIVE = {
-    "jitter_us", "trigger_bytes", "pause_overhead_us",
-    "default_pause_estimate_us", "mix_get", "mix_set",
+    "jitter_us", "trigger_bytes", "pause_overhead_us", "mix_get", "mix_set",
     "bytes_per_request", "background_alloc_bytes_per_s",
 }
 

@@ -191,12 +191,24 @@ class SampleLog:
         self._unsorted = self._by_arrival
 
     def _sort(self) -> None:
-        """Put the rows in arrival order, then rid order."""
+        """Put the rows in arrival order, then rid order.
+
+        Each row's key packs ``completed | rid | index`` into one int, so
+        sorting one list of keys orders the rows.  The keys' low bits, kept
+        as an array of row indexes once the keys are dropped, pick the rows
+        from every column.
+        """
         rid = self._rid
-        width = max(rid, default=0).bit_length()
-        keys = list(map(operator.or_, map(operator.lshift, self._completed, repeat(width)), rid))
+        shift = len(rid).bit_length()
+        width = max(rid, default=0).bit_length() + shift
+        keys = list(map(operator.or_, map(operator.or_,
+                                          map(operator.lshift, self._completed, repeat(width)),
+                                          map(operator.lshift, rid, repeat(shift))),
+                        range(len(rid))))
         if not all(map(operator.le, keys, islice(keys, 1, None))):
-            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys.sort()
+            order = array("I", map(((1 << shift) - 1).__and__, keys))
+            del keys
             for name in self._COLUMNS:
                 column = getattr(self, "_" + name)
                 picked = map(column.__getitem__, order)

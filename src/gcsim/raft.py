@@ -557,6 +557,9 @@ class RaftNode:
         """Apply the entries up to ``commit_index``; a leader answers the
         clients waiting on them.
 
+        A client waits on the index its set was appended at, and is answered
+        only if the entry applied there is its own: a leader that lost its
+        log's tail and later leads again may find another entry there.
         Nothing an entry's allocation starts (a pause, an ask, a handoff
         scheduled for later) moves ``commit_index`` or ``last_applied``.
         Only a leader waits on entries, so a follower skips the lookup.
@@ -575,7 +578,7 @@ class RaftNode:
             record_apply(node_id, index, entry)
             if awaiting:
                 pending = awaiting.pop(index, None)
-                if pending is not None and self.role is Role.LEADER:
+                if pending is not None and pending[1] == entry[2] and self.role is Role.LEADER:
                     client, rid = pending
                     self._schedule_reply(client, ClientReply(rid, "ok", self.leader_hint))
 

@@ -8,12 +8,13 @@ live set, and a three-call coordination surface:
   runtime collects immediately whenever the occupancy trigger is crossed
   (legacy behaviour).
 * The upcall hands the handler a :class:`CollectionTicket` carrying a
-  monotonically increasing id, the current occupancy, and an estimated pause.
-  Returning ``True`` collects on the spot; returning ``False`` defers the
-  collection until ``start_gc``.
-* ``start_gc(id)`` is idempotent and safe to call at any time: it starts a
-  deferred collection, and silently ignores ids that are unknown, already
-  collected, or force-collected.
+  monotonically increasing id and the current occupancy.  Returning ``True``
+  collects on the spot; returning ``False`` defers the collection until
+  ``start_gc``.
+* ``start_gc(id)`` is idempotent and safe to call at any time: it starts the
+  deferred collection if ``id`` is its ticket's, and silently ignores ids
+  that are unknown, already collected, or force-collected.  The runtime
+  keeps only the open cycle's ticket; the handler keeps any it wants.
 
 If allocation exhausts the hard heap limit while a collection is deferred,
 the collector runs immediately and the ticket is marked force-completed so a
@@ -83,7 +84,6 @@ class CollectionTicket:
 
     id: int
     allocated_bytes: int
-    estimated_pause_us: int
     state: TicketState = TicketState.OFFERED
 
 
@@ -100,40 +100,6 @@ class CollectorCostModel:
 
     def pause_us(self, live_bytes: int) -> int:
         return self.fixed_overhead_us + round(self.pause_per_gib_us * live_bytes / GIB)
-
-
-class PauseEstimator:
-    """Predicts the next pause by a least-squares line over past collections.
-
-    With fewer than two observations the configured default is returned; if
-    every observation sits at the same heap size the slope is undefined and
-    the mean observed pause is used instead.  The estimate rides on each
-    :class:`CollectionTicket` for a handler to read; :class:`GcGrantee`
-    asks for every collection whatever its estimate.
-    """
-
-    def __init__(self, default_pause_us: int = 10_000):
-        self.default_pause_us = default_pause_us
-        self.history: list[tuple[int, int]] = []  # (live_bytes, observed_pause_us)
-
-    def observe(self, live_bytes: int, pause_us: int) -> None:
-        self.history.append((live_bytes, pause_us))
-
-    def estimate_us(self, live_bytes: int) -> int:
-        n = len(self.history)
-        if n < 2:
-            return self.default_pause_us
-        xs = [h[0] for h in self.history]
-        ys = [h[1] for h in self.history]
-        x_mean = sum(xs) / n
-        y_mean = sum(ys) / n
-        var = sum((x - x_mean) ** 2 for x in xs)
-        if var == 0.0:
-            return max(0, round(y_mean))
-        cov = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-        slope = cov / var
-        value = y_mean + slope * (live_bytes - x_mean)
-        return max(0, round(value))
 
 
 @dataclass
@@ -191,7 +157,8 @@ class GcLedger:
     sent again by its asker when it learns of the new leader.  A leader that
     wins an election starts empty: it does not know what its predecessor
     granted.  A finish from a node this ledger holds no grant for, which
-    comes right after a reset, changes nothing.
+    comes right after a reset, frees and grants nothing, but still records
+    the node as ``last_finished``, the successor a Raft leader prefers.
     """
 
     def __init__(self, capacity: int):
@@ -319,19 +286,16 @@ class ManagedRuntime:
     """
 
     def __init__(self, sim: Simulation, node_id: str, heap: HeapModel,
-                 cost: CollectorCostModel, estimator: Optional[PauseEstimator] = None,
-                 mode: GcMode = GcMode.ON, background_bytes_per_s: int = 0,
-                 background_interval_us: int = 10_000):
+                 cost: CollectorCostModel, mode: GcMode = GcMode.ON,
+                 background_bytes_per_s: int = 0, background_interval_us: int = 10_000):
         self.sim = sim
         self.node_id = node_id
         self.heap = heap
         self.cost = cost
-        self.estimator = estimator or PauseEstimator()
         self.mode = mode
         self.handler: Optional[UpcallHandler] = None
         self.on_pause: Optional[PauseCallback] = None
         self.catch_up_node: Optional[Callable[[], None]] = None
-        self.tickets: dict[int, CollectionTicket] = {}
         self.active_ticket: Optional[CollectionTicket] = None
         self._next_id = 1
         self.paused_until: int = 0
@@ -358,8 +322,9 @@ class ManagedRuntime:
         """Start a deferred collection; all other calls are silent no-ops."""
         if self._next_tick <= self.sim.now:
             self._add_background_ticks()
-        ticket = self.tickets.get(ticket_id)
-        if ticket is not None and ticket.state is TicketState.DEFERRED:
+        ticket = self.active_ticket
+        if (ticket is not None and ticket.id == ticket_id
+                and ticket.state is TicketState.DEFERRED):
             self._collect(ticket)
             self._arm_crossing()
 
@@ -472,35 +437,22 @@ class ManagedRuntime:
         self._arm_crossing()
 
     def _open_cycle(self) -> None:
-        ticket = CollectionTicket(
-            id=self._next_id,
-            allocated_bytes=self.heap.allocated_bytes,
-            estimated_pause_us=self.estimator.estimate_us(self.heap.live_bytes),
-        )
+        ticket = self.active_ticket = CollectionTicket(self._next_id,
+                                                       self.heap.allocated_bytes)
         self._next_id += 1
-        self.tickets[ticket.id] = ticket
-        self.active_ticket = ticket
-        if self.handler is None:
-            self._collect(ticket)
-            return
-        if self.handler(ticket):
+        if self.handler is None or self.handler(ticket):
             self._collect(ticket)
         else:
             ticket.state = TicketState.DEFERRED
 
     # -- collection ----------------------------------------------------------
 
-    def _collect(self, ticket: CollectionTicket, forced: bool = False) -> int:
-        """Run the stop-the-world collection now; returns the observed pause."""
+    def _collect(self, ticket: CollectionTicket, forced: bool = False) -> None:
+        """Run the stop-the-world collection now."""
         heap = self.heap
-        pause = self.cost.pause_us(heap.live_bytes)
         start = self.sim.now
-        end = start + pause
-        if forced:
-            ticket.state = TicketState.FORCED_COMPLETED
-        else:
-            ticket.state = TicketState.COMPLETED
-        self.estimator.observe(heap.live_bytes, pause)
+        end = start + self.cost.pause_us(heap.live_bytes)
+        ticket.state = TicketState.FORCED_COMPLETED if forced else TicketState.COMPLETED
         self._peak_collected = max(self._peak_collected, heap.allocated_bytes)
         heap.allocated_bytes = heap.live_bytes
         self.paused_until = end
@@ -508,7 +460,6 @@ class ManagedRuntime:
         self.active_ticket = None
         if self.on_pause is not None:
             self.on_pause(start, end)
-        return pause
 
     # -- introspection ---------------------------------------------------------
 

@@ -19,8 +19,7 @@ from .config import ScenarioConfig
 from .httpcluster import Backend, LoadBalancer
 from .metrics import RunSummary, SampleLog, WorkloadConfig, generate_workload, summarize_run
 from .raft import RaftClient, RaftNode, RaftTrace
-from .runtime import (CollectorCostModel, GcMode, HeapModel, ManagedRuntime,
-                      PauseEstimator, PauseInterval)
+from .runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime, PauseInterval
 from .simcore import NetworkModel, Simulation, SimStats
 
 MODE_LABELS = {"off": "gc-off", "blade": "blade", "on": "gc-on"}
@@ -109,8 +108,7 @@ def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,
     )
     cost = CollectorCostModel(pause_per_gib_us=cfg.pause_per_gib_us,
                               fixed_overhead_us=cfg.pause_overhead_us)
-    est = PauseEstimator(default_pause_us=cfg.default_pause_estimate_us)
-    return ManagedRuntime(sim, node_id, heap, cost, est, mode=mode,
+    return ManagedRuntime(sim, node_id, heap, cost, mode=mode,
                           background_bytes_per_s=cfg.background_alloc_bytes_per_s,
                           background_interval_us=cfg.background_alloc_interval_us)
 

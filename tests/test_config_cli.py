@@ -63,8 +63,9 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 
 
 def test_unknown_key_rejected():
-    # a misspelling, and two keys that no longer exist
-    for key in ("rate_rsp", "defer_threshold_us", "collection_timeout_factor"):
+    # a misspelling, and three keys that no longer exist
+    for key in ("rate_rsp", "defer_threshold_us", "collection_timeout_factor",
+                "default_pause_estimate_us"):
         with pytest.raises(ConfigError, match=f"unknown key {key!r}"):
             config_from_pairs({key: "100"})
 

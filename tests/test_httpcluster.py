@@ -7,8 +7,7 @@ import refmodel
 from gcsim import default_config, run_scenario, scenarios
 from gcsim.config import ScenarioConfig
 from gcsim.httpcluster import REQ, Backend, LoadBalancer
-from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcMode, HeapModel,
-                           ManagedRuntime, PauseEstimator)
+from gcsim.runtime import GIB, MIB, CollectorCostModel, GcMode, HeapModel, ManagedRuntime
 from gcsim.simcore import NetworkModel, Simulation
 
 RTT = 48
@@ -24,9 +23,7 @@ def make_cluster(n=3, mode=GcMode.BLADE, service_us=2_000, parallelism=16,
     for bid in ids:
         heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
                          hard_limit_bytes=hard)
-        rt = ManagedRuntime(sim, bid, heap,
-                            CollectorCostModel(25_000, overhead), PauseEstimator(),
-                            mode=mode)
+        rt = ManagedRuntime(sim, bid, heap, CollectorCostModel(25_000, overhead), mode=mode)
         backends.append(Backend(sim, bid, lb, rt, service_us, parallelism,
                                 bytes_per_request))
     return sim, lb, backends
@@ -529,8 +526,7 @@ def test_a_backend_out_of_rotation_order_is_refused(built):
 
     def build(bid):
         rt = ManagedRuntime(sim, bid, HeapModel(100, 200, 400),
-                            CollectorCostModel(25_000, 1_000), PauseEstimator(),
-                            mode=GcMode.OFF)
+                            CollectorCostModel(25_000, 1_000), mode=GcMode.OFF)
         return Backend(sim, bid, lb, rt, 2_000, 16, 0)
     for bid in built[:-1]:
         build(bid)

@@ -5,7 +5,7 @@ from gcsim.raft import (AllowGC, AppendEntries, AppendReply, AskGC, ClientReply,
                         ClientRequest, DoneGC, LeaderNotice, RaftClient, RaftNode, RaftTrace, Role)
 from gcsim.raftcheck import check_history, check_log_matching
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
-                           ManagedRuntime, PauseEstimator)
+                           ManagedRuntime)
 from gcsim.simcore import NetworkModel, Simulation
 
 RTT = 48
@@ -23,8 +23,7 @@ def make_cluster(n=3, mode=GcMode.BLADE, live=100 * MIB, trigger=200 * MIB,
     for i, nid in enumerate(ids):
         heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
                          hard_limit_bytes=hard)
-        rt = ManagedRuntime(sim, nid, heap, CollectorCostModel(25_000, overhead),
-                            PauseEstimator(), mode=mode)
+        rt = ManagedRuntime(sim, nid, heap, CollectorCostModel(25_000, overhead), mode=mode)
         nodes.append(RaftNode(sim, nid, ids, rt, trace,
                               service_time_us=service_us,
                               bytes_per_request=bytes_per_request,
@@ -234,14 +233,14 @@ class ReferenceRaftNode(RaftNode):
                 self.runtime.allocate(self.bytes_per_request)
             self.trace.record_apply(self.id, self.last_applied, self.log[self.last_applied - 1])
             pending = self._awaiting_commit.pop(self.last_applied, None)
-            if pending is not None and self.role is Role.LEADER:
-                client, rid_ = pending
-                self._schedule_reply(client, ClientReply(rid_, "ok", self.leader_hint))
+            if pending is not None and pending[1] == rid and self.role is Role.LEADER:
+                self._schedule_reply(pending[0], ClientReply(rid, "ok", self.leader_hint))
 
 
 def lone_node(cls, size, log_terms, tag):
     """Node n1 of a ``size``-server cluster whose other members and client c0
-    only record what they receive; its log holds one set per term given."""
+    only record what they receive; its log holds one set per term given,
+    each with its index as its rid."""
     sim = Simulation(seed=1, network=NetworkModel.from_rtt(RTT))
     ids = ["n1"] + [f"n{i}" for i in range(size + 1) if i != 1][:size - 1]
     received = []
@@ -249,10 +248,9 @@ def lone_node(cls, size, log_terms, tag):
         sim.add_node(other, lambda src, msg, dst=other:
                      received.append((sim.now, src, dst, msg)))
     runtime = ManagedRuntime(sim, "n1", HeapModel(100 * MIB, 200 * MIB, GIB),
-                             CollectorCostModel(25_000, 1_000), PauseEstimator(),
-                             mode=GcMode.OFF)
+                             CollectorCostModel(25_000, 1_000), mode=GcMode.OFF)
     node = cls(sim, "n1", ids, runtime, RaftTrace(), client_ids=["c0"])
-    node.log[:] = [(t, ("set", f"k{i % 3}", (tag, i)), None)
+    node.log[:] = [(t, ("set", f"k{i % 3}", (tag, i)), i + 1)
                    for i, t in enumerate(log_terms)]
     sim.run_until(1_000)
     return sim, node, received
@@ -279,13 +277,15 @@ def test_commit_rule_matches_the_per_index_rescan(size, log_terms, data):
     commit = data.draw(st.integers(0, len(log_terms)), label="commit")
     waiting = data.draw(st.sets(st.integers(commit + 1, len(log_terms) + 1)),
                         label="awaiting")
+    # a set appended at one of these indexes was lost: another entry is there
+    lost = data.draw(st.sets(st.integers(commit + 1, len(log_terms) + 1)), label="lost")
     states = []
     for cls in (RaftNode, ReferenceRaftNode):
         sim, node, received = lone_node(cls, size, log_terms, "l")
         node.term, node.role, node.leader_hint = term, Role.LEADER, "n1"
         node.commit_index = node.last_applied = commit
         node.match_index = dict(zip(node.peers, matches))
-        node._awaiting_commit.update((i, ("c0", i)) for i in waiting)
+        node._awaiting_commit.update((i, ("c0", -i if i in lost else i)) for i in waiting)
         node._advance_commit()
         sim.run_until(2_000)
         states.append(node_state(node, received))
@@ -947,14 +947,9 @@ def test_a_stale_log_never_wins_an_election():
     assert len(samples) == 40
 
 
-def test_an_entry_from_an_earlier_term_committed_by_replicas_survives():
-    # Ongaro 2014, Figure 3.7, on five servers.  n0 (term 1) gets x to n1
-    # only, then crashes; n4 wins term 2 with n2 and n3 and appends y, which
-    # reaches nobody, then crashes.  n0 wins term 3 and replicates x to n2: a
-    # majority holds x.  n0 crashes and n4 stands again.  Had n0 committed x
-    # by counting replicas before any term-3 entry reached a majority, n4
-    # could win and overwrite it; n0's election entry is what makes x safe.
-    sim, nodes, clients, samples, trace = make_cluster(n=5)
+def faulty_links(sim, nodes):
+    """Route every delivery through a filter; returns ``at(ms, step)`` and
+    the sets of servers that are down and of (src, dst) links that are cut."""
     down, cut = set(), set()
 
     def sink(node):
@@ -966,7 +961,19 @@ def test_an_entry_from_an_earlier_term_committed_by_replicas_survives():
         sim.add_node(node.id, sink(node))
 
     def at(ms, step):
-        sim.schedule_at(ms * 1_000, lambda _: step())
+        sim.schedule_at(round(ms * 1_000), lambda _: step())
+    return at, down, cut
+
+
+def test_an_entry_from_an_earlier_term_committed_by_replicas_survives():
+    # Ongaro 2014, Figure 3.7, on five servers.  n0 (term 1) gets x to n1
+    # only, then crashes; n4 wins term 2 with n2 and n3 and appends y, which
+    # reaches nobody, then crashes.  n0 wins term 3 and replicates x to n2: a
+    # majority holds x.  n0 crashes and n4 stands again.  Had n0 committed x
+    # by counting replicas before any term-3 entry reached a majority, n4
+    # could win and overwrite it; n0's election entry is what makes x safe.
+    sim, nodes, clients, samples, trace = make_cluster(n=5)
+    at, down, cut = faulty_links(sim, nodes)
     n0, n1, n2, n4 = nodes[0], nodes[1], nodes[2], nodes[4]
     x, y = ("set", "x", 0), ("set", "y", 1)
     at(5, lambda: (cut.update({("n0", "n2"), ("n0", "n3"), ("n0", "n4")}),
@@ -989,6 +996,33 @@ def test_an_entry_from_an_earlier_term_committed_by_replicas_survives():
     assert n0.commit_index == 3 and trace.applied[1][1] == x
     assert [log[1][1] for log in (n1.log, n2.log)] == [x, x]
     assert [term for _t, term, role in trace.role_changes["n4"] if role is Role.LEADER] == [2]
+
+
+def test_a_leader_never_answers_a_set_its_log_lost():
+    # n0 (term 1) appends x at index 2 while cut off from both peers.  n1
+    # wins term 2 with n2's vote, appends y, and replicates only to n0,
+    # which truncates x.  With n1 down, n0 wins term 3 and applies noop,
+    # noop, y, noop: x is never applied, so c0 must get no "ok" for it,
+    # though n0 still leads and once waited on index 2 for it
+    sim, nodes, clients, samples, trace = make_cluster()
+    at, down, cut = faulty_links(sim, nodes)
+    n0, n1 = nodes[0], nodes[1]
+    x, y = ("set", "x", 0), ("set", "y", 1)
+    at(5, lambda: (cut.update({("n0", "n1"), ("n1", "n0"), ("n0", "n2"), ("n2", "n0")}),
+                   clients[0].submit(0, x)))
+    at(6, n1._become_candidate)
+    at(6.03, lambda: cut.add(("n1", "n2")))  # once n2's vote is in
+    at(6.1, lambda: n1.deliver("c1", ClientRequest("c1", 1, y)))
+    at(7, lambda: cut.discard(("n1", "n0")))
+    at(7.2, n1._replicate)
+    at(8, lambda: (down.add("n1"), cut.clear()))
+    at(8.1, n0._become_candidate)
+    sim.run_until(20_000)
+
+    assert check_history(trace) == []
+    assert [(term, role) for _t, term, role in trace.role_changes["n0"]][-1] == (3, Role.LEADER)
+    assert [entry[1] for entry in trace.applied] == [("noop",), ("noop",), y, ("noop",)]
+    assert samples == []
 
 
 def test_checker_flags_double_leadership():

@@ -2,20 +2,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcGrantee, GcLedger, GcMode,
-                           HeapModel, ManagedRuntime, PauseEstimator, TicketState)
+                           HeapModel, ManagedRuntime, TicketState)
 from gcsim.simcore import Simulation
 
 
 def make_runtime(sim=None, live=100, trigger=200, hard=1000,
-                 pause_per_gib=25_000, overhead=0, mode=GcMode.BLADE,
-                 default_pause=10_000):
+                 pause_per_gib=25_000, overhead=0, mode=GcMode.BLADE):
     sim = sim or Simulation()
     heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
                      hard_limit_bytes=hard)
     cost = CollectorCostModel(pause_per_gib_us=pause_per_gib, fixed_overhead_us=overhead)
-    rt = ManagedRuntime(sim, "n", heap, cost,
-                        PauseEstimator(default_pause_us=default_pause), mode=mode)
-    return sim, rt
+    return sim, ManagedRuntime(sim, "n", heap, cost, mode=mode)
+
+
+def offered(rt, decision):
+    """Register a handler that answers ``decision``; returns the tickets it
+    is offered, in order."""
+    tickets = []
+    rt.reg_gc_hand(lambda t: tickets.append(t) or decision)
+    return tickets
 
 
 # -- upcall registration -------------------------------------------------------
@@ -31,9 +36,9 @@ def test_unregistered_trigger_collects_immediately():
 def test_registered_handler_gets_first_upcall_with_id_1():
     sim, rt = make_runtime()
     calls = []
-    rt.reg_gc_hand(lambda t: calls.append((t.id, t.allocated_bytes, t.estimated_pause_us)) or True)
+    rt.reg_gc_hand(lambda t: calls.append((t.id, t.allocated_bytes)) or True)
     rt.allocate(150)
-    assert calls == [(1, 250, 10_000)]  # no history yet: default estimate
+    assert calls == [(1, 250)]
 
 
 def test_reregistration_replaces_previous_handler():
@@ -51,32 +56,32 @@ def test_reregistration_replaces_previous_handler():
 def test_handler_true_runs_collection_now_for_cost_model_duration():
     sim, rt = make_runtime(live=512 * MIB, trigger=1024 * MIB, hard=4 * GIB,
                            overhead=1_000)
-    rt.reg_gc_hand(lambda t: True)
+    tickets = offered(rt, True)
     sim.schedule_at(50, lambda _: rt.allocate(600 * MIB))
     sim.run_until(50)
     expected = 1_000 + round(25_000 * (512 * MIB) / GIB)
     assert rt.pauses[0].start_us == 50
     assert rt.pauses[0].end_us == 50 + expected
-    assert rt.tickets[1].state is TicketState.COMPLETED
+    assert tickets[0].state is TicketState.COMPLETED
 
 
 def test_handler_false_defers_until_start_gc():
     sim, rt = make_runtime()
-    rt.reg_gc_hand(lambda t: False)
+    tickets = offered(rt, False)
     sim.schedule_at(10, lambda _: rt.allocate(150))
     sim.schedule_at(500, lambda _: rt.start_gc(1))
     sim.run_until(1_000)
-    assert rt.tickets[1].state is TicketState.COMPLETED
+    assert tickets[0].state is TicketState.COMPLETED and rt.active_ticket is None
     assert rt.pauses[0].start_us == 500
 
 
 def test_exhaustion_forces_collection_and_start_gc_noops():
     sim, rt = make_runtime(live=100, trigger=200, hard=400)
-    rt.reg_gc_hand(lambda t: False)
+    tickets = offered(rt, False)
     rt.allocate(150)  # crosses trigger, deferred
-    assert rt.tickets[1].state is TicketState.DEFERRED
+    assert rt.active_ticket is tickets[0] and tickets[0].state is TicketState.DEFERRED
     rt.allocate(200)  # 450 >= hard: forced at the crossing allocation
-    assert rt.tickets[1].state is TicketState.FORCED_COMPLETED
+    assert tickets[0].state is TicketState.FORCED_COMPLETED and rt.active_ticket is None
     assert sum(p.forced for p in rt.pauses) == 1
     assert rt.heap.allocated_bytes == rt.heap.live_bytes
     pauses_before = rt.collection_count()
@@ -95,6 +100,8 @@ def test_start_gc_is_idempotent_and_safe_on_unknown_ids():
     sim, rt = make_runtime()
     rt.reg_gc_hand(lambda t: False)
     rt.allocate(150)
+    rt.start_gc(99)  # not the deferred collection's id
+    assert rt.collection_count() == 0
     rt.start_gc(1)
     rt.start_gc(1)
     rt.start_gc(99)
@@ -142,9 +149,10 @@ def test_threshold_crossing_oracle(allocs):
 
 def test_ticket_ids_are_sequential_without_gaps():
     sim, rt = make_runtime(mode=GcMode.ON)
+    tickets = offered(rt, True)
     for _ in range(5):
         rt.allocate(150)  # every crossing collects and resets occupancy
-    assert sorted(rt.tickets) == [1, 2, 3, 4, 5]
+    assert [t.id for t in tickets] == [1, 2, 3, 4, 5]
     assert [p.ticket_id for p in rt.pauses] == [1, 2, 3, 4, 5]
 
 
@@ -161,65 +169,20 @@ def test_duplicated_start_calls_change_nothing(ops, copies):
     # of times) leaves the state trace identical to the single-call sequence
     def run(op_list):
         _, rt = make_runtime(live=0, trigger=100, hard=400)
-        rt.reg_gc_hand(lambda t: False)
+        tickets = offered(rt, False)
         for op, val in op_list:
             if op == "alloc":
                 rt.allocate(val)
             else:
                 rt.start_gc(val)
         return ([(p.start_us, p.end_us, p.ticket_id, p.forced) for p in rt.pauses],
-                {i: t.state for i, t in rt.tickets.items()},
+                [(t.id, t.state) for t in tickets],
                 rt.heap.allocated_bytes)
 
     doubled = []
     for op, val in ops:
         doubled.extend([(op, val)] * (copies if op == "start" else 1))
     assert run(ops) == run(doubled)
-
-
-# -- pause estimator ----------------------------------------------------------------
-
-
-def test_estimator_default_without_history():
-    est = PauseEstimator(default_pause_us=7_000)
-    assert est.estimate_us(5 * GIB) == 7_000
-    est.observe(GIB, 25_000)
-    assert est.estimate_us(5 * GIB) == 7_000  # one point is still not a line
-
-
-def test_estimator_two_point_line():
-    # {(1 GB, 25 ms), (2 GB, 50 ms)} extrapolates to 75 ms at 3 GB
-    est = PauseEstimator()
-    est.observe(1 * GIB, 25_000)
-    est.observe(2 * GIB, 50_000)
-    assert est.estimate_us(3 * GIB) == 75_000
-
-
-def test_estimator_degenerate_history_returns_mean():
-    est = PauseEstimator()
-    est.observe(GIB, 20_000)
-    est.observe(GIB, 30_000)
-    est.observe(GIB, 40_000)
-    assert est.estimate_us(2 * GIB) == 30_000
-
-
-def test_estimator_clamps_to_zero():
-    est = PauseEstimator()
-    est.observe(1 * GIB, 10_000)
-    est.observe(2 * GIB, 20_000)
-    assert est.estimate_us(0) == 0
-
-
-@settings(max_examples=60)
-@given(slope=st.integers(1, 50_000), intercept=st.integers(0, 50_000),
-       xs=st.lists(st.integers(1, 64), min_size=2, max_size=12, unique=True),
-       query=st.integers(0, 128))
-def test_estimator_reproduces_exact_linear_history(slope, intercept, xs, query):
-    # the points lie on a line, so the least-squares fit is that line
-    est = PauseEstimator()
-    for x in xs:
-        est.observe(x * MIB, intercept + slope * x)
-    assert est.estimate_us(query * MIB) == max(0, intercept + slope * query)
 
 
 # -- collector cost model --------------------------------------------------------------
@@ -305,7 +268,8 @@ def _background_run(lazy, mode, *, rate=10_000, interval=10_000, overhead=4_000,
     at a request's microsecond fires first in the reference too.  In blade
     mode every ticket is deferred and started ``start_delay`` later, or
     never when ``start_delay`` is None; a delay shorter than the interval
-    orders ticks before ``start_gc`` the same way.
+    orders ticks before ``start_gc`` the same way.  Returns the simulation,
+    the runtime and the tickets it offered.
     """
     sim = Simulation()
     heap = HeapModel(live_bytes=live, trigger_bytes=trigger, hard_limit_bytes=hard)
@@ -314,12 +278,14 @@ def _background_run(lazy, mode, *, rate=10_000, interval=10_000, overhead=4_000,
     rt = ManagedRuntime(sim, "n", heap, cost, mode=mode, **(background if lazy else {}))
     if not lazy:
         _ReferenceTicker(sim, rt, rate, interval)
-    if mode is GcMode.BLADE:
-        def defer(ticket):
-            if start_delay is not None:
-                sim.schedule_after(start_delay, lambda _: rt.start_gc(ticket.id))
-            return False
-        rt.reg_gc_hand(defer)
+    tickets = []
+
+    def offer(ticket):  # collects at once unless blade, which defers
+        tickets.append(ticket)
+        if mode is GcMode.BLADE and start_delay is not None:
+            sim.schedule_after(start_delay, lambda _: rt.start_gc(ticket.id))
+        return mode is not GcMode.BLADE
+    rt.reg_gc_hand(offer)
 
     def request(left):
         rt.allocate(request_bytes)
@@ -328,13 +294,13 @@ def _background_run(lazy, mode, *, rate=10_000, interval=10_000, overhead=4_000,
     if requests:
         sim.schedule_at(request_gap, request, requests)
     sim.run_until(until)
-    return sim, rt
+    return sim, rt, tickets
 
 
-def _observed(rt):
+def _observed(rt, tickets):
     peak = rt.peak_allocated_bytes
     return ([(p.node, p.start_us, p.end_us, p.ticket_id, p.forced) for p in rt.pauses],
-            [(t.id, t.allocated_bytes, t.state) for t in rt.tickets.values()],
+            [(t.id, t.allocated_bytes, t.state) for t in tickets],
             rt.collection_count(), sum(p.forced for p in rt.pauses), peak,
             rt.heap.allocated_bytes)
 
@@ -350,9 +316,9 @@ BACKGROUND_CASES = {
 @pytest.mark.parametrize("mode", [GcMode.ON, GcMode.BLADE, GcMode.OFF], ids=str)
 @pytest.mark.parametrize("case", sorted(BACKGROUND_CASES))
 def test_lazy_background_matches_tick_reference(case, mode):
-    ref_sim, ref = _background_run(False, mode, **BACKGROUND_CASES[case])
-    lazy_sim, lazy = _background_run(True, mode, **BACKGROUND_CASES[case])
-    assert _observed(lazy) == _observed(ref)
+    ref_sim, ref, ref_tickets = _background_run(False, mode, **BACKGROUND_CASES[case])
+    lazy_sim, lazy, lazy_tickets = _background_run(True, mode, **BACKGROUND_CASES[case])
+    assert _observed(lazy, lazy_tickets) == _observed(ref, ref_tickets)
     assert lazy_sim.events_fired < ref_sim.events_fired
     if mode is not GcMode.OFF:
         assert ref.collection_count() >= 3
@@ -373,9 +339,9 @@ def test_lazy_background_matches_tick_reference_on_random_schedules(
     kwargs = dict(rate=rate, request_gap=request_gap, request_bytes=request_bytes,
                   requests=requests, overhead=overhead, start_delay=start_delay,
                   until=1_500_000)
-    _, ref = _background_run(False, mode, **kwargs)
-    _, lazy = _background_run(True, mode, **kwargs)
-    assert _observed(lazy) == _observed(ref)
+    _, ref, ref_tickets = _background_run(False, mode, **kwargs)
+    _, lazy, lazy_tickets = _background_run(True, mode, **kwargs)
+    assert _observed(lazy, lazy_tickets) == _observed(ref, ref_tickets)
 
 
 # -- the grantee -------------------------------------------------------------------------
@@ -494,8 +460,9 @@ def _allocation_run(cls, mode, ops, rate, deferred):
     cost = CollectorCostModel(pause_per_gib_us=0, fixed_overhead_us=3_000)
     rt = cls(sim, "n", heap, cost, mode=mode, background_bytes_per_s=rate,
              background_interval_us=1_000)
-    if mode is GcMode.BLADE:
-        rt.reg_gc_hand(lambda ticket: ticket.id not in deferred)
+    tickets = []  # collected at once unless blade defers them
+    rt.reg_gc_hand(lambda ticket: tickets.append(ticket)
+                   or mode is not GcMode.BLADE or ticket.id not in deferred)
     snapshots = []
 
     def step(op_value):
@@ -505,8 +472,7 @@ def _allocation_run(cls, mode, ops, rate, deferred):
         else:
             rt.start_gc(value)
         snapshots.append((sim.now, rt.heap.allocated_bytes, rt.peak_allocated_bytes,
-                          [(t.id, t.allocated_bytes, t.estimated_pause_us, t.state)
-                           for t in rt.tickets.values()],
+                          [(t.id, t.allocated_bytes, t.state) for t in tickets],
                           list(rt.pauses), rt._crossing and rt._crossing[0], sim._seq))
     at = 0
     for gap, op, value in ops:

@@ -73,7 +73,7 @@ from operator import add, itemgetter, le, sub
 from typing import Iterator, Optional
 
 from .metrics import SampleLog
-from .runtime import CollectionTicket, GcGrantee, GcLedger, GcMode, ManagedRuntime
+from .runtime import GcGrantee, GcLedger, GcMode, ManagedRuntime
 from .simcore import NodeId, SchedulingError, Simulation
 
 # Kinds of the HTTP messages that have no delivery event, the first part of
@@ -183,7 +183,7 @@ class Backend:
             self._advance()
             self._plan()
 
-    def _send_ask(self, ticket: CollectionTicket) -> None:
+    def _send_ask(self) -> None:
         self.sim.send(self.id, self._lb.id, ("ask",))
 
     def _send_done(self, grantor: NodeId) -> None:
@@ -401,8 +401,8 @@ class LoadBalancer:
 
     Requests arriving while no backend is routable queue FIFO and drain as
     soon as a backend rejoins.  The coordinator is a :class:`GcLedger` of
-    capacity ``max_concurrent``; a backend leaves the rotation while it holds
-    a grant.
+    capacity ``max_concurrent`` that sends each allow through ``_grant``; a
+    backend leaves the rotation while it holds a grant.
 
     ``samples`` gets a row per reply as the reply is sent, with
     ``completed`` set to the reply's arrival: mid-run, a row whose arrival
@@ -420,7 +420,7 @@ class LoadBalancer:
         self.order = list(backend_ids)
         self.rr_pos = 0
         self.pending: deque = deque()
-        self.ledger = GcLedger(max_concurrent)
+        self.ledger = GcLedger(max_concurrent, self._grant)
         # Alias kept for the benchmark's tracer, which reads ``lb.wait_queue``.
         self.wait_queue = self.ledger.pending
         self._samples = SampleLog(by_arrival=True)
@@ -490,8 +490,7 @@ class LoadBalancer:
         self._gate()
         tag = msg[0]
         if tag == "ask":
-            if self.ledger.ask(src) == "grant":
-                self._grant(src)
+            self.ledger.ask(src)
         elif tag == "done":
             self._on_done(src)
         else:
@@ -501,9 +500,6 @@ class LoadBalancer:
         self.sim.send(self.id, backend, ("allow",))
 
     def _on_done(self, backend: NodeId) -> None:
-        nxt = self.ledger.finish(backend)
+        self.ledger.finish(backend)  # grants a queued asker only if none is parked
         while self.pending and self.ledger.used < len(self.order):
-            rid, issued = self.pending.popleft()
-            self.route(rid, issued)
-        if nxt is not None:
-            self._grant(nxt)
+            self.route(*self.pending.popleft())

@@ -18,15 +18,15 @@ machines:
   a done at once.  A done names the server that collected; a server that
   does not lead passes it on to the leader it knows, so a done that reaches
   a leader which has just handed off still frees its slot at the successor.
-* The leader runs a :class:`GcLedger` that grants collections only while a
-  majority of servers stays live, queueing further askers FIFO.  When the
-  leader itself needs to collect, it grants itself a slot and hands
-  leadership, once every entry is committed, to the last server that
-  finished collecting and holds no grant, via a half-RTT authoritative
-  broadcast.  The successor takes over the old leader's grants, its own
-  included, and grants it the collection; the old leader starts it once
-  every request a client sent it before the handoff has arrived.  A leader
-  granted its own slot with nothing deferred frees the slot instead.
+* The leader hands each ask and done to a :class:`GcLedger`, which grants
+  collections only while a majority of servers stays live, queues further
+  askers FIFO, and sends each grant through ``_issue_grant``.  The leader's own
+  grant is a handoff: once every entry is committed, it hands leadership to
+  the last server that finished collecting and holds no grant, via a half-RTT
+  authoritative broadcast.  The successor takes over the old leader's grants,
+  its own included, and grants it the collection; the old leader starts it
+  once every request a client sent it before the handoff has arrived.  A
+  leader granted its own slot with nothing deferred frees the slot instead.
 
 Clients follow a handoff through the :class:`LeaderNotice` the old leader
 sends them with the broadcast; requests that still reach the old leader are
@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .runtime import CollectionTicket, GcGrantee, GcLedger, ManagedRuntime
+from .runtime import GcGrantee, GcLedger, ManagedRuntime
 from .simcore import NodeId, Simulation
 
 
@@ -254,7 +254,7 @@ class RaftNode:
         self._votes: set[NodeId] = set()
 
         # collection coordination
-        self.ledger = GcLedger(self.cluster_size - self.majority)
+        self.ledger = GcLedger(self.cluster_size - self.majority, self._issue_grant)
         self.switch_target: Optional[NodeId] = None
         self._awaiting_commit: dict[int, tuple[NodeId, int]] = {}  # index -> (client, rid)
         # Replies not known to have departed, in the order they were
@@ -701,18 +701,17 @@ class RaftNode:
             self._schedule_reply(client, reply, max(self.sim.now, due))
         if src in self.ledger.granted:
             # the old leader granted itself, then handed off to collect
-            self._send(src, AllowGC())
+            self._issue_grant(src)
 
     # -- collection coordination: grantee side ------------------------------------------
 
-    def _send_ask(self, ticket: CollectionTicket) -> None:
-        """Ask the known leader to admit ``ticket``; a leader asks its own
-        ledger, a node that knows no leader asks once it learns of one."""
-        ask = AskGC()
+    def _send_ask(self) -> None:
+        """Ask the known leader for a grant; a leader asks its own ledger, a
+        node that knows no leader asks once it learns of one."""
         if self.role is Role.LEADER:
-            self._on_ask_gc(self.id, ask)
+            self.ledger.ask(self.id)
         elif self.leader_hint is not None:
-            self._send(self.leader_hint, ask)
+            self._send(self.leader_hint, AskGC())
 
     def _on_allow_gc(self, src: NodeId, m: AllowGC) -> None:
         if self.sim.now < self._drained_at:
@@ -740,19 +739,18 @@ class RaftNode:
     # -- collection coordination: leader side ---------------------------------------------
 
     def _on_ask_gc(self, src: NodeId, m: AskGC) -> None:
-        if self.role is not Role.LEADER:
-            return  # asker will retry against the right leader
-        if self.ledger.ask(src) == "grant":
-            self._issue_grant(src)
+        if self.role is Role.LEADER:  # else the asker retries with the right leader
+            self.ledger.ask(src)
 
     def _issue_grant(self, node: NodeId) -> None:
-        if node == self.id:
-            if self.runtime.active_ticket is None:
-                self._finish_collection(node)  # forced since it asked
-            else:
-                self._begin_own_collection()
-            return
-        self._send(node, AllowGC())
+        """Send ``node`` its grant.  The leader's own becomes a handoff, or
+        frees the slot if exhaustion forced the collection since it asked."""
+        if node != self.id:
+            self._send(node, AllowGC())
+        elif self.runtime.active_ticket is None:
+            self.ledger.finish(node)
+        else:
+            self.request_leader_switch(self._pick_successor())
 
     def _on_done_gc(self, src: NodeId, m: DoneGC) -> None:
         """Free the slot of the node that collected.  A server that does not
@@ -764,16 +762,7 @@ class RaftNode:
             if hint is not None and hint != self.id:
                 self._send(hint, m)
             return
-        self._finish_collection(m.node)
-
-    def _finish_collection(self, node: NodeId) -> None:
-        nxt = self.ledger.finish(node)
-        if nxt is not None:
-            self._issue_grant(nxt)
-
-    def _begin_own_collection(self) -> None:
-        """The leader never pauses as leader: transfer first, then collect."""
-        self.request_leader_switch(self._pick_successor())
+        self.ledger.finish(m.node)
 
     def _pick_successor(self) -> NodeId:
         """The last server that finished a collection (its heap is the

@@ -21,14 +21,14 @@ the collector runs immediately and the ticket is marked force-completed so a
 late ``start_gc`` stays a no-op.
 
 Both halves of coordinated collection live here too.  On the coordinator's
-side, a :class:`GcLedger` decides which deferred collections may start: the
-HTTP balancer and the Raft leader each hold one.  On each node's side, a
-:class:`GcGrantee` is the upcall handler: it defers every collection and
-asks for it, starts the deferred collection once granted and the node is
-ready, and reports done when the pause is over.  An ask outlives a
-collection that exhaustion forces: its grant, when it comes, finds nothing
-deferred and is answered with a done at once.  HTTP backends and Raft
-servers differ only in the hooks they give it.
+side, a :class:`GcLedger` decides which deferred collections may start and
+sends each grant itself: the HTTP balancer and the Raft leader each hold one.
+On each node's side, a :class:`GcGrantee` is the upcall handler: it defers
+every collection and asks for it, starts the deferred collection once granted
+and the node is ready, and reports done when the pause is over.  An ask
+outlives a collection that exhaustion forces: its grant, when it comes, finds
+nothing deferred and is answered with a done at once.  HTTP backends and Raft
+servers differ only in the hooks they give them.
 
 A runtime may also allocate in the background at a constant rate, in ticks on
 a fixed grid that a pause suspends: a tick due during a pause moves to the
@@ -140,13 +140,14 @@ class PauseInterval:
 class GcLedger:
     """Coordinator-side admission: at most ``capacity`` collections at once.
 
-    A coordinator asks the ledger before it lets a node collect.  ``ask``
-    grants while fewer than ``capacity`` nodes hold a grant and otherwise
-    queues the asker FIFO; ``finish`` frees the slot and grants it to the
-    next queued asker.  An ask from a node already granted or queued is a
-    duplicate and changes nothing.  The HTTP balancer's capacity is its
-    ``max_concurrent``; a Raft leader's is ``cluster_size - quorum``, the most
-    servers that may pause while a quorum stays live.
+    ``ask`` grants while fewer than ``capacity`` nodes hold a grant and
+    otherwise queues the asker FIFO; ``finish`` frees the slot and grants it
+    to the next queued asker.  A grant calls ``allow(node)`` once the node
+    holds its slot, and ``allow`` may ``finish`` that node at once.  An ask
+    from a node already granted or queued is a duplicate and changes
+    nothing.  The HTTP balancer's capacity is its ``max_concurrent``; a Raft
+    leader's is ``cluster_size - quorum``, the most servers that may pause
+    while a quorum stays live.
 
     ``reset`` forgets every queued ask and every grant except those it is
     handed.  A Raft leader that hands leadership off sends its live grants
@@ -161,8 +162,9 @@ class GcLedger:
     the node as ``last_finished``, the successor a Raft leader prefers.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, allow: Callable[[NodeId], None]):
         self.capacity = capacity
+        self.allow = allow
         self.granted: set[NodeId] = set()
         self.pending: deque[NodeId] = deque()
         self.last_finished: Optional[NodeId] = None
@@ -172,26 +174,25 @@ class GcLedger:
         return len(self.granted)
 
     def ask(self, node: NodeId) -> str:
-        """Returns "grant", "queued", or "duplicate"."""
+        """Grant or queue ``node``; returns "grant", "queued", or "duplicate"."""
         if node in self.granted or node in self.pending:
             return "duplicate"
         if self.used >= self.capacity:
             self.pending.append(node)
             return "queued"
         self.granted.add(node)
+        self.allow(node)
         return "grant"
 
-    def finish(self, node: NodeId) -> Optional[NodeId]:
-        """Record a finished collection; returns the next node to grant."""
+    def finish(self, node: NodeId) -> None:
+        """Record a finished collection and grant its slot to the next asker."""
         self.last_finished = node
-        if node not in self.granted:
-            return None
-        self.granted.discard(node)
-        if self.pending:
-            nxt = self.pending.popleft()
-            self.granted.add(nxt)
-            return nxt
-        return None
+        if node in self.granted:
+            self.granted.discard(node)
+            if self.pending:
+                nxt = self.pending.popleft()
+                self.granted.add(nxt)
+                self.allow(nxt)
 
     def reset(self, granted: Iterable[NodeId] = ()) -> None:
         """Forget every queued ask and hold exactly the ``granted`` nodes."""
@@ -207,7 +208,7 @@ class GcGrantee:
     """Node-side admission: every collection waits for its coordinator.
 
     In blade mode the grantee is the runtime's upcall handler.  Every offer
-    is deferred, and the node asks for it through ``send_ask(ticket)``.
+    is deferred, and the node asks for it through ``send_ask()``.
     ``ask`` sends the ask for the runtime's deferred collection again, for
     instance to a new coordinator.  A grant admits the node, not one ticket:
     once ``ready()`` holds, the grantee starts whatever collection the
@@ -221,7 +222,7 @@ class GcGrantee:
     """
 
     def __init__(self, runtime: ManagedRuntime,
-                 send_ask: Callable[[CollectionTicket], None],
+                 send_ask: Callable[[], None],
                  send_done: Callable[[NodeId], None],
                  ready: Callable[[], bool] = lambda: True):
         self.runtime = runtime
@@ -233,13 +234,13 @@ class GcGrantee:
             runtime.reg_gc_hand(self.offer)
 
     def offer(self, ticket: CollectionTicket) -> bool:
-        self.send_ask(ticket)
+        self.send_ask()
         return False
 
     def ask(self) -> None:
         """Send the ask for the deferred collection again, if there is one."""
         if self.runtime.active_ticket is not None:
-            self.send_ask(self.runtime.active_ticket)
+            self.send_ask()
 
     def grant(self, grantor: NodeId) -> None:
         self.grantor = grantor

@@ -227,8 +227,15 @@ def test_criterion_5_one_rtt_at_churn_shape(raft_churn_runs):
                           st.sampled_from(list("abcdefg"))), max_size=120))
 def test_criterion_6_quorum_guard(size, ops):
     capacity = size - (size // 2 + 1)
-    ledger = GcLedger(capacity)
+    grants = []
+
+    def allow(node):
+        assert node in ledger.granted, "a grant went to a node without a slot"
+        grants.append(node)
+    ledger = GcLedger(capacity, allow)
     for op, node in ops:
+        before, pending = set(ledger.granted), list(ledger.pending)
+        grants.clear()
         if op == "ask":
             ledger.ask(node)
         elif op == "finish":
@@ -236,6 +243,9 @@ def test_criterion_6_quorum_guard(size, ops):
         else:
             ledger.reset()
             assert ledger.used == 0 and not ledger.pending
+        # each new grant is sent once: to the asker, or to the first queued
+        assert grants == sorted(ledger.granted - before)
+        assert grants in ([], [node], pending[:1])
         assert ledger.used <= capacity, "a grant would break quorum"
         assert not (ledger.granted & set(ledger.pending))
 

@@ -106,10 +106,13 @@ def test_coordinator_never_exceeds_max_concurrent(max_concurrent, msgs):
     for tag, backend in msgs:
         lb.deliver(backend, (tag,))
         assert lb.ledger.used <= max_concurrent
+        assert not (lb.pending and lb.ledger.pending)
         # a granted backend is out of the rotation; parking needs all four out
         target = lb.route(0, 0)
         assert target not in lb.ledger.granted
         assert (target is None) == (lb.ledger.used == 4)
+        # so a request parks only while no ask can be queued
+        assert not (lb.pending and lb.ledger.pending)
 
 
 # -- drain-then-collect flow --------------------------------------------------------
@@ -238,7 +241,7 @@ def test_a_stale_grant_after_a_forced_collection_is_answered_at_once():
                                      hard=400, overhead=5_000)
     b0, b1 = backends
     grants, dones = [], []
-    grant, deliver = lb._grant, lb.deliver
+    grant, deliver = lb.ledger.allow, lb.deliver
 
     def spy_grant(backend):
         grants.append((sim.now, backend))
@@ -248,7 +251,7 @@ def test_a_stale_grant_after_a_forced_collection_is_answered_at_once():
         if msg[0] == "done":
             dones.append((sim.now, src, msg))
         deliver(src, msg)
-    lb._grant = spy_grant
+    lb.ledger.allow = spy_grant
     sim.add_node("lb", spy_deliver)
     sim.schedule_at(10, lambda _: b1.runtime.allocate(150))  # asks first: granted
     sim.schedule_at(10, lambda _: b0.runtime.allocate(150))  # queued behind b1

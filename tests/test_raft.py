@@ -42,65 +42,102 @@ def make_cluster(n=3, mode=GcMode.BLADE, live=100 * MIB, trigger=200 * MIB,
 # -- admission ledger ----------------------------------------------------------
 
 
+def recording_ledger(capacity, on_grant=lambda led, node: None):
+    """A ledger whose ``allow`` hook records each grant, checking that the
+    node holds its slot and that no node is both granted and queued."""
+    grants = []
+
+    def allow(node):
+        assert node in led.granted and not (led.granted & set(led.pending))
+        grants.append(node)
+        on_grant(led, node)
+    led = GcLedger(capacity, allow)
+    return led, grants
+
+
 def test_ledger_grants_below_quorum_and_queues_at_it():
-    led = GcLedger(1)  # 3 servers, quorum 2: at most one collector at a time
+    led, grants = recording_ledger(1)  # 3 servers, quorum 2: one collector at a time
     assert led.ask("a") == "grant"
     assert led.ask("b") == "queued"
     assert led.ask("c") == "queued"
-    assert led.used == 1
+    assert led.used == 1 and grants == ["a"]
 
 
 def test_ledger_finish_pulls_pending_fifo():
-    led = GcLedger(1)
+    led, grants = recording_ledger(1)
     led.ask("a"); led.ask("b"); led.ask("c")
-    assert led.finish("a") == "b"
-    assert led.finish("b") == "c"
-    assert led.finish("c") is None
+    led.finish("a")
+    assert grants == ["a", "b"]
+    led.finish("b")
+    assert grants == ["a", "b", "c"]
+    led.finish("c")
+    assert grants == ["a", "b", "c"]
     assert led.used == 0
     assert led.last_finished == "c"
 
 
 def test_ledger_finish_without_a_grant_keeps_the_queued_ask():
-    led = GcLedger(1)
+    led, grants = recording_ledger(1)
     led.ask("a"); led.ask("b")
-    assert led.finish("b") is None  # b holds no grant: nothing is freed
-    assert led.granted == {"a"} and list(led.pending) == ["b"]
-    assert led.finish("a") == "b"
+    led.finish("b")  # b holds no grant: nothing is freed
+    assert led.granted == {"a"} and list(led.pending) == ["b"] and grants == ["a"]
+    led.finish("a")
+    assert grants == ["a", "b"]
 
 
 def test_ledger_duplicate_ask_ignored():
-    led = GcLedger(1)
+    led, grants = recording_ledger(1)
     assert led.ask("a") == "grant"
     assert led.ask("a") == "duplicate"
     led.ask("b")
     assert led.ask("b") == "duplicate"
+    assert grants == ["a"]
 
 
 def test_ledger_reset_on_leader_change():
-    led = GcLedger(2)
+    led, grants = recording_ledger(2)
     led.ask("a"); led.ask("b"); led.ask("c")
     led.reset()
     assert led.used == 0 and not led.pending
     # a finish from the pre-reset grant must not drive usage negative
-    assert led.finish("a") is None
-    assert led.used == 0
+    led.finish("a")
+    assert led.used == 0 and grants == ["a", "b"]
     assert led.ask("x") == "grant"
     assert led.ask("y") == "grant"
     assert led.ask("z") == "queued"  # 5-node quorum 3: two may collect
+    assert grants == ["a", "b", "x", "y"]
 
 
 def test_ledger_reset_keeps_carried_grants():
-    led = GcLedger(2)
+    led, grants = recording_ledger(2)
     led.ask("a"); led.ask("b"); led.ask("c")
     led.reset(["b"])  # a successor takes over a live grant
     assert led.granted == {"b"} and not led.pending
     assert led.ask("b") == "duplicate"
     assert led.ask("x") == "grant"
     assert led.ask("y") == "queued"
-    assert led.finish("b") == "y"
+    led.finish("b")
+    assert grants == ["a", "b", "x", "y"]
     with pytest.raises(ValueError):
         led.reset(["p", "q", "r"])
     assert led.granted == {"x", "y"}  # a refused reset changes nothing
+
+
+def test_ledger_allow_may_finish_the_node_it_was_just_given():
+    # a leader granted its own slot with nothing deferred frees it from
+    # inside the grant hook: the slot passes on, and the next asker is
+    # granted exactly once
+    def on_grant(led, node):
+        if node == "self":
+            led.finish(node)
+    led, grants = recording_ledger(1, on_grant)
+    assert led.ask("self") == "grant"
+    assert grants == ["self"] and led.used == 0 and led.last_finished == "self"
+    led.ask("a"); led.ask("self"); led.ask("b")
+    led.finish("a")
+    assert grants == ["self", "a", "self", "b"]
+    assert led.granted == {"b"} and not led.pending
+    assert led.last_finished == "self"
 
 
 @settings(max_examples=200)
@@ -111,7 +148,15 @@ def test_ledger_never_breaks_quorum(ops, size):
     # Even sizes too: a RaftNode built directly may have one.
     led = make_cluster(n=size)[1][0].ledger
     capacity = size - (size // 2 + 1)
+    grants = []
+
+    def allow(node):
+        assert node in led.granted
+        grants.append(node)
+    led.allow = allow
     for op, node in ops:
+        before, pending = set(led.granted), list(led.pending)
+        grants.clear()
         if op == "ask":
             led.ask(node)
         elif op == "finish":
@@ -119,6 +164,9 @@ def test_ledger_never_breaks_quorum(ops, size):
         else:
             led.reset()
             assert led.used == 0 and not led.pending
+        # each new grant is allowed once, to the first asker still queued
+        assert grants == sorted(led.granted - before)
+        assert grants in ([], [node], pending[:1])
         assert led.used <= capacity
         assert not (led.granted & set(led.pending))
 
@@ -831,14 +879,16 @@ def test_a_leader_granted_its_slot_with_nothing_deferred_passes_it_on():
                                                        hard=400, overhead=50_000)
     n0 = nodes[0]
     log = record_deliveries(sim, nodes)
-    finishes = []  # (time, the node whose slot is freed, the next grantee)
-    finish = n0.ledger.finish
+    ledger = n0.ledger
+    calls = []  # (time, "finish" or "allow", node), in the order they are made
+    finish, allow = ledger.finish, ledger.allow
 
-    def spy(node):
-        nxt = finish(node)
-        finishes.append((sim.now, node, nxt))
-        return nxt
-    n0.ledger.finish = spy
+    def spy(name, call):
+        def record(node):
+            calls.append((sim.now, name, node))
+            call(node)
+        return record
+    ledger.finish, ledger.allow = spy("finish", finish), spy("allow", allow)
     sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250))  # granted at 1,024
     sim.schedule_at(1_030, lambda _: n0.runtime.allocate(150))        # queued behind n2
     sim.schedule_at(1_031, lambda _: nodes[1].runtime.allocate(150))  # queued behind n0
@@ -846,7 +896,10 @@ def test_a_leader_granted_its_slot_with_nothing_deferred_passes_it_on():
     sim.run_until(1_000_000)
     assert [(p.start_us, p.end_us, p.forced) for p in n0.runtime.pauses] == \
            [(1_040, 51_040, True)]
-    assert finishes == [(51_072, "n2", "n0"), (51_072, "n0", "n1"), (101_120, "n1", None)]
+    assert calls == [(1_024, "allow", "n2"),
+                     (51_072, "finish", "n2"), (51_072, "allow", "n0"),
+                     (51_072, "finish", "n0"), (51_072, "allow", "n1"),
+                     (101_120, "finish", "n1")]
     assert trace.switches == [] and n0.role is Role.LEADER
     assert [(t, src, dst, kind) for t, src, dst, kind in log if kind.endswith("GC")] == [
         (1_000 + HALF, "n2", "n0", "AskGC"), (1_000 + RTT, "n0", "n2", "AllowGC"),
@@ -873,7 +926,7 @@ def test_allow_arriving_at_a_leader_reroutes_through_a_handoff():
     sim, nodes, clients, samples, trace = make_cluster()
     leader = nodes[0]
     send_ask = leader.grantee.send_ask
-    leader.grantee.send_ask = lambda ticket: None  # defer without asking yet
+    leader.grantee.send_ask = lambda: None  # defer without asking yet
     sim.schedule_at(1_000, lambda _: leader.runtime.allocate(250 * MIB))
     sim.schedule_at(1_010, lambda _: setattr(leader.grantee, "send_ask", send_ask))
     sim.schedule_at(1_020, lambda _: leader.deliver("n1", AllowGC()))
@@ -890,14 +943,14 @@ def test_no_grant_while_an_earlier_grantee_is_paused():
     sim, nodes, clients, samples, _ = make_cluster(live=100, trigger=200,
                                                    hard=400, overhead=100_000)
     leader = nodes[0]
-    grants, issue_grant = [], leader._issue_grant
+    grants, allow = [], leader.ledger.allow
 
     def spy(node):
         paused = [g for g in grants if g != node and nodes[int(g[1])].runtime.is_paused]
         assert not paused, f"{node} granted at {sim.now} us while {paused} paused"
         grants.append(node)
-        issue_grant(node)
-    leader._issue_grant = spy
+        allow(node)
+    leader.ledger.allow = spy
     sim.schedule_at(1_000, lambda _: nodes[2].runtime.allocate(250))
     sim.schedule_at(2_000, lambda _: nodes[1].runtime.allocate(150))
     sim.run_until(300_000)

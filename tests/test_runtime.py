@@ -358,7 +358,7 @@ def test_a_grant_gets_one_done_when_its_start_forces_the_collection():
                         mode=GcMode.BLADE, background_bytes_per_s=10_000_000,
                         background_interval_us=10)
     asks, dones = [], []
-    grantee = GcGrantee(rt, lambda ticket: asks.append((sim.now, ticket.id)),
+    grantee = GcGrantee(rt, lambda: asks.append((sim.now, rt.active_ticket.id)),
                         lambda grantor: dones.append((sim.now, grantor)))
     sim.schedule_at(30, lambda _: grantee.grant("lb"))
     sim.run_until(1_030)
@@ -376,19 +376,25 @@ def test_a_grant_with_nothing_deferred_is_answered_before_the_next_ask():
     rt = ManagedRuntime(sim, "n", HeapModel(100, 200, 400), CollectorCostModel(0, 1),
                         mode=GcMode.BLADE, background_bytes_per_s=10_000_000,
                         background_interval_us=10)
-    ledger = GcLedger(1)
-    ledger.ask("m")
     log = []
-    grantee = GcGrantee(rt, lambda ticket: log.append((sim.now, ticket.id, ledger.ask("n"))),
-                        lambda grantor: log.append((sim.now, "done", ledger.finish("n"))))
+    ledger = GcLedger(1, lambda node: log.append((sim.now, "allow", node)))
+    ledger.ask("m")
+
+    def done(grantor):
+        log.append((sim.now, "done"))
+        ledger.finish("n")
+    grantee = GcGrantee(rt, lambda: log.append((sim.now, rt.active_ticket.id, ledger.ask("n"))),
+                        done)
 
     def m_done(_):
-        assert ledger.finish("m") == "n"
+        ledger.finish("m")
+        assert log[-1] == (20, "allow", "n")
         grantee.grant("m")
     sim.schedule_at(15, lambda _: rt.allocate(200))
     sim.schedule_at(20, m_done)
     sim.run_until(20)
-    assert log == [(10, 1, "queued"), (20, "done", None), (20, 2, "grant")]
+    assert log == [(0, "allow", "m"), (10, 1, "queued"), (20, "allow", "n"), (20, "done"),
+                   (20, "allow", "n"), (20, 2, "grant")]
     assert [(p.start_us, p.forced) for p in rt.pauses] == [(15, True)]
 
 

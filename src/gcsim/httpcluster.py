@@ -16,20 +16,24 @@ Message flow per collection (one-way network delay each hop):
 
 If exhaustion forces the collection while the ask is still queued, the ask
 stays queued: its allow, when it comes, finds nothing to collect and is
-answered with a done at once, without draining.
+answered with a done at once, without draining.  A backend that holds a
+grant when exhaustion forces its collection answers the grant then, with a
+done at the end of the pause.
 
-A request costs one event: its arrival at the balancer, which routes it.
-Routing moves on grants and dones alone, never on a backend's state, so the
-balancer hands the request to its backend at once, stamped with the time it
-arrives there, and the backend accounts its service lazily.  The service
-time is constant and the queue FIFO, so a request starts at the latest of
-its arrival, the end of the current pause and the completion of the request
-``parallelism`` places before it (the Kiefer-Wolfowitz recursion; Lindley's
-for one slot).  It completes one service time later, plus every pause that
-begins while it is in service.  As it completes, the backend writes the
-reply into the balancer's ``samples``, stamped with the reply's arrival;
-the log reads its rows in arrival order, and ``SampleLog.keep_arrived``
-sets aside those still on the wire.  A scenario run reports the others.
+A request costs one event, its arrival at the balancer, but most cost no
+call of their own.  Routing moves on grants and dones alone, and both are
+events, so the balancer takes each run of arrivals that fire in place
+(``route_run``) in one pass: it hands each backend its slice at once, each
+request stamped with the time it arrives there, and the backend accounts its
+service lazily.  The service time is constant and the queue FIFO, so a
+request starts at the latest of its arrival, the end of the current pause
+and the completion of the request ``parallelism`` places before it (the
+Kiefer-Wolfowitz recursion; Lindley's for one slot).  It completes one
+service time later, plus every pause that begins while it is in service.  As
+it completes, the backend writes the reply into the balancer's ``samples``,
+stamped with the reply's arrival; the log reads its rows in arrival order,
+and ``SampleLog.keep_arrived`` sets aside those still on the wire.  A
+scenario run reports the others.
 
 Most requests start as they arrive.  So a backend brought up to date first
 tries a bulk pass over the requests that wait: if no pause is under way,
@@ -66,11 +70,11 @@ instant queue in the order they were sent.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain, islice, repeat
 from operator import add, itemgetter, le, sub
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .metrics import SampleLog
 from .runtime import GcGrantee, GcLedger, GcMode, ManagedRuntime
@@ -83,10 +87,11 @@ INF = math.inf
 # A backend that need not act at its own time (any backend in off mode) would
 # hold every request handed to it until it is observed; it accounts them once
 # this many wait instead, and the bulk pass looks at no more than this many.
-# Three-mode http_cluster on 2 vCPUs, median run_s of four runs: 4 took
-# 5.5 s, 16 3.3 s, 64 2.65 s, 256 2.63 s, and no bound 3.6 s with a peak RSS
-# of 105 MB against 38 MB.
-_BATCH = 64
+# It also bounds a routed run, which leaves no backend more waiting.  A
+# three-mode http_cluster comparison at seed 1 on 2 vCPUs took 1.10-1.17 s
+# with 64, 0.97-1.01 s with 128 and 0.95-1.06 s with 256 or 512; with no
+# bound and no runs it took 3.6 s, with a peak RSS of 105 MB against 38 MB.
+_BATCH = 128
 
 
 class Backend:
@@ -182,6 +187,20 @@ class Backend:
         if place <= self._starts_left <= waiting or waiting > _BATCH:
             self._advance()
             self._plan()
+
+    def _room(self) -> int:
+        """How many more requests ``_take`` can accept, in any order, with
+        none of them advancing the backend."""
+        return max(0, min(self._starts_left - 1, _BATCH) - len(self._pending))
+
+    def _extend(self, ats: list[int], rids: Sequence[int], issueds: Sequence[int]) -> None:
+        """Accept requests routed here that arrive at ``ats``, as ``_take``
+        would one by one, where none of them advances the backend."""
+        pending = self._pending
+        jumbled = self.sim.network.jitter_us or pending and pending[-1][0] > ats[0]
+        pending.extend(map(list, zip(ats, rids, issueds)))
+        if jumbled:  # a stable sort inserts each after its equals, as _take does
+            self._pending = deque(sorted(pending, key=itemgetter(0)))
 
     def _send_ask(self) -> None:
         self.sim.send(self.id, self._lb.id, ("ask",))
@@ -392,6 +411,9 @@ class Backend:
             raise SchedulingError(
                 f"backend {self.id} is behind its runtime: call catch_up() first")
         self._shift += end_us - start_us
+        if self.grantee.grantor is not None:  # forced while granted: answer the grant now
+            self.wake_at = INF  # being settled: a gate before the done passes it by
+            self.grantee.poll()
         if not self._advancing:
             self._plan()
 
@@ -472,17 +494,54 @@ class LoadBalancer:
         n = len(order)
         idx = self.rr_pos
         granted = self.ledger.granted
-        if granted:  # skip the backends out of the rotation
-            for _ in range(n):
-                if order[idx] not in granted:
-                    break
-                idx = (idx + 1) % n
-            else:
-                self.pending.append((rid, issued))
-                return None
+        for _ in range(n):  # skip the backends out of the rotation
+            if order[idx] not in granted:
+                break
+            idx = (idx + 1) % n
+        else:
+            self.pending.append((rid, issued))
+            return None
         self.rr_pos = (idx + 1) % n
         self._backends[idx]._take(rid, issued, sim.arrival(sim.now, REQ, rid))
         return order[idx]
+
+    def route_run(self, times: Sequence[int], rids: Sequence[int], lo: int, hi: int) -> int:
+        """Route the arrivals ``rids[lo:hi]``, issued at ``times[lo:hi]``,
+        that fire next in place, as ``on_request`` would; return how many.
+
+        The rotation deals a run out cyclically, a slice to each backend.  A
+        run ends before an arrival that a backend has no room for
+        (``Backend._room``), so no take in it advances one; that arrival is
+        taken alone.  Routing stops at an arrival that finds no backend in
+        the rotation or reaches ``_next_wake``.
+        """
+        sim, order, granted, backends = self.sim, self.order, self.ledger.granted, self._backends
+        n = len(order)
+        i = lo
+        while True:
+            places = [p % n for p in range(self.rr_pos, self.rr_pos + n)
+                      if order[p % n] not in granted]
+            r = len(places)
+            if not r:
+                break
+            wake = bisect_left(times, self._next_wake, i, hi)
+            # the backend at j takes i + j, i + j + r, ...
+            full = min([hi] + [i + j + backends[p]._room() * r for j, p in enumerate(places)])
+            k = sim.fire_run_in_place(times, i, min(wake, full))
+            if k:
+                sent, ids = times[i:i + k], rids[i:i + k]
+                ats = sim.arrivals(sent, REQ, ids)
+                for j, p in enumerate(places[:k]):
+                    backends[p]._extend(ats[j::r], ids[j::r], sent[j::r])
+                self.rr_pos = (places[(k - 1) % r] + 1) % n
+                i += k
+            if i != full or i >= wake or not sim.fire_in_place(times[i]):
+                break
+            p = places[k % r]  # the arrival at i would advance this backend
+            self.rr_pos = (p + 1) % n
+            backends[p]._take(rids[i], times[i], sim.arrival(times[i], REQ, rids[i]))
+            i += 1
+        return i - lo
 
     # -- coordination ------------------------------------------------------------
 

@@ -13,6 +13,8 @@ import dataclasses
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .config import ScenarioConfig
@@ -24,6 +26,8 @@ from .simcore import NetworkModel, Simulation, SimStats
 
 MODE_LABELS = {"off": "gc-off", "blade": "blade", "on": "gc-on"}
 COMPARE_ORDER = ("off", "blade", "on")
+# The most stream items a driver with a run entry point holds at once.
+_CHUNK = 1024
 
 
 @dataclass
@@ -58,14 +62,14 @@ class RunResult:
 
 
 class _WorkloadDriver:
-    """Feeds a workload stream into the simulation one arrival at a time.
+    """Feeds a workload stream into the simulation.
 
     Scheduling each arrival from its predecessor keeps the event queue small.
     Events of one tick fire in insertion order, and an arrival is inserted
     when its predecessor fires, after the predecessor's dispatch: it fires
     after the protocol events of its tick that were scheduled before that,
-    and before those scheduled later.  The stream's ``(t, rid, kind)`` tuple
-    is the arrival event's argument.
+    and before those scheduled later.  The arrival event's argument is the
+    stream's ``(t, rid, kind)`` tuple (with ``run``, its place in the chunk).
 
     An arrival that would be the engine's next event fires in place, inside
     its predecessor's event (``Simulation.fire_in_place``), in a loop.  The
@@ -74,14 +78,27 @@ class _WorkloadDriver:
     order is the one above.  A Raft arrival seldom fires in place: its
     predecessor's dispatch sends a request to the leader, due one network
     delay later, and only an arrival sooner than that can go first.
+
+    With a ``run`` entry point, the driver reads the stream in chunks, as
+    columns, and after each dispatch hands ``run(times, rids, lo, hi)`` the
+    arrivals that follow: it takes those that fire in place before anything
+    else in one pass (``Simulation.fire_run_in_place``), and returns how
+    many.  The arrival after them goes through ``dispatch`` as above.
     """
 
     def __init__(self, sim: Simulation, stream: Iterator[tuple[int, int, str]],
-                 dispatch: Callable[[int, str], None]):
+                 dispatch: Callable[[int, str], None],
+                 run: Optional[Callable[..., int]] = None):
         self.sim = sim
         self.stream = stream
         self.dispatch = dispatch
+        self.run = run
         self.issued = 0
+        if run is not None:
+            self._read()
+            if self._times:
+                sim.schedule_at(self._times[0], self._fire_runs, 0)
+            return
         item = next(stream, None)
         if item is not None:
             sim.schedule_at(item[0], self._fire, item)
@@ -96,6 +113,35 @@ class _WorkloadDriver:
                 return
             if not sim.fire_in_place(item[0]):
                 sim.schedule_at(item[0], self._fire, item)
+                return
+
+    def _read(self) -> None:
+        """Take the stream's next chunk, as columns."""
+        chunk = list(islice(self.stream, _CHUNK))
+        self._times, self._rids, self._kinds = (list(map(itemgetter(i), chunk)) for i in range(3))
+
+    def _fire_runs(self, i: int) -> None:
+        """Fire the arrival at ``i`` of the chunk, and the ones after it
+        that fire in place."""
+        sim, dispatch, run = self.sim, self.dispatch, self.run
+        times, rids, kinds = self._times, self._rids, self._kinds
+        while True:
+            self.issued += 1
+            dispatch(rids[i], kinds[i])
+            i += 1
+            while True:
+                if i == len(times):
+                    self._read()
+                    times, rids, kinds, i = self._times, self._rids, self._kinds, 0
+                    if not times:
+                        return
+                taken = run(times, rids, i, len(times))
+                self.issued += taken
+                i += taken
+                if i < len(times):
+                    break
+            if not sim.fire_in_place(times[i]):
+                sim.schedule_at(times[i], self._fire_runs, i)
                 return
 
 
@@ -122,13 +168,13 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
     sim = Simulation(seed=cfg.seed,
                      network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
     build = _build_http if cfg.system == "http" else _build_raft
-    servers, dispatch, finish = build(sim, cfg, GcMode(cfg.gc_mode))
+    servers, dispatch, run, finish = build(sim, cfg, GcMode(cfg.gc_mode))
 
     stream = generate_workload(WorkloadConfig(
         rate_rps=cfg.rate_rps, duration_s=cfg.duration_s,
         mix_get=cfg.mix_get, mix_set=cfg.mix_set, arrivals=cfg.arrivals,
         seed=cfg.seed, kind="http" if cfg.system == "http" else "rw"))
-    driver = _WorkloadDriver(sim, stream, dispatch)
+    driver = _WorkloadDriver(sim, stream, dispatch, run)
 
     sim.run_until(cfg.duration_us())
 
@@ -143,9 +189,10 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
 
 
 # A builder wires one system into ``sim`` and returns its servers (each with
-# ``id`` and ``runtime``), the workload dispatch function, and a function
-# that returns the system's own ``RunResult`` fields once the run is over.
-_Built = tuple[list, Callable[[int, str], None], Callable[[], dict]]
+# ``id`` and ``runtime``), the workload dispatch function and run entry point
+# (or None), and a function that returns the system's own ``RunResult``
+# fields once the run is over.
+_Built = tuple[list, Callable[[int, str], None], Optional[Callable[..., int]], Callable[[], dict]]
 
 
 # -- HTTP cluster ----------------------------------------------------------------
@@ -172,7 +219,7 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
         lb.samples.keep_arrived(sim.now)
         return {"samples": lb.samples}
 
-    return backends, lb.on_request, finish
+    return backends, lb.on_request, lb.route_run, finish
 
 
 # -- replicated key-value cluster ---------------------------------------------------
@@ -221,7 +268,7 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
         return {"samples": samples, "trace": trace,
                 "retries": sum(c.retries for c in clients)}
 
-    return nodes, dispatch, finish
+    return nodes, dispatch, None, finish
 
 
 def run_compare(cfg: ScenarioConfig, seed: Optional[int] = None,

@@ -1,3 +1,5 @@
+import pathlib
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -5,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import refmodel
 from gcsim import default_config, run_scenario, scenarios
-from gcsim.config import ScenarioConfig
-from gcsim.httpcluster import REQ, Backend, LoadBalancer
+from gcsim.config import ScenarioConfig, parse_config
+from gcsim.httpcluster import _BATCH, REQ, Backend, LoadBalancer
 from gcsim.runtime import GIB, MIB, CollectorCostModel, GcMode, HeapModel, ManagedRuntime
 from gcsim.simcore import NetworkModel, Simulation
 
 RTT = 48
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_cluster(n=3, mode=GcMode.BLADE, service_us=2_000, parallelism=16,
@@ -435,6 +438,118 @@ def test_bulk_service_matches_reference_model(mode, jitter, parallelism, service
                        0, 10_000, 1, gaps, cut, nodes)
 
 
+# Runs of arrivals routed in one pass, each ended by one of the balancer's
+# rules; dense streams make runs long.
+_RUN_ENDS = {
+    # four slots a backend and 2 us of service: each backend's queue empties
+    # as it is accounted, so a run ends as _BATCH requests wait at one of them
+    "batch-room": dict(mode="off", jitter=0, parallelism=4, service_us=2,
+                       bytes_per_request=0, overhead=0, background=0, interval=10,
+                       max_concurrent=1, gaps=[1] * 400, cut=100),
+    # background ticks every 3 us: an arrival at or after the balancer's next
+    # wake goes to route, which settles the backends first
+    "wake": dict(mode="blade", jitter=0, parallelism=2, service_us=20, bytes_per_request=20,
+                 overhead=50, background=2_000_000, interval=3, max_concurrent=1,
+                 gaps=[2] * 200, cut=100),
+    # three backends, any three may collect at once: while all are granted,
+    # arrivals park, and they drain to the first backend to report done
+    "parked": dict(mode="blade", jitter=0, parallelism=2, service_us=5, bytes_per_request=50,
+                   overhead=100, background=0, interval=10, max_concurrent=3,
+                   gaps=[2] * 200, cut=100),
+    # 8 us of jitter on arrivals 0 or 1 us apart: a backend's slice of a run
+    # arrives out of order and is inserted as single takes would insert it
+    "jumbled": dict(mode="off", jitter=8, parallelism=4, service_us=2, bytes_per_request=0,
+                    overhead=0, background=0, interval=10, max_concurrent=1,
+                    gaps=[0, 1] * 100, cut=100),
+}
+
+
+@settings(deadline=None)
+@given(mode=st.sampled_from(["off", "blade", "on"]), jitter=st.integers(0, 8),
+       parallelism=st.integers(1, 4), service_us=st.integers(1, 60),
+       bytes_per_request=st.one_of(st.integers(0, 3), st.integers(0, 250)),
+       overhead=st.integers(0, 2_000), background=st.sampled_from([0, 0, 2_000_000, 9_000_000]),
+       interval=st.integers(3, 60), max_concurrent=st.integers(1, 3),
+       gaps=st.binary(min_size=200, max_size=600).map(lambda b: [x % 6 for x in b]),
+       cut=st.integers(0, 400))
+@example(**_RUN_ENDS["batch-room"])
+@example(**_RUN_ENDS["wake"])
+@example(**_RUN_ENDS["parked"])
+@example(**_RUN_ENDS["jumbled"])
+# b0 holds a grant when exhaustion forces its collection at 74 us.  The pause
+# takes no time, so more requests start at that instant and defer a new
+# collection; b0 answers the grant with a done before it asks again
+@example(mode="blade", jitter=0, parallelism=4, service_us=25, bytes_per_request=60,
+         overhead=0, background=0, interval=10, max_concurrent=1, gaps=[0] * 33 + [25, 25],
+         cut=24)
+def test_routed_runs_match_reference_model(mode, jitter, parallelism, service_us,
+                                           bytes_per_request, overhead, background,
+                                           interval, max_concurrent, gaps, cut):
+    # dense arrivals, 0 to 5 us apart (drawn as bytes, which is much faster
+    # than a list of integers): the balancer routes long runs of them in one
+    # pass, and every rule that ends a run fires.  The run matches the
+    # reference model, and its engine counts match routing one at a time
+    _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
+                       background, interval, max_concurrent, gaps, cut)
+    overrides = dict(jitter_us=jitter, gc_mode=mode, pause_overhead_us=overhead,
+                     service_time_us=service_us, parallelism=parallelism,
+                     bytes_per_request=bytes_per_request, max_concurrent=max_concurrent,
+                     background_alloc_bytes_per_s=background,
+                     background_alloc_interval_us=interval)
+    got = _engine_counts(gaps, cut, overrides)
+    with mock.patch.object(LoadBalancer, "route_run", lambda *args: 0):
+        assert _engine_counts(gaps, cut, overrides) == got
+
+
+def _engine_counts(gaps, cut, overrides):
+    """A small run's stats, the seqs taken by its end, its rows and pauses."""
+    seqs, run_until = [], Simulation.run_until
+
+    def spy(sim, deadline):
+        stats = run_until(sim, deadline)
+        seqs.append(sim._seq)
+        return stats
+    with mock.patch.object(Simulation, "run_until", spy):
+        _, _, _, run = _small_run(gaps, cut, **overrides)
+    return run.stats, seqs, list(run.samples), run.pauses
+
+
+@pytest.mark.parametrize("rule", sorted(_RUN_ENDS))
+def test_each_pinned_run_end_is_reached(monkeypatch, rule):
+    # each pinned example above meets the rule it is pinned for
+    seen = Counter()
+    route_run, route = LoadBalancer.route_run, LoadBalancer.route
+    take, extend = Backend._take, Backend._extend
+    running = []
+
+    def spy_route_run(lb, *args):
+        running.append(lb)
+        try:
+            return route_run(lb, *args)
+        finally:
+            running.pop()
+
+    def spy_take(backend, *args):  # taken alone, inside a run
+        seen["batch-room"] += bool(running) and len(backend._pending) == _BATCH
+        return take(backend, *args)
+
+    def spy_route(lb, rid, issued):
+        seen["wake"] += lb._next_wake <= lb.sim.now
+        backend = route(lb, rid, issued)
+        seen["parked"] += backend is None
+        return backend
+
+    def spy_extend(backend, ats, *args):
+        seen["jumbled"] += ats != sorted(ats)
+        return extend(backend, ats, *args)
+    monkeypatch.setattr(LoadBalancer, "route_run", spy_route_run)
+    monkeypatch.setattr(LoadBalancer, "route", spy_route)
+    monkeypatch.setattr(Backend, "_take", spy_take)
+    monkeypatch.setattr(Backend, "_extend", spy_extend)
+    _against_reference(**_RUN_ENDS[rule])
+    assert seen[rule] > 0
+
+
 @pytest.mark.parametrize("gaps,taken", [([1] * 64, 64), ([1] * 63 + [0], 0)],
                          ids=["whole-batch", "declines-at-last"])
 def test_bulk_pass_takes_a_whole_batch_or_none(monkeypatch, gaps, taken):
@@ -451,6 +566,29 @@ def test_bulk_pass_takes_a_whole_batch_or_none(monkeypatch, gaps, taken):
                               pause_overhead_us=0, parallelism=1, service_time_us=1)
     assert calls == [(64, taken)]
     assert len(run.samples) == 64
+
+
+def test_runs_route_all_but_the_first_arrival(monkeypatch):
+    # configs/http_cluster.cfg cut to 2 s: route takes only each mode's first
+    # arrival, well under 1% of them, and the rest go in runs.  The engine
+    # fires the events and the cluster sends the messages that routing one
+    # arrival at a time does (12,000 arrivals; 23,987 requests and replies)
+    routed = Counter()
+    route = LoadBalancer.route
+
+    def spy(lb, rid, issued):
+        routed[lb] += 1
+        return route(lb, rid, issued)
+    monkeypatch.setattr(LoadBalancer, "route", spy)
+    cfg = parse_config(str(ROOT / "configs" / "http_cluster.cfg"))
+    got = {}
+    for mode in ("off", "blade", "on"):
+        routed.clear()
+        run = run_scenario(cfg, mode=mode, duration_s=2)
+        assert sum(routed.values()) <= run.issued // 100
+        got[mode] = (run.issued, sum(routed.values()), run.stats.events_fired,
+                     run.stats.messages_sent)
+    assert got == {mode: (12_000, 1, 12_000, 23_987) for mode in ("off", "blade", "on")}
 
 
 def test_no_two_granted_pauses_overlap_after_forced_collections():

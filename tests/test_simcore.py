@@ -482,3 +482,70 @@ def test_arrivals_fired_in_place_match_always_scheduled(steps, arrivals):
     assert [row[2] for row in got[0] if row[1] == "arrival"] == list(range(len(arrivals)))
     times = [row[0] for row in got[0]]
     assert times == sorted(times)
+
+
+def _fire_run_probe(batch, start, first, gaps, lo, span, heap_at, lane_at, cut, between):
+    """Ask at ``start`` to fire a run of arrivals in place, in one batch or
+    by single asks until one is refused, with timers queued at ``heap_at``
+    and deliveries due at ``lane_at``; return the engine's state after the
+    asks and after the rest of the run."""
+    sim = Simulation(network=NetworkModel(one_way_delay_us=0))
+    sim.add_node("a", lambda src, msg: None)
+    times = list(itertools.accumulate([start + first] + gaps))
+    lo = min(lo, len(times))
+    hi = min(len(times), lo + span)
+    for at in sorted(lane_at):  # sent at 0, so the lane holds them in order
+        sim.network.one_way_delay_us = at
+        sim.send("a", "a", None)
+    for at in heap_at:
+        sim.schedule_at(at, lambda _: None)
+    got = []
+
+    def probe(_=None):
+        if batch:
+            k = sim.fire_run_in_place(times, lo, hi)
+        else:
+            k = 0
+            while lo + k < hi and sim.fire_in_place(times[lo + k]):
+                k += 1
+        got.append((k, sim.now, sim._seq, sim.firing_seq, sim.events_fired))
+
+    deadline = start + cut
+    if between:  # the clock is past the deadline of the run that ended
+        sim.run_until(deadline)
+        probe()
+    else:
+        sim.schedule_at(start, probe)
+        sim.run_until(deadline)
+    sim.run_until(deadline + 100)
+    got.append((sim.now, sim._seq, sim.firing_seq, sim.events_fired))
+    return got
+
+
+@given(start=st.integers(0, 20), first=st.integers(-2, 5),
+       gaps=st.lists(st.integers(0, 3), max_size=12), lo=st.integers(0, 13),
+       span=st.integers(0, 13), heap_at=st.lists(st.integers(0, 40), max_size=4),
+       lane_at=st.lists(st.integers(0, 40), max_size=4), cut=st.integers(0, 30),
+       between=st.booleans())
+# timers before the run, at its third arrival and after it: the run stops
+# before the arrival at the timer's instant, which must fire after it
+@example(start=5, first=0, gaps=[1, 1, 1, 1], lo=0, span=5, heap_at=[2, 7, 30],
+         lane_at=[], cut=20, between=False)
+# a delivery due before the first arrival, and one due with it: nothing fires
+@example(start=5, first=1, gaps=[1, 1], lo=0, span=3, heap_at=[], lane_at=[6, 3],
+         cut=20, between=False)
+# a lane head after the run, and a deadline that cuts it after two arrivals
+@example(start=5, first=0, gaps=[1, 1, 1, 1], lo=1, span=4, heap_at=[], lane_at=[25],
+         cut=2, between=False)
+# an arrival before the clock is refused, and the run with it
+@example(start=5, first=-2, gaps=[3, 1], lo=0, span=3, heap_at=[], lane_at=[],
+         cut=20, between=False)
+# between runs the clock is past every deadline: nothing fires in place
+@example(start=5, first=0, gaps=[1, 1], lo=0, span=3, heap_at=[], lane_at=[],
+         cut=0, between=True)
+def test_fire_run_in_place_matches_single_asks(start, first, gaps, lo, span, heap_at,
+                                               lane_at, cut, between):
+    # the count, the clock, the seqs and the events fired match those of
+    # single asks stopped at the first refusal, then and at the end
+    args = (start, first, gaps, lo, span, heap_at, lane_at, cut, between)
+    assert _fire_run_probe(True, *args) == _fire_run_probe(False, *args)

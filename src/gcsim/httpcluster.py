@@ -23,26 +23,27 @@ done at the end of the pause.
 A request costs one event, its arrival at the balancer, but most cost no
 call of their own.  Routing moves on grants and dones alone, and both are
 events, so the balancer takes each run of arrivals that fire in place
-(``route_run``) in one pass: it hands each backend its slice at once, each
-request stamped with the time it arrives there, and the backend accounts its
-service lazily.  The service time is constant and the queue FIFO, so a
-request starts at the latest of its arrival, the end of the current pause
-and the completion of the request ``parallelism`` places before it (the
-Kiefer-Wolfowitz recursion; Lindley's for one slot).  It completes one
-service time later, plus every pause that begins while it is in service.  As
-it completes, the backend writes the reply into the balancer's ``samples``,
-stamped with the reply's arrival; the log reads its rows in arrival order,
-and ``SampleLog.keep_arrived`` sets aside those still on the wire.  A
-scenario run reports the others.
+(``route_run``) in one pass: it hands each backend its slice of the
+workload's columns at once, each request stamped with the time it arrives
+there, and the backend accounts its service lazily.  The service time is
+constant and the queue FIFO, so a request starts at the latest of its
+arrival, the end of the current pause and the completion of the request
+``parallelism`` places before it (the Kiefer-Wolfowitz recursion; Lindley's
+for one slot).  It completes one service time later, plus every pause that
+begins while it is in service.  As it completes, the backend writes the
+reply into the balancer's ``samples``, stamped with the reply's arrival; the
+log reads its rows in arrival order, and ``SampleLog.keep_arrived`` sets
+aside those still on the wire.  A scenario run reports the others.
 
-Most requests start as they arrive.  So a backend brought up to date first
-tries a bulk pass over the requests that wait: if no pause is under way,
-none of their starts may cross a threshold, and each finds a free slot (the
-completion ``parallelism`` places before it, in start order, is due by
-then), it takes the whole run with column operations.  It computes their
-starts, completions and replies, records the replies in one batch, and
-allocates for them in one call.  Otherwise it steps through starts and
-completions one at a time.
+A backend keeps its queue, and the requests in service, as columns: a list
+of times with parallel lists of rids and issue times.  Most requests start
+as they arrive.  So a backend brought up to date first tries a bulk pass
+over the requests that wait: if no pause is under way, none of their starts
+may cross a threshold, and each finds a free slot (the completion
+``parallelism`` places before it, in start order, is due by then), it takes
+the whole run with column operations.  It computes their starts, completions
+and replies, records the replies in one batch, and allocates for them in one
+call.  Otherwise it steps through starts and completions one at a time.
 
 A backend schedules an event only where it must act at its own time: the
 start whose allocation may reach the runtime's trigger or hard limit (every
@@ -73,7 +74,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain, islice, repeat
-from operator import add, itemgetter, le, sub
+from operator import add, le, sub
 from typing import Iterator, Optional, Sequence
 
 from .metrics import SampleLog
@@ -87,11 +88,11 @@ INF = math.inf
 # A backend that need not act at its own time (any backend in off mode) would
 # hold every request handed to it until it is observed; it accounts them once
 # this many wait instead, and the bulk pass looks at no more than this many.
-# It also bounds a routed run, which leaves no backend more waiting.  A
-# three-mode http_cluster comparison at seed 1 on 2 vCPUs took 1.10-1.17 s
-# with 64, 0.97-1.01 s with 128 and 0.95-1.06 s with 256 or 512; with no
-# bound and no runs it took 3.6 s, with a peak RSS of 105 MB against 38 MB.
-_BATCH = 128
+# It also bounds a routed run, which leaves no backend more waiting.  With
+# the queues as columns, a three-mode http_cluster comparison at seed 1 on 2
+# vCPUs took 0.82-1.03 s with 64, 0.72-0.77 s with 128 and 0.65-0.70 s with
+# 256, the fastest in each of three rounds of fresh processes.
+_BATCH = 256
 
 
 class Backend:
@@ -108,12 +109,12 @@ class Backend:
     its rotation; one built out of the order of ``backend_ids`` is refused
     with a ``ValueError``.
 
-    Requests are accounted lazily (module docstring).  ``queue`` (the
-    requests that have arrived and wait) and ``in_service`` bring the
-    cluster up to date before they answer.  The backend expects to be the
-    only one to allocate on its runtime, apart from background ticks: code
-    that allocates on it directly while requests flow calls ``catch_up``
-    first.
+    Requests are accounted lazily, and held as columns (module docstring).
+    ``queue`` (the requests that have arrived and wait) and ``in_service``
+    bring the cluster up to date before they answer.  The backend expects
+    to be the only one to allocate on its runtime, apart from background
+    ticks: code that allocates on it directly while requests flow calls
+    ``catch_up`` first.
     """
 
     def __init__(self, sim: Simulation, backend_id: NodeId, lb: LoadBalancer,
@@ -126,8 +127,17 @@ class Backend:
         self.service_time_us = service_time_us
         self.parallelism = parallelism
         self.bytes_per_request = bytes_per_request
-        self._pending: deque[list] = deque()  # [arrival, rid, issued], not started
-        self._busy: deque = deque()  # (completion - shift, rid, issued), in service
+        # The requests not started, by arrival, and those in service, by
+        # completion - shift: each a time column with parallel rid and issue
+        # time columns.  Started requests leave the front of the queue with
+        # ``del``, a move of the rest: 0.1 us a column at 1,000 waiting, and
+        # 2.2 us at 10,000 (2 vCPUs, Python 3.11).
+        self._pending: list[int] = []
+        self._pending_rids: list[int] = []
+        self._pending_issued: list[int] = []
+        self._busy: list[int] = []
+        self._busy_rids: list[int] = []
+        self._busy_issued: list[int] = []
         self._shift = 0  # pause time so far: a request in service completes this much later
         self._starts_left: float = INF  # the start at this place must run at its own time
         self._advancing = False
@@ -154,8 +164,8 @@ class Backend:
     def queue(self) -> list[tuple[int, int]]:
         """The requests that have arrived and wait, as ``(rid, issued)``."""
         self.catch_up()
-        now = self.sim.now
-        return [(rid, issued) for at, rid, issued in self._pending if at <= now]
+        arrived = bisect_right(self._pending, self.sim.now)
+        return list(zip(self._pending_rids[:arrived], self._pending_issued[:arrived]))
 
     def catch_up(self) -> None:
         """Bring the backend, and the rest of its cluster, up to date."""
@@ -174,15 +184,14 @@ class Backend:
     def _take(self, rid: int, issued: int, at: int) -> None:
         """Accept a request routed here that arrives at ``at``."""
         pending = self._pending
-        entry = [at, rid, issued]
         waiting = len(pending) + 1
-        if waiting == 1 or pending[-1][0] <= at:
-            pending.append(entry)
+        if waiting == 1 or pending[-1] <= at:
             place = waiting
         else:  # sent later, arrives earlier (jitter)
-            place = bisect_right(pending, at, key=itemgetter(0))
-            pending.insert(place, entry)
-            place += 1
+            place = bisect_right(pending, at) + 1
+        pending.insert(place - 1, at)
+        self._pending_rids.insert(place - 1, rid)
+        self._pending_issued.insert(place - 1, issued)
         # the start that must run at its own time is now known, or moved
         if place <= self._starts_left <= waiting or waiting > _BATCH:
             self._advance()
@@ -197,10 +206,14 @@ class Backend:
         """Accept requests routed here that arrive at ``ats``, as ``_take``
         would one by one, where none of them advances the backend."""
         pending = self._pending
-        jumbled = self.sim.network.jitter_us or pending and pending[-1][0] > ats[0]
-        pending.extend(map(list, zip(ats, rids, issueds)))
+        jumbled = self.sim.network.jitter_us or pending and pending[-1] > ats[0]
+        pending += ats
+        self._pending_rids += rids
+        self._pending_issued += issueds
         if jumbled:  # a stable sort inserts each after its equals, as _take does
-            self._pending = deque(sorted(pending, key=itemgetter(0)))
+            order = sorted(range(len(pending)), key=pending.__getitem__)
+            for column in (pending, self._pending_rids, self._pending_issued):
+                column[:] = map(column.__getitem__, order)
 
     def _send_ask(self) -> None:
         self.sim.send(self.id, self._lb.id, ("ask",))
@@ -222,7 +235,7 @@ class Backend:
 
     def _idle(self) -> bool:
         pending = self._pending
-        return not self._busy and not (pending and pending[0][0] <= self.sim.now)
+        return not self._busy and not (pending and pending[0] <= self.sim.now)
 
     def _advance(self) -> None:
         """Complete and start every request due by now, in the same-instant
@@ -236,14 +249,17 @@ class Backend:
             self._pending and left > 1 and runtime.paused_until <= now) else 0
         left -= lazy
         freed = replies[-1] if replies else 0  # when the last completion freed a slot
-        busy, pending = self._busy, self._pending
+        pending, pending_rids, pending_issued = (
+            self._pending, self._pending_rids, self._pending_issued)
+        busy, busy_rids, busy_issued = self._busy, self._busy_rids, self._busy_issued
+        started = 0  # the requests before this place in pending have started
         service = self.service_time_us
         free = self.parallelism - len(busy)
         shift, paused_until = self._shift, runtime.paused_until
         while True:
-            done_at = busy[0][0] + shift if busy else INF
-            if pending and free:
-                start_at = pending[0][0]
+            done_at = busy[0] + shift if busy else INF
+            if started < len(pending) and free:
+                start_at = pending[started]
                 if start_at < paused_until:
                     start_at = paused_until
                 if start_at < freed:
@@ -255,13 +271,17 @@ class Backend:
                     if left > 1:  # below every threshold: allocate in one go later
                         left -= 1
                         lazy += 1
-                        entry = pending.popleft()
-                        entry[0] = start_at + service - shift
-                        busy.append(entry)
+                        busy.append(start_at + service - shift)
+                        busy_rids.append(pending_rids[started])
+                        busy_issued.append(pending_issued[started])
+                        started += 1
                         continue
                     if start_at < now:
                         raise SchedulingError(
                             f"backend {self.id} missed the start at {start_at}us")
+                    # the runtime may call back: leave only the waiting requests
+                    del pending[:started], pending_rids[:started], pending_issued[:started]
+                    started = 0
                     if lazy:
                         runtime.allocate(lazy * self.bytes_per_request)
                         lazy = 0
@@ -270,9 +290,10 @@ class Backend:
                         free += 1
                         paused_until = runtime.paused_until
                         continue
-                    entry = pending.popleft()
-                    entry[0] = now + service - shift
-                    busy.append(entry)
+                    busy.append(now + service - shift)
+                    busy_rids.append(pending_rids.pop(0))
+                    busy_issued.append(pending_issued.pop(0))
+                    del pending[0]
                     # May pause: the pause then delays this request too.
                     runtime.allocate(self.bytes_per_request)
                     shift, paused_until = self._shift, runtime.paused_until
@@ -280,12 +301,13 @@ class Backend:
                     continue
             if done_at > now:
                 break
-            _, rid, issued = busy.popleft()
+            del busy[0]
             free += 1
             freed = done_at
-            rids.append(rid)
-            issueds.append(issued)
+            rids.append(busy_rids.pop(0))
+            issueds.append(busy_issued.pop(0))
             replies.append(done_at)
+        del pending[:started], pending_rids[:started], pending_issued[:started]
         if lazy:
             runtime.allocate(lazy * self.bytes_per_request)
         if replies:
@@ -308,34 +330,35 @@ class Backend:
         slot, start nothing and return 0.
         """
         pending, busy = self._pending, self._busy
-        arrivals, new_rids, new_issueds = zip(*islice(pending, _BATCH))
-        k = bisect_right(arrivals, now, 0, min(most, len(arrivals)))
+        k = bisect_right(pending, now, 0, min(most, len(pending), _BATCH))
         if not k:
             return 0
         paused_until = self.runtime.paused_until
-        starts = arrivals[:k] if arrivals[0] >= paused_until else tuple(
-            map(max, islice(arrivals, k), repeat(paused_until)))
+        starts = pending[:k] if pending[0] >= paused_until else list(
+            map(max, islice(pending, k), repeat(paused_until)))
         shift, free = self._shift, self.parallelism - len(busy)
         ends = list(map(add, starts, repeat(self.service_time_us)))  # their completions
         # the first ``free`` starts take the free slots; each later one, the
         # slot of the completion ``parallelism`` places before it
-        if k > free and not all(map(le, chain(map(add, map(itemgetter(0), busy), repeat(shift)),
-                                              ends), islice(starts, free, None))):
+        if k > free and not all(map(le, chain(map(add, busy, repeat(shift)), ends),
+                                    islice(starts, free, None))):
             return 0
-        done = bisect_right(busy, now - shift, key=itemgetter(0))  # in service, due by now
+        busy_rids, busy_issued = self._busy_rids, self._busy_issued
+        done = bisect_right(busy, now - shift)  # in service, due by now
         if done:
-            old_ends, old_rids, old_issueds = zip(*islice(busy, done))
-            rids += old_rids
-            issueds += old_issueds
-            replies += map(add, old_ends, repeat(shift))
+            rids += busy_rids[:done]
+            issueds += busy_issued[:done]
+            replies += map(add, islice(busy, done), repeat(shift))
+            del busy[:done], busy_rids[:done], busy_issued[:done]
+        pending_rids, pending_issued = self._pending_rids, self._pending_issued
         new_done = bisect_right(ends, now)
-        rids += new_rids[:new_done]
-        issueds += new_issueds[:new_done]
+        rids += pending_rids[:new_done]
+        issueds += pending_issued[:new_done]
         replies += ends[:new_done]
-        self._busy = deque(chain(islice(busy, done, None), zip(
-            map(sub, islice(ends, new_done, None), repeat(shift)),
-            new_rids[new_done:k], new_issueds[new_done:k])))
-        self._pending = deque(islice(pending, k, None))
+        busy += map(sub, islice(ends, new_done, None), repeat(shift))
+        busy_rids += pending_rids[new_done:k]
+        busy_issued += pending_issued[new_done:k]
+        del pending[:k], pending_rids[:k], pending_issued[:k]
         return k
 
     def _send_replies(self, rids: list[int], issueds: list[int], sent: list[int]) -> None:
@@ -380,9 +403,9 @@ class Backend:
         the start of the request ``parallelism`` places before it, plus the
         service time, frees its slot."""
         shift, p, service = self._shift, self.parallelism, self.service_time_us
-        slots = deque([c + shift for c, _, _ in self._busy], p)  # the last p completions
+        slots = deque(map(add, self._busy, repeat(shift)), p)  # the last p completions
         paused_until = self.runtime.paused_until
-        for arrival, _, _ in self._pending:
+        for arrival in self._pending:
             start = arrival if arrival > paused_until else paused_until
             if len(slots) == p and slots[0] > start:
                 start = slots[0]
@@ -396,7 +419,7 @@ class Backend:
     def _drain_time(self) -> int:
         """When the backend is next idle, if no pause comes first."""
         busy = self._busy
-        idle_at = busy[-1][0] + self._shift if busy else self.sim.now
+        idle_at = busy[-1] + self._shift if busy else self.sim.now
         for arrival, start in self._starts():
             if arrival > idle_at:
                 break
@@ -406,8 +429,8 @@ class Backend:
     def _on_pause(self, start_us: int, end_us: int) -> None:
         busy, pending = self._busy, self._pending
         if not self._advancing and (
-                busy and busy[0][0] + self._shift <= start_us
-                or pending and pending[0][0] < start_us and len(busy) < self.parallelism):
+                busy and busy[0] + self._shift <= start_us
+                or pending and pending[0] < start_us and len(busy) < self.parallelism):
             raise SchedulingError(
                 f"backend {self.id} is behind its runtime: call catch_up() first")
         self._shift += end_us - start_us

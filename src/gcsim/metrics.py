@@ -15,11 +15,11 @@ import operator
 import os
 import random
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
+from itertools import accumulate, chain, compress, islice, repeat, starmap, takewhile
 from typing import Collection, Iterable, Iterator, Optional
 
 from .runtime import PauseInterval
@@ -29,6 +29,8 @@ QUANTILE_LEVELS = (95.0, 99.0, 99.9, 99.99, 99.999, 99.9999)
 # transient memory: emit_report of one 150,000-sample run peaks at 0.74 MB
 # by tracemalloc with 8,192 lines, against 5.9 MB with 65,536.
 CDF_CHUNK_LINES = 8_192
+# Requests per workload chunk, the most arrivals a simulation holds at once.
+WORKLOAD_CHUNK = 1024
 
 
 @dataclass
@@ -267,15 +269,18 @@ class WorkloadConfig:
     kind: str = "rw"  # rw -> get/set interleave, http -> all http
 
 
-def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
-    """Return the ``(issue_time_us, request_id, kind)`` stream in issue order.
+def workload_chunks(cfg: WorkloadConfig, size: int = WORKLOAD_CHUNK
+                    ) -> Iterator[tuple[list[int], range, list[str]]]:
+    """Return the workload in issue order as column chunks of at most
+    ``size`` requests: their issue times (us), the ``range`` of their ids
+    (from 1) and their kinds.
 
-    Uniform arrivals are exactly periodic at the aggregate rate, built from
-    C iterators with no Python frame per arrival; Poisson arrivals draw
-    exponential gaps from a dedicated RNG seeded by the config, so the
-    stream is identical across runs with the same seed.  The get/set
-    pattern repeats deterministically (e.g. G,G,G,S for a 3:1 mix), making
-    the ratio exact over every pattern-sized window.
+    Uniform arrivals are exactly periodic at the aggregate rate; Poisson
+    arrivals draw exponential gaps from a dedicated RNG seeded by the
+    config, so the stream is identical across runs with the same seed.
+    Either is a chain of C iterators, with no Python frame per arrival.
+    The get/set pattern repeats deterministically (e.g. G,G,G,S for a 3:1
+    mix), making the ratio exact over every pattern-sized window.
     """
     if cfg.rate_rps <= 0:
         raise ValueError("workload rate must be positive")
@@ -294,24 +299,32 @@ def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
         n = math.floor(cfg.rate_rps * cfg.duration_s)
         numerators = range(1_000_000, (n + 1) * 1_000_000, 1_000_000)
         times = map(round, map(operator.truediv, numerators, repeat(cfg.rate_rps)))
-        return zip(takewhile(horizon.__ge__, times), count(1), cycle(pattern))
-    if cfg.arrivals == "poisson":
-        return _poisson_arrivals(cfg, horizon, pattern)
-    raise ValueError(f"unknown arrival process {cfg.arrivals!r}")
+    elif cfg.arrivals == "poisson":
+        gaps = map(random.Random(cfg.seed).expovariate, repeat(cfg.rate_rps / 1_000_000))
+        times = map(round, accumulate(gaps))
+    else:
+        raise ValueError(f"unknown arrival process {cfg.arrivals!r}")
+    return _chunks(takewhile(horizon.__ge__, times), pattern, size)
 
 
-def _poisson_arrivals(cfg: WorkloadConfig, horizon: int,
-                      pattern: list[str]) -> Iterator[tuple[int, int, str]]:
-    rng = random.Random(cfg.seed)
-    t = 0.0
-    i = 0
+def _chunks(times: Iterator[int], pattern: list[str],
+            size: int) -> Iterator[tuple[list[int], range, list[str]]]:
+    kinds = pattern * (-(-size // len(pattern)) + 1)  # every chunk's kinds are a slice
+    rid = 1
     while True:
-        t += rng.expovariate(cfg.rate_rps / 1_000_000)
-        it = round(t)
-        if it > horizon:
+        chunk = list(islice(times, size))
+        if not chunk:
             return
-        yield it, i + 1, pattern[i % len(pattern)]
-        i += 1
+        n = len(chunk)
+        first = (rid - 1) % len(pattern)
+        yield chunk, range(rid, rid + n), kinds[first:first + n]
+        rid += n
+
+
+def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
+    """The stream of :func:`workload_chunks` as ``(issue_time_us,
+    request_id, kind)`` rows."""
+    return chain.from_iterable(starmap(zip, workload_chunks(cfg)))
 
 
 # -- statistics ---------------------------------------------------------------

@@ -13,21 +13,17 @@ import dataclasses
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .config import ScenarioConfig
 from .httpcluster import Backend, LoadBalancer
-from .metrics import RunSummary, SampleLog, WorkloadConfig, generate_workload, summarize_run
+from .metrics import RunSummary, SampleLog, WorkloadConfig, summarize_run, workload_chunks
 from .raft import RaftClient, RaftNode, RaftTrace
 from .runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime, PauseInterval
 from .simcore import NetworkModel, Simulation, SimStats
 
 MODE_LABELS = {"off": "gc-off", "blade": "blade", "on": "gc-on"}
 COMPARE_ORDER = ("off", "blade", "on")
-# The most stream items a driver with a run entry point holds at once.
-_CHUNK = 1024
 
 
 @dataclass
@@ -62,14 +58,16 @@ class RunResult:
 
 
 class _WorkloadDriver:
-    """Feeds a workload stream into the simulation.
+    """Feeds a workload, as column chunks, into the simulation.
 
-    Scheduling each arrival from its predecessor keeps the event queue small.
-    Events of one tick fire in insertion order, and an arrival is inserted
-    when its predecessor fires, after the predecessor's dispatch: it fires
-    after the protocol events of its tick that were scheduled before that,
-    and before those scheduled later.  The arrival event's argument is the
-    stream's ``(t, rid, kind)`` tuple (with ``run``, its place in the chunk).
+    One path serves both systems.  It reads the workload one chunk
+    (``metrics.workload_chunks``) at a time and fires its arrivals by
+    index.  Scheduling each arrival from its predecessor keeps the event
+    queue small.  Events of one tick fire in insertion order, and an arrival
+    is inserted when its predecessor fires, after the predecessor's
+    dispatch: it fires after the protocol events of its tick that were
+    scheduled before that, and before those scheduled later.  The arrival
+    event's argument is its place in the chunk.
 
     An arrival that would be the engine's next event fires in place, inside
     its predecessor's event (``Simulation.fire_in_place``), in a loop.  The
@@ -79,48 +77,31 @@ class _WorkloadDriver:
     predecessor's dispatch sends a request to the leader, due one network
     delay later, and only an arrival sooner than that can go first.
 
-    With a ``run`` entry point, the driver reads the stream in chunks, as
-    columns, and after each dispatch hands ``run(times, rids, lo, hi)`` the
-    arrivals that follow: it takes those that fire in place before anything
-    else in one pass (``Simulation.fire_run_in_place``), and returns how
-    many.  The arrival after them goes through ``dispatch`` as above.
+    With a ``run`` entry point, each dispatch is followed by a call of
+    ``run(times, rids, lo, hi)`` on the arrivals after it in the chunk: it
+    takes those that fire in place before anything else in one pass
+    (``Simulation.fire_run_in_place``), and returns how many.  The arrival
+    after them goes through ``dispatch`` as above.
     """
 
-    def __init__(self, sim: Simulation, stream: Iterator[tuple[int, int, str]],
+    def __init__(self, sim: Simulation,
+                 chunks: Iterator[tuple[Sequence[int], Sequence[int], Sequence[str]]],
                  dispatch: Callable[[int, str], None],
                  run: Optional[Callable[..., int]] = None):
         self.sim = sim
-        self.stream = stream
+        self.chunks = chunks
         self.dispatch = dispatch
         self.run = run
         self.issued = 0
-        if run is not None:
-            self._read()
-            if self._times:
-                sim.schedule_at(self._times[0], self._fire_runs, 0)
-            return
-        item = next(stream, None)
-        if item is not None:
-            sim.schedule_at(item[0], self._fire, item)
+        if self._read():
+            sim.schedule_at(self._times[0], self._fire, 0)
 
-    def _fire(self, item: tuple[int, int, str]) -> None:
-        sim, stream, dispatch = self.sim, self.stream, self.dispatch
-        while True:
-            self.issued += 1
-            dispatch(item[1], item[2])
-            item = next(stream, None)
-            if item is None:
-                return
-            if not sim.fire_in_place(item[0]):
-                sim.schedule_at(item[0], self._fire, item)
-                return
+    def _read(self) -> int:
+        """Take the next chunk; return its length, 0 once the workload ends."""
+        self._times, self._rids, self._kinds = next(self.chunks, ((), (), ()))
+        return len(self._times)
 
-    def _read(self) -> None:
-        """Take the stream's next chunk, as columns."""
-        chunk = list(islice(self.stream, _CHUNK))
-        self._times, self._rids, self._kinds = (list(map(itemgetter(i), chunk)) for i in range(3))
-
-    def _fire_runs(self, i: int) -> None:
+    def _fire(self, i: int) -> None:
         """Fire the arrival at ``i`` of the chunk, and the ones after it
         that fire in place."""
         sim, dispatch, run = self.sim, self.dispatch, self.run
@@ -131,17 +112,18 @@ class _WorkloadDriver:
             i += 1
             while True:
                 if i == len(times):
-                    self._read()
-                    times, rids, kinds, i = self._times, self._rids, self._kinds, 0
-                    if not times:
+                    if not self._read():
                         return
+                    times, rids, kinds, i = self._times, self._rids, self._kinds, 0
+                if run is None:
+                    break
                 taken = run(times, rids, i, len(times))
                 self.issued += taken
                 i += taken
                 if i < len(times):
                     break
             if not sim.fire_in_place(times[i]):
-                sim.schedule_at(times[i], self._fire_runs, i)
+                sim.schedule_at(times[i], self._fire, i)
                 return
 
 
@@ -170,11 +152,11 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
     build = _build_http if cfg.system == "http" else _build_raft
     servers, dispatch, run, finish = build(sim, cfg, GcMode(cfg.gc_mode))
 
-    stream = generate_workload(WorkloadConfig(
+    chunks = workload_chunks(WorkloadConfig(
         rate_rps=cfg.rate_rps, duration_s=cfg.duration_s,
         mix_get=cfg.mix_get, mix_set=cfg.mix_set, arrivals=cfg.arrivals,
         seed=cfg.seed, kind="http" if cfg.system == "http" else "rw"))
-    driver = _WorkloadDriver(sim, stream, dispatch, run)
+    driver = _WorkloadDriver(sim, chunks, dispatch, run)
 
     sim.run_until(cfg.duration_us())
 

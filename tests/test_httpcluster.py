@@ -9,6 +9,7 @@ import refmodel
 from gcsim import default_config, run_scenario, scenarios
 from gcsim.config import ScenarioConfig, parse_config
 from gcsim.httpcluster import _BATCH, REQ, Backend, LoadBalancer
+from gcsim.metrics import WORKLOAD_CHUNK
 from gcsim.runtime import GIB, MIB, CollectorCostModel, GcMode, HeapModel, ManagedRuntime
 from gcsim.simcore import NetworkModel, Simulation
 
@@ -332,9 +333,16 @@ def _small_run(gaps, cut, nodes=3, **overrides):
         t += gap
         stream.append((t, rid, "http"))
     deadline = t + cut
-    with mock.patch.object(scenarios, "generate_workload", lambda _: iter(stream)), \
+    with mock.patch.object(scenarios, "workload_chunks", lambda _: _columns(stream)), \
             mock.patch.object(ScenarioConfig, "duration_us", lambda _: deadline):
         return cfg, stream, deadline, run_scenario(cfg)
+
+
+def _columns(stream):
+    """The rows of ``stream`` as the column chunks ``workload_chunks`` yields."""
+    for lo in range(0, len(stream), WORKLOAD_CHUNK):
+        times, rids, kinds = zip(*stream[lo:lo + WORKLOAD_CHUNK])
+        yield list(times), list(rids), list(kinds)
 
 
 def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
@@ -351,6 +359,16 @@ def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request,
     assert run.in_flight == run.issued - len(got[0])
 
 
+# Requests 0 and 1 us apart, one slot a backend and gc-on pauses of 2 *
+# _BATCH us: a backend's 50th start, at about 100 us, crosses its trigger,
+# and more than _BATCH requests queue at it during the pause (412 with
+# _BATCH 256).  Arrivals go on after the pause: it starts requests from the
+# front of its queue below the trigger as more arrive, and pauses again
+_DEEP_BACKLOG = dict(mode="on", jitter=0, parallelism=1, service_us=1, bytes_per_request=2,
+                     overhead=2 * _BATCH, background=0, interval=10, max_concurrent=1,
+                     gaps=[0, 1] * (3 * _BATCH), cut=400)
+
+
 @settings(max_examples=500, deadline=None)
 @given(mode=st.sampled_from(["off", "blade", "on"]), jitter=st.integers(0, 8),
        parallelism=st.integers(1, 4), service_us=st.integers(1, 200),
@@ -359,6 +377,7 @@ def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request,
        interval=st.integers(3, 60), max_concurrent=st.integers(1, 3),
        gaps=st.lists(st.integers(0, 20), min_size=1, max_size=80),
        cut=st.integers(0, 400))
+@example(**_DEEP_BACKLOG)
 # every start pauses a gc-on backend: the rest wait for the pause's end
 @example(mode="on", jitter=0, parallelism=3, service_us=1, bytes_per_request=100,
          overhead=1, background=0, interval=10_000, max_concurrent=1, gaps=[0] * 10,
@@ -386,6 +405,21 @@ def test_cluster_matches_reference_model(mode, jitter, parallelism, service_us,
                        background, interval, max_concurrent, gaps, cut)
 
 
+def test_a_pause_grows_a_queue_past_the_batch(monkeypatch):
+    # the deep-backlog example above queues more than _BATCH requests at a
+    # paused backend
+    depth = []
+    advance = Backend._advance
+
+    def spy(backend):
+        if backend.runtime.paused_until > backend.sim.now:
+            depth.append(len(backend._pending))
+        return advance(backend)
+    monkeypatch.setattr(Backend, "_advance", spy)
+    _against_reference(**_DEEP_BACKLOG)
+    assert max(depth) > _BATCH
+
+
 @settings(max_examples=200, deadline=None)
 @given(mode=st.sampled_from(["off", "blade", "on"]), jitter=st.integers(0, 8),
        parallelism=st.integers(1, 4), service_us=st.integers(1, 200),
@@ -408,7 +442,7 @@ def test_stamped_replies_match_delivered_replies(mode, jitter, parallelism, serv
                        0, 10_000, 1, gaps, cut)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(deadline=None)
 @given(mode=st.sampled_from(["off", "blade", "on"]), jitter=st.integers(0, 8),
        parallelism=st.integers(1, 4), service_us=st.integers(1, 20),
        bytes_per_request=st.integers(1, 3), overhead=st.integers(0, 60),
@@ -445,7 +479,7 @@ _RUN_ENDS = {
     # as it is accounted, so a run ends as _BATCH requests wait at one of them
     "batch-room": dict(mode="off", jitter=0, parallelism=4, service_us=2,
                        bytes_per_request=0, overhead=0, background=0, interval=10,
-                       max_concurrent=1, gaps=[1] * 400, cut=100),
+                       max_concurrent=1, gaps=[1] * (3 * _BATCH + 16), cut=100),
     # background ticks every 3 us: an arrival at or after the balancer's next
     # wake goes to route, which settles the backends first
     "wake": dict(mode="blade", jitter=0, parallelism=2, service_us=20, bytes_per_request=20,

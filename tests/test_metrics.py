@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import os
 import random
 import tracemalloc
@@ -7,13 +9,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcsim import metrics
 from gcsim.metrics import (_COLUMNS, _HEADER, CDF_CHUNK_LINES, QUANTILE_LEVELS, OverlapStat,
                            SampleLog, WorkloadConfig, _ms, emit_report, generate_workload,
                            histogram, overlap_count, percentiles, render_cdf,
-                           render_summary_table, summarize_run)
+                           render_summary_table, summarize_run, workload_chunks)
 from gcsim.runtime import PauseInterval
 
 
@@ -62,6 +64,57 @@ def test_poisson_arrivals_reproducible_per_seed():
     c = list(generate_workload(WorkloadConfig(rate_rps=500, duration_s=2,
                                               arrivals="poisson", seed=12)))
     assert a != c
+
+
+def tuple_workload(cfg):
+    """The workload as a generator of ``(t, rid, kind)`` rows, one Python
+    step per Poisson arrival: the reference for the column chunks."""
+    horizon = round(cfg.duration_s * 1_000_000)
+    pattern = ["http"] if cfg.kind == "http" else ["get"] * cfg.mix_get + ["set"] * cfg.mix_set
+    if cfg.arrivals == "uniform":
+        n = math.floor(cfg.rate_rps * cfg.duration_s)
+        numerators = range(1_000_000, (n + 1) * 1_000_000, 1_000_000)
+        times = map(round, map(operator.truediv, numerators, itertools.repeat(cfg.rate_rps)))
+        yield from zip(itertools.takewhile(horizon.__ge__, times), itertools.count(1),
+                       itertools.cycle(pattern))
+        return
+    rng = random.Random(cfg.seed)
+    t = 0.0
+    i = 0
+    while True:
+        t += rng.expovariate(cfg.rate_rps / 1_000_000)
+        it = round(t)
+        if it > horizon:
+            return
+        yield it, i + 1, pattern[i % len(pattern)]
+        i += 1
+
+
+@settings(deadline=None)
+@given(arrivals=st.sampled_from(["uniform", "poisson"]),
+       rate=st.one_of(st.sampled_from([1, 333.3, 1_000]), st.floats(0.5, 1_000)),
+       duration_s=st.one_of(st.integers(1, 2), st.floats(0.001, 2)),
+       kind=st.sampled_from(["http", "rw"]),
+       mix=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+       seed=st.integers(0, 2**32), size=st.integers(1, 40))
+# 666 arrivals in chunks of 7: the workload ends one row into its last chunk
+@example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1, size=7)
+# 188 Poisson arrivals in chunks of 8: the horizon cuts the last chunk at 4
+@example(arrivals="poisson", rate=100, duration_s=2, kind="rw", mix=(1, 3), seed=7918, size=8)
+def test_workload_chunks_match_the_tuple_generator(arrivals, rate, duration_s, kind, mix,
+                                                  seed, size):
+    cfg = WorkloadConfig(rate_rps=rate, duration_s=duration_s, mix_get=mix[0],
+                         mix_set=mix[1], arrivals=arrivals, seed=seed, kind=kind)
+    want = list(tuple_workload(cfg))
+    chunks = list(workload_chunks(cfg, size))
+    # full chunks but the last, which the horizon may cut short; none empty
+    assert [len(times) for times, _, _ in chunks] == (
+        [size] * (len(want) // size) + [len(want) % size] * bool(len(want) % size))
+    assert all(isinstance(rids, range) and len(rids) == len(kinds) == len(times)
+               for times, rids, kinds in chunks)
+    # read across every chunk boundary, the rows are the reference's
+    assert [row for chunk in chunks for row in zip(*chunk)] == want
+    assert list(generate_workload(cfg)) == want
 
 
 def test_workload_rejects_bad_rate():

@@ -323,8 +323,8 @@ def _drive(sim, times, on_arrival=lambda rid: None):
         log.append(("arrival", rid, sim.now))
         on_arrival(rid)
 
-    stream = ((t, rid, "http") for rid, t in enumerate(times))
-    return log, scenarios._WorkloadDriver(sim, stream, dispatch)
+    chunks = iter([(list(times), range(len(times)), ["http"] * len(times))])
+    return log, scenarios._WorkloadDriver(sim, chunks, dispatch)
 
 
 def test_an_arrival_due_with_a_queued_event_fires_after_it():

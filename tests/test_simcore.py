@@ -436,8 +436,11 @@ def replay(sim, steps, arrivals=()):
 
     for node in "abc":
         sim.add_node(node, lambda src, msg: fire(msg))
-    times = itertools.accumulate(gap for gap, _ in arrivals)
-    _WorkloadDriver(sim, ((t, rid, "http") for rid, t in enumerate(times)), dispatch)
+    times = list(itertools.accumulate(gap for gap, _ in arrivals))
+    # in chunks of four, so arrivals are read across chunk boundaries
+    rids, kinds = range(len(times)), ["http"] * len(times)
+    _WorkloadDriver(sim, ((times[lo:lo + 4], rids[lo:lo + 4], kinds[lo:lo + 4])
+                          for lo in range(0, len(times), 4)), dispatch)
     for step in steps:
         if step[0] == "run":
             sim.run_until(sim.now + step[1])

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 ``gcsim run <config>`` executes one scenario and writes its report;
-``gcsim compare <config>`` replays the same seed and workload under all
-three collector modes and writes a combined comparison table.  Each Raft
+``gcsim compare <config>`` draws the workload once, replays it with the same
+seed under all three collector modes and writes a combined comparison table;
+each mode's files are those ``gcsim run --mode`` writes.  Each Raft
 history is checked with ``check_history`` before the report is written.  Any
 validation or runtime failure, or a safety violation, exits non-zero with
 the reason on stderr.

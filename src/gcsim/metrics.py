@@ -282,6 +282,12 @@ def workload_chunks(cfg: WorkloadConfig, size: int = WORKLOAD_CHUNK
     The get/set pattern repeats deterministically (e.g. G,G,G,S for a 3:1
     mix), making the ratio exact over every pattern-sized window.
     """
+    times, pattern, _ = _arrivals(cfg)
+    return _chunks(iter(lambda: list(islice(times, size)), []), pattern, size)
+
+
+def _arrivals(cfg: WorkloadConfig) -> tuple[Iterator[int], list[str], int]:
+    """The workload's issue times, its kind pattern and its horizon (us)."""
     if cfg.rate_rps <= 0:
         raise ValueError("workload rate must be positive")
     if cfg.duration_s <= 0:
@@ -304,21 +310,37 @@ def workload_chunks(cfg: WorkloadConfig, size: int = WORKLOAD_CHUNK
         times = map(round, accumulate(gaps))
     else:
         raise ValueError(f"unknown arrival process {cfg.arrivals!r}")
-    return _chunks(takewhile(horizon.__ge__, times), pattern, size)
+    return takewhile(horizon.__ge__, times), pattern, horizon
 
 
-def _chunks(times: Iterator[int], pattern: list[str],
+def _chunks(lists: Iterator[list[int]], pattern: list[str],
             size: int) -> Iterator[tuple[list[int], range, list[str]]]:
+    """Each list of issue times with the ids and kinds that follow on."""
     kinds = pattern * (-(-size // len(pattern)) + 1)  # every chunk's kinds are a slice
     rid = 1
-    while True:
-        chunk = list(islice(times, size))
-        if not chunk:
-            return
+    for chunk in lists:
         n = len(chunk)
         first = (rid - 1) % len(pattern)
         yield chunk, range(rid, rid + n), kinds[first:first + n]
         rid += n
+
+
+class Workload:
+    """A workload drawn once, to replay to several runs (common random numbers).
+
+    Issue times are kept in one 32-bit column, 64-bit if the horizon reaches
+    2**32 us; ids and kinds follow from the place in the stream.  ``chunks()``
+    yields what ``workload_chunks(config, size)`` does, in fresh lists."""
+
+    def __init__(self, config: WorkloadConfig, size: int = WORKLOAD_CHUNK):
+        times, self._pattern, horizon = _arrivals(config)
+        self.config, self._size = config, size
+        self._times = array("I" if horizon < 2**32 else "Q", times)
+
+    def chunks(self) -> Iterator[tuple[list[int], range, list[str]]]:
+        times, size = self._times, self._size
+        lists = (times[lo:lo + size].tolist() for lo in range(0, len(times), size))
+        return _chunks(lists, self._pattern, size)
 
 
 def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:

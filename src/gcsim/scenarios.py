@@ -3,8 +3,10 @@
 ``run_scenario`` builds either cluster flavour, drives the configured
 workload through it, and returns a :class:`RunResult` with every completed
 sample, the pause intervals of every node, and (for the replicated cluster)
-the safety-checker trace.  ``run_compare`` replays the identical workload
-and seed under all three collector modes.
+the safety-checker trace.  ``run_compare`` draws the workload once
+(``metrics.Workload``) and replays it, with the same seed, under all three
+collector modes; each run equals the one ``run_scenario`` makes with its own
+draw.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .config import ScenarioConfig
 from .httpcluster import Backend, LoadBalancer
-from .metrics import RunSummary, SampleLog, WorkloadConfig, summarize_run, workload_chunks
+from .metrics import RunSummary, SampleLog, Workload, WorkloadConfig, summarize_run
 from .raft import RaftClient, RaftNode, RaftTrace
 from .runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime, PauseInterval
 from .simcore import NetworkModel, Simulation, SimStats
@@ -61,13 +63,13 @@ class _WorkloadDriver:
     """Feeds a workload, as column chunks, into the simulation.
 
     One path serves both systems.  It reads the workload one chunk
-    (``metrics.workload_chunks``) at a time and fires its arrivals by
-    index.  Scheduling each arrival from its predecessor keeps the event
-    queue small.  Events of one tick fire in insertion order, and an arrival
-    is inserted when its predecessor fires, after the predecessor's
-    dispatch: it fires after the protocol events of its tick that were
-    scheduled before that, and before those scheduled later.  The arrival
-    event's argument is its place in the chunk.
+    (``metrics.Workload.chunks``, fresh lists each run) at a time and fires
+    its arrivals by index.  Scheduling each arrival from its predecessor
+    keeps the event queue small.  Events of one tick fire in insertion
+    order, and an arrival is inserted when its predecessor fires, after the
+    predecessor's dispatch: it fires after the protocol events of its tick
+    that were scheduled before that, and before those scheduled later.  The
+    arrival event's argument is its place in the chunk.
 
     An arrival that would be the engine's next event fires in place, inside
     its predecessor's event (``Simulation.fire_in_place``), in a loop.  The
@@ -142,21 +144,21 @@ def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,
 
 
 def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
-                 seed: Optional[int] = None,
-                 duration_s: Optional[int] = None) -> RunResult:
-    """Run one scenario; overrides are checked like the same config keys."""
-    overrides = {"gc_mode": mode, "seed": seed, "duration_s": duration_s}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+                 seed: Optional[int] = None, duration_s: Optional[int] = None,
+                 workload: Optional[Workload] = None) -> RunResult:
+    """Run one scenario; overrides are checked like the same config keys.
+    A ``workload`` given must be the one the run's own config draws."""
+    cfg = _override(cfg, gc_mode=mode, seed=seed, duration_s=duration_s)
+    wanted = _workload_config(cfg)
+    if workload is None:
+        workload = Workload(wanted)
+    elif workload.config != wanted:
+        raise ValueError(f"workload drawn for {workload.config}, not for {wanted}")
     sim = Simulation(seed=cfg.seed,
                      network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
     build = _build_http if cfg.system == "http" else _build_raft
     servers, dispatch, run, finish = build(sim, cfg, GcMode(cfg.gc_mode))
-
-    chunks = workload_chunks(WorkloadConfig(
-        rate_rps=cfg.rate_rps, duration_s=cfg.duration_s,
-        mix_get=cfg.mix_get, mix_set=cfg.mix_set, arrivals=cfg.arrivals,
-        seed=cfg.seed, kind="http" if cfg.system == "http" else "rw"))
-    driver = _WorkloadDriver(sim, chunks, dispatch, run)
+    driver = _WorkloadDriver(sim, workload.chunks(), dispatch, run)
 
     sim.run_until(cfg.duration_us())
 
@@ -168,6 +170,17 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
         config=cfg, mode=cfg.gc_mode, issued=driver.issued, pauses=pauses, stats=stats,
         peak_allocated={node.id: node.runtime.peak_allocated_bytes for node in servers},
         **fields)
+
+
+def _override(cfg: ScenarioConfig, **given) -> ScenarioConfig:
+    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
+
+
+def _workload_config(cfg: ScenarioConfig) -> WorkloadConfig:
+    return WorkloadConfig(
+        rate_rps=cfg.rate_rps, duration_s=cfg.duration_s,
+        mix_get=cfg.mix_get, mix_set=cfg.mix_set, arrivals=cfg.arrivals,
+        seed=cfg.seed, kind="http" if cfg.system == "http" else "rw")
 
 
 # A builder wires one system into ``sim`` and returns its servers (each with
@@ -255,6 +268,7 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
 
 def run_compare(cfg: ScenarioConfig, seed: Optional[int] = None,
                 duration_s: Optional[int] = None) -> list[RunResult]:
-    """Run the identical seed and workload under all three collector modes."""
-    return [run_scenario(cfg, mode=m, seed=seed, duration_s=duration_s)
-            for m in COMPARE_ORDER]
+    """Run the identical seed and workload, drawn once, under all three modes."""
+    cfg = _override(cfg, seed=seed, duration_s=duration_s)
+    workload = Workload(_workload_config(cfg))
+    return [run_scenario(cfg, mode=m, workload=workload) for m in COMPARE_ORDER]

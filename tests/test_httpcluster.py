@@ -1,5 +1,6 @@
 import pathlib
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -333,9 +334,14 @@ def _small_run(gaps, cut, nodes=3, **overrides):
         t += gap
         stream.append((t, rid, "http"))
     deadline = t + cut
-    with mock.patch.object(scenarios, "workload_chunks", lambda _: _columns(stream)), \
+
+    def replay(config):
+        return SimpleNamespace(config=config, chunks=lambda: _columns(stream))
+    with mock.patch.object(scenarios, "Workload", replay), \
             mock.patch.object(ScenarioConfig, "duration_us", lambda _: deadline):
-        return cfg, stream, deadline, run_scenario(cfg)
+        run = run_scenario(cfg)
+    assert run.issued == len(stream)  # the stream, not the config's, reached the driver
+    return cfg, stream, deadline, run
 
 
 def _columns(stream):

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gcsim import metrics
 from gcsim.metrics import (_COLUMNS, _HEADER, CDF_CHUNK_LINES, QUANTILE_LEVELS, OverlapStat,
-                           SampleLog, WorkloadConfig, _ms, emit_report, generate_workload,
-                           histogram, overlap_count, percentiles, render_cdf,
-                           render_summary_table, summarize_run, workload_chunks)
+                           SampleLog, Workload, WorkloadConfig, _ms, emit_report,
+                           generate_workload, histogram, overlap_count, percentiles,
+                           render_cdf, render_summary_table, summarize_run, workload_chunks)
 from gcsim.runtime import PauseInterval
 
 
@@ -115,6 +115,36 @@ def test_workload_chunks_match_the_tuple_generator(arrivals, rate, duration_s, k
     # read across every chunk boundary, the rows are the reference's
     assert [row for chunk in chunks for row in zip(*chunk)] == want
     assert list(generate_workload(cfg)) == want
+
+
+@settings(deadline=None)
+@given(arrivals=st.sampled_from(["uniform", "poisson"]),
+       rate=st.one_of(st.sampled_from([1, 333.3, 1_000]), st.floats(0.5, 1_000)),
+       duration_s=st.one_of(st.just(1), st.floats(0.001, 1)),
+       kind=st.sampled_from(["http", "rw"]),
+       mix=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+       seed=st.integers(0, 2**32), size=st.integers(1, 40))
+# 666 arrivals in chunks of 7: the last chunk holds one row
+@example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1, size=7)
+# the first Poisson gap passes a 1 ms horizon: the stream is empty
+@example(arrivals="poisson", rate=1, duration_s=0.001, kind="http", mix=(3, 1), seed=1,
+         size=5)
+# a 4,295 s horizon reaches 2**32 us and the last issue time passes it, so the
+# times need the 64-bit column
+@example(arrivals="uniform", rate=1, duration_s=4_295, kind="rw", mix=(2, 3), seed=1, size=40)
+def test_workload_replays_the_chunks_it_was_drawn_from(arrivals, rate, duration_s, kind, mix,
+                                                       seed, size):
+    cfg = WorkloadConfig(rate_rps=rate, duration_s=duration_s, mix_get=mix[0],
+                         mix_set=mix[1], arrivals=arrivals, seed=seed, kind=kind)
+    want = list(workload_chunks(cfg, size))
+    workload = Workload(cfg, size)
+    first = list(workload.chunks())
+    assert first == want
+    # a run that changes the lists it was handed leaves the next replay intact
+    for times, _, kinds in first:
+        times.append(-1)
+        kinds.clear()
+    assert list(workload.chunks()) == want
 
 
 def test_workload_rejects_bad_rate():

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from gcsim.config import ConfigError, default_config, parse_config
-from gcsim.metrics import emit_report, percentiles
+from gcsim.metrics import Workload, WorkloadConfig, emit_report, percentiles
 from gcsim.raftcheck import check_history
 from gcsim.runtime import MIB
 from gcsim import scenarios
@@ -30,6 +30,49 @@ def test_compare_runs_all_three_modes_on_one_seed():
 def test_run_overrides_are_validated(override):
     with pytest.raises(ConfigError):
         run_scenario(small_raft(), **override)
+
+
+# Short configs where every server of blade and gc-on collects in the 2 s
+# the tests cut them to.
+_SHORT = {
+    "http": lambda **kw: default_config("http", duration_s=9, rate_rps=2_500, parallelism=2,
+                                        live_bytes=16 * MIB, trigger_bytes=24 * MIB, **kw),
+    "raft": lambda **kw: small_raft(duration_s=9, rate_rps=1_000, live_bytes=16 * MIB,
+                                    trigger_bytes=24 * MIB, **kw),
+}
+
+
+def _outcome(runs, out_dir):
+    summaries = [r.summary() for r in runs]
+    files = {os.path.basename(p): pathlib.Path(p).read_bytes()
+             for p in emit_report(summaries, str(out_dir))}
+    return summaries, files, [(r.mode, list(r.samples), r.pauses, r.issued,
+                               r.stats.events_fired, r.stats.messages_sent) for r in runs]
+
+
+@pytest.mark.parametrize("jitter", [0, 5])
+@pytest.mark.parametrize("system", sorted(_SHORT))
+def test_compare_equals_three_independent_runs(tmp_path, system, jitter):
+    # one workload replayed to the three modes gives what each mode's own draw does
+    cfg = _SHORT[system](jitter_us=jitter)
+    together = run_compare(cfg, seed=7919, duration_s=2)
+    alone = [run_scenario(cfg, mode=m, seed=7919, duration_s=2)
+             for m in scenarios.COMPARE_ORDER]
+    assert all(len({p.node for p in run.pauses}) == cfg.nodes
+               for run in together if run.mode != "off")
+    assert _outcome(together, tmp_path / "together") == _outcome(alone, tmp_path / "alone")
+
+
+def test_run_refuses_a_workload_drawn_for_another_config():
+    cfg = small_raft(duration_s=2)
+    drawn = Workload(WorkloadConfig(rate_rps=cfg.rate_rps, duration_s=2, mix_get=cfg.mix_get,
+                                    mix_set=cfg.mix_set, seed=cfg.seed, kind="rw"))
+    assert run_scenario(cfg, workload=drawn).samples == run_scenario(cfg).samples
+    for override in [{"seed": 2}, {"duration_s": 1}]:
+        with pytest.raises(ValueError, match="workload drawn for"):
+            run_scenario(cfg, workload=drawn, **override)
+    with pytest.raises(ValueError, match="workload drawn for"):
+        run_scenario(dataclasses.replace(cfg, system="http"), workload=drawn)
 
 
 def test_raft_compare_blade_tail_within_one_rtt_of_baseline():

@@ -36,14 +36,15 @@ log reads its rows in arrival order, and ``SampleLog.keep_arrived`` sets
 aside those still on the wire.  A scenario run reports the others.
 
 A backend keeps its queue, and the requests in service, as columns: a list
-of times with parallel lists of rids and issue times.  Most requests start
-as they arrive.  So a backend brought up to date first tries a bulk pass
-over the requests that wait: if no pause is under way, none of their starts
-may cross a threshold, and each finds a free slot (the completion
-``parallelism`` places before it, in start order, is due by then), it takes
-the whole run with column operations.  It computes their starts, completions
-and replies, records the replies in one batch, and allocates for them in one
-call.  Otherwise it steps through starts and completions one at a time.
+of times with parallel lists of rids and issue times.  A backend brought up
+to date starts the requests due by now whose starts cannot cross a
+threshold in one pass (``_start_due``).  Most requests start as they
+arrive, so if each finds a free slot (the completion ``parallelism`` places
+before it, in start order, is due by then), their starts are a column
+formula; otherwise they come from the recursion above.  The pass computes
+their completions and replies with column operations, records the replies
+in one batch, and allocates for the starts in one call.  Only the start at
+a threshold runs alone, and the pass resumes behind it.
 
 A backend schedules an event only where it must act at its own time: the
 start whose allocation may reach the runtime's trigger or hard limit (every
@@ -73,7 +74,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, takewhile
 from operator import add, le, sub
 from typing import Iterator, Optional, Sequence
 
@@ -87,11 +88,11 @@ REQ, REP = 1, 2
 INF = math.inf
 # A backend that need not act at its own time (any backend in off mode) would
 # hold every request handed to it until it is observed; it accounts them once
-# this many wait instead, and the bulk pass looks at no more than this many.
-# It also bounds a routed run, which leaves no backend more waiting.  With
-# the queues as columns, a three-mode http_cluster comparison at seed 1 on 2
-# vCPUs took 0.82-1.03 s with 64, 0.72-0.77 s with 128 and 0.65-0.70 s with
-# 256, the fastest in each of three rounds of fresh processes.
+# this many wait instead.  It also bounds a routed run, which leaves no
+# backend more waiting.  With the queues as columns, a three-mode
+# http_cluster comparison at seed 1 on 2 vCPUs took 0.82-1.03 s with 64,
+# 0.72-0.77 s with 128 and 0.65-0.70 s with 256, the fastest in each of three
+# rounds of fresh processes.
 _BATCH = 256
 
 
@@ -181,39 +182,30 @@ class Backend:
         self.grantee.grant(src)
         self._plan()
 
-    def _take(self, rid: int, issued: int, at: int) -> None:
-        """Accept a request routed here that arrives at ``at``."""
-        pending = self._pending
-        waiting = len(pending) + 1
-        if waiting == 1 or pending[-1] <= at:
-            place = waiting
-        else:  # sent later, arrives earlier (jitter)
-            place = bisect_right(pending, at) + 1
-        pending.insert(place - 1, at)
-        self._pending_rids.insert(place - 1, rid)
-        self._pending_issued.insert(place - 1, issued)
-        # the start that must run at its own time is now known, or moved
-        if place <= self._starts_left <= waiting or waiting > _BATCH:
-            self._advance()
-            self._plan()
-
     def _room(self) -> int:
-        """How many more requests ``_take`` can accept, in any order, with
+        """How many more requests ``_extend`` can accept, in any order, with
         none of them advancing the backend."""
         return max(0, min(self._starts_left - 1, _BATCH) - len(self._pending))
 
     def _extend(self, ats: list[int], rids: Sequence[int], issueds: Sequence[int]) -> None:
-        """Accept requests routed here that arrive at ``ats``, as ``_take``
-        would one by one, where none of them advances the backend."""
+        """Accept requests routed here that arrive at ``ats``, each behind
+        those that arrive with or before it.  Bring the backend up to date
+        and plan again if one lands at or before the filled place of the
+        start that must run at its own time, or more than ``_BATCH`` wait."""
         pending = self._pending
-        jumbled = self.sim.network.jitter_us or pending and pending[-1] > ats[0]
+        jitter = self.sim.network.jitter_us  # without it, ``ats`` is in order
+        place = bisect_right(pending, min(ats) if jitter else ats[0])  # none goes before
+        jumbled = place < len(pending) or jitter and len(ats) > 1
         pending += ats
         self._pending_rids += rids
         self._pending_issued += issueds
-        if jumbled:  # a stable sort inserts each after its equals, as _take does
-            order = sorted(range(len(pending)), key=pending.__getitem__)
+        if jumbled:  # a stable sort keeps equal arrivals in the order sent
+            order = sorted(range(place, len(pending)), key=pending.__getitem__)
             for column in (pending, self._pending_rids, self._pending_issued):
-                column[:] = map(column.__getitem__, order)
+                column[place:] = map(column.__getitem__, order)
+        if place < self._starts_left <= len(pending) or len(pending) > _BATCH:
+            self._advance()
+            self._plan()
 
     def _send_ask(self) -> None:
         self.sim.send(self.id, self._lb.id, ("ask",))
@@ -245,69 +237,30 @@ class Backend:
         left = self._starts_left
         rids, issueds, replies = [], [], []  # the replies sent, as columns
         self._advancing = True
-        lazy = self._bulk(now, left - 1, rids, issueds, replies) if (
-            self._pending and left > 1 and runtime.paused_until <= now) else 0
-        left -= lazy
-        freed = replies[-1] if replies else 0  # when the last completion freed a slot
-        pending, pending_rids, pending_issued = (
-            self._pending, self._pending_rids, self._pending_issued)
-        busy, busy_rids, busy_issued = self._busy, self._busy_rids, self._busy_issued
-        started = 0  # the requests before this place in pending have started
-        service = self.service_time_us
-        free = self.parallelism - len(busy)
-        shift, paused_until = self._shift, runtime.paused_until
+        lazy = floor = 0  # starts not yet allocated for; no start before floor
         while True:
-            done_at = busy[0] + shift if busy else INF
-            if started < len(pending) and free:
-                start_at = pending[started]
-                if start_at < paused_until:
-                    start_at = paused_until
-                if start_at < freed:
-                    start_at = freed
-                if start_at < done_at:  # a completion at the same time goes first
-                    if start_at > now:
-                        break
-                    free -= 1
-                    if left > 1:  # below every threshold: allocate in one go later
-                        left -= 1
-                        lazy += 1
-                        busy.append(start_at + service - shift)
-                        busy_rids.append(pending_rids[started])
-                        busy_issued.append(pending_issued[started])
-                        started += 1
-                        continue
-                    if start_at < now:
-                        raise SchedulingError(
-                            f"backend {self.id} missed the start at {start_at}us")
-                    # the runtime may call back: leave only the waiting requests
-                    del pending[:started], pending_rids[:started], pending_issued[:started]
-                    started = 0
-                    if lazy:
-                        runtime.allocate(lazy * self.bytes_per_request)
-                        lazy = 0
-                    runtime.add_due_ticks()  # ticks at this instant come first
-                    if now < runtime.paused_until:
-                        free += 1
-                        paused_until = runtime.paused_until
-                        continue
-                    busy.append(now + service - shift)
-                    busy_rids.append(pending_rids.pop(0))
-                    busy_issued.append(pending_issued.pop(0))
-                    del pending[0]
-                    # May pause: the pause then delays this request too.
-                    runtime.allocate(self.bytes_per_request)
-                    shift, paused_until = self._shift, runtime.paused_until
-                    left = self._threshold_start()
-                    continue
-            if done_at > now:
+            started, start = self._start_due(now, left - 1, floor, rids, issueds, replies)
+            lazy += started
+            left -= started
+            if start > now:
                 break
-            del busy[0]
-            free += 1
-            freed = done_at
-            rids.append(busy_rids.pop(0))
-            issueds.append(busy_issued.pop(0))
-            replies.append(done_at)
-        del pending[:started], pending_rids[:started], pending_issued[:started]
+            if start < now:
+                raise SchedulingError(f"backend {self.id} missed the start at {start}us")
+            # the start at the threshold place runs now; the runtime may call back
+            if lazy:
+                runtime.allocate(lazy * self.bytes_per_request)
+                lazy = 0
+            runtime.add_due_ticks()  # ticks at this instant come first
+            if now < runtime.paused_until:
+                continue
+            self._busy.append(now + self.service_time_us - self._shift)
+            self._busy_rids.append(self._pending_rids.pop(0))
+            self._busy_issued.append(self._pending_issued.pop(0))
+            del self._pending[0]
+            # May pause: the pause then delays this request too.
+            runtime.allocate(self.bytes_per_request)
+            left = self._threshold_start()
+            floor = now  # slots freed by now may be taken from now on
         if lazy:
             runtime.allocate(lazy * self.bytes_per_request)
         if replies:
@@ -317,32 +270,34 @@ class Backend:
         self._starts_left = left
         self._advancing = False
 
-    def _bulk(self, now: int, most: float, rids: list[int], issueds: list[int],
-              replies: list[int]) -> int:
-        """Start the run of waiting requests due by now, at most ``most`` of
-        them, and complete every request due by now, with column operations;
-        append the replies to the columns and return the number started.
+    def _start_due(self, now: int, most: float, floor: int, rids: list[int],
+                   issueds: list[int], replies: list[int]) -> tuple[int, float]:
+        """Start the waiting requests due by now, at most ``most`` of them and
+        none before ``floor``, and complete every request due by now; append
+        the replies to the columns.  Return the number started and the next
+        start, which is after now (``inf`` if not known) unless it is due.
 
-        The caller ensures no pause is under way and that these starts
-        allocate below every threshold.  Each request starts as it arrives,
-        or as the last pause ended, if the completion ``parallelism`` places
-        before it, in start order, is due by then; if one would wait for a
-        slot, start nothing and return 0.
-        """
-        pending, busy = self._pending, self._busy
-        k = bisect_right(pending, now, 0, min(most, len(pending), _BATCH))
-        if not k:
-            return 0
-        paused_until = self.runtime.paused_until
-        starts = pending[:k] if pending[0] >= paused_until else list(
-            map(max, islice(pending, k), repeat(paused_until)))
-        shift, free = self._shift, self.parallelism - len(busy)
-        ends = list(map(add, starts, repeat(self.service_time_us)))  # their completions
+        The caller ensures these starts allocate below every threshold.  If
+        each request finds a free slot, it starts at the latest of its
+        arrival, the end of the last pause and ``floor``; otherwise the
+        recursion of ``_starts`` gives the starts."""
+        pending, busy, shift = self._pending, self._busy, self._shift
+        low = max(self.runtime.paused_until, floor)  # no start before this
+        # paused past now, or none arrived: none of them starts by now
+        n = bisect_right(pending, now, 0, min(most + 1, len(pending))) if low <= now else 0
+        starts = pending[:n] if not n or pending[0] >= low else list(
+            map(max, islice(pending, n), repeat(low)))
+        service, free = self.service_time_us, self.parallelism - len(busy)
+        ends = list(map(add, starts, repeat(service)))  # their completions
         # the first ``free`` starts take the free slots; each later one, the
         # slot of the completion ``parallelism`` places before it
-        if k > free and not all(map(le, chain(map(add, busy, repeat(shift)), ends),
+        if n > free and not all(map(le, chain(map(add, busy, repeat(shift)), ends),
                                     islice(starts, free, None))):
-            return 0
+            starts = list(islice(takewhile(now.__ge__, self._starts(floor)), n))
+            ends = list(map(add, starts, repeat(service)))
+            n = len(starts)
+        k = bisect_right(starts, now, 0, min(most, n))
+        next_start = starts[k] if k < n else INF  # read before completions leave busy
         busy_rids, busy_issued = self._busy_rids, self._busy_issued
         done = bisect_right(busy, now - shift)  # in service, due by now
         if done:
@@ -350,16 +305,17 @@ class Backend:
             issueds += busy_issued[:done]
             replies += map(add, islice(busy, done), repeat(shift))
             del busy[:done], busy_rids[:done], busy_issued[:done]
-        pending_rids, pending_issued = self._pending_rids, self._pending_issued
-        new_done = bisect_right(ends, now)
-        rids += pending_rids[:new_done]
-        issueds += pending_issued[:new_done]
-        replies += ends[:new_done]
-        busy += map(sub, islice(ends, new_done, None), repeat(shift))
-        busy_rids += pending_rids[new_done:k]
-        busy_issued += pending_issued[new_done:k]
-        del pending[:k], pending_rids[:k], pending_issued[:k]
-        return k
+        if k:
+            pending_rids, pending_issued = self._pending_rids, self._pending_issued
+            new_done = bisect_right(ends, now, 0, k)
+            rids += pending_rids[:new_done]
+            issueds += pending_issued[:new_done]
+            replies += ends[:new_done]
+            busy += map(sub, islice(ends, new_done, k), repeat(shift))
+            busy_rids += pending_rids[new_done:k]
+            busy_issued += pending_issued[new_done:k]
+            del pending[:k], pending_rids[:k], pending_issued[:k]
+        return k, next_start
 
     def _send_replies(self, rids: list[int], issueds: list[int], sent: list[int]) -> None:
         """Record the replies sent at ``sent``, stamped with their arrivals."""
@@ -398,29 +354,29 @@ class Backend:
         if wake < lb._next_wake:
             lb._next_wake = wake
 
-    def _starts(self) -> Iterator[tuple[int, int]]:
-        """Each waiting request's arrival and start, if no pause comes first:
-        the start of the request ``parallelism`` places before it, plus the
-        service time, frees its slot."""
+    def _starts(self, floor: int = 0) -> Iterator[int]:
+        """Each waiting request's start, if no pause comes first and none
+        starts before ``floor``: the start of the request ``parallelism``
+        places before it, plus the service time, frees its slot."""
         shift, p, service = self._shift, self.parallelism, self.service_time_us
         slots = deque(map(add, self._busy, repeat(shift)), p)  # the last p completions
-        paused_until = self.runtime.paused_until
+        low = max(self.runtime.paused_until, floor)
         for arrival in self._pending:
-            start = arrival if arrival > paused_until else paused_until
+            start = arrival if arrival > low else low
             if len(slots) == p and slots[0] > start:
                 start = slots[0]
             slots.append(start + service)
-            yield arrival, start
+            yield start
 
     def _start_time(self, place: int) -> int:
         """When the waiting request at ``place`` starts, if no pause comes first."""
-        return next(islice(self._starts(), place - 1, None))[1]
+        return next(islice(self._starts(), place - 1, None))
 
     def _drain_time(self) -> int:
         """When the backend is next idle, if no pause comes first."""
         busy = self._busy
         idle_at = busy[-1] + self._shift if busy else self.sim.now
-        for arrival, start in self._starts():
+        for arrival, start in zip(self._pending, self._starts()):
             if arrival > idle_at:
                 break
             idle_at = start + self.service_time_us
@@ -525,7 +481,7 @@ class LoadBalancer:
             self.pending.append((rid, issued))
             return None
         self.rr_pos = (idx + 1) % n
-        self._backends[idx]._take(rid, issued, sim.arrival(sim.now, REQ, rid))
+        self._backends[idx]._extend([sim.arrival(sim.now, REQ, rid)], [rid], [issued])
         return order[idx]
 
     def route_run(self, times: Sequence[int], rids: Sequence[int], lo: int, hi: int) -> int:
@@ -534,8 +490,8 @@ class LoadBalancer:
 
         The rotation deals a run out cyclically, a slice to each backend.  A
         run ends before an arrival that a backend has no room for
-        (``Backend._room``), so no take in it advances one; that arrival is
-        taken alone.  Routing stops at an arrival that finds no backend in
+        (``Backend._room``), so no slice of it advances one; that arrival is
+        handed over alone.  Routing stops at an arrival that finds no backend in
         the rotation or reaches ``_next_wake``.
         """
         sim, order, granted, backends = self.sim, self.order, self.ledger.granted, self._backends
@@ -562,7 +518,8 @@ class LoadBalancer:
                 break
             p = places[k % r]  # the arrival at i would advance this backend
             self.rr_pos = (p + 1) % n
-            backends[p]._take(rids[i], times[i], sim.arrival(times[i], REQ, rids[i]))
+            backends[p]._extend([sim.arrival(times[i], REQ, rids[i])], rids[i:i + 1],
+                                times[i:i + 1])
             i += 1
         return i - lo
 

@@ -269,23 +269,6 @@ class WorkloadConfig:
     kind: str = "rw"  # rw -> get/set interleave, http -> all http
 
 
-def workload_chunks(cfg: WorkloadConfig, size: int = WORKLOAD_CHUNK
-                    ) -> Iterator[tuple[list[int], range, list[str]]]:
-    """Return the workload in issue order as column chunks of at most
-    ``size`` requests: their issue times (us), the ``range`` of their ids
-    (from 1) and their kinds.
-
-    Uniform arrivals are exactly periodic at the aggregate rate; Poisson
-    arrivals draw exponential gaps from a dedicated RNG seeded by the
-    config, so the stream is identical across runs with the same seed.
-    Either is a chain of C iterators, with no Python frame per arrival.
-    The get/set pattern repeats deterministically (e.g. G,G,G,S for a 3:1
-    mix), making the ratio exact over every pattern-sized window.
-    """
-    times, pattern, _ = _arrivals(cfg)
-    return _chunks(iter(lambda: list(islice(times, size)), []), pattern, size)
-
-
 def _arrivals(cfg: WorkloadConfig) -> tuple[Iterator[int], list[str], int]:
     """The workload's issue times, its kind pattern and its horizon (us)."""
     if cfg.rate_rps <= 0:
@@ -313,24 +296,18 @@ def _arrivals(cfg: WorkloadConfig) -> tuple[Iterator[int], list[str], int]:
     return takewhile(horizon.__ge__, times), pattern, horizon
 
 
-def _chunks(lists: Iterator[list[int]], pattern: list[str],
-            size: int) -> Iterator[tuple[list[int], range, list[str]]]:
-    """Each list of issue times with the ids and kinds that follow on."""
-    kinds = pattern * (-(-size // len(pattern)) + 1)  # every chunk's kinds are a slice
-    rid = 1
-    for chunk in lists:
-        n = len(chunk)
-        first = (rid - 1) % len(pattern)
-        yield chunk, range(rid, rid + n), kinds[first:first + n]
-        rid += n
-
-
 class Workload:
     """A workload drawn once, to replay to several runs (common random numbers).
 
+    Uniform arrivals are exactly periodic at the aggregate rate; Poisson
+    arrivals draw exponential gaps from a dedicated RNG seeded by the
+    config, so the stream is identical across runs with the same seed.
+    Either is a chain of C iterators, with no Python frame per arrival.
+    The get/set pattern repeats deterministically (e.g. G,G,G,S for a 3:1
+    mix), making the ratio exact over every pattern-sized window.
+
     Issue times are kept in one 32-bit column, 64-bit if the horizon reaches
-    2**32 us; ids and kinds follow from the place in the stream.  ``chunks()``
-    yields what ``workload_chunks(config, size)`` does, in fresh lists."""
+    2**32 us; ids and kinds follow from the place in the stream."""
 
     def __init__(self, config: WorkloadConfig, size: int = WORKLOAD_CHUNK):
         times, self._pattern, horizon = _arrivals(config)
@@ -338,15 +315,21 @@ class Workload:
         self._times = array("I" if horizon < 2**32 else "Q", times)
 
     def chunks(self) -> Iterator[tuple[list[int], range, list[str]]]:
-        times, size = self._times, self._size
-        lists = (times[lo:lo + size].tolist() for lo in range(0, len(times), size))
-        return _chunks(lists, self._pattern, size)
+        """The workload in issue order as column chunks of at most ``size``
+        requests, in fresh lists: their issue times (us), the ``range`` of
+        their ids (from 1) and their kinds."""
+        times, size, pattern = self._times, self._size, self._pattern
+        kinds = pattern * (-(-size // len(pattern)) + 1)  # every chunk's kinds are a slice
+        for lo in range(0, len(times), size):
+            chunk = times[lo:lo + size].tolist()
+            first, n = lo % len(pattern), len(chunk)
+            yield chunk, range(lo + 1, lo + 1 + n), kinds[first:first + n]
 
 
 def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
-    """The stream of :func:`workload_chunks` as ``(issue_time_us,
+    """The stream of ``Workload(cfg).chunks()`` as ``(issue_time_us,
     request_id, kind)`` rows."""
-    return chain.from_iterable(starmap(zip, workload_chunks(cfg)))
+    return chain.from_iterable(starmap(zip, Workload(cfg).chunks()))
 
 
 # -- statistics ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from gcsim.config import ScenarioConfig, parse_config
 from gcsim.httpcluster import _BATCH, REQ, Backend, LoadBalancer
 from gcsim.metrics import WORKLOAD_CHUNK
 from gcsim.runtime import GIB, MIB, CollectorCostModel, GcMode, HeapModel, ManagedRuntime
-from gcsim.simcore import NetworkModel, Simulation
+from gcsim.simcore import NetworkModel, SchedulingError, Simulation
 
 RTT = 48
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -302,7 +302,8 @@ def test_route_matches_loop_reference(data):
     sim, lb, backends = make_cluster(n=n, max_concurrent=n)
     handed = []
     for b in backends:
-        b._take = lambda rid, issued, at, bid=b.id: handed.append((bid, rid, issued, at))
+        b._extend = lambda ats, rids, issueds, bid=b.id: handed.extend(
+            zip([bid] * len(ats), rids, issueds, ats))
     clock = Simulation(network=NetworkModel.from_rtt(RTT))  # the same arrival draws
     lb.rr_pos = rr_pos
     pos, want_handed, want_pending = rr_pos, [], []
@@ -345,7 +346,7 @@ def _small_run(gaps, cut, nodes=3, **overrides):
 
 
 def _columns(stream):
-    """The rows of ``stream`` as the column chunks ``workload_chunks`` yields."""
+    """The rows of ``stream`` as the column chunks ``Workload.chunks`` yields."""
     for lo in range(0, len(stream), WORKLOAD_CHUNK):
         times, rids, kinds = zip(*stream[lo:lo + WORKLOAD_CHUNK])
         yield list(times), list(rids), list(kinds)
@@ -559,7 +560,7 @@ def test_each_pinned_run_end_is_reached(monkeypatch, rule):
     # each pinned example above meets the rule it is pinned for
     seen = Counter()
     route_run, route = LoadBalancer.route_run, LoadBalancer.route
-    take, extend = Backend._take, Backend._extend
+    extend = Backend._extend
     running = []
 
     def spy_route_run(lb, *args):
@@ -569,10 +570,6 @@ def test_each_pinned_run_end_is_reached(monkeypatch, rule):
         finally:
             running.pop()
 
-    def spy_take(backend, *args):  # taken alone, inside a run
-        seen["batch-room"] += bool(running) and len(backend._pending) == _BATCH
-        return take(backend, *args)
-
     def spy_route(lb, rid, issued):
         seen["wake"] += lb._next_wake <= lb.sim.now
         backend = route(lb, rid, issued)
@@ -580,31 +577,44 @@ def test_each_pinned_run_end_is_reached(monkeypatch, rule):
         return backend
 
     def spy_extend(backend, ats, *args):
+        # a backend with no room takes an arrival alone, inside a run
+        seen["batch-room"] += bool(running) and len(backend._pending) == _BATCH
         seen["jumbled"] += ats != sorted(ats)
         return extend(backend, ats, *args)
     monkeypatch.setattr(LoadBalancer, "route_run", spy_route_run)
     monkeypatch.setattr(LoadBalancer, "route", spy_route)
-    monkeypatch.setattr(Backend, "_take", spy_take)
     monkeypatch.setattr(Backend, "_extend", spy_extend)
     _against_reference(**_RUN_ENDS[rule])
     assert seen[rule] > 0
 
 
-@pytest.mark.parametrize("gaps,taken", [([1] * 64, 64), ([1] * 63 + [0], 0)],
+@pytest.mark.parametrize("gaps,recursions", [([1] * 64, 0), ([1] * 63 + [0], 1)],
                          ids=["whole-batch", "declines-at-last"])
-def test_bulk_pass_takes_a_whole_batch_or_none(monkeypatch, gaps, taken):
+def test_bulk_pass_takes_a_whole_batch_or_none(monkeypatch, gaps, recursions):
     # the two pinned examples above reach the pass as they say: one call,
-    # when the run ends, with all 64 requests arrived
-    calls = []
-    bulk = Backend._bulk
+    # when the run ends, starts all 64 requests, with the column formula for
+    # the whole batch and with the recursion where the last would wait
+    calls, inside = [], []
+    start_due, starts = Backend._start_due, Backend._starts
 
-    def spy(backend, now, most, *columns):
-        calls.append((len(backend._pending), bulk(backend, now, most, *columns)))
-        return calls[-1][1]
-    monkeypatch.setattr(Backend, "_bulk", spy)
+    def spy_start_due(backend, *args):
+        waiting = len(backend._pending)
+        inside.append(0)
+        started, next_start = start_due(backend, *args)
+        if waiting:
+            calls.append((waiting, started, inside[-1]))
+        inside.pop()
+        return started, next_start
+
+    def spy_starts(backend, *args):
+        if inside:
+            inside[-1] += 1
+        return starts(backend, *args)
+    monkeypatch.setattr(Backend, "_start_due", spy_start_due)
+    monkeypatch.setattr(Backend, "_starts", spy_starts)
     _, _, _, run = _small_run(gaps, 100, nodes=1, gc_mode="blade", bytes_per_request=1,
                               pause_overhead_us=0, parallelism=1, service_time_us=1)
-    assert calls == [(64, taken)]
+    assert calls == [(64, 64, recursions)]
     assert len(run.samples) == 64
 
 
@@ -665,6 +675,34 @@ def test_a_backend_starts_no_request_while_paused():
         # rid order must not go back in time
         done = [completed for rid, _, completed, server, _ in sorted(rows) if server == node]
         assert done == sorted(done)
+
+
+def test_a_backend_that_misses_its_planned_start_raises():
+    # one backend 100 B below its trigger at 40 B a request: the third start
+    # crosses it, so the backend plans a wake for it at 24 us.  With that
+    # wake cancelled, the backend is first observed long after the start
+    sim, lb, (b,) = make_cluster(n=1, live=100, trigger=200, hard=10_000,
+                                 bytes_per_request=40)
+    for rid in range(3):
+        sim.schedule_at(0, lambda _, rid=rid: lb.on_request(rid))
+    sim.run_until(1)
+    assert b._wake is not None and b._wake[0] == RTT // 2
+    sim.cancel(b._wake)
+    sim.run_until(10_000)
+    with pytest.raises(SchedulingError, match="missed the start"):
+        b.in_service
+
+
+def test_allocating_on_a_backend_behind_its_runtime_raises():
+    # gc-on, the same backend: its one request completes at 2,024 us.
+    # Allocating 1,000 B on the runtime directly at 5,000 us pauses it
+    # before the backend has accounted that completion
+    sim, lb, (b,) = make_cluster(n=1, mode=GcMode.ON, live=100, trigger=200, hard=10_000,
+                                 bytes_per_request=40)
+    sim.schedule_at(0, lambda _: lb.on_request(0))
+    sim.run_until(5_000)
+    with pytest.raises(SchedulingError, match="behind its runtime"):
+        b.runtime.allocate(1_000)
 
 
 def test_a_reply_on_the_wire_at_the_deadline_is_in_flight():

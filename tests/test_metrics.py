@@ -101,34 +101,52 @@ def assert_chunks(chunks, want, size):
     assert [row for chunk in chunks for row in zip(*chunk)] == want
 
 
+# Workload configs over both arrival processes, fractional rates, http and
+# get/set mixes, seeds and chunk sizes 1-40
+workload_cases = given(
+    arrivals=st.sampled_from(["uniform", "poisson"]),
+    rate=st.one_of(st.sampled_from([1, 333.3, 1_000]), st.floats(0.5, 1_000)),
+    duration_s=st.one_of(st.integers(1, 2), st.floats(0.001, 2)),
+    kind=st.sampled_from(["http", "rw"]),
+    mix=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+    seed=st.integers(0, 2**32), size=st.integers(1, 40))
+
+
 @settings(deadline=None)
-@given(arrivals=st.sampled_from(["uniform", "poisson"]),
-       rate=st.one_of(st.sampled_from([1, 333.3, 1_000]), st.floats(0.5, 1_000)),
-       duration_s=st.one_of(st.integers(1, 2), st.floats(0.001, 2)),
-       kind=st.sampled_from(["http", "rw"]),
-       mix=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
-       seed=st.integers(0, 2**32), size=st.integers(1, 40))
+@workload_cases
 # 666 arrivals in chunks of 7: the workload ends one row into its last chunk
 @example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1, size=7)
 # 188 Poisson arrivals in chunks of 8: the horizon cuts the last chunk at 4
 @example(arrivals="poisson", rate=100, duration_s=2, kind="rw", mix=(1, 3), seed=7918, size=8)
+def test_workload_chunks_match_the_tuple_generator(arrivals, rate, duration_s, kind, mix,
+                                                  seed, size):
+    # a drawn workload's column chunks hold the reference's rows, and
+    # generate_workload yields those rows
+    cfg = WorkloadConfig(rate_rps=rate, duration_s=duration_s, mix_get=mix[0],
+                         mix_set=mix[1], arrivals=arrivals, seed=seed, kind=kind)
+    want = list(tuple_workload(cfg))
+    assert_chunks(list(Workload(cfg, size).chunks()), want, size)
+    assert list(generate_workload(cfg)) == want
+
+
+@settings(deadline=None)
+@workload_cases
+# 666 arrivals in chunks of 7: the last chunk holds one row
+@example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1, size=7)
 # the first Poisson gap passes a 1 ms horizon: the stream is empty
 @example(arrivals="poisson", rate=1, duration_s=0.001, kind="http", mix=(3, 1), seed=1,
          size=5)
 # a 4,295 s horizon reaches 2**32 us and the last issue time passes it, so the
 # times need the 64-bit column
 @example(arrivals="uniform", rate=1, duration_s=4_295, kind="rw", mix=(2, 3), seed=1, size=40)
-def test_workload_chunks_match_the_tuple_generator(arrivals, rate, duration_s, kind, mix,
-                                                  seed, size):
-    # a drawn workload replays as column chunks of the reference's rows, and
-    # generate_workload yields those rows
+def test_workload_replays_the_chunks_it_was_drawn_from(arrivals, rate, duration_s, kind, mix,
+                                                       seed, size):
     cfg = WorkloadConfig(rate_rps=rate, duration_s=duration_s, mix_get=mix[0],
                          mix_set=mix[1], arrivals=arrivals, seed=seed, kind=kind)
     want = list(tuple_workload(cfg))
     workload = Workload(cfg, size)
     first = list(workload.chunks())
     assert_chunks(first, want, size)
-    assert list(generate_workload(cfg)) == want
     # a run that changes the lists it was handed leaves the next replay intact
     for times, _, kinds in first:
         times.append(-1)

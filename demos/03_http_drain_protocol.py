@@ -13,9 +13,10 @@ from gcsim.httpcluster import Backend, LoadBalancer
 from gcsim.runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime
 from gcsim.simcore import NetworkModel, Simulation
 
-# One backend with two requests in flight when the grant arrives.
+# One backend with two requests in flight when the grant arrives: requests
+# 1 and 2, issued at 10 and 20 us.
 sim = Simulation(network=NetworkModel.from_rtt(48))
-lb = LoadBalancer(sim, "lb", ["b0"])
+lb = LoadBalancer(sim, "lb", ["b0"], times=[10, 20])
 heap = HeapModel(live_bytes=150 * MIB, trigger_bytes=300 * MIB,
                  hard_limit_bytes=GIB)
 rt = ManagedRuntime(sim, "b0", heap, CollectorCostModel(25_000, 8_761), mode=GcMode.BLADE)
@@ -42,7 +43,7 @@ print(f"  grant received                 {landed['allow']:>8} us")
 print(f"  trailers drained, pause begins {pause.start_us:>8} us")
 print(f"  pause ends, done sent          {pause.end_us:>8} us")
 print(f"  done received, routing resumes {landed['done']:>8} us")
-for rid, issued, done, server, _kind in sorted(lb.samples):
+for rid, issued, done, server, _kind in lb.samples:
     print(f"  request {rid}: {issued} -> {done} us ({(done - issued) / 1000:.3f} ms, "
           f"untouched by the pause)")
 # The backend is out of the rotation from the grant to the done report.

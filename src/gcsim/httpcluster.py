@@ -30,21 +30,21 @@ constant and the queue FIFO, so a request starts at the latest of its
 arrival, the end of the current pause and the completion of the request
 ``parallelism`` places before it (the Kiefer-Wolfowitz recursion; Lindley's
 for one slot).  It completes one service time later, plus every pause that
-begins while it is in service.  As it completes, the backend writes the
-reply into the balancer's ``samples``, stamped with the reply's arrival; the
-log reads its rows in arrival order, and ``SampleLog.keep_arrived`` sets
-aside those still on the wire.  A scenario run reports the others.
+begins while it is in service.  As it completes, the backend scatters the
+reply's arrival into the balancer's ``samples``, the run's
+``metrics.Completions`` record, at the request's id; a reply still on the
+wire there counts once the clock reaches it.
 
 A backend keeps its queue, and the requests in service, as columns: a list
-of times with parallel lists of rids and issue times.  A backend brought up
-to date starts the requests due by now whose starts cannot cross a
-threshold in one pass (``_start_due``).  Most requests start as they
-arrive, so if each finds a free slot (the completion ``parallelism`` places
-before it, in start order, is due by then), their starts are a column
-formula; otherwise they come from the recursion above.  The pass computes
-their completions and replies with column operations, records the replies
-in one batch, and allocates for the starts in one call.  Only the start at
-a threshold runs alone, and the pass resumes behind it.
+of times with a parallel list of rids.  A backend brought up to date starts
+the requests due by now whose starts cannot cross a threshold in one pass
+(``_start_due``).  Most requests start as they arrive, so if each finds a
+free slot (the completion ``parallelism`` places before it, in start order,
+is due by then), their starts are a column formula; otherwise they come
+from the recursion above.  The pass computes their completions and replies
+with column operations, records the replies in one batch, and allocates for
+the starts in one call.  Only the start at a threshold runs alone, and the
+pass resumes behind it.
 
 A backend schedules an event only where it must act at its own time: the
 start whose allocation may reach the runtime's trigger or hard limit (every
@@ -78,7 +78,7 @@ from itertools import chain, islice, repeat, takewhile
 from operator import add, le, sub
 from typing import Iterator, Optional, Sequence
 
-from .metrics import SampleLog
+from .metrics import Completions
 from .runtime import GcGrantee, GcLedger, GcMode, ManagedRuntime
 from .simcore import NodeId, SchedulingError, Simulation
 
@@ -129,16 +129,14 @@ class Backend:
         self.parallelism = parallelism
         self.bytes_per_request = bytes_per_request
         # The requests not started, by arrival, and those in service, by
-        # completion - shift: each a time column with parallel rid and issue
-        # time columns.  Started requests leave the front of the queue with
-        # ``del``, a move of the rest: 0.1 us a column at 1,000 waiting, and
-        # 2.2 us at 10,000 (2 vCPUs, Python 3.11).
+        # completion - shift: each a time column with a parallel rid column.
+        # Started requests leave the front of the queue with ``del``, a move
+        # of the rest: 0.1 us a column at 1,000 waiting, and 2.2 us at 10,000
+        # (2 vCPUs, Python 3.11).
         self._pending: list[int] = []
         self._pending_rids: list[int] = []
-        self._pending_issued: list[int] = []
         self._busy: list[int] = []
         self._busy_rids: list[int] = []
-        self._busy_issued: list[int] = []
         self._shift = 0  # pause time so far: a request in service completes this much later
         self._starts_left: float = INF  # the start at this place must run at its own time
         self._advancing = False
@@ -162,11 +160,10 @@ class Backend:
         return len(self._busy)
 
     @property
-    def queue(self) -> list[tuple[int, int]]:
-        """The requests that have arrived and wait, as ``(rid, issued)``."""
+    def queue(self) -> list[int]:
+        """The ids of the requests that have arrived and wait."""
         self.catch_up()
-        arrived = bisect_right(self._pending, self.sim.now)
-        return list(zip(self._pending_rids[:arrived], self._pending_issued[:arrived]))
+        return self._pending_rids[:bisect_right(self._pending, self.sim.now)]
 
     def catch_up(self) -> None:
         """Bring the backend, and the rest of its cluster, up to date."""
@@ -187,7 +184,7 @@ class Backend:
         none of them advancing the backend."""
         return max(0, min(self._starts_left - 1, _BATCH) - len(self._pending))
 
-    def _extend(self, ats: list[int], rids: Sequence[int], issueds: Sequence[int]) -> None:
+    def _extend(self, ats: list[int], rids: Sequence[int]) -> None:
         """Accept requests routed here that arrive at ``ats``, each behind
         those that arrive with or before it.  Bring the backend up to date
         and plan again if one lands at or before the filled place of the
@@ -198,10 +195,9 @@ class Backend:
         jumbled = place < len(pending) or jitter and len(ats) > 1
         pending += ats
         self._pending_rids += rids
-        self._pending_issued += issueds
         if jumbled:  # a stable sort keeps equal arrivals in the order sent
             order = sorted(range(place, len(pending)), key=pending.__getitem__)
-            for column in (pending, self._pending_rids, self._pending_issued):
+            for column in (pending, self._pending_rids):
                 column[place:] = map(column.__getitem__, order)
         if place < self._starts_left <= len(pending) or len(pending) > _BATCH:
             self._advance()
@@ -235,11 +231,11 @@ class Backend:
         now = self.sim.now
         runtime = self.runtime
         left = self._starts_left
-        rids, issueds, replies = [], [], []  # the replies sent, as columns
+        rids, replies = [], []  # the replies sent, as columns
         self._advancing = True
         lazy = floor = 0  # starts not yet allocated for; no start before floor
         while True:
-            started, start = self._start_due(now, left - 1, floor, rids, issueds, replies)
+            started, start = self._start_due(now, left - 1, floor, rids, replies)
             lazy += started
             left -= started
             if start > now:
@@ -255,7 +251,6 @@ class Backend:
                 continue
             self._busy.append(now + self.service_time_us - self._shift)
             self._busy_rids.append(self._pending_rids.pop(0))
-            self._busy_issued.append(self._pending_issued.pop(0))
             del self._pending[0]
             # May pause: the pause then delays this request too.
             runtime.allocate(self.bytes_per_request)
@@ -264,14 +259,14 @@ class Backend:
         if lazy:
             runtime.allocate(lazy * self.bytes_per_request)
         if replies:
-            self._send_replies(rids, issueds, replies)
+            self._send_replies(rids, replies)
         if self._ticks:
             self._next_tick = runtime.add_due_ticks()
         self._starts_left = left
         self._advancing = False
 
     def _start_due(self, now: int, most: float, floor: int, rids: list[int],
-                   issueds: list[int], replies: list[int]) -> tuple[int, float]:
+                   replies: list[int]) -> tuple[int, float]:
         """Start the waiting requests due by now, at most ``most`` of them and
         none before ``floor``, and complete every request due by now; append
         the replies to the columns.  Return the number started and the next
@@ -298,28 +293,25 @@ class Backend:
             n = len(starts)
         k = bisect_right(starts, now, 0, min(most, n))
         next_start = starts[k] if k < n else INF  # read before completions leave busy
-        busy_rids, busy_issued = self._busy_rids, self._busy_issued
+        busy_rids = self._busy_rids
         done = bisect_right(busy, now - shift)  # in service, due by now
         if done:
             rids += busy_rids[:done]
-            issueds += busy_issued[:done]
             replies += map(add, islice(busy, done), repeat(shift))
-            del busy[:done], busy_rids[:done], busy_issued[:done]
+            del busy[:done], busy_rids[:done]
         if k:
-            pending_rids, pending_issued = self._pending_rids, self._pending_issued
+            pending_rids = self._pending_rids
             new_done = bisect_right(ends, now, 0, k)
             rids += pending_rids[:new_done]
-            issueds += pending_issued[:new_done]
             replies += ends[:new_done]
             busy += map(sub, islice(ends, new_done, k), repeat(shift))
             busy_rids += pending_rids[new_done:k]
-            busy_issued += pending_issued[new_done:k]
-            del pending[:k], pending_rids[:k], pending_issued[:k]
+            del pending[:k], pending_rids[:k]
         return k, next_start
 
-    def _send_replies(self, rids: list[int], issueds: list[int], sent: list[int]) -> None:
+    def _send_replies(self, rids: list[int], sent: list[int]) -> None:
         """Record the replies sent at ``sent``, stamped with their arrivals."""
-        self._log.extend(rids, issueds, self.sim.arrivals(sent, REP, rids), self.id, "http")
+        self._log.put(rids, self.sim.arrivals(sent, REP, rids), self.id)
 
     def _threshold_start(self) -> float:
         """The place, among the next starts, of the first whose allocation
@@ -405,17 +397,18 @@ class LoadBalancer:
     capacity ``max_concurrent`` that sends each allow through ``_grant``; a
     backend leaves the rotation while it holds a grant.
 
-    ``samples`` gets a row per reply as the reply is sent, with
-    ``completed`` set to the reply's arrival: mid-run, a row whose arrival
-    is later than ``sim.now`` is a reply still on the wire.  Reading it
-    brings the backends up to date.  After ``samples.keep_arrived(sim.now)``
-    it holds the replies received so far, until the next reply is recorded.
+    ``samples`` records the reply to each request as the reply is sent,
+    stamped with its arrival, for requests 1, 2, ... issued at ``times``
+    (the workload's column): mid-run, a reply whose arrival is later than
+    ``sim.now`` is still on the wire, and it counts once the clock reaches
+    it.  Reading ``samples`` brings the backends up to date.
     The balancer is built first, then its backends, one per entry of
     ``backend_ids`` and in that order; it routes once all are built.
     """
 
     def __init__(self, sim: Simulation, balancer_id: NodeId,
-                 backend_ids: list[NodeId], max_concurrent: int = 1):
+                 backend_ids: list[NodeId], max_concurrent: int = 1,
+                 times: Sequence[int] = ()):
         self.sim = sim
         self.id = balancer_id
         self.order = list(backend_ids)
@@ -424,13 +417,13 @@ class LoadBalancer:
         self.ledger = GcLedger(max_concurrent, self._grant)
         # Alias kept for the benchmark's tracer, which reads ``lb.wait_queue``.
         self.wait_queue = self.ledger.pending
-        self._samples = SampleLog(by_arrival=True)
+        self._samples = Completions(times, ("http",), self.order, lambda: sim.now)
         self._backends: list[Backend] = []  # in rotation order, as built
         self._next_wake: float = INF  # no backend must act before this
         sim.add_node(balancer_id, self.deliver)
 
     @property
-    def samples(self) -> SampleLog:
+    def samples(self) -> Completions:
         self.catch_up()
         return self._samples
 
@@ -466,6 +459,9 @@ class LoadBalancer:
         self.route(rid, self.sim.now)
 
     def route(self, rid: int, issued: int) -> Optional[NodeId]:
+        """Hand request ``rid`` to the next backend of the rotation and return
+        its id, or park the request, issued at ``issued``, and return None.
+        The backends need no issue time: ``samples`` reads the workload's."""
         sim = self.sim
         if self._next_wake <= sim.now:
             self._gate()
@@ -481,7 +477,7 @@ class LoadBalancer:
             self.pending.append((rid, issued))
             return None
         self.rr_pos = (idx + 1) % n
-        self._backends[idx]._extend([sim.arrival(sim.now, REQ, rid)], [rid], [issued])
+        self._backends[idx]._extend([sim.arrival(sim.now, REQ, rid)], [rid])
         return order[idx]
 
     def route_run(self, times: Sequence[int], rids: Sequence[int], lo: int, hi: int) -> int:
@@ -511,15 +507,14 @@ class LoadBalancer:
                 sent, ids = times[i:i + k], rids[i:i + k]
                 ats = sim.arrivals(sent, REQ, ids)
                 for j, p in enumerate(places[:k]):
-                    backends[p]._extend(ats[j::r], ids[j::r], sent[j::r])
+                    backends[p]._extend(ats[j::r], ids[j::r])
                 self.rr_pos = (places[(k - 1) % r] + 1) % n
                 i += k
             if i != full or i >= wake or not sim.fire_in_place(times[i]):
                 break
             p = places[k % r]  # the arrival at i would advance this backend
             self.rr_pos = (p + 1) % n
-            backends[p]._extend([sim.arrival(times[i], REQ, rids[i])], rids[i:i + 1],
-                                times[i:i + 1])
+            backends[p]._extend([sim.arrival(times[i], REQ, rids[i])], rids[i:i + 1])
             i += 1
         return i - lo
 

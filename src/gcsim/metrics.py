@@ -1,8 +1,9 @@
 """Workload generation, latency capture, and tail-latency reporting.
 
-Completed requests are kept as narrow columns, 14 bytes a row (32-bit
-integers and one-byte name codes), and a run is summarised from its
-``(latency, count)`` histogram.  Quantiles use the nearest-rank
+A run records each request's reply in one column indexed by its id, 5 bytes
+a request (a 32-bit arrival time and a one-byte server code); its issue time
+and kind are read from the workload drawn for it.  A run is summarised from
+its ``(latency, count)`` histogram.  Quantiles use the nearest-rank
 definition (exact integer ranks, no interpolation) and the standard deviation
 is the population deviation; both conventions are stated in every report
 header.  Rendering is deterministic: identical inputs give identical files.
@@ -19,8 +20,8 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, repeat, starmap, takewhile
-from typing import Collection, Iterable, Iterator, Optional
+from itertools import accumulate, chain, compress, count, repeat, starmap, takewhile
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .runtime import PauseInterval
 
@@ -56,203 +57,92 @@ class OverlapStat:
         return self.overlapping_collections / self.total_collections
 
 
-class SampleLog:
-    """Completed requests as columns, 14 bytes a row: 32-bit unsigned arrays
-    for rid, issued and completed, and one-byte codes for server and kind
-    into a name table the log keeps.  Iteration and indexing yield
-    ``(rid, issued, completed, server, kind)`` tuples, with names decoded.
+class Completions:
+    """A run's replies, as one column indexed by ``rid - 1`` (ids start at 1).
 
-    A time or id of 2**32 or more (a run past 4,294 simulated seconds)
-    widens the integer columns to 64 bits, and a 257th distinct name widens
-    the code columns to 32 bits; each happens at most once.
+    A request is a place in the run's workload: request ``rid`` was issued
+    at ``times[rid - 1]`` and is of kind ``pattern[(rid - 1) % len(pattern)]``.
+    So the record keeps only what the run adds, 5 bytes a request:
+    ``completed``, the arrival of each reply (us) in an unsigned 32-bit
+    column, and the code of the server that sent it, one byte into
+    ``servers``.  Both columns are sized to the workload, and their widths
+    are fixed as they are built: 64-bit times if the last issue time
+    reaches 2**31 us (2,147 s, which leaves as long again for the replies),
+    and 16-bit codes for more than 256 servers.  The column's largest value
+    marks a request with no reply recorded; each request is recorded once.
 
-    Rows are read in the order they were added, or, in a log kept
-    ``by_arrival``, in arrival order and rid order within one arrival
-    instant (a row's ``completed`` is its arrival).  Such a log takes rows
-    in any order and sorts them when they are next read, through
-    iteration, indexing, ``==`` or a column.  ``len``, ``latencies`` and
-    ``latency_by_rid`` need no order and sort nothing.
+    A row counts as completed once its arrival is at or before ``clock()``:
+    mid-run, a later arrival is a reply still on the wire, which counts once
+    a resumed run reaches it.  ``len``, ``latencies`` and ``latency_by_rid``
+    read the completed rows in rid order.  Iteration yields them as
+    ``(rid, issued, completed, server, kind)`` tuples in arrival order, and
+    rid order within one arrival instant.
     """
 
-    _COLUMNS = ("rid", "issued", "completed", "server", "kind")
+    def __init__(self, times: Sequence[int], pattern: Sequence[str],
+                 servers: Sequence[str], clock: Callable[[], int]):
+        self.times, self.servers, self._pattern, self._clock = times, servers, pattern, clock
+        typecode = "I" if not times or times[-1] < 2**31 else "Q"
+        # a slot of a request in flight: the column's largest value
+        self._free = array(typecode, [2 ** (8 * array(typecode).itemsize) - 1])
+        self.completed = self._free * len(times)
+        self._server = array("B" if len(servers) <= 256 else "H", [0]) * len(times)
+        self._codes = {name: code for code, name in enumerate(servers)}
 
-    def __init__(self, by_arrival: bool = False) -> None:
-        # Unsigned: ids and times are never negative, and the array module
-        # appends "I" and "Q" items without the format parsing it does for
-        # signed or one-byte codes; a bytearray appends a byte faster still.
-        self._rid, self._issued, self._completed = array("I"), array("I"), array("I")
-        self._server, self._kind = bytearray(), bytearray()  # codes into _names
-        self._names: list[str] = []
-        self._codes: dict[str, int] = {}  # the inverse of _names
-        self._by_arrival = by_arrival
-        self._unsorted = False  # rows added since the last sort
-        self._on_wire: list = []  # the columns of the rows keep_arrived set aside
+    def add(self, rid: int, issued: Optional[int], completed: int, server: str,
+            kind: Optional[str]) -> None:
+        """Record the reply to ``rid`` from ``server``, arriving at
+        ``completed``; its issue time and kind are the workload's."""
+        if rid < 1 or self.completed[rid - 1] != self._free[0]:
+            raise ValueError(f"request {rid} completed twice, or is not in the workload")
+        self.completed[rid - 1] = completed
+        self._server[rid - 1] = self._codes[server]
 
-    def _column(name: str) -> property:
-        def read(self):
-            if self._unsorted:
-                self._sort()
-            column = getattr(self, "_" + name)
-            return map(self._names.__getitem__, column) if name in ("server", "kind") else column
-        return property(read)
-
-    rid, issued, completed, server, kind = map(_column, _COLUMNS)
-    del _column
-
-    def add(self, rid: int, issued: int, completed: int, server: str, kind: str) -> None:
-        if self._on_wire:
-            self._put_back()
-        codes = self._codes
-        # Codes first: a new name may widen, and so replace, the code columns.
-        try:
-            server_code = codes[server]
-        except KeyError:
-            server_code = self._new_code(server)
-        try:
-            kind_code = codes[kind]
-        except KeyError:
-            kind_code = self._new_code(kind)
-        try:
-            self._rid.append(rid)
-            self._issued.append(issued)
-            self._completed.append(completed)
-        except OverflowError as error:
-            self._widen(len(self._completed), error)  # completed is appended last
-            return self.add(rid, issued, completed, server, kind)
-        self._server.append(server_code)
-        self._kind.append(kind_code)
-        self._unsorted = self._by_arrival
-
-    def extend(self, rid: list[int], issued: list[int], completed: list[int],
-               server: str, kind: str) -> None:
-        """Add rows given as columns, all from one server and of one kind."""
-        if self._on_wire:
-            self._put_back()
-        codes = self._codes
-        server_code = codes[server] if server in codes else self._new_code(server)
-        kind_code = codes[kind] if kind in codes else self._new_code(kind)
-        rows = len(self._rid)
-        try:
-            self._rid.extend(rid)
-            self._issued.extend(issued)
-            self._completed.extend(completed)
-        except OverflowError as error:
-            self._widen(rows, error)
-            return self.extend(rid, issued, completed, server, kind)
-        self._server.extend(repeat(server_code, len(rid)))
-        self._kind.extend(repeat(kind_code, len(rid)))
-        self._unsorted = self._by_arrival
-
-    def _new_code(self, name: str) -> int:
-        code = len(self._names)
-        if code == 256:  # iter(): array() would take a bytearray's bytes as raw items
-            self._server, self._kind = array("I", iter(self._server)), array("I", iter(self._kind))
-        self._names.append(name)
-        self._codes[name] = code
-        return code
-
-    def _widen(self, rows: int, error: OverflowError) -> None:
-        """Cut the integer columns back to ``rows`` rows, undoing a failed
-        append, and widen them to 64 bits for the caller to retry; re-raise
-        ``error`` if they are that wide already."""
-        for column in (self._rid, self._issued, self._completed):
-            del column[rows:]
-        if self._rid.typecode == "Q":
-            raise error
-        self._rid, self._issued, self._completed = (
-            array("Q", column) for column in (self._rid, self._issued, self._completed))
-
-    def keep_arrived(self, until: int) -> None:
-        """Set aside the rows that arrive after ``until``; the log still
-        reads the others in arrival order, and rid order within one arrival
-        instant.  Only a log built ``by_arrival`` may do this.
-
-        The rows set aside are still on the wire: the next :meth:`add` puts
-        them back first, so a run may be resumed and no row is lost.
-        """
-        if not self._by_arrival:
-            raise ValueError("keep_arrived needs a log built with by_arrival=True")
-        if self._on_wire:
-            self._put_back()
-        completed = self._completed
-        if not completed or max(completed) <= until:
+    def put(self, rids: list[int], completed: list[int], server: str) -> None:
+        """Record the replies to ``rids`` from ``server``, arriving at
+        ``completed``.  Ids that step evenly, as a slice of the balancer's
+        rotation does, are set by one extended-slice assignment."""
+        n, first = len(rids), rids[0]
+        step = rids[1] - first if n > 1 else 1
+        if step < 1 or rids != list(range(first, first + n * step, step)):
+            for rid, at in zip(rids, completed):
+                self.add(rid, None, at, server, None)
             return
-        columns = [getattr(self, "_" + name) for name in self._COLUMNS]
-        late = list(compress(range(len(completed)), map(until.__lt__, completed)))
-        self._on_wire = [[column[i] for i in late] for column in columns]
-        for i in reversed(late):  # order is restored on read: move the last row in
-            for column in columns:
-                column[i] = column[-1]
-                del column[-1]
-        self._unsorted = True
+        where = slice(first - 1, first - 1 + n * step, step)
+        if self.completed[where] != self._free * n:
+            raise ValueError(f"a request of {rids} completed twice, or is not in the workload")
+        self.completed[where] = array(self._free.typecode, completed)
+        self._server[where] = array(self._server.typecode, [self._codes[server]]) * n
 
-    def _put_back(self) -> None:
-        for name, rows in zip(self._COLUMNS, self._on_wire):
-            getattr(self, "_" + name).extend(rows)
-        self._on_wire = []
-        self._unsorted = self._by_arrival
-
-    def _sort(self) -> None:
-        """Put the rows in arrival order, then rid order.
-
-        Each row's key packs ``completed | rid | index`` into one int, so
-        sorting one list of keys orders the rows.  The keys' low bits, kept
-        as an array of row indexes once the keys are dropped, pick the rows
-        from every column.
-        """
-        rid = self._rid
-        shift = len(rid).bit_length()
-        width = max(rid, default=0).bit_length() + shift
-        keys = list(map(operator.or_, map(operator.or_,
-                                          map(operator.lshift, self._completed, repeat(width)),
-                                          map(operator.lshift, rid, repeat(shift))),
-                        range(len(rid))))
-        if not all(map(operator.le, keys, islice(keys, 1, None))):
-            keys.sort()
-            order = array("I", map(((1 << shift) - 1).__and__, keys))
-            del keys
-            for name in self._COLUMNS:
-                column = getattr(self, "_" + name)
-                picked = map(column.__getitem__, order)
-                setattr(self, "_" + name, array(column.typecode, picked)
-                        if isinstance(column, array) else bytearray(picked))
-        self._unsorted = False
+    def arrived(self) -> Iterator[bool]:
+        """Whether each request's reply has arrived by now, in rid order."""
+        return map(operator.le, self.completed, repeat(self._clock()))
 
     def latencies(self) -> Iterator[int]:
-        """Each row's ``completed - issued``, in no particular order."""
-        return map(operator.sub, self._completed, self._issued)
+        """Each completed row's ``completed - issued``, in rid order."""
+        return compress(map(operator.sub, self.completed, self.times), self.arrived())
 
     def latency_by_rid(self) -> dict[int, int]:
-        return dict(zip(self._rid, self.latencies()))
+        """Each completed row's latency, by rid."""
+        return dict(compress(zip(count(1), map(operator.sub, self.completed, self.times)),
+                             self.arrived()))
 
     def __len__(self) -> int:
-        return len(self._rid)
+        return sum(self.arrived())
 
     def __iter__(self) -> Iterator[tuple[int, int, int, str, str]]:
-        return zip(self.rid, self.issued, self.completed, self.server, self.kind)
-
-    def __getitem__(self, i: int) -> tuple[int, int, int, str, str]:
-        if self._unsorted:
-            self._sort()
-        names = self._names
-        return (self._rid[i], self._issued[i], self._completed[i],
-                names[self._server[i]], names[self._kind[i]])
-
-    def _wire_rows(self) -> list:
-        """The rows set aside by keep_arrived, as decoded tuples."""
-        if not self._on_wire:
-            return []
-        *times, server, kind = self._on_wire
-        decode = self._names.__getitem__
-        return list(zip(*times, map(decode, server), map(decode, kind)))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SampleLog)
-                and self.rid == other.rid and self.issued == other.issued
-                and self.completed == other.completed
-                and all(map(operator.eq, self.server, other.server))
-                and all(map(operator.eq, self.kind, other.kind))
-                and self._wire_rows() == other._wire_rows())
+        # One sorted list of keys ``completed << shift | rid - 1`` orders the rows.
+        completed, times, pattern = self.completed, self.times, self._pattern
+        server, servers = self._server, self.servers
+        shift = len(completed).bit_length()
+        low = (1 << shift) - 1
+        keys = sorted(map(operator.or_, map(operator.lshift, compress(completed, self.arrived()),
+                                            repeat(shift)),
+                          compress(count(), self.arrived())))
+        for key in keys:
+            i = key & low
+            yield (i + 1, times[i], key >> shift, servers[server[i]],
+                   pattern[i % len(pattern)])
 
 
 # -- workload ---------------------------------------------------------------
@@ -306,19 +196,20 @@ class Workload:
     The get/set pattern repeats deterministically (e.g. G,G,G,S for a 3:1
     mix), making the ratio exact over every pattern-sized window.
 
-    Issue times are kept in one 32-bit column, 64-bit if the horizon reaches
-    2**32 us; ids and kinds follow from the place in the stream."""
+    Issue times are kept in one 32-bit column, ``times``, 64-bit if the
+    horizon reaches 2**32 us; ids (from 1) and kinds (``pattern``, repeated)
+    follow from the place in the stream."""
 
     def __init__(self, config: WorkloadConfig, size: int = WORKLOAD_CHUNK):
-        times, self._pattern, horizon = _arrivals(config)
+        times, self.pattern, horizon = _arrivals(config)
         self.config, self._size = config, size
-        self._times = array("I" if horizon < 2**32 else "Q", times)
+        self.times = array("I" if horizon < 2**32 else "Q", times)
 
     def chunks(self) -> Iterator[tuple[list[int], range, list[str]]]:
         """The workload in issue order as column chunks of at most ``size``
         requests, in fresh lists: their issue times (us), the ``range`` of
         their ids (from 1) and their kinds."""
-        times, size, pattern = self._times, self._size, self._pattern
+        times, size, pattern = self.times, self._size, self.pattern
         kinds = pattern * (-(-size // len(pattern)) + 1)  # every chunk's kinds are a slice
         for lo in range(0, len(times), size):
             chunk = times[lo:lo + size].tolist()

@@ -788,7 +788,9 @@ class RaftClient:
     retried set may be applied twice; when another client's set to the same
     key lands in between, the repeat overwrites it, which breaks
     linearizability (client sessions that drop duplicates are ROADMAP item
-    3).  Latency is measured from first submission to first reply.
+    3).  Latency is measured from first submission to first reply: each
+    request reaches ``on_sample`` once, with its first answer, and a later
+    answer to it is dropped.
 
     ``outstanding`` maps each unanswered request id to ``(op, issued,
     deadline)`` in deadline order: a new or retried request always has the

@@ -1,12 +1,12 @@
 """Scenario assembly: turn a :class:`ScenarioConfig` into a wired simulation.
 
 ``run_scenario`` builds either cluster flavour, drives the configured
-workload through it, and returns a :class:`RunResult` with every completed
-sample, the pause intervals of every node, and (for the replicated cluster)
-the safety-checker trace.  ``run_compare`` draws the workload once
-(``metrics.Workload``) and replays it, with the same seed, under all three
-collector modes; each run equals the one ``run_scenario`` makes with its own
-draw.
+workload through it, and returns a :class:`RunResult` with the completion
+of every request (``metrics.Completions``), the pause intervals of every
+node, and (for the replicated cluster) the safety-checker trace.
+``run_compare`` draws the workload once (``metrics.Workload``) and replays
+it, with the same seed, under all three collector modes; each run equals
+the one ``run_scenario`` makes with its own draw.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .config import ScenarioConfig
 from .httpcluster import Backend, LoadBalancer
-from .metrics import RunSummary, SampleLog, Workload, WorkloadConfig, summarize_run
+from .metrics import Completions, RunSummary, Workload, WorkloadConfig, summarize_run
 from .raft import RaftClient, RaftNode, RaftTrace
 from .runtime import CollectorCostModel, GcMode, HeapModel, ManagedRuntime, PauseInterval
 from .simcore import NetworkModel, Simulation, SimStats
@@ -32,7 +32,7 @@ COMPARE_ORDER = ("off", "blade", "on")
 class RunResult:
     config: ScenarioConfig
     mode: str
-    samples: SampleLog
+    samples: Completions
     issued: int
     pauses: list[PauseInterval]
     stats: SimStats
@@ -56,7 +56,7 @@ class RunResult:
 
     def summary(self) -> RunSummary:
         counts = Counter(self.samples.latencies())
-        return summarize_run(self.label, counts, self.in_flight, self.pauses)
+        return summarize_run(self.label, counts, self.issued - counts.total(), self.pauses)
 
 
 class _WorkloadDriver:
@@ -157,7 +157,7 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
     sim = Simulation(seed=cfg.seed,
                      network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
     build = _build_http if cfg.system == "http" else _build_raft
-    servers, dispatch, run, finish = build(sim, cfg, GcMode(cfg.gc_mode))
+    servers, dispatch, run, finish = build(sim, cfg, GcMode(cfg.gc_mode), workload)
     driver = _WorkloadDriver(sim, workload.chunks(), dispatch, run)
 
     sim.run_until(cfg.duration_us())
@@ -183,23 +183,26 @@ def _workload_config(cfg: ScenarioConfig) -> WorkloadConfig:
         seed=cfg.seed, kind="http" if cfg.system == "http" else "rw")
 
 
-# A builder wires one system into ``sim`` and returns its servers (each with
-# ``id`` and ``runtime``), the workload dispatch function and run entry point
-# (or None), and a function that returns the system's own ``RunResult``
-# fields once the run is over.
+# A builder wires one system into ``sim``, recording completions over the
+# workload's requests, and returns its servers (each with ``id`` and
+# ``runtime``), the workload dispatch function and run entry point (or
+# None), and a function that returns the system's own ``RunResult`` fields
+# once the run is over.
 _Built = tuple[list, Callable[[int, str], None], Optional[Callable[..., int]], Callable[[], dict]]
 
 
 # -- HTTP cluster ----------------------------------------------------------------
 
 
-def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
+def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode,
+                workload: Workload) -> _Built:
     service_us = cfg.service_time_us
     if mode is GcMode.OFF and cfg.gcoff_slowdown > 1.0:
         service_us = round(service_us * cfg.gcoff_slowdown)
 
     backend_ids = [f"b{i}" for i in range(cfg.nodes)]
-    lb = LoadBalancer(sim, "lb", backend_ids, max_concurrent=cfg.max_concurrent)
+    lb = LoadBalancer(sim, "lb", backend_ids, max_concurrent=cfg.max_concurrent,
+                      times=workload.times)
     backends = []
     for bid in backend_ids:
         runtime = _make_runtime(sim, bid, cfg, mode)
@@ -211,7 +214,6 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
         ))
 
     def finish() -> dict:
-        lb.samples.keep_arrived(sim.now)
         return {"samples": lb.samples}
 
     return backends, lb.on_request, lb.route_run, finish
@@ -220,7 +222,8 @@ def _build_http(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
 # -- replicated key-value cluster ---------------------------------------------------
 
 
-def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
+def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode,
+                workload: Workload) -> _Built:
     trace = RaftTrace()
 
     node_ids = [f"n{i}" for i in range(cfg.nodes)]
@@ -248,7 +251,7 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode) -> _Built:
     bootstrap.voted_for = bootstrap.id
     bootstrap._become_leader()
 
-    samples = SampleLog()
+    samples = Completions(workload.times, workload.pattern, node_ids, lambda: sim.now)
     clients = [RaftClient(sim, cid, bootstrap.id, cfg.client_timeout_us, samples.add)
                for cid in client_ids]
 

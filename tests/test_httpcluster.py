@@ -20,10 +20,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def make_cluster(n=3, mode=GcMode.BLADE, service_us=2_000, parallelism=16,
                  live=150 * MIB, trigger=300 * MIB, hard=GIB,
-                 bytes_per_request=0, max_concurrent=1, overhead=8_761, seed=0, jitter=0):
+                 bytes_per_request=0, max_concurrent=1, overhead=8_761, seed=0, jitter=0,
+                 times=()):
+    """A cluster whose balancer records requests 1, 2, ... as issued at ``times``."""
     sim = Simulation(seed=seed, network=NetworkModel.from_rtt(RTT, jitter))
     ids = [f"b{i}" for i in range(n)]
-    lb = LoadBalancer(sim, "lb", ids, max_concurrent=max_concurrent)
+    lb = LoadBalancer(sim, "lb", ids, max_concurrent=max_concurrent, times=times)
     backends = []
     for bid in ids:
         heap = HeapModel(live_bytes=live, trigger_bytes=trigger,
@@ -143,7 +145,7 @@ def test_idle_backend_event_time_is_rtt_plus_gc_plus_notify():
 
 
 def test_draining_waits_for_outstanding_requests():
-    sim, lb, backends = make_cluster(n=1, service_us=2_000)
+    sim, lb, backends = make_cluster(n=1, service_us=2_000, times=[10, 12])
     b = backends[0]
     # two requests in flight when the grant arrives
     sim.schedule_at(10, lambda _: lb.route(1, 10))
@@ -206,10 +208,10 @@ def test_draining_status_observable_with_requests_in_flight():
 
 def test_conservation_requests_in_equals_completed_plus_queued():
     sim, lb, backends = make_cluster(mode=GcMode.ON, bytes_per_request=MIB,
-                                     service_us=500)
+                                     service_us=500, times=range(0, 40_000, 100))
     issued = 0
     for i in range(400):
-        sim.schedule_at(i * 100, lambda _, rid=i: lb.on_request(rid))
+        sim.schedule_at(i * 100, lambda _, rid=i + 1: lb.on_request(rid))
         issued += 1
     sim.run_until(20_000)  # stop mid-flight on purpose
     in_network = issued - len(lb.samples)
@@ -223,7 +225,7 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     # allocation during the drain exhausts the heap; the forced collection
     # runs with a request in flight and the granted start becomes a no-op
     sim, lb, backends = make_cluster(n=1, live=100, trigger=200, hard=400,
-                                     service_us=2_000, overhead=1_000)
+                                     service_us=2_000, overhead=1_000, times=[10])
     b = backends[0]
     sim.schedule_at(10, lambda _: lb.route(1, 10))          # drains until ~2034
     sim.schedule_at(20, lambda _: b.runtime.allocate(150))  # defers, asks
@@ -234,7 +236,8 @@ def test_forced_collection_mid_drain_still_notifies_coordinator():
     assert lb.ledger.granted == set()             # done still sent
     assert lb.route(2, sim.now) == "b0"  # back in the rotation
     # the in-flight request was shifted right by the forced pause
-    assert lb.samples[0][2] - lb.samples[0][1] == RTT + 2_000 + 1_000
+    (row,) = lb.samples
+    assert row[2] - row[1] == RTT + 2_000 + 1_000
 
 
 def test_a_stale_grant_after_a_forced_collection_is_answered_at_once():
@@ -243,7 +246,7 @@ def test_a_stale_grant_after_a_forced_collection_is_answered_at_once():
     # b0 has nothing deferred, so it answers the allow with a done as it
     # arrives: no pause, and no drain of the request it is serving
     sim, lb, backends = make_cluster(n=2, max_concurrent=1, live=100, trigger=200,
-                                     hard=400, overhead=5_000)
+                                     hard=400, overhead=5_000, times=[5_060])
     b0, b1 = backends
     grants, dones = [], []
     grant, deliver = lb.ledger.allow, lb.deliver
@@ -261,7 +264,7 @@ def test_a_stale_grant_after_a_forced_collection_is_answered_at_once():
     sim.schedule_at(10, lambda _: b1.runtime.allocate(150))  # asks first: granted
     sim.schedule_at(10, lambda _: b0.runtime.allocate(150))  # queued behind b1
     sim.schedule_at(30, lambda _: b0.runtime.allocate(200))  # exhaustion
-    sim.schedule_at(5_060, lambda _: lb.route(0, 5_060))     # to b0: in service 5,084-7,084
+    sim.schedule_at(5_060, lambda _: lb.route(1, 5_060))     # to b0: in service 5,084-7,084
     sim.run_until(1_000_000)
     assert [(p.start_us, p.end_us, p.forced) for p in b0.runtime.pauses] == [(30, 5_030, True)]
     assert [(p.start_us, p.end_us, p.forced) for p in b1.runtime.pauses] == [(58, 5_058, False)]
@@ -269,12 +272,12 @@ def test_a_stale_grant_after_a_forced_collection_is_answered_at_once():
     assert dones == [(5_082, "b1", ("done",)), (5_130, "b0", ("done",))]
     assert lb.ledger.granted == set() and not lb.ledger.pending
     assert [(rid, completed - issued, server) for rid, issued, completed, server, _
-            in lb.samples] == [(0, RTT + 2_000, "b0")]
+            in lb.samples] == [(1, RTT + 2_000, "b0")]
     assert b0.runtime.active_ticket is None
     sent = sim.messages_sent
     b0.grantee.ask()  # nothing left to ask for
     assert sim.messages_sent == sent
-    assert [lb.route(i, sim.now) for i in range(1, 3)] == ["b1", "b0"]
+    assert [lb.route(i, sim.now) for i in range(2, 4)] == ["b1", "b0"]
 
 
 # -- routing against a loop reference ---------------------------------------------
@@ -302,8 +305,7 @@ def test_route_matches_loop_reference(data):
     sim, lb, backends = make_cluster(n=n, max_concurrent=n)
     handed = []
     for b in backends:
-        b._extend = lambda ats, rids, issueds, bid=b.id: handed.extend(
-            zip([bid] * len(ats), rids, issueds, ats))
+        b._extend = lambda ats, rids, bid=b.id: handed.extend(zip([bid] * len(ats), rids, ats))
     clock = Simulation(network=NetworkModel.from_rtt(RTT))  # the same arrival draws
     lb.rr_pos = rr_pos
     pos, want_handed, want_pending = rr_pos, [], []
@@ -314,7 +316,7 @@ def test_route_matches_loop_reference(data):
         if want is None:
             want_pending.append((rid, rid))
         else:
-            want_handed.append((want, rid, rid, clock.arrival(0, REQ, rid)))
+            want_handed.append((want, rid, clock.arrival(0, REQ, rid)))
         assert (lb.route(rid, rid), lb.rr_pos) == (want, pos)
     assert handed == want_handed
     assert list(lb.pending) == want_pending
@@ -337,7 +339,8 @@ def _small_run(gaps, cut, nodes=3, **overrides):
     deadline = t + cut
 
     def replay(config):
-        return SimpleNamespace(config=config, chunks=lambda: _columns(stream))
+        return SimpleNamespace(config=config, chunks=lambda: _columns(stream),
+                               times=[t for t, _, _ in stream], pattern=["http"])
     with mock.patch.object(scenarios, "Workload", replay), \
             mock.patch.object(ScenarioConfig, "duration_us", lambda _: deadline):
         run = run_scenario(cfg)
@@ -660,11 +663,10 @@ def test_a_backend_starts_no_request_while_paused():
     # earlier one, and a pause never shifts a completion twice
     sim, lb, backends = make_cluster(mode=GcMode.ON, service_us=1, parallelism=3,
                                      live=100, trigger=200, hard=400,
-                                     bytes_per_request=100, overhead=1, seed=7)
-    for rid in range(10):
+                                     bytes_per_request=100, overhead=1, seed=7, times=[0] * 10)
+    for rid in range(1, 11):
         sim.schedule_at(0, lambda _, rid=rid: lb.on_request(rid))
     sim.run_until(1_000)
-    lb.samples.keep_arrived(1_000)
     rows = list(lb.samples)
     pauses = [p for b in backends for p in b.runtime.pauses]
     assert len(rows) == 10
@@ -682,8 +684,8 @@ def test_a_backend_that_misses_its_planned_start_raises():
     # crosses it, so the backend plans a wake for it at 24 us.  With that
     # wake cancelled, the backend is first observed long after the start
     sim, lb, (b,) = make_cluster(n=1, live=100, trigger=200, hard=10_000,
-                                 bytes_per_request=40)
-    for rid in range(3):
+                                 bytes_per_request=40, times=[0] * 3)
+    for rid in range(1, 4):
         sim.schedule_at(0, lambda _, rid=rid: lb.on_request(rid))
     sim.run_until(1)
     assert b._wake is not None and b._wake[0] == RTT // 2
@@ -698,8 +700,8 @@ def test_allocating_on_a_backend_behind_its_runtime_raises():
     # Allocating 1,000 B on the runtime directly at 5,000 us pauses it
     # before the backend has accounted that completion
     sim, lb, (b,) = make_cluster(n=1, mode=GcMode.ON, live=100, trigger=200, hard=10_000,
-                                 bytes_per_request=40)
-    sim.schedule_at(0, lambda _: lb.on_request(0))
+                                 bytes_per_request=40, times=[0])
+    sim.schedule_at(0, lambda _: lb.on_request(1))
     sim.run_until(5_000)
     with pytest.raises(SchedulingError, match="behind its runtime"):
         b.runtime.allocate(1_000)
@@ -712,28 +714,41 @@ def test_a_reply_on_the_wire_at_the_deadline_is_in_flight():
                          service_time_us=1_970, bytes_per_request=0)
     run = run_scenario(cfg, mode="off")
     assert run.issued == 1_000
-    assert run.samples[len(run.samples) - 1][:3] == (997, 997_000, 999_018)
-    assert 998 not in run.samples.rid
+    rows = list(run.samples)
+    assert len(run.samples) == len(rows) == 997 and rows[-1][:3] == (997, 997_000, 999_018)
+    assert run.samples.completed[997] == 1_000_018  # request 998's reply, on the wire
     assert run.in_flight == 3  # the reply on the wire and two in service
 
 
-def test_keep_arrived_mid_run_loses_no_reply():
-    # mid-run the log holds the reply sent at 4,024 us, which lands at
-    # 4,048 us; keep_arrived sets it aside, twice over, and the next reply
-    # puts it back
-    sim, lb, _ = make_cluster(mode=GcMode.OFF)
+def test_a_run_past_4294_seconds_reads_back_its_replies():
+    # one request a second for 4,300 s: the arrivals from 4,294.967296 s on
+    # are 2**32 us or more, more than a 32-bit column holds, so the run's
+    # record is built with 64-bit times.  The request issued at the deadline
+    # is in flight
+    cfg = default_config("http", nodes=1, rate_rps=1, duration_s=4_300)
+    run = run_scenario(cfg, mode="blade")
+    rows = list(run.samples)
+    assert (run.issued, len(rows), run.in_flight) == (4_300, 4_299, 1)
+    assert rows[-1] == (4_299, 4_299_000_000, 4_299_002_048, "b0", "http")
+    assert [row[0] for row in rows if row[2] >= 2**32] == list(range(4_295, 4_300))
+
+
+def test_a_reply_on_the_wire_at_a_deadline_counts_once_a_resumed_run_receives_it():
+    # at a 4,030 us deadline the record holds the reply to request 21, sent
+    # at 4,024 us, which lands at 4,048 us: it is still on the wire, and it
+    # counts, once, when the resumed run reaches its arrival
+    sim, lb, _ = make_cluster(mode=GcMode.OFF, times=range(0, 5_000, 100))
     for i in range(50):
-        sim.schedule_at(i * 100, lambda _, rid=i: lb.on_request(rid))
+        sim.schedule_at(i * 100, lambda _, rid=i + 1: lb.on_request(rid))
     sim.run_until(4_030)
     rows = list(lb.samples)
-    assert len(rows) == 21 and rows[20][2] == 4_048
-    lb.samples.keep_arrived(sim.now)
-    lb.samples.keep_arrived(sim.now)
-    assert list(lb.samples) == rows[:20]
+    assert len(lb.samples) == len(rows) == 20 and lb.samples.completed[20] == 4_048
+    assert list(lb.samples) == rows
+    sim.run_until(4_048)
+    assert list(lb.samples) == rows + [(21, 2_000, 4_048, "b2", "http")]
     sim.run_until(1_000_000)
-    lb.samples.keep_arrived(sim.now)
-    assert list(lb.samples)[:21] == rows
-    assert list(lb.samples.rid) == list(range(50))
+    assert list(lb.samples)[:21] == rows + [(21, 2_000, 4_048, "b2", "http")]
+    assert [row[0] for row in lb.samples] == list(range(1, 51))
 
 
 @pytest.mark.parametrize("built", [["b1"], ["b0", "b0"], ["b0", "b1", "b2"]],

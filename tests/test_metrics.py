@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gcsim import metrics
 from gcsim.metrics import (_COLUMNS, _HEADER, CDF_CHUNK_LINES, QUANTILE_LEVELS, OverlapStat,
-                           SampleLog, Workload, WorkloadConfig, _ms, emit_report,
+                           Completions, Workload, WorkloadConfig, _ms, emit_report,
                            generate_workload, histogram, overlap_count, percentiles,
                            render_cdf, render_summary_table, summarize_run)
 from gcsim.runtime import PauseInterval
@@ -386,17 +386,41 @@ def _held_bytes(build):
         tracemalloc.stop()
 
 
-def test_sample_log_holds_at_most_16_bytes_per_sample():
-    def build():
-        log = SampleLog()
-        for rid in range(100_000):
-            log.add(rid, 10 * rid, 10 * rid + 2_048, "b0", "http")
-        return log
+def test_a_completion_record_holds_5_bytes_a_request():
+    times = array("I", range(10, 1_000_001, 10))  # the workload's column, held by the run
 
-    held, log = _held_bytes(build)
-    assert len(log) == 100_000
-    assert log[-1] == list(log)[-1] == (99_999, 999_990, 1_002_038, "b0", "http")
-    assert held / len(log) <= 16  # 14 bytes a row; a list of tuples holds about 176
+    def build():
+        record = Completions(times, ["http"], ["b0"], lambda: 2_000_000)
+        for rid in range(1, len(times) + 1):
+            record.add(rid, None, 10 * rid + 2_048, "b0", None)
+        return record
+
+    held, record = _held_bytes(build)
+    assert len(record) == 100_000
+    assert list(record)[-1] == (100_000, 1_000_000, 1_002_048, "b0", "http")
+    assert held <= 5 * len(times) + 1_024  # a 32-bit time and a one-byte server code
+
+
+def test_a_request_completes_at_most_once():
+    record = Completions([0] * 9, ["http"], ["b0", "b1"], lambda: 100)
+    record.add(1, 0, 10, "b0", "http")
+    record.put([2, 5, 8], [20, 20, 30], "b1")  # a rotation slice
+    record.put([3, 4, 9], [30, 40, 50], "b0")  # ids that do not step evenly
+    with pytest.raises(ValueError, match="request 1 completed twice"):
+        record.add(1, 0, 12, "b1", "http")
+    with pytest.raises(ValueError, match="completed twice"):
+        record.put([6, 7, 8], [60, 60, 60], "b0")
+    with pytest.raises(ValueError, match="request 9 completed twice"):
+        record.put([9, 6], [60, 60], "b0")
+    with pytest.raises(ValueError, match="request 0 completed twice, or is not in the"):
+        record.add(0, 0, 60, "b0", "http")  # ids start at 1: 0 would index the last slot
+    for rids in ([0], [0, 6]):
+        with pytest.raises(ValueError, match="not in the workload"):
+            record.put(rids, [60] * len(rids), "b0")
+    with pytest.raises(IndexError):
+        record.add(10, 0, 60, "b0", "http")
+    assert [row[:3] for row in record] == [(1, 0, 10), (2, 0, 20), (5, 0, 20), (3, 0, 30),
+                                           (8, 0, 30), (4, 0, 40), (9, 0, 50)]
 
 
 def test_emit_report_of_150k_samples_peaks_under_1_5_mb(tmp_path):
@@ -411,28 +435,27 @@ def test_emit_report_of_150k_samples_peaks_under_1_5_mb(tmp_path):
 
 
 def test_reading_a_log_in_arrival_order_peaks_under_67_bytes_a_row():
-    # An HTTP-shaped log: three backends at 6,000 requests/s, each adding
+    # An HTTP-shaped record: three backends at 6,000 requests/s, each putting
     # its completions 64 at a time, so arrivals interleave out of rid order.
     # The bound is 24 MB for 360,000 rows, scaled to 60,000 rows, since
-    # tracemalloc makes the full-size read take seconds.  Measured 2.67 MB;
-    # sorting rows by a key list and a separate order list peaks at 5.70 MB.
-    rows, log = 60_000, SampleLog(by_arrival=True)
-    for first in range(0, rows, 192):
+    # tracemalloc makes the full-size read take seconds.
+    rows = 60_000
+    times = array("I", (rid * 10_000 // 6 for rid in range(1, rows + 1)))
+    record = Completions(times, ["http"], ["b0", "b1", "b2"], lambda: 2**31)
+    for first in range(1, rows + 1, 192):
         for b in range(3):
-            rid = list(range(first + b, min(first + 192, rows), 3))
-            issued = [r * 10_000 // 6 for r in rid]
-            log.extend(rid, issued, [i + 2_048 + r % 7 * 100 for r, i in zip(rid, issued)],
-                       f"b{b}", "http")
+            rid = list(range(first + b, min(first + 192, rows + 1), 3))
+            record.put(rid, [times[r - 1] + 2_048 + r % 7 * 100 for r in rid], f"b{b}")
     tracemalloc.start()
     try:
-        first_row = log[0]
+        first_row = next(iter(record))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24_000_000 * rows // 360_000
-    assert first_row == (0, 0, 2_048, "b0", "http")
-    order = list(zip(log.completed, log.rid))
-    assert order == sorted(order) and sorted(log.rid) == list(range(rows))
+    assert first_row == (1, 1_666, 1_666 + 2_048 + 100, "b0", "http")
+    order = [(completed, rid) for rid, _, completed, _, _ in record]
+    assert order == sorted(order) and sorted(rid for _, rid in order) == list(range(1, rows + 1))
 
 
 BIG = 2 ** 32  # the least value a 32-bit column cannot hold
@@ -441,88 +464,58 @@ BIG = 2 ** 32  # the least value a 32-bit column cannot hold
 @pytest.mark.parametrize("by_arrival", [False, True], ids=["plain", "by-arrival"])
 @pytest.mark.parametrize("case", ["add", "extend", "names"])
 def test_a_widened_log_reads_every_row_back_in_order(case, by_arrival):
-    # 300 rows whose arrivals are out of rid order, added in batches of 20
-    # rows of one server.  Row 150, in the middle of its batch, completes
-    # at 2**32 or more; in the names case every row has its own server, so
-    # b255 is the 257th name (after "http").
-    rows = [(rid, 10 * rid, 10 * rid + 2_048 - 30 * (rid % 4), f"b{rid // 20 % 3}", "http")
-            for rid in range(300)]
-    if case == "names":
-        rows = [row[:3] + (f"b{row[0]}", "http") for row in rows]
-        split = 240
+    # A record built wide: for a run past 4,294 s, whose times take 64 bits
+    # (add, extend), or for 300 servers, whose codes take more than a byte
+    # (names).  300 requests whose arrivals are out of rid order, recorded
+    # one at a time (add, names) or in batches of 20 rows of one server
+    # (extend).  Read by arrival, the clock first stops at an arrival in the
+    # middle, so the rows after it are still on the wire; plain, it is past
+    # every arrival.
+    base = 0 if case == "names" else BIG
+    servers = [f"b{i}" for i in range(300 if case == "names" else 3)]
+    rows = [(rid, base + 10 * rid, base + 10 * rid + 2_048 - 30 * (rid % 4),
+             servers[rid - 1] if case == "names" else servers[(rid - 1) // 20 % 3], "http")
+            for rid in range(1, 301)]
+    now = [2 * BIG]
+    record = Completions([row[1] for row in rows], ["http"], servers, lambda: now[0])
+    assert (record.completed.typecode, record._server.typecode) == \
+           (("I", "H") if case == "names" else ("Q", "B"))
+    if case == "extend":
+        for first in range(0, len(rows), 20):
+            rid, _, completed, server, _ = zip(*rows[first:first + 20])
+            record.put(list(rid), list(completed), server[0])
     else:
-        rows[150] = rows[150][:2] + (BIG + 5,) + rows[150][3:]
-        split = 140
-    log = SampleLog(by_arrival=by_arrival)
-
-    def put(part):
-        for first in range(0, len(part), 20):
-            batch = part[first:first + 20]
-            if case == "extend":
-                rid, issued, completed, _, _ = map(list, zip(*batch))
-                log.extend(rid, issued, completed, batch[0][3], "http")
-            else:
-                for row in batch:
-                    log.add(*row)
+        for row in rows:
+            record.add(*row)
 
     def reads(expected):
-        if by_arrival:
-            expected = sorted(expected, key=lambda row: (row[2], row[0]))
-        assert list(log) == expected
-        assert [log[i] for i in range(len(log))] == expected
-        assert list(log.server) == [row[3] for row in expected]
-        assert sorted(log.latencies()) == sorted(c - i for _, i, c, _, _ in expected)
+        expected = sorted(expected, key=lambda row: (row[2], row[0]))
+        assert list(record) == expected and len(record) == len(expected)
+        assert sorted(record.latencies()) == sorted(c - i for _, i, c, _, _ in expected)
+        assert record.latency_by_rid() == {rid: c - i for rid, i, c, _, _ in expected}
 
-    put(rows[:split])
-    reads(rows[:split])
-    until = rows[split - 1][2] - 100
-    if by_arrival:  # the widening add puts these rows back first
-        log.keep_arrived(until)
-        reads([row for row in rows[:split] if row[2] <= until])
-    put(rows[split:])
-    reads(rows)
-    if case == "names":
-        assert isinstance(log._server, array) and isinstance(log._kind, array)
-    else:
-        assert log.rid.typecode == log.issued.typecode == log.completed.typecode == "Q"
-    last = (300, 3_000, BIG + 9, "b0", "http")
     if by_arrival:
-        log.keep_arrived(until)
-        reads([row for row in rows if row[2] <= until])
-    log.add(*last)  # puts back the rows set aside
-    reads(rows + [last])
-
-
-def test_logs_with_equal_rows_are_equal_whatever_order_they_met_names_in():
-    a, b, c = SampleLog(by_arrival=True), SampleLog(by_arrival=True), SampleLog(by_arrival=True)
-    a.add(1, 0, 50, "b0", "get")
-    a.add(2, 0, 40, "b1", "set")
-    b.add(2, 0, 40, "b1", "set")
-    b.add(1, 0, 50, "b0", "get")
-    c.add(2, 0, 40, "b1", "set")
-    c.add(1, 0, 50, "b2", "get")
-    assert a[0] == b[0] == (2, 0, 40, "b1", "set")
-    assert a[1] == b[1] == (1, 0, 50, "b0", "get")
-    assert a == b and a != c
-    for log in (a, b, c):
-        log.keep_arrived(45)  # rows on the wire compare by name too
-    assert a == b and a != c
+        now[0] = rows[150][2]
+        reads([row for row in rows if row[2] <= now[0]])
+        now[0] = 2 * BIG
+    reads(rows)
 
 
 def test_a_log_by_arrival_reads_rows_in_arrival_then_rid_order():
-    log = SampleLog(by_arrival=True)
-    log.extend([5, 2], [0, 0], [70, 50], "b1", "http")
-    log.add(4, 0, 50, "b0", "http")
-    log.add(3, 0, 90, "b0", "http")
-    assert len(log) == 4 and sorted(log.latencies()) == [50, 50, 70, 90]
-    assert list(log) == [(2, 0, 50, "b1", "http"), (4, 0, 50, "b0", "http"),
-                         (5, 0, 70, "b1", "http"), (3, 0, 90, "b0", "http")]
-    log.keep_arrived(60)  # the rows arriving after 60 are still on the wire
-    assert list(log.rid) == [2, 4]
-    log.add(1, 0, 55, "b2", "http")  # puts them back first
-    assert list(log.rid) == [2, 4, 1, 5, 3]
-    with pytest.raises(ValueError):
-        SampleLog().keep_arrived(60)  # a plain log keeps insertion order
+    now = [100]
+    record = Completions([0, 5, 5, 10, 10, 10], ["get", "get", "set"], ["b0", "b1", "b2"],
+                         lambda: now[0])
+    record.put([2, 5], [50, 70], "b1")
+    record.add(4, 10, 50, "b0", "get")
+    record.add(3, 5, 90, "b0", "set")
+    record.add(1, 0, 55, "b2", "get")
+    assert len(record) == 5 and sorted(record.latencies()) == [40, 45, 55, 60, 85]
+    assert list(record) == [(2, 5, 50, "b1", "get"), (4, 10, 50, "b0", "get"),
+                            (1, 0, 55, "b2", "get"), (5, 10, 70, "b1", "get"),
+                            (3, 5, 90, "b0", "set")]
+    now[0] = 60  # the replies arriving after 60 are still on the wire
+    assert [row[0] for row in record] == [2, 4, 1] and len(record) == 3
+    assert record.latency_by_rid() == {1: 55, 2: 45, 4: 40}
 
 
 def test_summary_of_equal_latencies_holds_a_one_row_histogram():

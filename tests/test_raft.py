@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcsim.raft import (AllowGC, AppendEntries, AppendReply, AskGC, ClientReply,
                         ClientRequest, DoneGC, LeaderNotice, RaftClient, RaftNode, RaftTrace, Role)
+from gcsim.metrics import Completions
 from gcsim.raftcheck import check_history, check_log_matching
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
                            ManagedRuntime)
@@ -426,6 +427,27 @@ def test_answered_request_is_never_resent():
     assert [t - HALF for t, _, rid in received if rid == 2] == [2_000, 12_000, 22_000, 32_000]
     assert samples == [(1, 1_000, 1_000 + RTT)]
     assert client.retries == 3
+
+
+def test_a_duplicate_answer_never_reaches_the_record():
+    # s0 answers a get only once it is retried, and then answers both sends:
+    # the client records the first answer and drops the second, which the
+    # run's completion record would refuse
+    sim = Simulation(seed=1, network=NetworkModel.from_rtt(RTT))
+    record = Completions([1_000], ["get"], ["s0"], lambda: sim.now)
+    sends = []
+
+    def s0(src, msg):
+        sends.append(msg)
+        if len(sends) == 2:
+            for sent in sends:
+                sim.send("s0", src, ClientReply(sent.rid, "v", "s0"))
+    sim.add_node("s0", s0)
+    client = RaftClient(sim, "c0", "s0", TIMEOUT, record.add)
+    sim.schedule_at(1_000, lambda _: client.submit(1, ("get", "k")))
+    sim.run_until(35_000)
+    assert len(sends) == 2 and client.retries == 1 and not client.outstanding
+    assert list(record) == [(1, 1_000, 11_000 + RTT, "s0", "get")]
 
 
 def test_redirect_resends_at_once_and_keeps_the_deadline():

@@ -67,7 +67,7 @@ def test_run_refuses_a_workload_drawn_for_another_config():
     cfg = small_raft(duration_s=2)
     drawn = Workload(WorkloadConfig(rate_rps=cfg.rate_rps, duration_s=2, mix_get=cfg.mix_get,
                                     mix_set=cfg.mix_set, seed=cfg.seed, kind="rw"))
-    assert run_scenario(cfg, workload=drawn).samples == run_scenario(cfg).samples
+    assert list(run_scenario(cfg, workload=drawn).samples) == list(run_scenario(cfg).samples)
     for override in [{"seed": 2}, {"duration_s": 1}]:
         with pytest.raises(ValueError, match="workload drawn for"):
             run_scenario(cfg, workload=drawn, **override)
@@ -110,7 +110,8 @@ def test_jitter_runs_are_reproducible_per_seed():
     cfg = small_raft(jitter_us=10, duration_s=20)
     a = run_scenario(cfg, mode="blade")
     b = run_scenario(cfg, mode="blade")
-    assert a.samples == b.samples
+    assert a.samples.completed == b.samples.completed
+    assert list(a.samples) == list(b.samples)
     assert [(p.node, p.start_us, p.end_us) for p in a.pauses] == \
            [(p.node, p.start_us, p.end_us) for p in b.pauses]
 
@@ -315,23 +316,37 @@ PINNED_RAFT_SAMPLE_LOG = {
 }
 
 
-def test_compare_raft_sample_log_matches_pinned_digest(monkeypatch):
-    sims = []
+def record_raft_rows(monkeypatch) -> dict:
+    """Have each Raft client of a scenario also note the rows it records, in
+    event order, in the returned dict: one list per simulation, in the order
+    the runs are built."""
+    rows = {}
 
-    class RecordedSimulation(Simulation):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            sims.append(self)
-    monkeypatch.setattr(scenarios, "Simulation", RecordedSimulation)
+    class RecordingClient(scenarios.RaftClient):
+        def __init__(self, sim, client_id, leader, timeout_us, on_sample):
+            log = rows.setdefault(sim, [])
+
+            def record(*row):
+                log.append(row)
+                on_sample(*row)
+            super().__init__(sim, client_id, leader, timeout_us, record)
+    monkeypatch.setattr(scenarios, "RaftClient", RecordingClient)
+    return rows
+
+
+def test_compare_raft_sample_log_matches_pinned_digest(monkeypatch):
+    rows = record_raft_rows(monkeypatch)
     cfg = default_config("raft", duration_s=3, jitter_us=5, live_bytes=16 * MIB,
                          trigger_bytes=24 * MIB, background_alloc_bytes_per_s=16 * MIB,
                          rate_rps=1_000)
     runs = run_compare(cfg)
     assert all(run.pauses for run in runs if run.mode != "off")
     got = {run.mode: hashlib.sha256(repr((
-        list(run.samples), run.pauses, run.stats.events_fired, run.stats.messages_sent,
-        sim._seq)).encode()).hexdigest() for run, sim in zip(runs, sims)}
+        log, run.pauses, run.stats.events_fired, run.stats.messages_sent,
+        sim._seq)).encode()).hexdigest() for run, (sim, log) in zip(runs, rows.items())}
     assert got == PINNED_RAFT_SAMPLE_LOG
+    assert [sorted(log, key=lambda row: (row[2], row[0])) for log in rows.values()] == \
+           [list(run.samples) for run in runs]
 
 
 # Digest of each mode's sample log, rows in order, its pauses and its
@@ -346,15 +361,17 @@ PINNED_PENDING_REPLIES = {
 }
 
 
-def test_replies_pending_across_back_to_back_pauses_match_pinned_digest():
+def test_replies_pending_across_back_to_back_pauses_match_pinned_digest(monkeypatch):
+    rows = record_raft_rows(monkeypatch)
     cfg = default_config("raft", duration_s=10, service_time_us=2_000, rate_rps=1_000,
                          live_bytes=16 * MIB, trigger_bytes=24 * MIB,
                          hard_limit_bytes=30 * MIB, bytes_per_request=1 * MIB, seed=2)
     runs = run_compare(cfg)
     leader_pauses = [p for p in runs[2].pauses if p.node == "n0"]
     assert any(b.start_us == a.end_us for a, b in zip(leader_pauses, leader_pauses[1:]))
-    got = {run.mode: hashlib.sha256(repr((list(run.samples), run.pauses, run.retries))
-                                    .encode()).hexdigest() for run in runs}
+    got = {run.mode: hashlib.sha256(repr((log, run.pauses, run.retries))
+                                    .encode()).hexdigest()
+           for run, log in zip(runs, rows.values())}
     assert got == PINNED_PENDING_REPLIES
 
 

@@ -23,10 +23,11 @@ done at the end of the pause.
 A request costs one event, its arrival at the balancer, but most cost no
 call of their own.  Routing moves on grants and dones alone, and both are
 events, so the balancer takes each run of arrivals that fire in place
-(``route_run``) in one pass: it hands each backend its slice of the
-workload's columns at once, each request stamped with the time it arrives
-there, and the backend accounts its service lazily.  The service time is
-constant and the queue FIFO, so a request starts at the latest of its
+(``route_run``) in one pass: it hands each backend its slice of the run,
+read from the workload's issue-time column, at once, each request stamped
+with the time it arrives there, and the backend accounts its service
+lazily.  An arrival that ends a run comes to ``route`` alone.  The service
+time is constant and the queue FIFO, so a request starts at the latest of its
 arrival, the end of the current pause and the completion of the request
 ``parallelism`` places before it (the Kiefer-Wolfowitz recursion; Lindley's
 for one slot).  It completes one service time later, plus every pause that
@@ -89,10 +90,11 @@ INF = math.inf
 # A backend that need not act at its own time (any backend in off mode) would
 # hold every request handed to it until it is observed; it accounts them once
 # this many wait instead.  It also bounds a routed run, which leaves no
-# backend more waiting.  With the queues as columns, a three-mode
-# http_cluster comparison at seed 1 on 2 vCPUs took 0.82-1.03 s with 64,
-# 0.72-0.77 s with 128 and 0.65-0.70 s with 256, the fastest in each of three
-# rounds of fresh processes.
+# backend more waiting; the arrival that would wait past it goes to ``route``
+# alone.  With the queues as columns, a three-mode http_cluster comparison at
+# seed 1 on 2 vCPUs took 0.82-1.03 s with 64, 0.72-0.77 s with 128 and
+# 0.65-0.70 s with 256, the fastest in each of three rounds of fresh
+# processes.
 _BATCH = 256
 
 
@@ -316,14 +318,12 @@ class Backend:
     def _threshold_start(self) -> float:
         """The place, among the next starts, of the first whose allocation
         may cross a threshold; ``inf`` if none can."""
-        runtime = self.runtime
         if self._ticks:
             return 1  # background ticks move the heap between any two starts
-        if runtime.mode is GcMode.OFF or not self.bytes_per_request:
+        gap = self.runtime.bytes_to_threshold()
+        if gap == INF or not self.bytes_per_request:
             return INF
-        heap = runtime.heap
-        limit = heap.trigger_bytes if runtime.active_ticket is None else heap.hard_limit_bytes
-        return max(1, -(-(limit - heap.allocated_bytes) // self.bytes_per_request))
+        return max(1, -(-gap // self.bytes_per_request))
 
     def _plan(self) -> None:
         """Schedule the one event this backend needs, and tell the balancer
@@ -454,7 +454,7 @@ class LoadBalancer:
 
     # -- routing ------------------------------------------------------------
 
-    def on_request(self, rid: int, kind: str = "http") -> None:
+    def on_request(self, rid: int) -> None:
         """Entry point for workload arrivals; issue time is the current tick."""
         self.route(rid, self.sim.now)
 
@@ -480,43 +480,36 @@ class LoadBalancer:
         self._backends[idx]._extend([sim.arrival(sim.now, REQ, rid)], [rid])
         return order[idx]
 
-    def route_run(self, times: Sequence[int], rids: Sequence[int], lo: int, hi: int) -> int:
-        """Route the arrivals ``rids[lo:hi]``, issued at ``times[lo:hi]``,
-        that fire next in place, as ``on_request`` would; return how many.
+    def route_run(self, times: Sequence[int], lo: int, hi: int) -> int:
+        """Route a run of the arrivals issued at ``times[lo:hi]``, requests
+        ``lo + 1`` on, that fire next in place, as ``on_request`` would;
+        return how many.
 
         The rotation deals a run out cyclically, a slice to each backend.  A
         run ends before an arrival that a backend has no room for
-        (``Backend._room``), so no slice of it advances one; that arrival is
-        handed over alone.  Routing stops at an arrival that finds no backend in
+        (``Backend._room``), so no slice of it advances one; that arrival
+        goes through ``on_request``, as does one that finds no backend in
         the rotation or reaches ``_next_wake``.
         """
-        sim, order, granted, backends = self.sim, self.order, self.ledger.granted, self._backends
+        order, granted, backends = self.order, self.ledger.granted, self._backends
         n = len(order)
-        i = lo
-        while True:
-            places = [p % n for p in range(self.rr_pos, self.rr_pos + n)
-                      if order[p % n] not in granted]
-            r = len(places)
-            if not r:
-                break
-            wake = bisect_left(times, self._next_wake, i, hi)
-            # the backend at j takes i + j, i + j + r, ...
-            full = min([hi] + [i + j + backends[p]._room() * r for j, p in enumerate(places)])
-            k = sim.fire_run_in_place(times, i, min(wake, full))
-            if k:
-                sent, ids = times[i:i + k], rids[i:i + k]
-                ats = sim.arrivals(sent, REQ, ids)
-                for j, p in enumerate(places[:k]):
-                    backends[p]._extend(ats[j::r], ids[j::r])
-                self.rr_pos = (places[(k - 1) % r] + 1) % n
-                i += k
-            if i != full or i >= wake or not sim.fire_in_place(times[i]):
-                break
-            p = places[k % r]  # the arrival at i would advance this backend
-            self.rr_pos = (p + 1) % n
-            backends[p]._extend([sim.arrival(times[i], REQ, rids[i])], rids[i:i + 1])
-            i += 1
-        return i - lo
+        places = [p % n for p in range(self.rr_pos, self.rr_pos + n)
+                  if order[p % n] not in granted]
+        r = len(places)
+        if not r:
+            return 0
+        wake = bisect_left(times, self._next_wake, lo, hi)
+        # the backend at j takes lo + j, lo + j + r, ...
+        full = min([wake] + [lo + j + backends[p]._room() * r for j, p in enumerate(places)])
+        sim = self.sim
+        k = sim.fire_run_in_place(times, lo, full)
+        if k:
+            ids = range(lo + 1, lo + 1 + k)
+            ats = sim.arrivals(times[lo:lo + k], REQ, ids)
+            for j, p in enumerate(places[:k]):
+                backends[p]._extend(ats[j::r], ids[j::r])
+            self.rr_pos = (places[(k - 1) % r] + 1) % n
+        return k
 
     # -- coordination ------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Workload generation, latency capture, and tail-latency reporting.
 
-A run records each request's reply in one column indexed by its id, 5 bytes
-a request (a 32-bit arrival time and a one-byte server code); its issue time
-and kind are read from the workload drawn for it.  A run is summarised from
+A workload is one column of issue times: request ``rid`` is issued at
+``times[rid - 1]``, and its kind repeats the mix pattern.  A run records
+each request's reply in one column indexed the same way, 5 bytes a request
+(a 32-bit arrival time and a one-byte server code), and reads the issue
+time and kind from the workload drawn for it.  A run is summarised from
 its ``(latency, count)`` histogram.  Quantiles use the nearest-rank
 definition (exact integer ranks, no interpolation) and the standard deviation
 is the population deviation; both conventions are stated in every report
@@ -20,7 +22,7 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat, starmap, takewhile
+from itertools import accumulate, compress, count, cycle, repeat, takewhile
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .runtime import PauseInterval
@@ -30,8 +32,6 @@ QUANTILE_LEVELS = (95.0, 99.0, 99.9, 99.99, 99.999, 99.9999)
 # transient memory: emit_report of one 150,000-sample run peaks at 0.74 MB
 # by tracemalloc with 8,192 lines, against 5.9 MB with 65,536.
 CDF_CHUNK_LINES = 8_192
-# Requests per workload chunk, the most arrivals a simulation holds at once.
-WORKLOAD_CHUNK = 1024
 
 
 @dataclass
@@ -198,29 +198,21 @@ class Workload:
 
     Issue times are kept in one 32-bit column, ``times``, 64-bit if the
     horizon reaches 2**32 us; ids (from 1) and kinds (``pattern``, repeated)
-    follow from the place in the stream."""
+    follow from the place in the stream: request ``rid`` is issued at
+    ``times[rid - 1]``.  Runs only read the column, so every replay sees the
+    draw."""
 
-    def __init__(self, config: WorkloadConfig, size: int = WORKLOAD_CHUNK):
+    def __init__(self, config: WorkloadConfig):
         times, self.pattern, horizon = _arrivals(config)
-        self.config, self._size = config, size
+        self.config = config
         self.times = array("I" if horizon < 2**32 else "Q", times)
-
-    def chunks(self) -> Iterator[tuple[list[int], range, list[str]]]:
-        """The workload in issue order as column chunks of at most ``size``
-        requests, in fresh lists: their issue times (us), the ``range`` of
-        their ids (from 1) and their kinds."""
-        times, size, pattern = self.times, self._size, self.pattern
-        kinds = pattern * (-(-size // len(pattern)) + 1)  # every chunk's kinds are a slice
-        for lo in range(0, len(times), size):
-            chunk = times[lo:lo + size].tolist()
-            first, n = lo % len(pattern), len(chunk)
-            yield chunk, range(lo + 1, lo + 1 + n), kinds[first:first + n]
 
 
 def generate_workload(cfg: WorkloadConfig) -> Iterator[tuple[int, int, str]]:
-    """The stream of ``Workload(cfg).chunks()`` as ``(issue_time_us,
-    request_id, kind)`` rows."""
-    return chain.from_iterable(starmap(zip, Workload(cfg).chunks()))
+    """The workload ``Workload(cfg)`` as ``(issue_time_us, request_id,
+    kind)`` rows."""
+    workload = Workload(cfg)
+    return zip(workload.times, count(1), cycle(workload.pattern))
 
 
 # -- statistics ---------------------------------------------------------------

@@ -404,11 +404,11 @@ class ManagedRuntime:
         bytes that may still be allocated while the crossing tick stays at
         or after the armed event.
         """
-        if not self._tick_bytes or self.mode is GcMode.OFF:
+        if not self._tick_bytes:
             return
-        heap = self.heap
-        limit = heap.trigger_bytes if self.active_ticket is None else heap.hard_limit_bytes
-        gap = limit - heap.allocated_bytes
+        gap = self.bytes_to_threshold()
+        if gap == math.inf:
+            return
         tick_bytes, interval = self._tick_bytes, self._tick_interval_us
         base = max(self._next_tick, self.paused_until)
         at = base + (max(1, -(-gap // tick_bytes)) - 1) * interval
@@ -421,6 +421,15 @@ class ManagedRuntime:
         # more ticks at the earliest; it stays there while the gap exceeds
         # that many ticks' bytes.
         self._slack = gap + (base - crossing[0]) // interval * tick_bytes
+
+    def bytes_to_threshold(self) -> float:
+        """Bytes left to allocate before the next threshold: the trigger
+        while no cycle is open, else the hard limit; ``inf`` in off mode."""
+        if self.mode is GcMode.OFF:
+            return math.inf
+        heap = self.heap
+        limit = heap.trigger_bytes if self.active_ticket is None else heap.hard_limit_bytes
+        return limit - heap.allocated_bytes
 
     def add_due_ticks(self) -> float:
         """Add in the background ticks due by now; returns when the next

@@ -6,7 +6,9 @@ of every request (``metrics.Completions``), the pause intervals of every
 node, and (for the replicated cluster) the safety-checker trace.
 ``run_compare`` draws the workload once (``metrics.Workload``) and replays
 it, with the same seed, under all three collector modes; each run equals
-the one ``run_scenario`` makes with its own draw.
+the one ``run_scenario`` makes with its own draw.  A run fires its arrivals
+straight from the workload's issue-time column and never writes it, so the
+replays are independent.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import dataclasses
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 from .config import ScenarioConfig
 from .httpcluster import Backend, LoadBalancer
@@ -60,16 +62,15 @@ class RunResult:
 
 
 class _WorkloadDriver:
-    """Feeds a workload, as column chunks, into the simulation.
+    """Fires a workload's arrivals into the simulation.
 
-    One path serves both systems.  It reads the workload one chunk
-    (``metrics.Workload.chunks``, fresh lists each run) at a time and fires
-    its arrivals by index.  Scheduling each arrival from its predecessor
+    One path serves both systems.  Arrival ``i`` is request ``i + 1``,
+    issued at ``workload.times[i]``; the driver fires it by that index and
+    calls ``dispatch(rid)``.  Scheduling each arrival from its predecessor
     keeps the event queue small.  Events of one tick fire in insertion
     order, and an arrival is inserted when its predecessor fires, after the
     predecessor's dispatch: it fires after the protocol events of its tick
-    that were scheduled before that, and before those scheduled later.  The
-    arrival event's argument is its place in the chunk.
+    that were scheduled before that, and before those scheduled later.
 
     An arrival that would be the engine's next event fires in place, inside
     its predecessor's event (``Simulation.fire_in_place``), in a loop.  The
@@ -80,50 +81,34 @@ class _WorkloadDriver:
     delay later, and only an arrival sooner than that can go first.
 
     With a ``run`` entry point, each dispatch is followed by a call of
-    ``run(times, rids, lo, hi)`` on the arrivals after it in the chunk: it
-    takes those that fire in place before anything else in one pass
+    ``run(times, lo, hi)`` on the arrivals after it: it takes a run of those
+    that fire in place before anything else in one pass
     (``Simulation.fire_run_in_place``), and returns how many.  The arrival
     after them goes through ``dispatch`` as above.
     """
 
-    def __init__(self, sim: Simulation,
-                 chunks: Iterator[tuple[Sequence[int], Sequence[int], Sequence[str]]],
-                 dispatch: Callable[[int, str], None],
+    def __init__(self, sim: Simulation, workload: Workload, dispatch: Callable[[int], None],
                  run: Optional[Callable[..., int]] = None):
         self.sim = sim
-        self.chunks = chunks
+        self.times = workload.times
         self.dispatch = dispatch
         self.run = run
         self.issued = 0
-        if self._read():
-            sim.schedule_at(self._times[0], self._fire, 0)
-
-    def _read(self) -> int:
-        """Take the next chunk; return its length, 0 once the workload ends."""
-        self._times, self._rids, self._kinds = next(self.chunks, ((), (), ()))
-        return len(self._times)
+        if self.times:
+            sim.schedule_at(self.times[0], self._fire, 0)
 
     def _fire(self, i: int) -> None:
-        """Fire the arrival at ``i`` of the chunk, and the ones after it
-        that fire in place."""
-        sim, dispatch, run = self.sim, self.dispatch, self.run
-        times, rids, kinds = self._times, self._rids, self._kinds
+        """Fire the arrival at ``i``, and the ones after it that fire in place."""
+        sim, times, dispatch, run = self.sim, self.times, self.dispatch, self.run
+        end = len(times)
         while True:
-            self.issued += 1
-            dispatch(rids[i], kinds[i])
+            dispatch(i + 1)
             i += 1
-            while True:
-                if i == len(times):
-                    if not self._read():
-                        return
-                    times, rids, kinds, i = self._times, self._rids, self._kinds, 0
-                if run is None:
-                    break
-                taken = run(times, rids, i, len(times))
-                self.issued += taken
-                i += taken
-                if i < len(times):
-                    break
+            if run is not None and i < end:
+                i += run(times, i, end)
+            self.issued = i
+            if i == end:
+                return
             if not sim.fire_in_place(times[i]):
                 sim.schedule_at(times[i], self._fire, i)
                 return
@@ -158,7 +143,7 @@ def run_scenario(cfg: ScenarioConfig, mode: Optional[str] = None,
                      network=NetworkModel.from_rtt(cfg.rtt_us, cfg.jitter_us))
     build = _build_http if cfg.system == "http" else _build_raft
     servers, dispatch, run, finish = build(sim, cfg, GcMode(cfg.gc_mode), workload)
-    driver = _WorkloadDriver(sim, workload.chunks(), dispatch, run)
+    driver = _WorkloadDriver(sim, workload, dispatch, run)
 
     sim.run_until(cfg.duration_us())
 
@@ -188,7 +173,7 @@ def _workload_config(cfg: ScenarioConfig) -> WorkloadConfig:
 # ``runtime``), the workload dispatch function and run entry point (or
 # None), and a function that returns the system's own ``RunResult`` fields
 # once the run is over.
-_Built = tuple[list, Callable[[int, str], None], Optional[Callable[..., int]], Callable[[], dict]]
+_Built = tuple[list, Callable[[int], None], Optional[Callable[..., int]], Callable[[], dict]]
 
 
 # -- HTTP cluster ----------------------------------------------------------------
@@ -256,10 +241,12 @@ def _build_raft(sim: Simulation, cfg: ScenarioConfig, mode: GcMode,
                for cid in client_ids]
 
     keys = [f"k{i}" for i in range(997)]  # one string per key, shared by every log
+    pattern = workload.pattern
+    period = len(pattern)
 
-    def dispatch(rid: int, kind: str) -> None:
+    def dispatch(rid: int) -> None:
         key = keys[rid % 997]
-        op = ("get", key) if kind == "get" else ("set", key, rid)
+        op = ("get", key) if pattern[(rid - 1) % period] == "get" else ("set", key, rid)
         clients[rid % len(clients)].submit(rid, op)
 
     def finish() -> dict:

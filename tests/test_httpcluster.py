@@ -10,7 +10,6 @@ import refmodel
 from gcsim import default_config, run_scenario, scenarios
 from gcsim.config import ScenarioConfig, parse_config
 from gcsim.httpcluster import _BATCH, REQ, Backend, LoadBalancer
-from gcsim.metrics import WORKLOAD_CHUNK
 from gcsim.runtime import GIB, MIB, CollectorCostModel, GcMode, HeapModel, ManagedRuntime
 from gcsim.simcore import NetworkModel, SchedulingError, Simulation
 
@@ -339,20 +338,12 @@ def _small_run(gaps, cut, nodes=3, **overrides):
     deadline = t + cut
 
     def replay(config):
-        return SimpleNamespace(config=config, chunks=lambda: _columns(stream),
-                               times=[t for t, _, _ in stream], pattern=["http"])
+        return SimpleNamespace(config=config, times=[t for t, _, _ in stream], pattern=["http"])
     with mock.patch.object(scenarios, "Workload", replay), \
             mock.patch.object(ScenarioConfig, "duration_us", lambda _: deadline):
         run = run_scenario(cfg)
     assert run.issued == len(stream)  # the stream, not the config's, reached the driver
     return cfg, stream, deadline, run
-
-
-def _columns(stream):
-    """The rows of ``stream`` as the column chunks ``Workload.chunks`` yields."""
-    for lo in range(0, len(stream), WORKLOAD_CHUNK):
-        times, rids, kinds = zip(*stream[lo:lo + WORKLOAD_CHUNK])
-        yield list(times), list(rids), list(kinds)
 
 
 def _against_reference(mode, jitter, parallelism, service_us, bytes_per_request, overhead,
@@ -580,8 +571,9 @@ def test_each_pinned_run_end_is_reached(monkeypatch, rule):
         return backend
 
     def spy_extend(backend, ats, *args):
-        # a backend with no room takes an arrival alone, inside a run
-        seen["batch-room"] += bool(running) and len(backend._pending) == _BATCH
+        # a run ends before the arrival a backend has no room for, which
+        # route then hands that backend alone, outside any run
+        seen["batch-room"] += not running and len(backend._pending) == _BATCH
         seen["jumbled"] += ats != sorted(ats)
         return extend(backend, ats, *args)
     monkeypatch.setattr(LoadBalancer, "route_run", spy_route_run)
@@ -621,27 +613,35 @@ def test_bulk_pass_takes_a_whole_batch_or_none(monkeypatch, gaps, recursions):
     assert len(run.samples) == 64
 
 
-def test_runs_route_all_but_the_first_arrival(monkeypatch):
-    # configs/http_cluster.cfg cut to 2 s: route takes only each mode's first
-    # arrival, well under 1% of them, and the rest go in runs.  The engine
-    # fires the events and the cluster sends the messages that routing one
-    # arrival at a time does (12,000 arrivals; 23,987 requests and replies)
-    routed = Counter()
-    route = LoadBalancer.route
+def test_runs_route_over_99_percent_of_arrivals(monkeypatch):
+    # configs/http_cluster.cfg cut to 2 s: route takes each mode's first
+    # arrival, and each arrival that finds its backend with no room, 46 in
+    # all and under 1% of them; the rest go in runs.  The engine fires the
+    # events and the cluster sends the messages that routing one arrival at
+    # a time does (12,000 arrivals; 23,987 requests and replies)
+    routed, full = Counter(), Counter()
+    route, extend = LoadBalancer.route, Backend._extend
 
-    def spy(lb, rid, issued):
+    def spy_route(lb, rid, issued):
         routed[lb] += 1
         return route(lb, rid, issued)
-    monkeypatch.setattr(LoadBalancer, "route", spy)
+
+    def spy_extend(backend, ats, rids):
+        # a run leaves a backend no more than _BATCH waiting
+        full[backend._lb] += len(backend._pending) == _BATCH
+        return extend(backend, ats, rids)
+    monkeypatch.setattr(LoadBalancer, "route", spy_route)
+    monkeypatch.setattr(Backend, "_extend", spy_extend)
     cfg = parse_config(str(ROOT / "configs" / "http_cluster.cfg"))
     got = {}
     for mode in ("off", "blade", "on"):
         routed.clear()
+        full.clear()
         run = run_scenario(cfg, mode=mode, duration_s=2)
         assert sum(routed.values()) <= run.issued // 100
-        got[mode] = (run.issued, sum(routed.values()), run.stats.events_fired,
-                     run.stats.messages_sent)
-    assert got == {mode: (12_000, 1, 12_000, 23_987) for mode in ("off", "blade", "on")}
+        got[mode] = (run.issued, sum(routed.values()), sum(full.values()),
+                     run.stats.events_fired, run.stats.messages_sent)
+    assert got == {mode: (12_000, 46, 45, 12_000, 23_987) for mode in ("off", "blade", "on")}
 
 
 def test_no_two_granted_pauses_overlap_after_forced_collections():

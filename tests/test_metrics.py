@@ -68,7 +68,7 @@ def test_poisson_arrivals_reproducible_per_seed():
 
 def tuple_workload(cfg):
     """The workload as a generator of ``(t, rid, kind)`` rows, one Python
-    step per Poisson arrival: the reference for the column chunks."""
+    step per Poisson arrival: the reference for the drawn column."""
     horizon = round(cfg.duration_s * 1_000_000)
     pattern = ["http"] if cfg.kind == "http" else ["get"] * cfg.mix_get + ["set"] * cfg.mix_set
     if cfg.arrivals == "uniform":
@@ -90,68 +90,63 @@ def tuple_workload(cfg):
         i += 1
 
 
-def assert_chunks(chunks, want, size):
-    """``chunks`` hold the rows ``want`` in column chunks of ``size``."""
-    # full chunks but the last, which the horizon may cut short; none empty
-    assert [len(times) for times, _, _ in chunks] == (
-        [size] * (len(want) // size) + [len(want) % size] * bool(len(want) % size))
-    assert all(isinstance(rids, range) and len(rids) == len(kinds) == len(times)
-               for times, rids, kinds in chunks)
-    # read across every chunk boundary, the rows are the reference's
-    assert [row for chunk in chunks for row in zip(*chunk)] == want
+def rows(workload):
+    """A drawn workload's ``(t, rid, kind)`` rows: request ``rid`` is issued at
+    ``times[rid - 1]`` and is of kind ``pattern[(rid - 1) % len(pattern)]``."""
+    return [(t, rid, workload.pattern[(rid - 1) % len(workload.pattern)])
+            for rid, t in enumerate(workload.times, 1)]
 
 
-# Workload configs over both arrival processes, fractional rates, http and
-# get/set mixes, seeds and chunk sizes 1-40
+# Workload configs over both arrival processes, fractional rates, and http
+# and get/set mixes and seeds
 workload_cases = given(
     arrivals=st.sampled_from(["uniform", "poisson"]),
     rate=st.one_of(st.sampled_from([1, 333.3, 1_000]), st.floats(0.5, 1_000)),
     duration_s=st.one_of(st.integers(1, 2), st.floats(0.001, 2)),
     kind=st.sampled_from(["http", "rw"]),
     mix=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
-    seed=st.integers(0, 2**32), size=st.integers(1, 40))
+    seed=st.integers(0, 2**32))
 
 
 @settings(deadline=None)
 @workload_cases
-# 666 arrivals in chunks of 7: the workload ends one row into its last chunk
-@example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1, size=7)
-# 188 Poisson arrivals in chunks of 8: the horizon cuts the last chunk at 4
-@example(arrivals="poisson", rate=100, duration_s=2, kind="rw", mix=(1, 3), seed=7918, size=8)
-def test_workload_chunks_match_the_tuple_generator(arrivals, rate, duration_s, kind, mix,
-                                                  seed, size):
-    # a drawn workload's column chunks hold the reference's rows, and
+# 666 uniform arrivals: the last is a get, one row into its pattern
+@example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1)
+# 188 Poisson arrivals: the horizon cuts the stream mid-pattern
+@example(arrivals="poisson", rate=100, duration_s=2, kind="rw", mix=(1, 3), seed=7918)
+def test_workload_times_match_the_tuple_generator(arrivals, rate, duration_s, kind, mix,
+                                                 seed):
+    # a drawn workload's column and pattern hold the reference's rows, and
     # generate_workload yields those rows
     cfg = WorkloadConfig(rate_rps=rate, duration_s=duration_s, mix_get=mix[0],
                          mix_set=mix[1], arrivals=arrivals, seed=seed, kind=kind)
     want = list(tuple_workload(cfg))
-    assert_chunks(list(Workload(cfg, size).chunks()), want, size)
+    assert rows(Workload(cfg)) == want
     assert list(generate_workload(cfg)) == want
 
 
 @settings(deadline=None)
 @workload_cases
-# 666 arrivals in chunks of 7: the last chunk holds one row
-@example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1, size=7)
+# 666 uniform arrivals
+@example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1)
 # the first Poisson gap passes a 1 ms horizon: the stream is empty
-@example(arrivals="poisson", rate=1, duration_s=0.001, kind="http", mix=(3, 1), seed=1,
-         size=5)
+@example(arrivals="poisson", rate=1, duration_s=0.001, kind="http", mix=(3, 1), seed=1)
 # a 4,295 s horizon reaches 2**32 us and the last issue time passes it, so the
 # times need the 64-bit column
-@example(arrivals="uniform", rate=1, duration_s=4_295, kind="rw", mix=(2, 3), seed=1, size=40)
-def test_workload_replays_the_chunks_it_was_drawn_from(arrivals, rate, duration_s, kind, mix,
-                                                       seed, size):
+@example(arrivals="uniform", rate=1, duration_s=4_295, kind="rw", mix=(2, 3), seed=1)
+def test_workload_replays_the_times_it_was_drawn_from(arrivals, rate, duration_s, kind, mix,
+                                                      seed):
+    # the column is 64-bit only if the horizon reaches 2**32 us, and it reads
+    # the reference's rows after generate_workload and a second draw have run
     cfg = WorkloadConfig(rate_rps=rate, duration_s=duration_s, mix_get=mix[0],
                          mix_set=mix[1], arrivals=arrivals, seed=seed, kind=kind)
     want = list(tuple_workload(cfg))
-    workload = Workload(cfg, size)
-    first = list(workload.chunks())
-    assert_chunks(first, want, size)
-    # a run that changes the lists it was handed leaves the next replay intact
-    for times, _, kinds in first:
-        times.append(-1)
-        kinds.clear()
-    assert_chunks(list(workload.chunks()), want, size)
+    workload = Workload(cfg)
+    assert workload.times.typecode == ("Q" if round(duration_s * 1e6) >= 2**32 else "I")
+    drawn = workload.times.tobytes()
+    assert list(generate_workload(cfg)) == want
+    assert Workload(cfg).times.tobytes() == drawn
+    assert rows(workload) == want
 
 
 def test_workload_rejects_bad_rate():
@@ -421,6 +416,31 @@ def test_a_request_completes_at_most_once():
         record.add(10, 0, 60, "b0", "http")
     assert [row[:3] for row in record] == [(1, 0, 10), (2, 0, 20), (5, 0, 20), (3, 0, 30),
                                            (8, 0, 30), (4, 0, 40), (9, 0, 50)]
+
+
+def _record_of(rids, put):
+    """The columns a record of 12 requests holds once ``rids`` are recorded,
+    by one ``put`` of the batch or by one ``add`` a row."""
+    record = Completions([0] * 12, ["http"], ["b0", "b1"], lambda: 100)
+    record.add(12, 0, 7, "b0", "http")  # a slot filled before the batch
+    completed = [10 * rid + 3 for rid in rids]
+    if put:
+        record.put(rids, completed, "b1")
+    else:
+        for rid, at in zip(rids, completed):
+            record.add(rid, None, at, "b1", None)
+    return record.completed, record._server
+
+
+@given(st.lists(st.integers(1, 11), unique=True, min_size=1, max_size=11))
+# ids off a rotation's step at both ends, with evenly stepping ids between
+@example([5, 1, 2, 3, 9])
+# a rotation slice whose step changes where the rotation does
+@example([1, 4, 7, 9, 11])
+# a rotation slice, set by one assignment
+@example([2, 5, 8, 11])
+def test_a_batch_records_what_one_add_a_row_does(rids):
+    assert _record_of(rids, put=True) == _record_of(rids, put=False)
 
 
 def test_emit_report_of_150k_samples_peaks_under_1_5_mb(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +62,27 @@ def test_compare_equals_three_independent_runs(tmp_path, system, jitter):
     assert all(len({p.node for p in run.pauses}) == cfg.nodes
                for run in together if run.mode != "off")
     assert _outcome(together, tmp_path / "together") == _outcome(alone, tmp_path / "alone")
+
+
+@pytest.mark.parametrize("system", sorted(_SHORT))
+def test_a_comparison_leaves_its_drawn_workload_as_drawn(monkeypatch, system):
+    # the three replays are independent because no run writes the column
+    drawn, draw = [], scenarios.Workload
+    monkeypatch.setattr(scenarios, "Workload",
+                        lambda config: drawn.append(draw(config)) or drawn[-1])
+    run_compare(_SHORT[system](jitter_us=5), seed=7919, duration_s=2)
+    (workload,) = drawn
+    assert workload.times.tobytes() == draw(workload.config).times.tobytes()
+
+
+@pytest.mark.parametrize("system", sorted(_SHORT))
+def test_two_replays_of_one_workload_give_identical_runs(tmp_path, system):
+    cfg = dataclasses.replace(_SHORT[system](jitter_us=5), duration_s=2)
+    workload = Workload(scenarios._workload_config(cfg))
+    for mode in scenarios.COMPARE_ORDER:
+        first, second = (run_scenario(cfg, mode=mode, workload=workload) for _ in range(2))
+        assert first.samples.completed == second.samples.completed
+        assert _outcome([first], tmp_path / "first") == _outcome([second], tmp_path / "second")
 
 
 def test_run_refuses_a_workload_drawn_for_another_config():
@@ -376,15 +398,15 @@ def test_replies_pending_across_back_to_back_pauses_match_pinned_digest(monkeypa
 
 
 def _drive(sim, times, on_arrival=lambda rid: None):
-    """Feed arrivals at ``times`` into ``sim``; returns the log they write."""
+    """Feed requests 1, 2, ... issued at ``times`` into ``sim``; returns the
+    log they write and the driver."""
     log = []
 
-    def dispatch(rid, kind):
+    def dispatch(rid):
         log.append(("arrival", rid, sim.now))
         on_arrival(rid)
 
-    chunks = iter([(list(times), range(len(times)), ["http"] * len(times))])
-    return log, scenarios._WorkloadDriver(sim, chunks, dispatch)
+    return log, scenarios._WorkloadDriver(sim, SimpleNamespace(times=list(times)), dispatch)
 
 
 def test_an_arrival_due_with_a_queued_event_fires_after_it():
@@ -394,11 +416,11 @@ def test_an_arrival_due_with_a_queued_event_fires_after_it():
     sim.add_node("a", lambda src, msg: None)
     sim.add_node("b", lambda src, msg: log.append(("message", msg, sim.now)))
     log, driver = _drive(sim, [5, 10, 15, 16],
-                         lambda rid: rid == 1 and sim.send("a", "b", rid))
+                         lambda rid: rid == 2 and sim.send("a", "b", rid))
     sim.schedule_at(10, lambda _: log.append(("timer", None, sim.now)))
     sim.run_until(20)
-    assert log == [("arrival", 0, 5), ("timer", None, 10), ("arrival", 1, 10),
-                   ("message", 1, 15), ("arrival", 2, 15), ("arrival", 3, 16)]
+    assert log == [("arrival", 1, 5), ("timer", None, 10), ("arrival", 2, 10),
+                   ("message", 2, 15), ("arrival", 3, 15), ("arrival", 4, 16)]
     # six events: four arrivals, the timer and the message
     assert (driver.issued, sim._seq, sim.events_fired, sim.messages_sent) == (4, 6, 6, 1)
 
@@ -409,8 +431,8 @@ def test_an_arrival_past_the_deadline_waits_for_the_next_run():
     for deadline in (4, 7, 20):
         sim.run_until(deadline)
         log.append(("deadline", None, sim.now))
-    assert log == ([("arrival", rid, rid) for rid in range(5)] + [("deadline", None, 4)]
-                   + [("arrival", rid, rid) for rid in range(5, 8)] + [("deadline", None, 7)]
-                   + [("arrival", rid, rid) for rid in range(8, 10)]
+    assert log == ([("arrival", t + 1, t) for t in range(5)] + [("deadline", None, 4)]
+                   + [("arrival", t + 1, t) for t in range(5, 8)] + [("deadline", None, 7)]
+                   + [("arrival", t + 1, t) for t in range(8, 10)]
                    + [("deadline", None, 20)])
     assert (driver.issued, sim._seq, sim.events_fired) == (10, 10, 10)

@@ -2,6 +2,7 @@ import heapq
 import itertools
 from collections import Counter, deque
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -429,18 +430,15 @@ def replay(sim, steps, arrivals=()):
         elif op[0] == "delay":
             sim.network.one_way_delay_us = op[1]
 
-    def dispatch(rid, kind):
+    def dispatch(rid):
         fired.append((sim.now, "arrival", rid))
-        for step in arrivals[rid][1]:
+        for step in arrivals[rid - 1][1]:
             apply(*step)
 
     for node in "abc":
         sim.add_node(node, lambda src, msg: fire(msg))
     times = list(itertools.accumulate(gap for gap, _ in arrivals))
-    # in chunks of four, so arrivals are read across chunk boundaries
-    rids, kinds = range(len(times)), ["http"] * len(times)
-    _WorkloadDriver(sim, ((times[lo:lo + 4], rids[lo:lo + 4], kinds[lo:lo + 4])
-                          for lo in range(0, len(times), 4)), dispatch)
+    _WorkloadDriver(sim, SimpleNamespace(times=times), dispatch)
     for step in steps:
         if step[0] == "run":
             sim.run_until(sim.now + step[1])
@@ -482,7 +480,7 @@ def test_arrivals_fired_in_place_match_always_scheduled(steps, arrivals):
     got = replay(Simulation(seed=5, network=NetworkModel(24)), steps, arrivals)
     want = replay(HeapOnlySimulation(seed=5, network=NetworkModel(24)), steps, arrivals)
     assert got == want
-    assert [row[2] for row in got[0] if row[1] == "arrival"] == list(range(len(arrivals)))
+    assert [row[2] for row in got[0] if row[1] == "arrival"] == list(range(1, len(arrivals) + 1))
     times = [row[0] for row in got[0]]
     assert times == sorted(times)
 

@@ -89,8 +89,7 @@ class Completions:
         self._server = array("B" if len(servers) <= 256 else "H", [0]) * len(times)
         self._codes = {name: code for code, name in enumerate(servers)}
 
-    def add(self, rid: int, issued: Optional[int], completed: int, server: str,
-            kind: Optional[str]) -> None:
+    def add(self, rid: int, completed: int, server: str) -> None:
         """Record the reply to ``rid`` from ``server``, arriving at
         ``completed``; its issue time and kind are the workload's."""
         if rid < 1 or self.completed[rid - 1] != self._free[0]:
@@ -106,7 +105,7 @@ class Completions:
         step = rids[1] - first if n > 1 else 1
         if step < 1 or rids != list(range(first, first + n * step, step)):
             for rid, at in zip(rids, completed):
-                self.add(rid, None, at, server, None)
+                self.add(rid, at, server)
             return
         where = slice(first - 1, first - 1 + n * step, step)
         if self.completed[where] != self._free * n:

@@ -426,7 +426,7 @@ class RaftNode:
         # over entries inherited from previous leaders.
         self.log.append((self.term, ("noop",), None))
         self._replicate()
-        self.sim.schedule_after(self.heartbeat_us, self._heartbeat)
+        self.sim.schedule_at(self.sim.now + self.heartbeat_us, self._heartbeat)
         self.grantee.ask()
 
     def _heartbeat(self, _arg=None) -> None:
@@ -436,7 +436,7 @@ class RaftNode:
             self.sim.schedule_at(self.runtime.paused_until, self._heartbeat)
             return
         self._replicate()
-        self.sim.schedule_after(self.heartbeat_us, self._heartbeat)
+        self.sim.schedule_at(self.sim.now + self.heartbeat_us, self._heartbeat)
 
     # -- log replication -------------------------------------------------------------
 
@@ -533,7 +533,7 @@ class RaftNode:
         last = len(self.log)
         if self.switch_target is not None and \
                 match_index.get(self.switch_target, 0) >= last:
-            self.sim.schedule_after(0, self._check_switch)
+            self.sim.schedule_at(self.sim.now, self._check_switch)
         elif next_index[src] <= last:
             self._send_append(src)
 
@@ -642,7 +642,7 @@ class RaftNode:
         if successor == self.id or successor not in self.next_index:
             raise ValueError(f"bad switch successor {successor!r}")
         self.switch_target = successor
-        self.sim.schedule_after(0, self._check_switch)
+        self.sim.schedule_at(self.sim.now, self._check_switch)
 
     def _check_switch(self, _arg=None) -> None:
         if self.role is not Role.LEADER or self.switch_target is None:
@@ -789,8 +789,8 @@ class RaftClient:
     key lands in between, the repeat overwrites it, which breaks
     linearizability (client sessions that drop duplicates are ROADMAP item
     3).  Latency is measured from first submission to first reply: each
-    request reaches ``on_sample`` once, with its first answer, and a later
-    answer to it is dropped.
+    request reaches ``on_sample(rid, completed, server)`` once, with its
+    first answer, and a later answer to it is dropped.
 
     ``outstanding`` maps each unanswered request id to ``(op, issued,
     deadline)`` in deadline order: a new or retried request always has the
@@ -800,7 +800,7 @@ class RaftClient:
 
     def __init__(self, sim: Simulation, client_id: NodeId, initial_leader: NodeId,
                  timeout_us: int,
-                 on_sample: Callable[[int, int, int, NodeId, str], None]):
+                 on_sample: Callable[[int, int, NodeId], None]):
         self.sim = sim
         self.id = client_id
         self.belief = initial_leader
@@ -857,7 +857,7 @@ class RaftClient:
         entry = self.outstanding.pop(msg.rid, None)
         if entry is None:
             return  # duplicate answer to a retried request
-        op, issued, _deadline = entry
+        _op, issued, _deadline = entry
         if msg.leader_hint and issued >= self._notice_at:
             self.belief = msg.leader_hint
-        self.on_sample(msg.rid, issued, self.sim.now, src, op[0])
+        self.on_sample(msg.rid, self.sim.now, src)

@@ -8,7 +8,9 @@ node, and (for the replicated cluster) the safety-checker trace.
 it, with the same seed, under all three collector modes; each run equals
 the one ``run_scenario`` makes with its own draw.  A run fires its arrivals
 straight from the workload's issue-time column and never writes it, so the
-replays are independent.
+replays are independent.  Each arrival is an event, scheduled by the one
+before it, except the runs of HTTP arrivals that the balancer fires in
+place (``_WorkloadDriver``).
 """
 
 from __future__ import annotations
@@ -72,19 +74,13 @@ class _WorkloadDriver:
     predecessor's dispatch: it fires after the protocol events of its tick
     that were scheduled before that, and before those scheduled later.
 
-    An arrival that would be the engine's next event fires in place, inside
-    its predecessor's event (``Simulation.fire_in_place``), in a loop.  The
-    engine is asked after each dispatch, so an event that the dispatch
-    queued at or before the next arrival still fires first, and the event
-    order is the one above.  A Raft arrival seldom fires in place: its
-    predecessor's dispatch sends a request to the leader, due one network
-    delay later, and only an arrival sooner than that can go first.
-
     With a ``run`` entry point, each dispatch is followed by a call of
     ``run(times, lo, hi)`` on the arrivals after it: it takes a run of those
     that fire in place before anything else in one pass
     (``Simulation.fire_run_in_place``), and returns how many.  The arrival
-    after them goes through ``dispatch`` as above.
+    after them, the first that no run takes, is scheduled as above.  The HTTP
+    balancer gives a ``run`` (``LoadBalancer.route_run``); Raft gives none,
+    so every Raft arrival is scheduled.
     """
 
     def __init__(self, sim: Simulation, workload: Workload, dispatch: Callable[[int], None],
@@ -98,20 +94,16 @@ class _WorkloadDriver:
             sim.schedule_at(self.times[0], self._fire, 0)
 
     def _fire(self, i: int) -> None:
-        """Fire the arrival at ``i``, and the ones after it that fire in place."""
-        sim, times, dispatch, run = self.sim, self.times, self.dispatch, self.run
-        end = len(times)
-        while True:
-            dispatch(i + 1)
-            i += 1
-            if run is not None and i < end:
-                i += run(times, i, end)
-            self.issued = i
-            if i == end:
-                return
-            if not sim.fire_in_place(times[i]):
-                sim.schedule_at(times[i], self._fire, i)
-                return
+        """Fire the arrival at ``i``, let ``run`` take the run after it, and
+        schedule the next arrival."""
+        times = self.times
+        self.dispatch(i + 1)
+        i += 1
+        if self.run is not None and i < len(times):
+            i += self.run(times, i, len(times))
+        self.issued = i
+        if i < len(times):
+            self.sim.schedule_at(times[i], self._fire, i)
 
 
 def _make_runtime(sim: Simulation, node_id: str, cfg: ScenarioConfig,

@@ -27,16 +27,15 @@ whose receiver accounts its arrival itself needs no event, and its sender
 keys it by an identity of its own through ``arrival`` (``arrivals`` for a
 batch).
 
-An event may also fire in place.  A handler that would schedule an event at
-``fire_at`` first asks :meth:`Simulation.fire_in_place`: if ``run_until`` is
-running with a deadline at or after ``fire_at`` and no queued event is due at
-or before it (one due at the same instant has a smaller ``seq``), the event
-would fire next.  The engine then advances the clock and counts the event as
+A run of events may also fire in place.  A handler that would schedule
+events due at the nondecreasing times ``times[lo:hi]`` first asks
+:meth:`Simulation.fire_run_in_place` how many of them would fire before
+anything else: each due by the deadline of the ``run_until`` that is
+running, and each before every queued event (one due at the same instant has
+a smaller ``seq``).  The engine advances the clock and counts those events as
 scheduled and fired, as the queue and the main loop would, and the handler
-runs it at once, skipping the queue's push and pop.  One ask
-(:meth:`Simulation.fire_run_in_place`) counts a run of such events, due at
-nondecreasing times, as single asks would, and the handler runs them in one
-pass: sound only for events that observe nothing the others change.
+runs them in one pass, skipping the queue's pushes and pops: sound only for
+events that observe nothing the others change.
 """
 
 from __future__ import annotations
@@ -172,37 +171,17 @@ class Simulation:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def schedule_after(self, delay: SimTime, action: Callable[[Any], None],
-                       arg: Any = None) -> EventHandle:
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay}us")
-        self._seq += 1
-        entry = [self.now + delay, self._seq, action, arg]
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def fire_in_place(self, fire_at: SimTime) -> bool:
-        """Fire an event due at ``fire_at`` in place if it would fire next.
-
-        If it would, advance the clock to ``fire_at``, count the event as
-        scheduled and fired, and return True: the caller runs it at once.
-        Otherwise change nothing and return False: the caller schedules it.
-        """
-        lane = self._lane
-        if lane and lane[0][0] <= fire_at:
-            return False
-        heap = self._heap
-        if heap and heap[0][0] <= fire_at or not self.now <= fire_at <= self._deadline:
-            return False
-        self.now = fire_at
-        self.firing_seq = self._seq = self._seq + 1
-        self.events_fired += 1
-        return True
-
     def fire_run_in_place(self, times: Sequence[SimTime], lo: int, hi: int) -> int:
-        """:meth:`fire_in_place` for the events due at ``times[lo:hi]``, a
-        nondecreasing run, until one would not fire next: return how many
-        fire, each counted as the single form counts it."""
+        """Fire in place the events due at ``times[lo:hi]``, a nondecreasing
+        run, up to the first that would not fire next; return how many.
+
+        An event would fire next if it is due no earlier than the clock and
+        no later than the deadline of the ``run_until`` that is running, and
+        no queued event is due at or before it.  Those that fire advance the
+        clock to the last one's time and are counted as scheduled and fired,
+        each with the seq that scheduling it would take; the caller runs them
+        at once.
+        """
         if lo >= hi or times[lo] < self.now:
             return 0
         # due by the deadline and before the head of each queue

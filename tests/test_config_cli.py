@@ -106,6 +106,17 @@ def test_even_cluster_size_rejected():
         config_from_pairs({"nodes": "4"})
 
 
+def test_an_empty_request_mix_is_refused():
+    with pytest.raises(ConfigError, match="the request mix is empty"):
+        config_from_pairs({"mix_get": "0", "mix_set": "0"})
+
+
+def test_a_line_with_no_key_or_no_value_is_refused():
+    for line in ("seed =\n", "= 5\n"):
+        with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
+            parse_lines([line])
+
+
 def test_round_trip_is_idempotent(tmp_path):
     configs = [default_config("http", seed=9, rate_rps=1234, jitter_us=3),
                default_config("raft"), default_config("http")]
@@ -141,6 +152,10 @@ BAD_INPUTS = [
     ("gcoff_slowdown", math.nan, "nan"),
     ("seed", 0, "0"),
     ("duration_s", -1, "-1"),
+    ("jitter_us", -1, "-1"),
+    ("trigger_bytes", 200 * MIB, str(200 * MIB)),  # no more than the live set
+    ("election_timeout_min_ms", 301, "301"),  # above the maximum
+    ("nodes", 1, "1"),
     ("gc_mode", "never", "never"),
     ("rtt_us", 49, "49"),
     ("rate_rsp", 100, "100"),

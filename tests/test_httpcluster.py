@@ -183,7 +183,7 @@ def test_backend_statuses_walk_the_protocol():
         if state() != seen[-1]:
             seen.append(state())
         if sim.now < 40_000:
-            sim.schedule_after(2, watch)
+            sim.schedule_at(sim.now + 2, watch)
 
     sim.schedule_at(0, watch)
     sim.schedule_at(100, lambda _: trigger_gc(b))
@@ -749,6 +749,14 @@ def test_a_reply_on_the_wire_at_a_deadline_counts_once_a_resumed_run_receives_it
     sim.run_until(1_000_000)
     assert list(lb.samples)[:21] == rows + [(21, 2_000, 4_048, "b2", "http")]
     assert [row[0] for row in lb.samples] == list(range(1, 51))
+
+
+def test_an_unknown_message_to_a_backend_or_the_balancer_is_refused():
+    sim, lb, backends = make_cluster()
+    with pytest.raises(ValueError, match="backend b0 got unknown message"):
+        backends[0].deliver("lb", ("ask",))
+    with pytest.raises(ValueError, match="balancer got unknown message"):
+        lb.deliver("b0", ("allow",))
 
 
 @pytest.mark.parametrize("built", [["b1"], ["b0", "b0"], ["b0", "b1", "b2"]],

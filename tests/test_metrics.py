@@ -387,7 +387,7 @@ def test_a_completion_record_holds_5_bytes_a_request():
     def build():
         record = Completions(times, ["http"], ["b0"], lambda: 2_000_000)
         for rid in range(1, len(times) + 1):
-            record.add(rid, None, 10 * rid + 2_048, "b0", None)
+            record.add(rid, 10 * rid + 2_048, "b0")
         return record
 
     held, record = _held_bytes(build)
@@ -398,22 +398,22 @@ def test_a_completion_record_holds_5_bytes_a_request():
 
 def test_a_request_completes_at_most_once():
     record = Completions([0] * 9, ["http"], ["b0", "b1"], lambda: 100)
-    record.add(1, 0, 10, "b0", "http")
+    record.add(1, 10, "b0")
     record.put([2, 5, 8], [20, 20, 30], "b1")  # a rotation slice
     record.put([3, 4, 9], [30, 40, 50], "b0")  # ids that do not step evenly
     with pytest.raises(ValueError, match="request 1 completed twice"):
-        record.add(1, 0, 12, "b1", "http")
+        record.add(1, 12, "b1")
     with pytest.raises(ValueError, match="completed twice"):
         record.put([6, 7, 8], [60, 60, 60], "b0")
     with pytest.raises(ValueError, match="request 9 completed twice"):
         record.put([9, 6], [60, 60], "b0")
     with pytest.raises(ValueError, match="request 0 completed twice, or is not in the"):
-        record.add(0, 0, 60, "b0", "http")  # ids start at 1: 0 would index the last slot
+        record.add(0, 60, "b0")  # ids start at 1: 0 would index the last slot
     for rids in ([0], [0, 6]):
         with pytest.raises(ValueError, match="not in the workload"):
             record.put(rids, [60] * len(rids), "b0")
     with pytest.raises(IndexError):
-        record.add(10, 0, 60, "b0", "http")
+        record.add(10, 60, "b0")
     assert [row[:3] for row in record] == [(1, 0, 10), (2, 0, 20), (5, 0, 20), (3, 0, 30),
                                            (8, 0, 30), (4, 0, 40), (9, 0, 50)]
 
@@ -422,13 +422,13 @@ def _record_of(rids, put):
     """The columns a record of 12 requests holds once ``rids`` are recorded,
     by one ``put`` of the batch or by one ``add`` a row."""
     record = Completions([0] * 12, ["http"], ["b0", "b1"], lambda: 100)
-    record.add(12, 0, 7, "b0", "http")  # a slot filled before the batch
+    record.add(12, 7, "b0")  # a slot filled before the batch
     completed = [10 * rid + 3 for rid in rids]
     if put:
         record.put(rids, completed, "b1")
     else:
         for rid, at in zip(rids, completed):
-            record.add(rid, None, at, "b1", None)
+            record.add(rid, at, "b1")
     return record.completed, record._server
 
 
@@ -506,7 +506,7 @@ def test_a_widened_log_reads_every_row_back_in_order(case, by_arrival):
             record.put(list(rid), list(completed), server[0])
     else:
         for row in rows:
-            record.add(*row)
+            record.add(row[0], row[2], row[3])
 
     def reads(expected):
         expected = sorted(expected, key=lambda row: (row[2], row[0]))
@@ -526,9 +526,9 @@ def test_a_log_by_arrival_reads_rows_in_arrival_then_rid_order():
     record = Completions([0, 5, 5, 10, 10, 10], ["get", "get", "set"], ["b0", "b1", "b2"],
                          lambda: now[0])
     record.put([2, 5], [50, 70], "b1")
-    record.add(4, 10, 50, "b0", "get")
-    record.add(3, 5, 90, "b0", "set")
-    record.add(1, 0, 55, "b2", "get")
+    record.add(4, 50, "b0")
+    record.add(3, 90, "b0")
+    record.add(1, 55, "b2")
     assert len(record) == 5 and sorted(record.latencies()) == [40, 45, 55, 60, 85]
     assert list(record) == [(2, 5, 50, "b1", "get"), (4, 10, 50, "b0", "get"),
                             (1, 0, 55, "b2", "get"), (5, 10, 70, "b1", "get"),

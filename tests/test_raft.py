@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcsim.raft import (AllowGC, AppendEntries, AppendReply, AskGC, ClientReply,
-                        ClientRequest, DoneGC, LeaderNotice, RaftClient, RaftNode, RaftTrace, Role)
+                        ClientRequest, DoneGC, FastSwitch, LeaderNotice, RaftClient, RaftNode,
+                        RaftTrace, Role, VoteReply)
 from gcsim.metrics import Completions
 from gcsim.raftcheck import check_history, check_log_matching
 from gcsim.runtime import (GIB, MIB, CollectorCostModel, GcLedger, GcMode, HeapModel,
@@ -11,6 +12,24 @@ from gcsim.simcore import NetworkModel, Simulation
 
 RTT = 48
 HALF = RTT // 2
+
+
+class SampledClient(RaftClient):
+    """A client that reports each answered request as the row ``(rid,
+    issued, completed, server, kind)``, with the time and kind of the
+    request's first submission."""
+
+    def __init__(self, sim, client_id, leader, timeout_us, on_row):
+        super().__init__(sim, client_id, leader, timeout_us, self._answered)
+        self.first, self.on_row = {}, on_row
+
+    def submit(self, rid, op):
+        self.first.setdefault(rid, (self.sim.now, op[0]))
+        super().submit(rid, op)
+
+    def _answered(self, rid, completed, server):
+        issued, kind = self.first[rid]
+        self.on_row((rid, issued, completed, server, kind))
 
 
 def make_cluster(n=3, mode=GcMode.BLADE, live=100 * MIB, trigger=200 * MIB,
@@ -33,9 +52,7 @@ def make_cluster(n=3, mode=GcMode.BLADE, live=100 * MIB, trigger=200 * MIB,
     nodes[0].voted_for = nodes[0].id
     nodes[0]._become_leader()
     samples = []
-    client_objs = [RaftClient(sim, cid, "n0", 1_000_000,
-                              lambda rid, iss, done, srv, kind:
-                              samples.append((rid, iss, done, srv, kind)))
+    client_objs = [SampledClient(sim, cid, "n0", 1_000_000, samples.append)
                    for cid in client_ids]
     return sim, nodes, client_objs, samples, trace
 
@@ -399,8 +416,7 @@ def make_client(replies):
         return deliver
     for name in ("s0", "s1"):
         sim.add_node(name, server(name))
-    client = RaftClient(sim, "c0", "s0", TIMEOUT,
-                        lambda rid, iss, done, srv, kind: samples.append((rid, iss, done)))
+    client = SampledClient(sim, "c0", "s0", TIMEOUT, lambda row: samples.append(row[:3]))
     return sim, client, received, samples
 
 
@@ -796,6 +812,50 @@ def test_non_successor_ignores_the_carried_replies_and_grants():
     assert replies == [("n1", 1)]
 
 
+def test_a_switch_is_refused_by_a_non_leader_or_to_a_bad_successor():
+    sim, nodes, clients, samples, trace = make_cluster()
+    with pytest.raises(ValueError, match="n1 is not the leader"):
+        nodes[1].request_leader_switch("n2")
+    for successor in ("n0", "n9"):
+        with pytest.raises(ValueError, match="bad switch successor"):
+            nodes[0].request_leader_switch(successor)
+    assert nodes[0].switch_target is nodes[1].switch_target is None
+
+
+def test_a_stale_switch_and_a_duplicate_at_the_new_leader_change_nothing():
+    sim, nodes, clients, samples, trace = make_cluster()
+    sim.run_until(1_000)
+    roles = {node: list(changes) for node, changes in trace.role_changes.items()}
+    sent = sim.messages_sent
+    # n1 is at term 1: a switch to term 0 is stale; n0 already leads term 1
+    nodes[1].deliver("n2", FastSwitch(0, "n2", (), ()))
+    nodes[0].deliver("n2", FastSwitch(1, "n0", (("c0", ClientReply(1, "v", "n0"), 1_000),), ()))
+    assert [(n.term, n.role, n.leader_hint) for n in nodes[:2]] == \
+           [(1, Role.LEADER, "n0"), (1, Role.FOLLOWER, "n0")]
+    assert trace.role_changes == roles and sim.messages_sent == sent
+
+
+def test_a_handoff_carries_a_held_reply_and_cancels_its_timer():
+    # n0's pause holds its answer in a timer at the answer's departure; a
+    # handoff during the pause cancels that timer, and n1, the successor,
+    # sends the answer once, when the switch reaches it
+    sim, leader, clients, samples, pause = pausing_leader()
+    replies = []
+
+    def record(src, msg, client=clients[0]):
+        if type(msg) is ClientReply:
+            replies.append((sim.now, src, msg.rid))
+        client.deliver(src, msg)
+    sim.add_node("c0", record)
+    sim.schedule_at(2_000, lambda _: clients[0].submit(1, ("get", "k")))
+    sim.schedule_at(2_100, pause)
+    sim.schedule_at(2_200, lambda _: leader.request_leader_switch("n1"))
+    sim.run_until(100_000)
+    (p,) = leader.runtime.pauses
+    assert p.start_us == 2_100 < 2_424 < p.end_us
+    assert replies == [(p.end_us + RTT, "n1", 1)]
+
+
 # -- collection coordination end to end ------------------------------------------------
 
 
@@ -980,6 +1040,15 @@ def test_no_grant_while_an_earlier_grantee_is_paused():
 
 
 # -- elections ------------------------------------------------------------------------
+
+
+def test_a_reply_with_a_newer_term_makes_a_candidate_or_a_leader_step_down():
+    sim, nodes, clients, samples, trace = make_cluster()
+    sim.run_until(1_000)
+    nodes[1]._become_candidate()  # term 2
+    nodes[1].deliver("n2", VoteReply(3, False))
+    nodes[0].deliver("n2", AppendReply(4, False, 0))
+    assert [(n.term, n.role) for n in nodes[:2]] == [(4, Role.FOLLOWER), (3, Role.FOLLOWER)]
 
 
 def test_long_leader_pause_triggers_reelection_and_stays_safe():

@@ -227,6 +227,20 @@ def test_heap_rejects_trigger_at_or_below_live():
         HeapModel(live_bytes=100, trigger_bytes=100, hard_limit_bytes=1000)
 
 
+def test_heap_rejects_an_allocated_size_outside_live_to_hard_limit():
+    for allocated in (50, 1_001):
+        with pytest.raises(ValueError, match="heap must satisfy"):
+            HeapModel(live_bytes=100, trigger_bytes=200, hard_limit_bytes=1000,
+                      allocated_bytes=allocated)
+
+
+def test_a_negative_allocation_is_refused():
+    sim, rt = make_runtime()
+    with pytest.raises(ValueError, match="allocation size must be non-negative"):
+        rt.allocate(-1)
+    assert rt.heap.allocated_bytes == 100
+
+
 def test_gc_off_mode_never_collects_and_tracks_peak():
     sim, rt = make_runtime(mode=GcMode.OFF, live=100, trigger=200, hard=400)
     rt.allocate(10_000)
@@ -255,7 +269,7 @@ class _ReferenceTicker:
             self.sim.schedule_at(self.runtime.paused_until, self._tick)
             return
         self.runtime.allocate(self.bytes_per_tick)
-        self.sim.schedule_after(self.interval_us, self._tick)
+        self.sim.schedule_at(self.sim.now + self.interval_us, self._tick)
 
 
 def _background_run(lazy, mode, *, rate=10_000, interval=10_000, overhead=4_000,
@@ -283,14 +297,14 @@ def _background_run(lazy, mode, *, rate=10_000, interval=10_000, overhead=4_000,
     def offer(ticket):  # collects at once unless blade, which defers
         tickets.append(ticket)
         if mode is GcMode.BLADE and start_delay is not None:
-            sim.schedule_after(start_delay, lambda _: rt.start_gc(ticket.id))
+            sim.schedule_at(sim.now + start_delay, lambda _: rt.start_gc(ticket.id))
         return mode is not GcMode.BLADE
     rt.reg_gc_hand(offer)
 
     def request(left):
         rt.allocate(request_bytes)
         if left > 1:
-            sim.schedule_after(request_gap, request, left - 1)
+            sim.schedule_at(sim.now + request_gap, request, left - 1)
     if requests:
         sim.schedule_at(request_gap, request, requests)
     sim.run_until(until)

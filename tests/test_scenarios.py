@@ -347,11 +347,17 @@ def record_raft_rows(monkeypatch) -> dict:
     class RecordingClient(scenarios.RaftClient):
         def __init__(self, sim, client_id, leader, timeout_us, on_sample):
             log = rows.setdefault(sim, [])
+            self.first = {}  # each request's issue time and kind, at its first submission
 
-            def record(*row):
-                log.append(row)
-                on_sample(*row)
+            def record(rid, completed, server):
+                issued, kind = self.first[rid]
+                log.append((rid, issued, completed, server, kind))
+                on_sample(rid, completed, server)
             super().__init__(sim, client_id, leader, timeout_us, record)
+
+        def submit(self, rid, op):
+            self.first.setdefault(rid, (self.sim.now, op[0]))
+            super().submit(rid, op)
     monkeypatch.setattr(scenarios, "RaftClient", RecordingClient)
     return rows
 

@@ -54,8 +54,6 @@ def test_scheduling_in_the_past_is_rejected():
     sim.run_until(10)
     with pytest.raises(SchedulingError):
         sim.schedule_at(5, lambda _: None)
-    with pytest.raises(SchedulingError):
-        sim.schedule_after(-1, lambda _: None)
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -168,6 +166,13 @@ def test_send_to_unknown_node_raises():
     sim.schedule_at(0, lambda _: sim.send("a", "ghost", "x"))
     with pytest.raises(SchedulingError):
         sim.run_until(1)
+
+
+def test_send_from_unknown_node_raises():
+    sim = Simulation()
+    sim.add_node("a", lambda src, msg: None)
+    with pytest.raises(SchedulingError, match="unknown node id 'ghost'"):
+        sim.send("ghost", "a", "x")
 
 
 def test_jitter_is_bounded_and_seed_deterministic():
@@ -324,7 +329,7 @@ def test_causality_chained_events_never_fire_earlier(chains):
     def chain(delay):
         def action(_):
             firings.append(sim.now)
-            sim.schedule_after(delay, lambda _: firings.append(sim.now))
+            sim.schedule_at(sim.now + delay, lambda _: firings.append(sim.now))
         return action
 
     for start, delay in chains:
@@ -368,8 +373,8 @@ class HeapOnlySimulation(Simulation):
         heapq.heappush(self._heap, entry)
         return entry
 
-    def fire_in_place(self, fire_at):
-        return False  # every event is scheduled
+    def fire_run_in_place(self, times, lo, hi):
+        return 0  # every event is scheduled
 
     def run_until(self, deadline):
         heap = self._heap
@@ -378,10 +383,11 @@ class HeapOnlySimulation(Simulation):
             action = entry[2]
             if action is None:
                 continue
-            self.now = entry[0]
+            self.now, self.firing_seq = entry[0], entry[1]
             self.events_fired += 1
             action(entry[3])
         self.now = deadline
+        self.firing_seq = self._seq
 
 
 _nodes = st.sampled_from("abc")
@@ -405,7 +411,9 @@ _steps = st.lists(st.one_of(st.tuples(st.just("run"), st.integers(0, 80)),
 def replay(sim, steps, arrivals=()):
     """Apply ``steps`` to ``sim``; ``arrivals`` is a workload of ``(gap,
     ops)`` pairs, fed by a ``_WorkloadDriver``, whose dispatch applies the
-    listed ``(op, then)`` steps."""
+    listed ``(op, then)`` steps.  Its ``run`` entry, like the balancer's
+    ``route_run``, fires in place a run of the arrivals whose dispatch
+    changes nothing that the others observe: those with no steps."""
     fired, handles, reactions = [], [], {}
     labels = itertools.count()
 
@@ -422,7 +430,7 @@ def replay(sim, steps, arrivals=()):
         elif op[0] == "at":
             handles.append(sim.schedule_at(sim.now + op[1], fire, label))
         elif op[0] == "after0":
-            handles.append(sim.schedule_after(0, fire, label))
+            handles.append(sim.schedule_at(sim.now, fire, label))
         elif op[0] == "cancel" and handles:
             sim.cancel(handles[op[1] % len(handles)])
         elif op[0] == "jitter":
@@ -435,10 +443,18 @@ def replay(sim, steps, arrivals=()):
         for step in arrivals[rid - 1][1]:
             apply(*step)
 
+    def run(times, lo, hi):
+        end = lo
+        while end < hi and not arrivals[end][1]:
+            end += 1
+        k = sim.fire_run_in_place(times, lo, end)
+        fired.extend((times[i], "arrival", i + 1) for i in range(lo, lo + k))
+        return k
+
     for node in "abc":
         sim.add_node(node, lambda src, msg: fire(msg))
     times = list(itertools.accumulate(gap for gap, _ in arrivals))
-    _WorkloadDriver(sim, SimpleNamespace(times=times), dispatch)
+    _WorkloadDriver(sim, SimpleNamespace(times=times), dispatch, run)
     for step in steps:
         if step[0] == "run":
             sim.run_until(sim.now + step[1])
@@ -446,7 +462,7 @@ def replay(sim, steps, arrivals=()):
         else:
             apply(*step)
     sim.run_until(sim.now + 1_000)  # everything still queued is due by then
-    return fired, sim.now, sim._seq, sim.events_fired, sim.messages_sent
+    return fired, sim.now, sim._seq, sim.firing_seq, sim.events_fired, sim.messages_sent
 
 
 @given(_steps)
@@ -476,7 +492,12 @@ _arrivals = st.lists(st.tuples(st.sampled_from([0, 0, 1, 5, 24, 30]),
 @example([("run", 10), ("run", 30)],
          [(0, [(("send", "a", "b"), [])]), (1, [(("at", 5), [])]), (5, []), (6, []),
           (12, []), (5, [(("jitter", 7), []), (("send", "b", "a"), [])]), (24, [])])
-def test_arrivals_fired_in_place_match_always_scheduled(steps, arrivals):
+# Arrivals at 0, at 1 to 6 and two at 24, all but the first with no steps:
+# the run after the first is cut by the deadline at 3, and the arrival at 24
+# waits behind the delivery due then, which the first one sends.
+@example([("run", 3), ("run", 30)],
+         [(0, [(("send", "a", "b"), [])])] + [(1, [])] * 6 + [(18, []), (0, [])])
+def test_arrival_runs_fired_in_place_match_always_scheduled(steps, arrivals):
     got = replay(Simulation(seed=5, network=NetworkModel(24)), steps, arrivals)
     want = replay(HeapOnlySimulation(seed=5, network=NetworkModel(24)), steps, arrivals)
     assert got == want
@@ -485,13 +506,21 @@ def test_arrivals_fired_in_place_match_always_scheduled(steps, arrivals):
     assert times == sorted(times)
 
 
-def _fire_run_probe(batch, start, first, gaps, lo, span, heap_at, lane_at, cut, between):
-    """Ask at ``start`` to fire a run of arrivals in place, in one batch or
-    by single asks until one is refused, with timers queued at ``heap_at``
-    and deliveries due at ``lane_at``; return the engine's state after the
-    asks and after the rest of the run."""
-    sim = Simulation(network=NetworkModel(one_way_delay_us=0))
-    sim.add_node("a", lambda src, msg: None)
+def _fire_run_probe(sim, start, first, gaps, lo, span, heap_at, lane_at, cut, between):
+    """Ask at ``start`` to fire a run of arrivals in place, with timers queued
+    at ``heap_at`` and deliveries due at ``lane_at``, then schedule the
+    arrivals not taken that are not before the clock.  Return the run, the
+    engine's state before and after the ask, the log of every event fired
+    after it, and the engine's state at the end."""
+    log = []
+
+    def record(_=None):
+        log.append(("other", sim.now, sim.firing_seq))
+
+    def arrive(_):
+        log.append(("arrival", sim.now, sim.firing_seq))
+
+    sim.add_node("a", lambda src, msg: record())
     times = list(itertools.accumulate([start + first] + gaps))
     lo = min(lo, len(times))
     hi = min(len(times), lo + span)
@@ -499,17 +528,17 @@ def _fire_run_probe(batch, start, first, gaps, lo, span, heap_at, lane_at, cut, 
         sim.network.one_way_delay_us = at
         sim.send("a", "a", None)
     for at in heap_at:
-        sim.schedule_at(at, lambda _: None)
-    got = []
+        sim.schedule_at(at, record)
+    asked = []
 
     def probe(_=None):
-        if batch:
-            k = sim.fire_run_in_place(times, lo, hi)
-        else:
-            k = 0
-            while lo + k < hi and sim.fire_in_place(times[lo + k]):
-                k += 1
-        got.append((k, sim.now, sim._seq, sim.firing_seq, sim.events_fired))
+        state = (sim.now, sim._seq, sim.firing_seq, sim.events_fired)
+        k = sim.fire_run_in_place(times, lo, hi)
+        asked.extend([state, (k, sim.now, sim._seq, sim.firing_seq, sim.events_fired)])
+        log.clear()
+        for at in times[lo + k:hi]:
+            if at >= sim.now:
+                sim.schedule_at(at, arrive)
 
     deadline = start + cut
     if between:  # the clock is past the deadline of the run that ended
@@ -518,9 +547,9 @@ def _fire_run_probe(batch, start, first, gaps, lo, span, heap_at, lane_at, cut, 
     else:
         sim.schedule_at(start, probe)
         sim.run_until(deadline)
+    log.append(("deadline",))
     sim.run_until(deadline + 100)
-    got.append((sim.now, sim._seq, sim.firing_seq, sim.events_fired))
-    return got
+    return times[lo:hi], asked, log, (sim.now, sim._seq, sim.firing_seq, sim.events_fired)
 
 
 @given(start=st.integers(0, 20), first=st.integers(-2, 5),
@@ -544,9 +573,25 @@ def _fire_run_probe(batch, start, first, gaps, lo, span, heap_at, lane_at, cut, 
 # between runs the clock is past every deadline: nothing fires in place
 @example(start=5, first=0, gaps=[1, 1], lo=0, span=3, heap_at=[], lane_at=[],
          cut=0, between=True)
-def test_fire_run_in_place_matches_single_asks(start, first, gaps, lo, span, heap_at,
-                                               lane_at, cut, between):
-    # the count, the clock, the seqs and the events fired match those of
-    # single asks stopped at the first refusal, then and at the end
+def test_fire_run_in_place_matches_scheduling_every_arrival(start, first, gaps, lo, span,
+                                                            heap_at, lane_at, cut, between):
     args = (start, first, gaps, lo, span, heap_at, lane_at, cut, between)
-    assert _fire_run_probe(True, *args) == _fire_run_probe(False, *args)
+    run, (before, after), log, end = _fire_run_probe(
+        Simulation(network=NetworkModel(0)), *args)
+    _, (want_before, _), want_log, want_end = _fire_run_probe(
+        HeapOnlySimulation(network=NetworkModel(0)), *args)
+    # The reference schedules every arrival.  The ask takes those that it
+    # fires first, one after another, before anything else and by the
+    # deadline; none between runs, or if the run starts before the clock.
+    now, seq, firing_seq, _ = want_before
+    taken = list(itertools.takewhile(lambda row: row[0] == "arrival", want_log))
+    if between or run and run[0] < now:
+        taken = []
+    k = len(taken)
+    if k:
+        now, firing_seq = taken[-1][1:]
+    assert before[:3] == want_before[:3]
+    assert after == (k, now, seq + k, firing_seq, before[3] + k)
+    # the arrivals not taken, and every other event, fire as in the reference
+    assert log == want_log[k:]
+    assert end == want_end

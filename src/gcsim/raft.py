@@ -454,21 +454,19 @@ class RaftNode:
         """Send every peer the log from its next index on, in peer order.
 
         Peers at the same next index share one message, which no receiver
-        mutates.  Sending starts no pause, so one check covers the fan-out.
+        mutates.  The node must not be paused: every caller (a new leader,
+        an unpaused heartbeat, a set before it allocates) runs in an
+        unpaused handler, so the fan-out goes straight to the network.
         """
         built: dict[int, AppendEntries] = {}
         next_index = self.next_index
-        sim, node_id = self.sim, self.id
-        paused = sim.now < self.runtime.paused_until
+        send, node_id = self.sim.send, self.id
         for peer in self.peers:
             nxt = next_index[peer]
             msg = built.get(nxt)
             if msg is None:
                 msg = built[nxt] = self._append_from(nxt)
-            if paused:
-                self._send(peer, msg)
-            else:
-                sim.send(node_id, peer, msg)
+            send(node_id, peer, msg)
 
     def _on_append(self, src: NodeId, m: AppendEntries) -> None:
         if m.term != self.term or m.leader != self.leader_hint:

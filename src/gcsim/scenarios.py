@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -59,7 +58,7 @@ class RunResult:
         return self.samples.latency_by_rid()
 
     def summary(self) -> RunSummary:
-        counts = Counter(self.samples.latencies())
+        counts = self.samples.latency_counts()
         return summarize_run(self.label, counts, self.issued - counts.total(), self.pauses)
 
 

@@ -114,6 +114,17 @@ workload_cases = given(
 @example(arrivals="uniform", rate=333.3, duration_s=2, kind="rw", mix=(3, 1), seed=1)
 # 188 Poisson arrivals: the horizon cuts the stream mid-pattern
 @example(arrivals="poisson", rate=100, duration_s=2, kind="rw", mix=(1, 3), seed=7918)
+# rate * duration_s is 50.0, but the 50th arrival, round(55835.5), is 55,836
+# us, past the 55,835 us horizon: the count is trimmed to 49
+@example(arrivals="uniform", rate=895.4876377931603, duration_s=0.055835499999999996,
+         kind="http", mix=(3, 1), seed=1)
+# rate * duration_s is 100.0 and the 100th arrival, round(100700.5), is the
+# 100,700 us horizon itself: no arrival is trimmed
+@example(arrivals="uniform", rate=993.0437286805925, duration_s=0.1007005, kind="rw",
+         mix=(3, 1), seed=1)
+# rate * duration_s is one ulp under 101: 100 arrivals
+@example(arrivals="uniform", rate=993.1414243221318, duration_s=0.10169749999999998,
+         kind="rw", mix=(3, 1), seed=1)
 def test_workload_times_match_the_tuple_generator(arrivals, rate, duration_s, kind, mix,
                                                  seed):
     # a drawn workload's column and pattern hold the reference's rows, and
@@ -451,7 +462,7 @@ def test_emit_report_of_150k_samples_peaks_under_1_5_mb(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_500_000  # measured 0.74 MB; chunks of 65,536 lines peak at 5.9 MB
+    assert peak < 1_500_000  # measured 0.55 MB; chunks of 65,536 lines peak at 4.3 MB
 
 
 def test_reading_a_log_in_arrival_order_peaks_under_67_bytes_a_row():
@@ -512,6 +523,7 @@ def test_a_widened_log_reads_every_row_back_in_order(case, by_arrival):
         expected = sorted(expected, key=lambda row: (row[2], row[0]))
         assert list(record) == expected and len(record) == len(expected)
         assert sorted(record.latencies()) == sorted(c - i for _, i, c, _, _ in expected)
+        assert record.latency_counts() == Counter(c - i for _, i, c, _, _ in expected)
         assert record.latency_by_rid() == {rid: c - i for rid, i, c, _, _ in expected}
 
     if by_arrival:
@@ -519,6 +531,42 @@ def test_a_widened_log_reads_every_row_back_in_order(case, by_arrival):
         reads([row for row in rows if row[2] <= now[0]])
         now[0] = 2 * BIG
     reads(rows)
+
+
+# Records of up to 40 requests, in 32-bit columns or in 64-bit ones (issue
+# times from 2**31 us): each row's issue offset and its reply's latency, or
+# None for a request with no reply recorded, and a clock that may stop before
+# some recorded replies.  Replies are written one add a row, or by put in
+# batches of ``batch`` rows of one residue mod ``step``, which step evenly
+# unless an unanswered row falls between them.
+@given(rows=st.lists(st.tuples(st.integers(0, 1_000), st.one_of(st.none(),
+                                                                 st.integers(0, 2_000))),
+                     max_size=40),
+       clock=st.integers(0, 3_000), wide=st.booleans(), put=st.booleans(),
+       step=st.integers(1, 3), batch=st.integers(1, 8))
+# replies past the clock beside unanswered slots, put in one evenly stepping batch
+@example(rows=[(0, 10), (1, None), (2, 500), (3, None), (4, 20)], clock=100, wide=False,
+         put=True, step=2, batch=3)
+# every reply by the clock, unanswered slots in a 64-bit column
+@example(rows=[(0, 10), (1, None), (2, 10), (3, 30)], clock=100, wide=True, put=False,
+         step=1, batch=1)
+def test_latency_counts_match_the_filtered_latencies(rows, clock, wide, put, step, batch):
+    base = 2**31 if wide else 0
+    issued = sorted(base + offset for offset, _ in rows)
+    record = Completions(issued, ["http"], ["b0", "b1"], lambda: base + clock)
+    assert record.completed.typecode == ("Q" if wide and rows else "I")
+    answered = sorted((rid % step, rid) for rid, (_, latency) in enumerate(rows, 1)
+                      if latency is not None)
+    replies = [(rid, issued[rid - 1] + rows[rid - 1][1]) for _, rid in answered]
+    if put:
+        for first in range(0, len(replies), batch):
+            rids, at = zip(*replies[first:first + batch])
+            record.put(list(rids), list(at), "b1")
+    else:
+        for rid, at in replies:
+            record.add(rid, at, "b0")
+    assert record.latency_counts() == Counter(record.latencies())
+    assert len(record) == sum(record.arrived())
 
 
 def test_a_log_by_arrival_reads_rows_in_arrival_then_rid_order():
